@@ -1,9 +1,9 @@
 """Tour of the viscous-plastic constitutive law.
 
 Walks a loading path of strain rates through the regularized rheology:
-pressure, viscosities under the three regularization variants, principal
-stresses, and where each stress state sits relative to the elliptical yield
-curve.  Saves a yield-plane figure when matplotlib is available.
+pressure, viscosities, principal stresses, and where each stress state sits
+relative to the elliptical yield curve.  Saves a yield-plane figure when
+matplotlib is available.
 """
 
 import numpy as np
@@ -21,16 +21,12 @@ print(f"ice strength P(h={h}, a={a}) = {P:.6f} (scaled units)")
 print(f"axis ratio e = {params.e}, regularization delta = {params.delta:g}\n")
 
 print("strain magnitude sweep (pure divergence eps = s*I):")
-print(f"{'s':>10} {'Delta_delta':>12} {'zeta':>12} {'zeta(min-cap)':>14} {'zeta(tanh)':>12}")
-capped = params.with_(variant="min-cap", zeta_max=200.0)
-smooth = params.with_(variant="tanh", zeta_max=200.0)
+print(f"{'s':>10} {'Delta_delta':>12} {'zeta':>12} {'eta':>12}")
 for s in np.logspace(-6, 0, 7):
     eps = StrainRate(s, 0.0, s)
     dreg = delta_reg(eps, params)
-    z0, _ = viscosities(eps, P, params)
-    z1, _ = viscosities(eps, P, capped)
-    z2, _ = viscosities(eps, P, smooth)
-    print(f"{s:10.1e} {dreg:12.4e} {z0:12.4e} {z1:14.4e} {z2:12.4e}")
+    zeta, eta = viscosities(eps, P, params)
+    print(f"{s:10.1e} {dreg:12.4e} {zeta:12.4e} {eta:12.4e}")
 
 print("\nstress states along a mixed loading path:")
 print(f"{'t':>6} {'sigma_d':>12} {'sigma_s':>12} {'ellipse residual':>18}")

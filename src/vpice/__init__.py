@@ -1,7 +1,7 @@
 """Desk-scale numerical laboratory for Hibler's viscous-plastic sea-ice model.
 
 Subpackages:
-  params       physical constants and regularization variants
+  params       physical and regularization constants
   rheology     pointwise constitutive law and coefficient tensor
   symbols      principal symbol, ellipticity and boundary-condition checks
   grid         structured vertex grid, fields and difference stencils

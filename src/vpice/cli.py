@@ -25,7 +25,13 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .dynamics import ForcingInputs, RunSinks, run
+from .dynamics import (
+    ForcingInputs,
+    PicardDivergenceError,
+    RunSinks,
+    StepError,
+    run,
+)
 from .io_formats import (
     DiagnosticsCsvWriter,
     format_float,
@@ -35,12 +41,13 @@ from .io_formats import (
     write_ppm,
     write_snapshot,
 )
-from .operators import assemble_coupled, export_coo
+from .operators import LinearSolveError, assemble_coupled, export_coo
 from .params import InvalidStateError
 from .rheology import StrainRate, coercivity_lower_bound, pressure
 from .stability import (
     BudgetExceededError,
     DENSE_EIG_BUDGET,
+    DecayFitError,
     assemble_A0,
     decay_experiment,
     perturbed_equilibrium,
@@ -229,8 +236,7 @@ def cmd_simulate(cfg: RunConfig, dump_matrix=None) -> int:
                                cfg["experiment.perturbation_scale"])
     v0.validate(params)
     if dump_matrix:
-        export_coo(assemble_coupled(v0, grid, params,
-                                    omega=cfg["stepper.omega"]), dump_matrix)
+        export_coo(assemble_coupled(v0, grid, params), dump_matrix)
     directory = _prepare_output(cfg)
     files = [("diagnostics.csv", "csv")]
     snapshots = []
@@ -316,6 +322,9 @@ def dispatch(argv) -> int:
         return _fail(str(exc), 2)
     except (ConfigError, InvalidStateError) as exc:
         return _fail(str(exc), 2)
+    except (StepError, LinearSolveError, PicardDivergenceError,
+            DecayFitError) as exc:
+        return _fail(str(exc), 1)
 
 
 def main() -> None:

@@ -57,11 +57,6 @@ KEY_TABLE = {
     "rheology.g": (float, 9.81, _positive, "gravity, m s^-2"),
     "rheology.d_h": (float, 1.0, _positive, "thickness diffusivity, m^2 s^-1"),
     "rheology.d_a": (float, 1.0, _positive, "compactness diffusivity, m^2 s^-1"),
-    "rheology.variant": (str, "sqrt-delta",
-                         {"sqrt-delta", "min-cap", "tanh"},
-                         "viscosity regularization variant"),
-    "rheology.zeta_max": (float, 1.0e12, _positive, "bulk viscosity cap"),
-    "rheology.eta_max": (float, 2.5e11, _positive, "shear viscosity cap"),
     "grid.nx": (int, 17, lambda x: x >= 3, "nodes in x (>= 3)"),
     "grid.ny": (int, 17, lambda x: x >= 3, "nodes in y (>= 3)"),
     "grid.lx": (float, 1.0, _positive, "domain extent in x, m"),
@@ -72,7 +67,6 @@ KEY_TABLE = {
                        {"frozen-coefficient", "picard"}, "stepping scheme"),
     "stepper.picard_max": (int, 25, lambda x: x >= 1, "max picard sweeps"),
     "stepper.picard_tol": (float, 1e-10, _positive, "picard update tolerance"),
-    "stepper.omega": (float, 0.0, _nonnegative, "spectral shift"),
     "equilibrium.h_star": (float, 1.0, _positive, "equilibrium thickness, m"),
     "equilibrium.a_star": (float, 0.8, _unit_interval, "equilibrium compactness"),
     "experiment.seed": (int, 0, _nonnegative, "sampling seed"),
@@ -114,8 +108,6 @@ class RunConfig:
             theta_ocean=v["rheology.theta_ocean"],
             c_cor=v["rheology.c_cor"], g=v["rheology.g"],
             d_h=v["rheology.d_h"], d_a=v["rheology.d_a"],
-            variant=v["rheology.variant"], zeta_max=v["rheology.zeta_max"],
-            eta_max=v["rheology.eta_max"],
         )
 
     def grid(self) -> Grid:
@@ -127,7 +119,7 @@ class RunConfig:
         return StepperConfig(
             dt=v["stepper.dt"], t_end=v["stepper.t_end"],
             scheme=v["stepper.scheme"], picard_max=v["stepper.picard_max"],
-            picard_tol=v["stepper.picard_tol"], omega=v["stepper.omega"],
+            picard_tol=v["stepper.picard_tol"],
         )
 
     def equilibrium(self) -> Equilibrium:

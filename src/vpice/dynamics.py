@@ -4,14 +4,11 @@ One backward-Euler step of the coupled system freezes the quasilinear
 coefficients at the current state and treats advection, drag, Coriolis,
 tilt and sources explicitly:
 
-    (I + dt A_omega(v_n)) v_{n+1} = v_n + dt F_omega(v_n).
+    (I + dt A(v_n)) v_{n+1} = v_n + dt F(v_n).
 
-The omega shift enters the implicit matrix through the assembled operator
-and is compensated implicitly on the right-hand side, so trajectories are
-independent of omega up to solver tolerance.  The picard scheme re-freezes
-both the operator and the explicit side at successive iterates until the
-relative update drops below picard_tol, converging to the fully implicit
-backward-Euler solution.
+The picard scheme re-freezes both the operator and the explicit side at
+successive iterates until the relative update drops below picard_tol,
+converging to the fully implicit backward-Euler solution.
 
 Advection of h and a is discretized in flux form with the divergence matrix
 that is the exact negative adjoint of the centered gradient, so nodal
@@ -80,7 +77,6 @@ class StepperConfig:
     scheme: str = "frozen-coefficient"
     picard_max: int = 25
     picard_tol: float = 1e-10
-    omega: float = 0.0
 
     def __post_init__(self):
         if not self.dt > 0.0:
@@ -91,8 +87,6 @@ class StepperConfig:
             raise InvalidStateError("picard_max must be >= 1")
         if self.scheme not in SCHEMES:
             raise InvalidStateError(f"scheme must be one of {SCHEMES}")
-        if self.omega < 0.0:
-            raise InvalidStateError("omega must be >= 0")
 
 
 def _pair(value, grid: Grid):
@@ -180,16 +174,6 @@ def source_terms(v: FieldSet, inputs: ForcingInputs,
     return s_h, s_a
 
 
-def _omega_compensation(v_freeze: FieldSet, grid: Grid,
-                        params: RheologyParams, omega: float) -> sp.csr_matrix:
-    """Diagonal omega/(rho_ice h) on interior velocity rows (4N x 4N)."""
-    n = grid.n_nodes
-    interior = grid.interior_mask().ravel().astype(float)
-    shift = omega * interior / (params.rho_ice * v_freeze.h.ravel())
-    diag = np.concatenate([shift, shift, np.zeros(n), np.zeros(n)])
-    return sp.diags(diag, format="csr")
-
-
 def _explicit_rhs(v: FieldSet, inputs: ForcingInputs,
                   params: RheologyParams) -> np.ndarray:
     g = v.grid
@@ -206,12 +190,8 @@ def _explicit_rhs(v: FieldSet, inputs: ForcingInputs,
 def _solve_step(v_n: FieldSet, v_freeze: FieldSet, inputs: ForcingInputs,
                 params: RheologyParams, cfg: StepperConfig) -> np.ndarray:
     grid = v_n.grid
-    coupled = assemble_coupled(v_freeze, grid, params, omega=cfg.omega)
+    coupled = assemble_coupled(v_freeze, grid, params)
     matrix = sp.identity(coupled.dim, format="csr") + cfg.dt * coupled.matrix
-    if cfg.omega != 0.0:
-        # compensate the shift implicitly; the scheme is omega-invariant
-        matrix = matrix - cfg.dt * _omega_compensation(
-            v_freeze, grid, params, cfg.omega)
     op = SparseOperator(matrix.tocsr(), coupled.blocks,
                         coupled.dirichlet_mask, grid)
     rhs = v_n.to_vector() + cfg.dt * _explicit_rhs(v_freeze, inputs, params)

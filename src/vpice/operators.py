@@ -4,7 +4,6 @@ The velocity block discretizes
 
     (A u)_i = - sum_jkl a_ij^kl(grad u0, P0) d_k d_l u_j
               - (1 / (2 Delta_delta(eps0))) sum_j (d_j P0) (S eps(u))_ij
-              [+ omega u_i]
 
 with second derivatives by 3-point stencils, the mixed derivative by the
 4-point centered cross, and nodal coefficients frozen at the given state.
@@ -19,9 +18,9 @@ quadratic form.
 
 The coupled operator is block upper triangular,
 
-    [ (1/(rho_ice h0)) (A^H + omega)   c_h grad   c_a grad ]
-    [ 0                                -d_h Lap_N  0        ]
-    [ 0                                0          -d_a Lap_N ],
+    [ (1/(rho_ice h0)) A^H   c_h grad   c_a grad ]
+    [ 0                      -d_h Lap_N  0        ]
+    [ 0                      0          -d_a Lap_N ],
 
 with c_h = dP/dh / (2 rho_ice h0) and c_a = dP/da / (2 rho_ice h0) frozen
 nodewise.
@@ -71,11 +70,6 @@ class SparseOperator:
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec
-
-    def interior_dense(self) -> np.ndarray:
-        """Dense restriction to non-Dirichlet rows/columns."""
-        keep = ~self.dirichlet_mask
-        return self.matrix.toarray()[np.ix_(keep, keep)]
 
 
 def _diag(values: np.ndarray) -> sp.csr_matrix:
@@ -174,8 +168,8 @@ def divergence_matrix(grid: Grid) -> sp.csr_matrix:
     return sp.hstack([-ops["dx"].T, -ops["dy"].T], format="csr")
 
 
-def assemble_coupled(v_frozen: FieldSet, grid: Grid, params: RheologyParams,
-                     omega: float = 0.0) -> SparseOperator:
+def assemble_coupled(v_frozen: FieldSet, grid: Grid,
+                     params: RheologyParams) -> SparseOperator:
     """Block upper-triangular quasilinear operator frozen at v_frozen (4N x 4N)."""
     v_frozen.validate(params)
     n = grid.n_nodes
@@ -183,10 +177,9 @@ def assemble_coupled(v_frozen: FieldSet, grid: Grid, params: RheologyParams,
     interior2 = np.concatenate([interior, interior])
     boundary2 = 1.0 - interior2
 
-    hibler = assemble_hibler(v_frozen, grid, params, omega=0.0)
+    hibler = assemble_hibler(v_frozen, grid, params)
     inv_mass = interior2 / (params.rho_ice * np.tile(v_frozen.h.ravel(), 2))
-    u_block = (_diag(inv_mass) @ (hibler.matrix + _diag(omega * interior2))
-               + _diag(boundary2)).tocsr()
+    u_block = (_diag(inv_mass) @ hibler.matrix + _diag(boundary2)).tocsr()
 
     dp_dh, dp_da = pressure_derivatives(v_frozen.h, v_frozen.a, params)
     scale = 2.0 * params.rho_ice * v_frozen.h

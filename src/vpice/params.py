@@ -13,9 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 
-VARIANTS = ("sqrt-delta", "min-cap", "tanh")
-
-
 class InvalidStateError(ValueError):
     """A state (h, a) or parameter set left its admissible range."""
 
@@ -37,8 +34,6 @@ class RheologyParams:
     c_cor : Coriolis parameter, s^-1.
     g : gravity, m s^-2.
     d_h, d_a : thickness/compactness diffusivities, m^2 s^-1.
-    variant : viscosity regularization, one of VARIANTS.
-    zeta_max, eta_max : viscosity caps for the min-cap and tanh variants.
     """
 
     e: float = 2.0
@@ -57,23 +52,16 @@ class RheologyParams:
     g: float = 9.81
     d_h: float = 1.0
     d_a: float = 1.0
-    variant: str = "sqrt-delta"
-    zeta_max: float = 1.0e12
-    eta_max: float = 2.5e11
 
     def __post_init__(self):
         positive = (
             "e", "delta", "p_star", "c", "kappa", "rho_ice", "rho_atm",
             "rho_ocean", "C_atm", "C_ocean", "g", "d_h", "d_a",
-            "zeta_max", "eta_max",
         )
         for name in positive:
             value = getattr(self, name)
             if not value > 0.0:
                 raise InvalidStateError(f"parameter {name} must be > 0, got {value!r}")
-        if self.variant not in VARIANTS:
-            raise InvalidStateError(
-                f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
     def with_(self, **kwargs) -> "RheologyParams":
         """Copy with selected fields replaced."""

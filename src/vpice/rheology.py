@@ -191,22 +191,13 @@ def pressure_derivatives(h, a, params: RheologyParams, slack: float = 1e-10):
 
 
 def viscosities(eps: StrainRate, p, params: RheologyParams):
-    """Bulk and shear viscosities (zeta, eta) with eta = zeta / e^2.
-
-    Variants:
-      sqrt-delta : zeta = P / (2 Delta_delta)
-      min-cap    : zeta = min(P / (2 Delta_delta), zeta_max)
-      tanh       : zeta = zeta_max tanh(P / (2 Delta_delta zeta_max))
+    """Bulk and shear viscosities zeta = P / (2 Delta_delta), eta = zeta / e^2.
 
     Both returned values are nonnegative for P >= 0; Delta_delta > 0 keeps
     them finite for every strain rate.
     """
     dreg = delta_reg(eps, params)
     zeta = np.asarray(p, dtype=float) / (2.0 * dreg)
-    if params.variant == "min-cap":
-        zeta = np.minimum(zeta, params.zeta_max)
-    elif params.variant == "tanh":
-        zeta = params.zeta_max * np.tanh(zeta / params.zeta_max)
     eta = zeta / params.e**2
     return zeta[()] if np.ndim(zeta) == 0 else zeta, eta
 
@@ -214,8 +205,8 @@ def viscosities(eps: StrainRate, p, params: RheologyParams):
 def stress_sigma_delta(eps: StrainRate, h, a, params: RheologyParams) -> Stress2x2:
     """Regularized stress sigma_delta = 2 eta eps + (zeta - eta) tr(eps) I - (P/2) I.
 
-    Algebraically identical to zeta * (S eps) - (P/2) I, which for the
-    sqrt-delta variant is (P/2) S eps / Delta_delta - (P/2) I.
+    Algebraically identical to zeta * (S eps) - (P/2) I
+    = (P/2) S eps / Delta_delta - (P/2) I.
     """
     p = pressure(h, a, params)
     zeta, eta = viscosities(eps, p, params)
@@ -267,14 +258,12 @@ def coercivity_lower_bound(eps: StrainRate, p, params: RheologyParams):
 def _stress_part_general(m: np.ndarray, p, params: RheologyParams) -> np.ndarray:
     """(P/2) S m / Delta_delta(m) for a general (possibly nonsymmetric) 2x2 m."""
     q = 1.0 / params.e**2
-    tr = m[..., 0, 0] + m[..., 1, 1]
     off = m[..., 0, 1] + m[..., 1, 0]
     sm = np.empty_like(m)
     sm[..., 0, 0] = (1.0 + q) * m[..., 0, 0] + (1.0 - q) * m[..., 1, 1]
     sm[..., 1, 1] = (1.0 - q) * m[..., 0, 0] + (1.0 + q) * m[..., 1, 1]
     sm[..., 0, 1] = q * off
     sm[..., 1, 0] = q * off
-    del tr
     dreg = np.sqrt(params.delta + delta_sq_general(m, params))
     return 0.5 * np.asarray(p, dtype=float) * sm / dreg[..., None, None]
 

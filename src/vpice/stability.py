@@ -28,10 +28,11 @@ from .dynamics import ForcingInputs, RunResult, StepperConfig, run
 from .grid import FieldSet, Grid, diff_ops
 from .operators import (
     SparseOperator,
+    assemble_coupled,
     assemble_hibler,
     assemble_neumann_laplacian,
     divergence_matrix,
-    gradient_coupling,
+    gradient_coupling,  # unused here; perfbench/spans.py traces this binding
 )
 from .params import InvalidStateError, RheologyParams
 from .rheology import pressure, pressure_derivatives
@@ -96,48 +97,26 @@ def weight_constants(eq: Equilibrium, params: RheologyParams) -> tuple:
 def assemble_A0(eq: Equilibrium, grid: Grid, params: RheologyParams) -> SparseOperator:
     """Linearized operator at the equilibrium (4N x 4N).
 
-    Unlike the quasilinear block operator, A0 is not block triangular: the
-    thickness and compactness rows carry h* div(u) and a* div(u) couplings
-    from linearizing the advective fluxes.
+    The quasilinear block operator frozen at (0, h*, a*) plus the rows it
+    lacks: h* div(u) and a* div(u) from linearizing the advective fluxes
+    (so A0 is not block triangular) and the Coriolis term -c_cor (n x u).
     """
     eq.validate(params)
     n = grid.n_nodes
-    v_star = eq.state(grid)
+    frozen = assemble_coupled(eq.state(grid), grid, params)
 
-    hibler = assemble_hibler(v_star, grid, params, omega=0.0)
-    interior = grid.interior_mask().ravel().astype(float)
-    interior2 = np.concatenate([interior, interior])
-    boundary2 = 1.0 - interior2
-    inv_mass = interior2 / (params.rho_ice * eq.h_star)
-    u_block = (sp.diags(inv_mass) @ hibler.matrix + sp.diags(boundary2)).tocsr()
-
+    rotation = None
     if params.c_cor != 0.0:
         # -c_cor (n x u) with n x u = (-u2, u1), interior rows only
-        rot = sp.bmat([
-            [None, sp.diags(params.c_cor * interior)],
-            [sp.diags(-params.c_cor * interior), None],
-        ], format="csr")
-        u_block = (u_block + rot).tocsr()
-
-    dp_dh, dp_da = pressure_derivatives(eq.h_star, eq.a_star, params)
-    scale = 2.0 * params.rho_ice * eq.h_star
-    ones = np.ones(n)
-    c_h = gradient_coupling(grid, (dp_dh / scale) * ones)
-    c_a = gradient_coupling(grid, (dp_da / scale) * ones)
-
+        cor = params.c_cor * grid.interior_mask().ravel()
+        rotation = sp.bmat([[None, sp.diags(cor)],
+                            [sp.diags(-cor), None]], format="csr")
     div = divergence_matrix(grid)
-    lap_h = assemble_neumann_laplacian(grid, params.d_h).matrix
-    lap_a = assemble_neumann_laplacian(grid, params.d_a).matrix
-
-    zero_nn = sp.csr_matrix((n, n))
-    matrix = sp.bmat([
-        [u_block, c_h, c_a],
-        [eq.h_star * div, lap_h, zero_nn],
-        [eq.a_star * div, zero_nn, lap_a],
-    ], format="csr")
-    bnd = grid.boundary_mask().ravel()
-    mask = np.concatenate([bnd, bnd, np.zeros(n, bool), np.zeros(n, bool)])
-    return SparseOperator(matrix, (2 * n, n, n), mask, grid)
+    transport = sp.vstack([eq.h_star * div, eq.a_star * div], format="csr")
+    linearized = sp.bmat([[rotation, sp.csr_matrix((2 * n, 2 * n))],
+                          [transport, None]], format="csr")
+    return SparseOperator((frozen.matrix + linearized).tocsr(), frozen.blocks,
+                          frozen.dirichlet_mask, grid)
 
 
 def kernel_basis(grid: Grid) -> np.ndarray:

@@ -50,12 +50,12 @@ def test_parse_assignments_and_comments():
     # comment line
     rheology.delta = 1e-9   # trailing comment
     grid.nx = 33
-    rheology.variant = tanh
+    stepper.scheme = picard
     experiment.emit_ppm = true
     """)
     assert cfg["rheology.delta"] == 1e-9
     assert cfg["grid.nx"] == 33
-    assert cfg["rheology.variant"] == "tanh"
+    assert cfg["stepper.scheme"] == "picard"
     assert cfg["experiment.emit_ppm"] is True
 
 
@@ -66,10 +66,14 @@ def test_parse_is_order_independent():
 
 
 def test_unknown_key_reports_line():
-    with pytest.raises(ConfigError) as excinfo:
-        parse_config("rheology.e = 2.0\nbogus.key = 1\n")
-    assert "line 2" in str(excinfo.value)
-    assert "unknown key" in str(excinfo.value)
+    # removed settings are rejected like any other unknown key
+    for line in ("bogus.key = 1", "rheology.variant = tanh",
+                 "rheology.zeta_max = 1e12", "rheology.eta_max = 2.5e11",
+                 "stepper.omega = 0.5"):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("rheology.e = 2.0\n" + line + "\n")
+        assert "line 2" in str(excinfo.value)
+        assert "unknown key" in str(excinfo.value)
 
 
 def test_range_violation_nx():
@@ -145,9 +149,24 @@ def test_dispatch_usage_errors(tmp_path, capsys):
 
 
 def test_dispatch_config_error_exit_2(tmp_path, capsys):
-    path = write_config(tmp_path, "grid.nx = 2\n")
-    assert dispatch(["spectrum", path]) == 2
-    capsys.readouterr()
+    for body in ("grid.nx = 2\n", "grid.nx = 9\nstepper.omega = 0.5\n"):
+        path = write_config(tmp_path, body)
+        assert dispatch(["spectrum", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vpice: config error: line ")
+        assert err.count("\n") == 1
+
+
+def test_failing_step_exit_1_one_line(tmp_path, capsys):
+    out = tmp_path / "fail"
+    body = (f"experiment.output_dir = {out}\n"
+            "stepper.dt = 1e9\nstepper.t_end = 2e9\n")
+    path = write_config(tmp_path, body)
+    assert dispatch(["simulate", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vpice: step 1 ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_lscheck_negative_lambda_config_exit_2(tmp_path, capsys):

@@ -307,7 +307,7 @@ def test_coupled_block_structure():
     params = scaled_params()
     g = Grid(9, 9)
     n = g.n_nodes
-    op = assemble_coupled(constant_state(g), g, params, omega=0.3)
+    op = assemble_coupled(constant_state(g), g, params)
     assert op.blocks == (2 * n, n, n)
     dense = op.matrix.toarray()
     assert np.all(dense[2 * n:, :2 * n] == 0.0)  # lower-left zero

@@ -158,41 +158,14 @@ def test_pressure_derivatives():
 
 
 # ---------------------------------------------------------------------------
-# Viscosities and variants
+# Viscosities
 # ---------------------------------------------------------------------------
 
 def test_viscosities_sqrt_delta():
-    p = RheologyParams(delta=1e-4, variant="sqrt-delta")
+    p = RheologyParams(delta=1e-4)
     zeta, eta = viscosities(StrainRate(0.0, 0.0, 0.0), 1.0, p)
     assert zeta == pytest.approx(50.0, rel=1e-14)
     assert eta == pytest.approx(50.0 / p.e**2, rel=1e-14)
-
-
-def test_viscosities_min_cap_binds():
-    p = RheologyParams(delta=1e-4, variant="min-cap", zeta_max=10.0)
-    zeta, eta = viscosities(StrainRate(0.0, 0.0, 0.0), 1.0, p)
-    assert zeta == 10.0
-    assert eta == 10.0 / p.e**2
-
-
-def test_tanh_variant_recovers_sqrt_delta_for_large_cap():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        eps = random_strain(rng)
-        base = RheologyParams(delta=1e-4, variant="sqrt-delta")
-        z0, _ = viscosities(eps, 2.0, base)
-        # series: tanh(x) = x - x^3/3 + ..., relative error x^2/3 for x -> 0
-        cap = 1e8 * z0
-        zt, _ = viscosities(eps, 2.0, base.with_(variant="tanh", zeta_max=cap))
-        assert abs(zt - z0) <= 1e-8 * z0
-
-
-def test_min_cap_variant_converges_to_sqrt_delta():
-    p0 = RheologyParams(delta=1e-4, variant="sqrt-delta")
-    z0, _ = viscosities(StrainRate(0.1, 0.0, -0.2), 3.0, p0)
-    z1, _ = viscosities(StrainRate(0.1, 0.0, -0.2), 3.0,
-                        p0.with_(variant="min-cap", zeta_max=1e12))
-    assert z1 == z0
 
 
 # ---------------------------------------------------------------------------

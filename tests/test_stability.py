@@ -183,12 +183,27 @@ def test_energy_identity_kernel_vector_all_terms_vanish():
 
 def test_energy_identity_random_vectors():
     g = Grid(11, 11)
-    op = assemble_A0(EQ, g, PARAMS)
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        v = dirichlet_random_state(g, rng)
-        out = energy_identity_residual(op, v, EQ, PARAMS)
-        assert out["mismatch"] <= 1e-10
+    for params in (PARAMS, PARAMS.with_(c_cor=0.5)):
+        op = assemble_A0(EQ, g, params)
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            v = dirichlet_random_state(g, rng)
+            out = energy_identity_residual(op, v, EQ, params)
+            assert out["mismatch"] <= 1e-10
+
+
+def test_a0_coriolis_rows_are_interior_rotation():
+    # the energy identity cannot see these rows: a skew term has a zero form
+    g = Grid(9, 9)
+    n = g.n_nodes
+    rot = (assemble_A0(EQ, g, PARAMS.with_(c_cor=0.5)).matrix
+           - assemble_A0(EQ, g, PARAMS).matrix).toarray()
+    idx = np.flatnonzero(g.interior_mask())
+    expected = np.zeros((4 * n, 4 * n))
+    expected[idx, n + idx] = 0.5
+    expected[n + idx, idx] = 0.5
+    assert np.array_equal(rot, -rot.T)
+    assert np.array_equal(np.abs(rot), expected)
 
 
 def test_discrete_integration_by_parts():
