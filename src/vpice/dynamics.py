@@ -192,8 +192,7 @@ def _solve_step(v_n: FieldSet, v_freeze: FieldSet, inputs: ForcingInputs,
     grid = v_n.grid
     coupled = assemble_coupled(v_freeze, grid, params)
     matrix = sp.identity(coupled.dim, format="csr") + cfg.dt * coupled.matrix
-    op = SparseOperator(matrix.tocsr(), coupled.blocks,
-                        coupled.dirichlet_mask, grid)
+    op = SparseOperator(matrix.tocsr(), coupled.dirichlet_mask)
     rhs = v_n.to_vector() + cfg.dt * _explicit_rhs(v_freeze, inputs, params)
     rhs[coupled.dirichlet_mask] = 0.0
     vec = solve_linear(op, rhs)

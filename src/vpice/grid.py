@@ -110,11 +110,12 @@ def _neumann_1d(n: int, h: float) -> sp.csr_matrix:
 
 @lru_cache(maxsize=32)
 def diff_ops(grid: Grid) -> dict:
-    """Difference matrices for a grid, cached.
+    """Grid-only matrices, cached per grid.
 
     Keys: dx, dy (centered first), dxx, dyy (second), dxy (4-point cross,
-    rows at full-interior nodes), neumann_x, neumann_y (symmetric reflected
-    1D pieces in 2D kron form).
+    rows at full-interior nodes), neumann (symmetric reflected -Laplacian,
+    kron sum of the 1D pieces), div (N x 2N, minus the transpose of the
+    (dx, dy) pair) and id (N x N identity).
     """
     ix = sp.identity(grid.nx, format="csr")
     iy = sp.identity(grid.ny, format="csr")
@@ -123,11 +124,12 @@ def diff_ops(grid: Grid) -> dict:
     d_xx = sp.kron(iy, _d2_interior(grid.nx, grid.dx), format="csr")
     d_yy = sp.kron(_d2_interior(grid.ny, grid.dy), ix, format="csr")
     d_xy = (d_x @ d_y).tocsr()
-    neu_x = sp.kron(iy, _neumann_1d(grid.nx, grid.dx), format="csr")
-    neu_y = sp.kron(_neumann_1d(grid.ny, grid.dy), ix, format="csr")
     return {
         "dx": d_x, "dy": d_y, "dxx": d_xx, "dyy": d_yy, "dxy": d_xy,
-        "neumann_x": neu_x, "neumann_y": neu_y,
+        "neumann": sp.kronsum(_neumann_1d(grid.nx, grid.dx),
+                              _neumann_1d(grid.ny, grid.dy), format="csr"),
+        "div": sp.hstack([-d_x.T, -d_y.T], format="csr"),
+        "id": sp.identity(grid.n_nodes, format="csr"),
     }
 
 

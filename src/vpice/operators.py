@@ -1,5 +1,8 @@
 """Sparse assembly of the frozen-coefficient operators and linear solves.
 
+Every operator is a sum of terms weight[row] * (factor * stencil) in blocks
+of the (u1, u2, h, a) layout, assembled by ``assemble_terms``.
+
 The velocity block discretizes
 
     (A u)_i = - sum_jkl a_ij^kl(grad u0, P0) d_k d_l u_j
@@ -8,8 +11,8 @@ The velocity block discretizes
 with second derivatives by 3-point stencils, the mixed derivative by the
 4-point centered cross, and nodal coefficients frozen at the given state.
 With this sign convention the quadratic form of the principal part is
-nonnegative for velocity fields that vanish on the boundary.  Dirichlet
-rows are replaced by identity rows.
+nonnegative for velocity fields that vanish on the boundary.  Rows on the
+full boundary are identity rows (homogeneous Dirichlet).
 
 The thickness/compactness blocks are the symmetric reflected form of
 -d * (Neumann Laplacian): zero row and column sums (hence exact discrete
@@ -23,7 +26,7 @@ The coupled operator is block upper triangular,
     [ 0                      0          -d_a Lap_N ],
 
 with c_h = dP/dh / (2 rho_ice h0) and c_a = dP/da / (2 rho_ice h0) frozen
-nodewise.
+nodewise; the rows of A^H are summed before 1/(rho_ice h0) weights them.
 """
 
 from __future__ import annotations
@@ -57,23 +60,110 @@ class LinearSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Assembled operator with block layout and constrained-row bookkeeping."""
+    """Assembled operator and the mask of its Dirichlet (identity) rows."""
 
     matrix: sp.csr_matrix
-    blocks: tuple
     dirichlet_mask: np.ndarray
-    grid: Grid
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ vec
+
+def assemble_terms(grid: Grid, blocks: tuple, terms) -> sp.csr_matrix:
+    """Sum of terms weight[row] * (factor * stencil) as one CSR matrix.
+
+    ``blocks`` counts the (rows, cols) of N x N blocks.  A term is (stencil,
+    block_row, block_col, weight, factor): a ``diff_ops`` key or a sparse
+    matrix, the block of its first entry, an array over the stencil's rows
+    (None for no weight) and a scalar.  One COO -> CSR conversion sums the
+    terms and drops exact zeros; the callers here let at most two nonzero
+    terms meet in an entry, so the order of summation does not matter.
+    """
+    n, ops = grid.n_nodes, diff_ops(grid)
+    parts = []
+    for stencil, block_row, block_col, weight, factor in terms:
+        s = ops[stencil] if isinstance(stencil, str) else stencil
+        r = np.repeat(np.arange(s.shape[0], dtype=np.int32), np.diff(s.indptr))
+        v = factor * s.data
+        parts.append((v if weight is None else weight[r] * v,
+                      r + block_row * n, s.indices + block_col * n))
+    vals, rows, cols = map(np.concatenate, zip(*parts))
+    del parts  # freed before the conversion copies every entry once more
+    matrix = sp.csr_matrix((vals, (rows, cols)),
+                           shape=(blocks[0] * n, blocks[1] * n))
+    matrix.eliminate_zeros()
+    return matrix
 
 
-def _diag(values: np.ndarray) -> sp.csr_matrix:
-    return sp.diags(np.asarray(values).ravel(), format="csr")
+def velocity_boundary_mask(grid: Grid, n_blocks: int) -> np.ndarray:
+    """Dirichlet rows of an operator whose first two blocks are (u1, u2)."""
+    bnd = grid.boundary_mask().ravel()
+    return np.concatenate([bnd, bnd, np.zeros((n_blocks - 2) * grid.n_nodes, bool)])
+
+
+def _gradient_terms(weight: np.ndarray, block_col: int) -> list:
+    return [("dx", 0, block_col, weight, 1.0), ("dy", 1, block_col, weight, 1.0)]
+
+
+def _hibler_terms(v_frozen: FieldSet, grid: Grid, params: RheologyParams) -> list:
+    """Terms of the velocity operator, identity rows on the full boundary.
+
+    The one-dimensional difference factories leave rows at nodes that are
+    interior along their own axis only; zero weights there keep the
+    Dirichlet rows clean.
+    """
+    interior = grid.interior_mask().ravel().astype(float)
+    eps0 = strain_rate_field(v_frozen)
+    p0 = pressure(v_frozen.h, v_frozen.a, params)
+    coeff = coefficient_tensor(eps0, p0, params).reshape(2, 2, 2, 2, -1) * interior
+
+    q = 1.0 / params.e**2
+    dreg = delta_reg(eps0, params)
+    dp_dx = np.gradient(p0, grid.dx, axis=1, edge_order=2)
+    dp_dy = np.gradient(p0, grid.dy, axis=0, edge_order=2)
+    g1 = (-dp_dx / (2.0 * dreg)).ravel() * interior
+    g2 = (-dp_dy / (2.0 * dreg)).ravel() * interior
+
+    terms = [("id", i, i, 1.0 - interior, 1.0) for i in range(2)]
+    for i in range(2):
+        for j in range(2):
+            c = coeff[i, j]
+            terms += [("dxx", i, j, c[0, 0], -1.0), ("dyy", i, j, c[1, 1], -1.0),
+                      ("dxy", i, j, c[0, 1] + c[1, 0], -1.0)]
+    # lower-order term: -(1/(2 Delta_delta)) [dP/dx (S eps(u))_i1 + dP/dy (S eps(u))_i2]
+    return terms + [("dx", 0, 0, g1, 1 + q), ("dy", 0, 0, g2, q),
+                    ("dy", 0, 1, g1, 1 - q), ("dx", 0, 1, g2, q),
+                    ("dy", 1, 0, g1, q), ("dx", 1, 0, g2, 1 - q),
+                    ("dx", 1, 1, g1, q), ("dy", 1, 1, g2, 1 + q)]
+
+
+def assemble_hibler(v_frozen: FieldSet, grid: Grid,
+                    params: RheologyParams) -> SparseOperator:
+    """Velocity operator with coefficients frozen at v_frozen (2N x 2N).
+
+    Boundary rows are identity rows (homogeneous Dirichlet).
+    """
+    v_frozen.validate(params)
+    return SparseOperator(
+        assemble_terms(grid, (2, 2), _hibler_terms(v_frozen, grid, params)),
+        velocity_boundary_mask(grid, 2))
+
+
+def gradient_coupling(grid: Grid, coeff: np.ndarray) -> sp.csr_matrix:
+    """Stacked (2N x N) coupling [diag(coeff) d_x; diag(coeff) d_y].
+
+    Rows vanish on the full boundary, matching the Dirichlet row replacement
+    of the velocity block.
+    """
+    weight = np.asarray(coeff).ravel() * grid.interior_mask().ravel()
+    return assemble_terms(grid, (2, 1), _gradient_terms(weight, 0))
+
+
+def divergence_matrix(grid: Grid) -> sp.csr_matrix:
+    """(N x 2N) discrete divergence, the exact negative adjoint of the
+    centered gradient pair for fields vanishing on the boundary."""
+    return diff_ops(grid)["div"]
 
 
 def assemble_neumann_laplacian(grid: Grid, d: float) -> SparseOperator:
@@ -84,121 +174,32 @@ def assemble_neumann_laplacian(grid: Grid, d: float) -> SparseOperator:
     """
     if not d > 0.0:
         raise ValueError(f"diffusivity must be positive, got {d!r}")
-    ops = diff_ops(grid)
-    matrix = (d * (ops["neumann_x"] + ops["neumann_y"])).tocsr()
-    mask = np.zeros(grid.n_nodes, dtype=bool)
-    return SparseOperator(matrix, (grid.n_nodes,), mask, grid)
+    return SparseOperator(d * diff_ops(grid)["neumann"],
+                          np.zeros(grid.n_nodes, dtype=bool))
 
 
-def _hibler_blocks(v_frozen: FieldSet, grid: Grid, params: RheologyParams):
-    """The four N x N blocks of the velocity operator, zero boundary rows.
-
-    The one-dimensional difference factories leave rows at nodes that are
-    interior along their own axis only; the final restriction removes every
-    row on the full boundary so Dirichlet replacement stays clean.
-    """
-    ops = diff_ops(grid)
-    restrict = _diag(grid.interior_mask().ravel().astype(float))
-    eps0 = strain_rate_field(v_frozen)
-    p0 = pressure(v_frozen.h, v_frozen.a, params)
-    coeff = coefficient_tensor(eps0, p0, params)  # (2,2,2,2,ny,nx)
-
-    q = 1.0 / params.e**2
-    dreg = delta_reg(eps0, params)
-    dp_dx = np.gradient(p0, grid.dx, axis=1, edge_order=2)
-    dp_dy = np.gradient(p0, grid.dy, axis=0, edge_order=2)
-    g1 = _diag(-dp_dx / (2.0 * dreg))
-    g2 = _diag(-dp_dy / (2.0 * dreg))
-
-    def principal(i, j):
-        cxx = _diag(coeff[i, j, 0, 0])
-        cyy = _diag(coeff[i, j, 1, 1])
-        cxy = _diag(coeff[i, j, 0, 1] + coeff[i, j, 1, 0])
-        return (-(cxx @ ops["dxx"]) - (cyy @ ops["dyy"]) - (cxy @ ops["dxy"])).tocsr()
-
-    # lower-order term: -(1/(2 Delta_delta)) [dP/dx (S eps(u))_i1 + dP/dy (S eps(u))_i2]
-    lower = {
-        (0, 0): g1 @ ((1 + q) * ops["dx"]) + g2 @ (q * ops["dy"]),
-        (0, 1): g1 @ ((1 - q) * ops["dy"]) + g2 @ (q * ops["dx"]),
-        (1, 0): g1 @ (q * ops["dy"]) + g2 @ ((1 - q) * ops["dx"]),
-        (1, 1): g1 @ (q * ops["dx"]) + g2 @ ((1 + q) * ops["dy"]),
-    }
-    return {(i, j): (restrict @ (principal(i, j) + lower[(i, j)])).tocsr()
-            for i in range(2) for j in range(2)}
-
-
-def assemble_hibler(v_frozen: FieldSet, grid: Grid, params: RheologyParams,
-                    omega: float = 0.0) -> SparseOperator:
-    """Velocity operator with coefficients frozen at v_frozen (2N x 2N).
-
-    omega >= 0 adds a plain shift to the diagonal of non-Dirichlet rows.
-    Boundary rows are identity rows (homogeneous Dirichlet).
-    """
-    if omega < 0.0:
-        raise ValueError("omega must be >= 0")
-    v_frozen.validate(params)
-    blocks = _hibler_blocks(v_frozen, grid, params)
-    interior = grid.interior_mask().ravel().astype(float)
-    boundary = 1.0 - interior
-    shift = _diag(omega * interior) + _diag(boundary)
-    a11 = blocks[(0, 0)] + shift
-    a22 = blocks[(1, 1)] + shift
-    matrix = sp.bmat([[a11, blocks[(0, 1)]],
-                      [blocks[(1, 0)], a22]], format="csr")
-    bnd = grid.boundary_mask().ravel()
-    mask = np.concatenate([bnd, bnd])
-    return SparseOperator(matrix, (2 * grid.n_nodes,), mask, grid)
-
-
-def gradient_coupling(grid: Grid, coeff: np.ndarray) -> sp.csr_matrix:
-    """Stacked (2N x N) coupling [diag(coeff) d_x; diag(coeff) d_y].
-
-    Rows vanish on the full boundary, matching the Dirichlet row replacement
-    of the velocity block.
-    """
-    ops = diff_ops(grid)
-    c = _diag(np.asarray(coeff).ravel() * grid.interior_mask().ravel())
-    return sp.vstack([c @ ops["dx"], c @ ops["dy"]], format="csr")
-
-
-def divergence_matrix(grid: Grid) -> sp.csr_matrix:
-    """(N x 2N) discrete divergence, the exact negative adjoint of the
-    centered gradient pair for fields vanishing on the boundary."""
-    ops = diff_ops(grid)
-    return sp.hstack([-ops["dx"].T, -ops["dy"].T], format="csr")
+def coupled_terms(v_frozen: FieldSet, grid: Grid, params: RheologyParams) -> list:
+    """Terms of the coupled operator frozen at v_frozen, in 4 x 4 blocks."""
+    interior = grid.interior_mask().ravel()
+    hibler = assemble_terms(grid, (2, 2), _hibler_terms(v_frozen, grid, params))
+    # weight 1 keeps the boundary identity rows of the velocity block
+    inv_mass = np.where(interior, 1.0 / (params.rho_ice * v_frozen.h.ravel()), 1.0)
+    dp_dh, dp_da = pressure_derivatives(v_frozen.h, v_frozen.a, params)
+    scale = 2.0 * params.rho_ice * v_frozen.h
+    return ([(hibler, 0, 0, np.tile(inv_mass, 2), 1.0)]
+            + _gradient_terms((dp_dh / scale).ravel() * interior, 2)
+            + _gradient_terms((dp_da / scale).ravel() * interior, 3)
+            + [("neumann", 2, 2, None, params.d_h),
+               ("neumann", 3, 3, None, params.d_a)])
 
 
 def assemble_coupled(v_frozen: FieldSet, grid: Grid,
                      params: RheologyParams) -> SparseOperator:
     """Block upper-triangular quasilinear operator frozen at v_frozen (4N x 4N)."""
     v_frozen.validate(params)
-    n = grid.n_nodes
-    interior = grid.interior_mask().ravel().astype(float)
-    interior2 = np.concatenate([interior, interior])
-    boundary2 = 1.0 - interior2
-
-    hibler = assemble_hibler(v_frozen, grid, params)
-    inv_mass = interior2 / (params.rho_ice * np.tile(v_frozen.h.ravel(), 2))
-    u_block = (_diag(inv_mass) @ hibler.matrix + _diag(boundary2)).tocsr()
-
-    dp_dh, dp_da = pressure_derivatives(v_frozen.h, v_frozen.a, params)
-    scale = 2.0 * params.rho_ice * v_frozen.h
-    c_h = gradient_coupling(grid, dp_dh / scale)
-    c_a = gradient_coupling(grid, dp_da / scale)
-
-    lap_h = assemble_neumann_laplacian(grid, params.d_h).matrix
-    lap_a = assemble_neumann_laplacian(grid, params.d_a).matrix
-
-    zero_nn = sp.csr_matrix((n, n))
-    zero_n2n = sp.csr_matrix((n, 2 * n))
-    matrix = sp.bmat([
-        [u_block, c_h, c_a],
-        [zero_n2n, lap_h, zero_nn],
-        [zero_n2n, zero_nn, lap_a],
-    ], format="csr")
-    bnd = grid.boundary_mask().ravel()
-    mask = np.concatenate([bnd, bnd, np.zeros(n, bool), np.zeros(n, bool)])
-    return SparseOperator(matrix, (2 * n, n, n), mask, grid)
+    return SparseOperator(
+        assemble_terms(grid, (4, 4), coupled_terms(v_frozen, grid, params)),
+        velocity_boundary_mask(grid, 4))
 
 
 def solve_linear(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,

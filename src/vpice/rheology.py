@@ -190,6 +190,14 @@ def pressure_derivatives(h, a, params: RheologyParams, slack: float = 1e-10):
     return dp_dh[()] if dp_dh.ndim == 0 else dp_dh, dp_da
 
 
+def sample_state(rng, params: RheologyParams, h_star: float = 1.0):
+    """Random (eps, h, a, P): normal eps, h uniform on [h*/2, 2 h*], a on [0, 1]."""
+    eps = StrainRate(*rng.normal(size=3))
+    h = rng.uniform(0.5 * h_star, 2.0 * h_star)
+    a = rng.uniform(0.0, 1.0)
+    return eps, h, a, float(pressure(h, a, params))
+
+
 def viscosities(eps: StrainRate, p, params: RheologyParams):
     """Bulk and shear viscosities zeta = P / (2 Delta_delta), eta = zeta / e^2.
 

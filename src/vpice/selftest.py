@@ -16,34 +16,26 @@ from .grid import FieldSet, Grid
 from .operators import assemble_hibler, assemble_neumann_laplacian
 from .params import RheologyParams, scaled_params
 from .rheology import (
-    StrainRate,
     coefficient_tensor,
     coercivity_lower_bound,
     delta_reg,
     delta_sq,
     delta_sq_general,
-    pressure,
     s_map,
+    sample_state,
     strain_derivative_gap,
     stress_sigma_delta,
 )
 from .stability import Equilibrium, assemble_A0, kernel_basis, spectrum
 from .symbols import (
-    LSProbe,
     boundary_form_check,
     ellipticity_report,
     lopatinskii_shapiro_check,
+    sample_ls_probe,
 )
 
 SYMMETRY_PERMS = ((1, 0, 3, 2), (2, 3, 0, 1), (2, 1, 0, 3),
                   (0, 3, 2, 1), (3, 2, 1, 0))
-
-
-def _sample_state(rng, params):
-    eps = StrainRate(*rng.normal(size=3))
-    h = rng.uniform(0.5, 2.0)
-    a = rng.uniform(0.0, 1.0)
-    return eps, h, a, float(pressure(h, a, params))
 
 
 def rheology_suite(seed=0, n=2000, params: RheologyParams | None = None):
@@ -54,7 +46,7 @@ def rheology_suite(seed=0, n=2000, params: RheologyParams | None = None):
     worst_cs = 0.0
     worst_coercivity = np.inf
     for _ in range(n):
-        eps, h, a, p = _sample_state(rng, params)
+        eps, h, a, p = sample_state(rng, params)
         tensor = coefficient_tensor(eps, p, params)
         scale = np.max(np.abs(tensor))
         for perm in SYMMETRY_PERMS:
@@ -93,7 +85,7 @@ def jacobian_suite(seed=1, n=25, params: RheologyParams | None = None):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n):
-        eps, _, _, p = _sample_state(rng, params)
+        eps, _, _, p = sample_state(rng, params)
         tensor = coefficient_tensor(eps, p, params)
         gap = strain_derivative_gap(eps, p, params)
         worst = max(worst, gap / np.max(np.abs(tensor)))
@@ -106,7 +98,7 @@ def ellipticity_suite(seed=2, n=200, params: RheologyParams | None = None):
     worst_eig = np.inf
     worst_margin = np.inf
     for _ in range(n // 20):
-        eps, _, _, p = _sample_state(rng, params)
+        eps, _, _, p = sample_state(rng, params)
         report = ellipticity_report(eps, p, params, n_samples=20,
                                     seed=int(rng.integers(1 << 31)))
         worst_eig = min(worst_eig, report.min_eigenvalue)
@@ -119,7 +111,7 @@ def ellipticity_suite(seed=2, n=200, params: RheologyParams | None = None):
 def boundary_form_suite(seed=3, n=2000, params: RheologyParams | None = None):
     params = params or scaled_params()
     rng = np.random.default_rng(seed)
-    eps, _, _, p = _sample_state(rng, params)
+    eps, _, _, p = sample_state(rng, params)
     report = boundary_form_check(eps, p, params, n_samples=n, seed=seed)
     ok = report.min_form >= -1e-10 and report.min_conditional_form > 0.0
     return "boundary-form", ok, (f"min {report.min_form:.2e}, conditional min "
@@ -132,14 +124,7 @@ def ls_suite(seed=4, n=100, params: RheologyParams | None = None,
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(n):
-        eps, _, _, p = _sample_state(rng, params)
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        lam = complex(lambda_re_min + rng.uniform(0.0, 1.0),
-                      rng.uniform(-1.0, 1.0)) * 10 ** rng.uniform(-2, 2)
-        probe = LSProbe(
-            xi=np.array([np.cos(theta), np.sin(theta)]),
-            nu=np.array([-np.sin(theta), np.cos(theta)]),
-            lam=lam, eps=eps, p=p)
+        probe, _ = sample_ls_probe(rng, params, lambda_re_min)
         result = lopatinskii_shapiro_check(probe, params)
         worst = min(worst, result.s_min / max(result.s_max, 1e-300))
     return "lopatinskii-shapiro", worst > 1e-8, f"worst s_min/s_max {worst:.2e}"

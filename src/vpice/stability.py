@@ -4,7 +4,7 @@ At an equilibrium (0, h*, a*) with vanishing forcing, the linearized
 evolution v' + A0 v = 0 uses
 
     A0 v = [ (1/(rho_ice h*)) A^H u + (dP*/dh / (2 rho_ice h*)) grad h
-             + (dP*/da / (2 rho_ice h*)) grad a - c_cor (n x u),
+             + (dP*/da / (2 rho_ice h*)) grad a + c_cor (n x u),
              h* div(u) - d_h Lap_N h,
              a* div(u) - d_a Lap_N a ],
 
@@ -22,17 +22,18 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .dynamics import ForcingInputs, RunResult, StepperConfig, run
 from .grid import FieldSet, Grid, diff_ops
 from .operators import (
     SparseOperator,
-    assemble_coupled,
     assemble_hibler,
     assemble_neumann_laplacian,
+    assemble_terms,
+    coupled_terms,
     divergence_matrix,
     gradient_coupling,  # unused here; perfbench/spans.py traces this binding
+    velocity_boundary_mask,
 )
 from .params import InvalidStateError, RheologyParams
 from .rheology import pressure, pressure_derivatives
@@ -99,24 +100,17 @@ def assemble_A0(eq: Equilibrium, grid: Grid, params: RheologyParams) -> SparseOp
 
     The quasilinear block operator frozen at (0, h*, a*) plus the rows it
     lacks: h* div(u) and a* div(u) from linearizing the advective fluxes
-    (so A0 is not block triangular) and the Coriolis term -c_cor (n x u).
+    (so A0 is not block triangular) and the Coriolis term +c_cor (n x u),
+    the linearization of the stepper's tendency -c_cor (n x u).
     """
     eq.validate(params)
-    n = grid.n_nodes
-    frozen = assemble_coupled(eq.state(grid), grid, params)
-
-    rotation = None
-    if params.c_cor != 0.0:
-        # -c_cor (n x u) with n x u = (-u2, u1), interior rows only
-        cor = params.c_cor * grid.interior_mask().ravel()
-        rotation = sp.bmat([[None, sp.diags(cor)],
-                            [sp.diags(-cor), None]], format="csr")
-    div = divergence_matrix(grid)
-    transport = sp.vstack([eq.h_star * div, eq.a_star * div], format="csr")
-    linearized = sp.bmat([[rotation, sp.csr_matrix((2 * n, 2 * n))],
-                          [transport, None]], format="csr")
-    return SparseOperator((frozen.matrix + linearized).tocsr(), frozen.blocks,
-                          frozen.dirichlet_mask, grid)
+    interior = grid.interior_mask().ravel().astype(float)
+    # +c_cor (n x u) with n x u = (-u2, u1), interior rows only
+    terms = coupled_terms(eq.state(grid).validate(params), grid, params) + [
+        ("id", 0, 1, interior, -params.c_cor), ("id", 1, 0, interior, params.c_cor),
+        ("div", 2, 0, None, eq.h_star), ("div", 3, 0, None, eq.a_star)]
+    return SparseOperator(assemble_terms(grid, (4, 4), terms),
+                          velocity_boundary_mask(grid, 4))
 
 
 def kernel_basis(grid: Grid) -> np.ndarray:

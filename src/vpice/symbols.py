@@ -33,7 +33,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .params import RheologyParams
-from .rheology import StrainRate, coefficient_tensor, coercivity_lower_bound
+from .rheology import (
+    StrainRate,
+    coefficient_tensor,
+    coercivity_lower_bound,
+    sample_state,
+)
 
 
 class RootBalanceError(RuntimeError):
@@ -204,6 +209,17 @@ def _companion_matrix(a: np.ndarray, lam: complex, xi, nu) -> np.ndarray:
     top = np.hstack([np.zeros((2, 2)), np.eye(2)])
     bottom = np.hstack([-c2_inv @ c0, -c2_inv @ c1])
     return np.vstack([top, bottom]).astype(complex)
+
+
+def sample_ls_probe(rng, params: RheologyParams, lambda_re_min: float = 0.0,
+                    h_star: float = 1.0):
+    """Random probe at a ``sample_state`` draw, and its tangent angle theta."""
+    eps, _, _, p = sample_state(rng, params, h_star)
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    lam = complex(lambda_re_min + rng.uniform(0.0, 1.0),
+                  rng.uniform(-1.0, 1.0)) * 10 ** rng.uniform(-2, 2)
+    xi = np.array([np.cos(theta), np.sin(theta)])
+    return LSProbe(xi, np.array([-xi[1], xi[0]]), lam, eps, p), theta
 
 
 def lopatinskii_shapiro_check(probe: LSProbe, params: RheologyParams,

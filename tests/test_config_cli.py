@@ -243,6 +243,21 @@ def test_decay_subcommand(tmp_path, capsys):
     assert header == "time,kinetic_energy,mean_h,mean_a,max_u,perturbation_norm"
 
 
+def test_decay_subcommand_exit_1_when_rate_misses_gap(tmp_path, capsys):
+    # steps of dt = 0.1 damp the slowest mode too weakly: the fitted rate
+    # misses the spectral gap by about 26%, beyond the 20% bound
+    out = tmp_path / "decay"
+    body = (SCALED_SNIPPET
+            + f"experiment.output_dir = {out}\n"
+            + "stepper.dt = 0.1\nstepper.t_end = 3.0\n")
+    path = write_config(tmp_path, body)
+    assert dispatch(["decay", path]) == 1
+    capsys.readouterr()
+    summary = dict(line.split(" = ") for line in
+                   (out / "decay_summary.txt").read_text().splitlines())
+    assert float(summary["relative_gap_error"]) > 0.2
+
+
 def test_simulate_subcommand_with_snapshots_and_ppm(tmp_path, capsys):
     out = tmp_path / "sim"
     body = (SCALED_SNIPPET

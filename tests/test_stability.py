@@ -206,6 +206,27 @@ def test_a0_coriolis_rows_are_interior_rotation():
     assert np.array_equal(np.abs(rot), expected)
 
 
+def test_a0_coriolis_is_linearization_of_stepper_tendency():
+    # v' = -A0 v must turn u the way the stepper's forcing does
+    from vpice.dynamics import ForcingInputs, compute_forcing
+    g = Grid(9, 9)
+    n = g.n_nodes
+    with_cor = PARAMS.with_(c_cor=0.5)
+    rng = np.random.default_rng(21)
+    v = EQ.state(g)
+    interior = g.interior_mask()
+    v.u1[interior] = rng.normal(size=interior.sum())
+    v.u2[interior] = rng.normal(size=interior.sum())
+    tendency = [np.concatenate([f.ravel() for f in
+                                compute_forcing(v, ForcingInputs.none(), p)])
+                for p in (with_cor, PARAMS)]
+    rows = (assemble_A0(EQ, g, with_cor).matrix
+            - assemble_A0(EQ, g, PARAMS).matrix)[:2 * n, :2 * n]
+    u = np.concatenate([v.u1.ravel(), v.u2.ravel()])
+    np.testing.assert_allclose(rows @ u, -(tendency[0] - tendency[1]),
+                               rtol=0, atol=1e-12)
+
+
 def test_discrete_integration_by_parts():
     g = Grid(13, 13)
     rng = np.random.default_rng(3)
