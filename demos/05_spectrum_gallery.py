@@ -18,7 +18,7 @@ grid = Grid(13, 13)
 
 params = scaled_params(delta=1e-6, c_cor=0.0)
 op = assemble_A0(eq, grid, params)
-rep = spectrum(op, interior_only=True)
+rep = spectrum(op)
 proxy = semisimplicity_proxy(op)
 print(f"grid {grid.nx}x{grid.ny}: {len(rep.eigenvalues)} interior unknowns")
 print(f"kernel dimension       : {rep.kernel_dim}")
@@ -37,7 +37,7 @@ for d, g in zip(deltas, gaps):
     print(f"  delta = {d:8.1e}   gap = {g:.6f}")
 
 params_cor = scaled_params(delta=1e-6, c_cor=0.5)
-rep_cor = spectrum(assemble_A0(eq, grid, params_cor), interior_only=True)
+rep_cor = spectrum(assemble_A0(eq, grid, params_cor))
 print(f"\nwith rotation c_cor = 0.5: kernel dim {rep_cor.kernel_dim}, "
       f"min Re = {rep_cor.eigenvalues.real.min():.3e} "
       f"(stays nonnegative), max |Im| = "

@@ -48,7 +48,6 @@ from .params import InvalidStateError
 from .rheology import coercivity_lower_bound, pressure, sample_state
 from .stability import (
     BudgetExceededError,
-    DENSE_EIG_BUDGET,
     DecayFitError,
     assemble_A0,
     decay_experiment,
@@ -148,19 +147,11 @@ def cmd_ls_check(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, dump_matrix=None) -> int:
-    params = cfg.rheology_params()
-    grid = cfg.grid()
-    interior_unknowns = (2 * int(np.sum(grid.interior_mask()))
-                         + 2 * grid.n_nodes)
-    if interior_unknowns > DENSE_EIG_BUDGET:
-        return _fail(
-            f"grid {grid.nx}x{grid.ny} has {interior_unknowns} unknowns, "
-            f"beyond the dense eigensolve budget {DENSE_EIG_BUDGET}", 2)
-    op = assemble_A0(cfg.equilibrium(), grid, params)
+    op = assemble_A0(cfg.equilibrium(), cfg.grid(), cfg.rheology_params())
+    report = spectrum(op)  # an over-budget grid raises before any dump
     if dump_matrix:
         export_coo(op, dump_matrix)
-    report = spectrum(op, interior_only=True)
-    proxy = semisimplicity_proxy(op, interior_only=True)
+    proxy = semisimplicity_proxy(op)
     directory = _prepare_output(cfg)
     csv_path = os.path.join(directory, "spectrum.csv")
     write_eigenvalue_csv(csv_path, report.eigenvalues)
@@ -225,9 +216,8 @@ def cmd_simulate(cfg: RunConfig, dump_matrix=None) -> int:
     params = cfg.rheology_params()
     grid = cfg.grid()
     eq = cfg.equilibrium()
-    v0 = perturbed_equilibrium(eq, grid,
-                               cfg["experiment.perturbation_scale"])
-    v0.validate(params)
+    v0 = perturbed_equilibrium(
+        eq, grid, cfg["experiment.perturbation_scale"]).validate(params)
     if dump_matrix:
         export_coo(assemble_coupled(v0, grid, params), dump_matrix)
     directory = _prepare_output(cfg)
@@ -311,9 +301,7 @@ def dispatch(argv) -> int:
         if command == "decay":
             return cmd_decay(cfg)
         return cmd_selftest(cfg)
-    except BudgetExceededError as exc:
-        return _fail(str(exc), 2)
-    except (ConfigError, InvalidStateError) as exc:
+    except (BudgetExceededError, ConfigError, InvalidStateError) as exc:
         return _fail(str(exc), 2)
     except (StepError, LinearSolveError, PicardDivergenceError,
             DecayFitError) as exc:

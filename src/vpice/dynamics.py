@@ -201,16 +201,16 @@ def _solve_step(v_n: FieldSet, v_freeze: FieldSet, inputs: ForcingInputs,
 
 
 def step(v_n: FieldSet, inputs: ForcingInputs, params: RheologyParams,
-         cfg: StepperConfig, validity_slack: float = 1e-10) -> FieldSet:
+         cfg: StepperConfig) -> FieldSet:
     """Advance one backward-Euler step; returns the validated new state.
 
     scheme 'frozen-coefficient' freezes coefficients and explicit terms at
     v_n; 'picard' re-freezes them at successive iterates until the relative
     update drops below picard_tol (PicardDivergenceError after picard_max).
     Raises InvalidStateError when the new state leaves the admissible set
-    (thickness under kappa or compactness outside [0, 1] beyond the slack).
+    (thickness under kappa or compactness outside [0, 1] beyond STATE_SLACK).
     """
-    v_n.validate(params, slack=validity_slack)
+    v_n = v_n.validate(params)
     if cfg.scheme == "frozen-coefficient":
         vec = _solve_step(v_n, v_n, inputs, params, cfg)
     else:
@@ -229,7 +229,7 @@ def step(v_n: FieldSet, inputs: ForcingInputs, params: RheologyParams,
                 f"no contraction below {cfg.picard_tol!r} within "
                 f"{cfg.picard_max} sweeps (last update {update / scale:.3e})")
     out = FieldSet.from_vector(v_n.grid, vec)
-    return out.validate(params, slack=validity_slack)
+    return out.validate(params)
 
 
 @dataclass
@@ -282,7 +282,7 @@ def run(v0: FieldSet, inputs: ForcingInputs, params: RheologyParams,
     unforced dynamics.  Step failures are re-raised as StepError with the
     step index and time attached.
     """
-    v0.validate(params)
+    v0 = v0.validate(params)
     if reference is None:
         reference = FieldSet.constant(v0.grid, float(np.mean(v0.h)),
                                       float(np.mean(v0.a)))

@@ -15,13 +15,13 @@ identities of the solver rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .params import InvalidStateError, RheologyParams
+from .params import STATE_SLACK, InvalidStateError, RheologyParams
 from .rheology import StrainRate
 
 
@@ -140,7 +140,7 @@ class FieldSet:
     u = (u1, u2) satisfies homogeneous Dirichlet conditions (zero on every
     boundary node); h and a carry discrete Neumann conditions through the
     reflected stencils of the assembled operators.  Validity requires
-    h >= kappa and a in [0, 1] up to a clamping slack.
+    h >= kappa and a in [0, 1] up to params.STATE_SLACK.
     """
 
     grid: Grid
@@ -174,10 +174,10 @@ class FieldSet:
         return FieldSet(self.grid, self.u1.copy(), self.u2.copy(),
                         self.h.copy(), self.a.copy())
 
-    def validate(self, params: RheologyParams, slack: float = 1e-10) -> "FieldSet":
-        """Check invariants; clamp a within slack; raise InvalidStateError else.
+    def validate(self, params: RheologyParams) -> "FieldSet":
+        """Check invariants; raise InvalidStateError if one fails.
 
-        Returns self (possibly with a clamped in place) for chaining.
+        Returns self, or a copy with a clamped into [0, 1]; self is unchanged.
         """
         shape = (self.grid.ny, self.grid.nx)
         for name in ("u1", "u2", "h", "a"):
@@ -195,12 +195,13 @@ class FieldSet:
             raise InvalidStateError(
                 f"thickness fell below kappa = {params.kappa!r}: "
                 f"min h = {self.h.min()!r}")
-        if np.any(self.a < -slack) or np.any(self.a > 1.0 + slack):
+        if np.any(self.a < -STATE_SLACK) or np.any(self.a > 1.0 + STATE_SLACK):
             raise InvalidStateError(
-                f"compactness left [0, 1] beyond slack {slack!r}: "
+                f"compactness left [0, 1] beyond slack {STATE_SLACK!r}: "
                 f"range [{self.a.min()!r}, {self.a.max()!r}]")
-        np.clip(self.a, 0.0, 1.0, out=self.a)
-        return self
+        if np.all((self.a >= 0.0) & (self.a <= 1.0)):
+            return self
+        return replace(self, a=np.clip(self.a, 0.0, 1.0))
 
 
 def strain_rate_field(fields: FieldSet) -> StrainRate:

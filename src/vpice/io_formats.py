@@ -81,21 +81,14 @@ def read_snapshot(path):
         grid = Grid(nx, ny, lx, ly)
         n = nx * ny
         raw = np.frombuffer(fh.read(4 * n * 8), dtype="<f8")
-    shape = (ny, nx)
-    return FieldSet(
-        grid,
-        raw[0:n].reshape(shape).copy(),
-        raw[n:2 * n].reshape(shape).copy(),
-        raw[2 * n:3 * n].reshape(shape).copy(),
-        raw[3 * n:4 * n].reshape(shape).copy(),
-    ), t
+    return FieldSet.from_vector(grid, raw), t
 
 
-def write_ppm(path, field: np.ndarray, vmin=None, vmax=None) -> None:
-    """Grayscale P6 heatmap plus a sidecar recording the color scaling."""
+def write_ppm(path, field: np.ndarray) -> None:
+    """Grayscale P6 heatmap spanning the field's range, plus a scale sidecar."""
     field = np.asarray(field, dtype=float)
-    lo = float(np.min(field)) if vmin is None else float(vmin)
-    hi = float(np.max(field)) if vmax is None else float(vmax)
+    lo = float(np.min(field))
+    hi = float(np.max(field))
     span = hi - lo if hi > lo else 1.0
     level = np.clip((field - lo) / span * 255.0, 0.0, 255.0).astype(np.uint8)
     rgb = np.repeat(level[..., None], 3, axis=-1)

@@ -47,6 +47,8 @@ from .rheology import (
 )
 
 DIRECT_SOLVE_LIMIT = 20_000
+SOLVE_RTOL = 1e-10  # relative residual every solve_linear result must reach
+MAX_REFINEMENTS = 3  # iterative-refinement sweeps after a direct solve
 
 
 class LinearSolveError(RuntimeError):
@@ -144,7 +146,7 @@ def assemble_hibler(v_frozen: FieldSet, grid: Grid,
 
     Boundary rows are identity rows (homogeneous Dirichlet).
     """
-    v_frozen.validate(params)
+    v_frozen = v_frozen.validate(params)
     return SparseOperator(
         assemble_terms(grid, (2, 2), _hibler_terms(v_frozen, grid, params)),
         velocity_boundary_mask(grid, 2))
@@ -196,20 +198,19 @@ def coupled_terms(v_frozen: FieldSet, grid: Grid, params: RheologyParams) -> lis
 def assemble_coupled(v_frozen: FieldSet, grid: Grid,
                      params: RheologyParams) -> SparseOperator:
     """Block upper-triangular quasilinear operator frozen at v_frozen (4N x 4N)."""
-    v_frozen.validate(params)
+    v_frozen = v_frozen.validate(params)
     return SparseOperator(
         assemble_terms(grid, (4, 4), coupled_terms(v_frozen, grid, params)),
         velocity_boundary_mask(grid, 4))
 
 
-def solve_linear(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
-                 max_refinements: int = 3) -> np.ndarray:
-    """Solve op x = rhs to relative residual <= tol, deterministically.
+def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
+    """Solve op x = rhs to relative residual <= SOLVE_RTOL, deterministically.
 
-    Direct sparse factorization up to DIRECT_SOLVE_LIMIT unknowns (with
-    iterative refinement), restarted GMRES with Jacobi preconditioning
-    beyond.  Raises LinearSolveError on breakdown or non-convergence,
-    reporting the achieved residual.
+    Direct sparse factorization up to DIRECT_SOLVE_LIMIT unknowns (with up
+    to MAX_REFINEMENTS refinement sweeps), restarted GMRES with Jacobi
+    preconditioning beyond.  Raises LinearSolveError on breakdown or
+    non-convergence, reporting the achieved residual.
     """
     matrix = op.matrix.tocsc()
     rhs = np.asarray(rhs, dtype=float)
@@ -227,13 +228,13 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
             raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
         if not np.all(np.isfinite(x)):
             raise LinearSolveError("factorization produced non-finite values")
-        for _ in range(max_refinements):
+        for _ in range(MAX_REFINEMENTS):
             residual = rhs - matrix @ x
-            if np.linalg.norm(residual) <= tol * rhs_norm:
+            if np.linalg.norm(residual) <= SOLVE_RTOL * rhs_norm:
                 break
             x = x + lu.solve(residual)
         achieved = np.linalg.norm(rhs - matrix @ x) / rhs_norm
-        if not achieved <= tol:
+        if not achieved <= SOLVE_RTOL:
             raise LinearSolveError("direct solve did not reach tolerance",
                                    achieved)
         return x
@@ -241,10 +242,10 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray, tol: float = 1e-10,
     diag = matrix.diagonal()
     safe = np.where(np.abs(diag) > 0.0, diag, 1.0)
     precond = spla.LinearOperator(matrix.shape, lambda v: v / safe)
-    x, info = spla.gmres(matrix, rhs, rtol=tol, atol=0.0, restart=50,
+    x, info = spla.gmres(matrix, rhs, rtol=SOLVE_RTOL, atol=0.0, restart=50,
                          maxiter=200, M=precond)
     achieved = np.linalg.norm(rhs - matrix @ x) / rhs_norm
-    if info != 0 or not achieved <= tol:
+    if info != 0 or not achieved <= SOLVE_RTOL:
         raise LinearSolveError(f"GMRES did not converge (info={info})", achieved)
     return x
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+STATE_SLACK = 1e-10  # drift of a outside [0, 1] that is clamped, not rejected
+
 
 class InvalidStateError(ValueError):
     """A state (h, a) or parameter set left its admissible range."""

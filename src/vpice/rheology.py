@@ -29,7 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import InvalidStateError, RheologyParams
+from .params import STATE_SLACK, InvalidStateError, RheologyParams
+
+FD_REL_STEP = 1e-6  # central-difference step of strain_derivative_gap, relative
 
 
 @dataclass(frozen=True)
@@ -161,41 +163,44 @@ def delta_reg(eps: StrainRate, params: RheologyParams):
     return np.sqrt(params.delta + delta_sq(eps, params))
 
 
-def pressure(h, a, params: RheologyParams, slack: float = 1e-10):
+def pressure(h, a, params: RheologyParams):
     """Ice strength P(h, a) = p* h exp(-c (1 - a)).
 
     h must be nonnegative and a must lie in [0, 1]; values of a within
-    ``slack`` outside that interval are clamped (floating-point drift),
+    STATE_SLACK outside that interval are clamped (floating-point drift),
     larger excursions raise InvalidStateError.
     """
     h = np.asarray(h, dtype=float)
     a = np.asarray(a, dtype=float)
     if np.any(h < 0.0):
         raise InvalidStateError(f"thickness must be >= 0, min was {h.min()!r}")
-    if np.any(a < -slack) or np.any(a > 1.0 + slack):
+    if np.any(a < -STATE_SLACK) or np.any(a > 1.0 + STATE_SLACK):
         raise InvalidStateError(
             "compactness left [0, 1] beyond slack "
-            f"{slack!r}: range [{a.min()!r}, {a.max()!r}]")
+            f"{STATE_SLACK!r}: range [{a.min()!r}, {a.max()!r}]")
     a = np.clip(a, 0.0, 1.0)
     out = params.p_star * h * np.exp(-params.c * (1.0 - a))
     return out[()] if out.ndim == 0 else out
 
 
-def pressure_derivatives(h, a, params: RheologyParams, slack: float = 1e-10):
+def pressure_derivatives(h, a, params: RheologyParams):
     """Partials (dP/dh, dP/da) = (p* exp(-c(1-a)), c P); no singularity at h = 0."""
-    p = pressure(h, a, params, slack=slack)
+    p = pressure(h, a, params)
     a = np.clip(np.asarray(a, dtype=float), 0.0, 1.0)
     dp_dh = params.p_star * np.exp(-params.c * (1.0 - a))
     dp_da = params.c * p
     return dp_dh[()] if dp_dh.ndim == 0 else dp_dh, dp_da
 
 
-def sample_state(rng, params: RheologyParams, h_star: float = 1.0):
-    """Random (eps, h, a, P): normal eps, h uniform on [h*/2, 2 h*], a on [0, 1]."""
-    eps = StrainRate(*rng.normal(size=3))
-    h = rng.uniform(0.5 * h_star, 2.0 * h_star)
-    a = rng.uniform(0.0, 1.0)
-    return eps, h, a, float(pressure(h, a, params))
+def sample_state(rng, params: RheologyParams, h_star: float = 1.0, size=None):
+    """Random (eps, h, a, P): normal eps, h uniform on [h*/2, 2 h*], a on [0, 1].
+
+    ``size=n`` draws n states as arrays: all of eps, then all h, then all a."""
+    eps = StrainRate(*rng.normal(size=3 if size is None else (3, size)))
+    h = rng.uniform(0.5 * h_star, 2.0 * h_star, size)
+    a = rng.uniform(0.0, 1.0, size)
+    p = pressure(h, a, params)
+    return eps, h, a, float(p) if size is None else p
 
 
 def viscosities(eps: StrainRate, p, params: RheologyParams):
@@ -276,18 +281,17 @@ def _stress_part_general(m: np.ndarray, p, params: RheologyParams) -> np.ndarray
     return 0.5 * np.asarray(p, dtype=float) * sm / dreg[..., None, None]
 
 
-def strain_derivative_gap(eps: StrainRate, p, params: RheologyParams,
-                          rel_step: float = 1e-6) -> float:
+def strain_derivative_gap(eps: StrainRate, p, params: RheologyParams) -> float:
     """Max-abs gap between the coefficient tensor and a finite-difference
     Jacobian of the stress part (P/2) S eps / Delta_delta.
 
     Central differences perturb each of the four entries of the full matrix
-    representation independently with step rel_step * (1 + max|eps|).
+    representation independently with step FD_REL_STEP * (1 + max|eps|).
     The contract is gap <= 1e-6 * max|a| at generic strain rates.
     """
     m0 = np.array([[float(eps.e11), float(eps.e12)],
                    [float(eps.e12), float(eps.e22)]])
-    step = rel_step * (1.0 + np.max(np.abs(m0)))
+    step = FD_REL_STEP * (1.0 + np.max(np.abs(m0)))
     fd = np.empty((2, 2, 2, 2))
     for j in range(2):
         for l in range(2):

@@ -39,6 +39,7 @@ from .params import InvalidStateError, RheologyParams
 from .rheology import pressure, pressure_derivatives
 
 DENSE_EIG_BUDGET = 10_000
+MIN_FIT_SAMPLES = 10  # positive norms decay_experiment needs in its fit window
 
 
 class BudgetExceededError(RuntimeError):
@@ -122,17 +123,16 @@ def kernel_basis(grid: Grid) -> np.ndarray:
     return basis
 
 
-def spectrum(op: SparseOperator, interior_only: bool = True,
-             want_vectors: bool = False) -> SpectrumReport:
-    """Dense spectrum of the (interior-restricted) operator.
+def spectrum(op: SparseOperator, want_vectors: bool = False) -> SpectrumReport:
+    """Dense spectrum with the Dirichlet rows and columns dropped.
 
-    interior_only drops Dirichlet rows and columns (the velocity boundary
-    identity rows); thickness and compactness unknowns are always kept, so
-    the constant kernel survives the restriction.  The kernel tolerance is
-    1e-8 times the spectral radius; the spectral gap is the smallest real
-    part outside the kernel ball.
+    Only the velocity boundary identity rows go; thickness and compactness
+    unknowns are always kept, so the constant kernel survives.  Over
+    DENSE_EIG_BUDGET unknowns raise BudgetExceededError.  The kernel
+    tolerance is 1e-8 times the spectral radius; the spectral gap is the
+    smallest real part outside the kernel ball.
     """
-    keep = ~op.dirichlet_mask if interior_only else np.ones(op.dim, bool)
+    keep = ~op.dirichlet_mask
     size = int(np.sum(keep))
     if size > DENSE_EIG_BUDGET:
         raise BudgetExceededError(
@@ -162,20 +162,20 @@ class SemisimplicityReport:
     operator_norm: float
 
 
-def semisimplicity_proxy(op: SparseOperator,
-                         interior_only: bool = True) -> SemisimplicityReport:
+def semisimplicity_proxy(op: SparseOperator) -> SemisimplicityReport:
     """Check the near-zero eigenvalues carry genuine eigenvectors.
 
     Collects the eigenvectors of eigenvalues inside the kernel ball, reports
     the smallest singular value of their normalized span (rank check) and
-    the norm of the restriction of the operator to that span.
+    the norm of the restriction to that span of the operator, Dirichlet
+    rows and columns dropped as in ``spectrum``.
     """
-    report = spectrum(op, interior_only=interior_only, want_vectors=True)
+    report = spectrum(op, want_vectors=True)
     near_zero = np.abs(report.eigenvalues) <= report.tol_kernel
     vecs = report.eigenvectors[:, near_zero]
     vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
     svals = np.linalg.svd(vecs, compute_uv=False)
-    keep = ~op.dirichlet_mask if interior_only else np.ones(op.dim, bool)
+    keep = ~op.dirichlet_mask
     dense = op.matrix.toarray()[np.ix_(keep, keep)]
     q, _ = np.linalg.qr(vecs)
     restriction = q.conj().T @ dense @ q
@@ -198,7 +198,7 @@ def energy_identity_residual(op: SparseOperator, v: FieldSet, eq: Equilibrium,
     (contract: <= 1e-10) together with the term breakdown.
     """
     grid = v.grid
-    v.validate(params)
+    v = v.validate(params)
     area = grid.cell_area
     vec = v.to_vector()
     n = grid.n_nodes
@@ -258,7 +258,7 @@ def weighted_equilibrium_energy(v: FieldSet, eq: Equilibrium,
     margins rather than asserting them (they are state dependent).
     """
     grid = v.grid
-    v.validate(params)
+    v = v.validate(params)
     area = grid.cell_area
     c_h, c_a = weight_constants(eq, params)
     n = grid.n_nodes
@@ -323,8 +323,7 @@ def perturbed_equilibrium(eq: Equilibrium, grid: Grid, scale: float) -> FieldSet
 
 
 def decay_experiment(eq: Equilibrium, perturbation_scale: float, grid: Grid,
-                     params: RheologyParams, cfg: StepperConfig,
-                     min_fit_samples: int = 10) -> DecayResult:
+                     params: RheologyParams, cfg: StepperConfig) -> DecayResult:
     """Fit the exponential decay rate toward the mean-value equilibrium.
 
     Runs the unforced dynamics from the perturbed equilibrium, fits a
@@ -352,10 +351,10 @@ def decay_experiment(eq: Equilibrium, perturbation_scale: float, grid: Grid,
     window_t = result.times[start:]
     window_n = norms[start:]
     positive = window_n > 0.0
-    if int(np.sum(positive)) < min_fit_samples:
+    if int(np.sum(positive)) < MIN_FIT_SAMPLES:
         raise DecayFitError(
             f"only {int(np.sum(positive))} usable samples in the fit window, "
-            f"need {min_fit_samples}")
+            f"need {MIN_FIT_SAMPLES}")
     slope, _ = np.polyfit(window_t[positive], np.log(window_n[positive]), 1)
     return DecayResult(float(-slope), gap, mismatch, mean_h_drift,
                        mean_a_drift, result)

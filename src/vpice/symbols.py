@@ -40,6 +40,10 @@ from .rheology import (
     sample_state,
 )
 
+PROBE_TOL = 1e-12  # unit length and orthogonality of an LSProbe's (xi, nu)
+IM_THRESHOLD = 1e-6  # |Im (u | v)| / (|u| |v|) beyond which the form is > 0
+SPLIT_TOL = 1e-9  # roots with |Re mu| <= SPLIT_TOL |mu| fail the 2/2 split
+
 
 class RootBalanceError(RuntimeError):
     """The stable/unstable root split of the boundary ODE is not 2/2."""
@@ -65,15 +69,14 @@ class LSProbe:
     eps: StrainRate
     p: float
 
-    def validate(self, tol: float = 1e-12):
+    def validate(self):
         xi = np.asarray(self.xi, dtype=float)
         nu = np.asarray(self.nu, dtype=float)
-        if abs(np.dot(xi, xi) - 1.0) > tol or abs(np.dot(nu, nu) - 1.0) > tol:
+        if (abs(np.dot(xi, xi) - 1.0) > PROBE_TOL
+                or abs(np.dot(nu, nu) - 1.0) > PROBE_TOL):
             raise ValueError("probe directions must be unit vectors")
-        if abs(np.dot(xi, nu)) > tol:
+        if abs(np.dot(xi, nu)) > PROBE_TOL:
             raise ValueError("tangent and normal must be orthogonal")
-        if abs(self.lam) == 0.0 and np.all(xi == 0.0):
-            raise ValueError("|xi| + |lambda| must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -167,12 +170,11 @@ def boundary_form(a: np.ndarray, xi, nu, u, v) -> float:
 
 
 def boundary_form_check(eps: StrainRate, p, params: RheologyParams,
-                        n_samples: int, seed: int = 0,
-                        im_threshold: float = 1e-6) -> BoundaryFormReport:
+                        n_samples: int, seed: int = 0) -> BoundaryFormReport:
     """Worst-case margins of the boundary form over random samples.
 
     The form must be >= 0 always and strictly positive whenever
-    |Im (u | v)| > im_threshold |u| |v|.
+    |Im (u | v)| > IM_THRESHOLD |u| |v|.
     """
     rng = np.random.default_rng(seed)
     a = coefficient_tensor(eps, p, params)
@@ -188,7 +190,7 @@ def boundary_form_check(eps: StrainRate, p, params: RheologyParams,
         value = boundary_form(a, xi, nu, u, v)
         min_form = min(min_form, value)
         im_uv = abs(np.imag(np.vdot(v, u)))  # Im (u | v) with (u|v) = sum u conj(v)
-        if im_uv > im_threshold * np.linalg.norm(u) * np.linalg.norm(v):
+        if im_uv > IM_THRESHOLD * np.linalg.norm(u) * np.linalg.norm(v):
             n_cond += 1
             min_cond = min(min_cond, value)
     return BoundaryFormReport(min_form, min_cond, n_samples, n_cond)
@@ -222,13 +224,12 @@ def sample_ls_probe(rng, params: RheologyParams, lambda_re_min: float = 0.0,
     return LSProbe(xi, np.array([-xi[1], xi[0]]), lam, eps, p), theta
 
 
-def lopatinskii_shapiro_check(probe: LSProbe, params: RheologyParams,
-                              split_tol: float = 1e-9) -> LSResult:
+def lopatinskii_shapiro_check(probe: LSProbe, params: RheologyParams) -> LSResult:
     """Smallest singular value of the Dirichlet trace on the stable subspace.
 
     Raises RootBalanceError if Re lambda < 0 (hypothesis violated) or if the
     four roots of det(lambda I + A_#(xi + i mu nu)) = 0 do not split cleanly
-    two/two across the imaginary axis (roots with |Re mu| <= split_tol |mu|
+    two/two across the imaginary axis (roots with |Re mu| <= SPLIT_TOL |mu|
     count as a failed split, never as silently classified).
     """
     probe.validate()
@@ -239,7 +240,7 @@ def lopatinskii_shapiro_check(probe: LSProbe, params: RheologyParams,
     m = _companion_matrix(a, complex(probe.lam), probe.xi, probe.nu)
     roots = np.linalg.eigvals(m)
     mags = np.abs(roots)
-    on_axis = np.abs(roots.real) <= split_tol * np.maximum(mags, 1e-300)
+    on_axis = np.abs(roots.real) <= SPLIT_TOL * np.maximum(mags, 1e-300)
     if np.any(on_axis):
         raise RootBalanceError(
             f"roots too close to the imaginary axis: {roots!r}")

@@ -10,22 +10,15 @@ import time
 import numpy as np
 
 from vpice.cli import dispatch
-from vpice.dynamics import ForcingInputs, StepperConfig, run, step
+from vpice.dynamics import ForcingInputs, StepperConfig, step
 from vpice.grid import FieldSet, Grid, strain_rate_field
 from vpice.operators import (
     assemble_hibler,
     assemble_neumann_laplacian,
 )
 from vpice.params import scaled_params
-from vpice.rheology import (
-    StrainRate,
-    coefficient_tensor,
-    delta_reg,
-    pressure,
-    s_map,
-    strain_derivative_gap,
-    stress_sigma_delta,
-)
+from vpice.rheology import coefficient_tensor, delta_reg, pressure, sample_state
+from vpice.selftest import jacobian_suite, ls_suite, rheology_suite
 from vpice.stability import (
     Equilibrium,
     assemble_A0,
@@ -34,12 +27,9 @@ from vpice.stability import (
     semisimplicity_proxy,
     spectrum,
 )
-from vpice.symbols import LSProbe, lopatinskii_shapiro_check
+from vpice.symbols import IM_THRESHOLD
 
 EQ = Equilibrium(1.0, 0.8)
-
-SYMMETRY_PERMS = ((1, 0, 3, 2), (2, 3, 0, 1), (2, 1, 0, 3),
-                  (0, 3, 2, 1), (3, 2, 1, 0))
 
 
 def report(criterion, ok, elapsed, detail):
@@ -49,84 +39,20 @@ def report(criterion, ok, elapsed, detail):
     assert ok, line
 
 
-def batch_strain(rng, n):
-    return StrainRate(rng.normal(size=n), rng.normal(size=n),
-                      rng.normal(size=n))
-
-
-def batch_quadratic(tensor, d):
-    """sum a_ij^kl d_ik d_jl per batch element."""
-    return np.einsum("ijkln,nik,njl->n", tensor, d, d)
-
-
 def test_criterion_1_rheology_identities():
     t0 = time.time()
-    params = scaled_params(delta=1e-6)
-    rng = np.random.default_rng(101)
-    n = 10_000
-    eps = batch_strain(rng, n)
-    h = rng.uniform(0.5, 2.0, size=n)
-    a = rng.uniform(0.0, 1.0, size=n)
-    p = pressure(h, a, params)
-    tensor = coefficient_tensor(eps, p, params)  # (2,2,2,2,n)
-    scale = np.max(np.abs(tensor), axis=(0, 1, 2, 3))
-
-    worst_sym = 0.0
-    for perm in SYMMETRY_PERMS:
-        gap = np.max(np.abs(tensor - np.transpose(tensor, perm + (4,))),
-                     axis=(0, 1, 2, 3))
-        worst_sym = max(worst_sym, np.max(gap / scale))
-
-    sig = stress_sigma_delta(eps, h, a, params)
-    se = s_map(eps, params)
-    dreg = delta_reg(eps, params)
-    alt11 = 0.5 * p * se.s11 / dreg - 0.5 * p
-    alt12 = 0.5 * p * se.s12 / dreg
-    alt22 = 0.5 * p * se.s22 / dreg - 0.5 * p
-    sscale = np.maximum.reduce([np.abs(alt11), np.abs(alt12), np.abs(alt22),
-                                np.full(n, 1e-300)])
-    worst_dual = np.max(np.maximum.reduce([
-        np.abs(sig.s11 - alt11), np.abs(sig.s12 - alt12),
-        np.abs(sig.s22 - alt22)]) / sscale)
-
-    d = rng.normal(size=(n, 2, 2))
-    d_i = d[:, 0, 0] + d[:, 1, 1]
-    d_ii = d[:, 0, 0] - d[:, 1, 1]
-    d_iii = 0.5 * (d[:, 0, 1] + d[:, 1, 0])
-    q = 1.0 / params.e**2
-    delta2_d = d_i**2 + q * (d_ii**2 + 4.0 * d_iii**2)
-    delta2_eps = eps.eps_i**2 + q * (eps.eps_ii**2 + 4.0 * eps.eps_iii**2)
-    pairing = (d_i * eps.eps_i + q * d_ii * eps.eps_ii
-               + 4.0 * q * d_iii * eps.eps_iii)
-    cs_excess = np.max(pairing**2 - delta2_d * delta2_eps
-                       * (1.0 + 1e-12)) if n else 0.0
-
-    quad = batch_quadratic(tensor, d)
-    bound = p / (2.0 * dreg**3) * params.delta * delta2_d
-    worst_margin = np.min(quad - bound)
-
-    ok = (worst_sym <= 1e-12 and worst_dual <= 1e-12
-          and cs_excess <= 0.0 and worst_margin >= -1e-10)
+    ok, detail = rheology_suite(seed=101, n=10_000,
+                                params=scaled_params(delta=1e-6))
     report("criterion 1 (rheology identities, 10^4 samples)", ok,
-           time.time() - t0,
-           f"symmetry {worst_sym:.2e}, dual formula {worst_dual:.2e}, "
-           f"cauchy-schwarz excess {cs_excess:.2e}, "
-           f"coercivity margin {worst_margin:.2e}")
+           time.time() - t0, detail)
 
 
 def test_criterion_2_jacobian_check():
     t0 = time.time()
-    params = scaled_params(delta=1e-4)
-    rng = np.random.default_rng(202)
-    worst = 0.0
-    for _ in range(100):
-        eps = StrainRate(*rng.normal(size=3))
-        p = float(pressure(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0), params))
-        tensor = coefficient_tensor(eps, p, params)
-        gap = strain_derivative_gap(eps, p, params)
-        worst = max(worst, gap / np.max(np.abs(tensor)))
-    report("criterion 2 (analytic vs finite-difference jacobian)", worst <= 1e-6,
-           time.time() - t0, f"worst relative error {worst:.2e}")
+    ok, detail = jacobian_suite(seed=202, n=100,
+                                params=scaled_params(delta=1e-4))
+    report("criterion 2 (analytic vs finite-difference jacobian)", ok,
+           time.time() - t0, detail)
 
 
 def test_criterion_3_ellipticity():
@@ -134,8 +60,7 @@ def test_criterion_3_ellipticity():
     params = scaled_params(delta=1e-6)
     rng = np.random.default_rng(303)
     n = 1000
-    eps = batch_strain(rng, n)
-    p = pressure(rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 1.0, n), params)
+    eps, _, _, p = sample_state(rng, params, size=n)
     tensor = coefficient_tensor(eps, p, params)
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     xi = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -158,24 +83,10 @@ def test_criterion_3_ellipticity():
 
 def test_criterion_4_lopatinskii_shapiro():
     t0 = time.time()
-    params = scaled_params(delta=1e-6)
-    rng = np.random.default_rng(404)
-    worst_ratio = np.inf
-    for _ in range(1000):
-        eps = StrainRate(*rng.normal(size=3))
-        p = float(pressure(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0), params))
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        lam = complex(rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0)) \
-            * 10 ** rng.uniform(-2, 2)
-        probe = LSProbe(
-            xi=np.array([np.cos(theta), np.sin(theta)]),
-            nu=np.array([-np.sin(theta), np.cos(theta)]),
-            lam=lam, eps=eps, p=p)
-        result = lopatinskii_shapiro_check(probe, params)  # raises on bad split
-        worst_ratio = min(worst_ratio, result.s_min / result.s_max)
-    report("criterion 4 (boundary condition, 10^3 probes)",
-           worst_ratio > 1e-8, time.time() - t0,
-           f"every probe split 2/2; worst s_min/s_max {worst_ratio:.2e}")
+    # lopatinskii_shapiro_check raises RootBalanceError on a bad 2/2 split
+    ok, detail = ls_suite(seed=404, n=1000, params=scaled_params(delta=1e-6))
+    report("criterion 4 (boundary condition, 10^3 probes)", ok,
+           time.time() - t0, f"every probe split 2/2; {detail}")
 
 
 def test_criterion_5_boundary_form():
@@ -183,8 +94,7 @@ def test_criterion_5_boundary_form():
     params = scaled_params(delta=1e-6)
     rng = np.random.default_rng(505)
     n = 10_000
-    eps = batch_strain(rng, n)
-    p = pressure(rng.uniform(0.5, 2.0, n), rng.uniform(0.0, 1.0, n), params)
+    eps, _, _, p = sample_state(rng, params, size=n)
     tensor = coefficient_tensor(eps, p, params)
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     xi = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -195,7 +105,8 @@ def test_criterion_5_boundary_form():
     forms = np.real(np.einsum("ijkln,njl,nik->n", tensor, b, b.conj()))
     min_form = np.min(forms)
     im_uv = np.abs(np.imag(np.einsum("ni,ni->n", u, v.conj())))
-    conditional = im_uv > 1e-6 * np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+    conditional = im_uv > (IM_THRESHOLD * np.linalg.norm(u, axis=1)
+                           * np.linalg.norm(v, axis=1))
     min_conditional = np.min(forms[conditional])
     ok = min_form >= -1e-10 and min_conditional > 0.0
     report("criterion 5 (boundary form, 10^4 samples)", ok, time.time() - t0,
@@ -290,11 +201,11 @@ def test_criterion_8_linearized_spectrum():
     params = scaled_params(delta=1e-6, c_cor=0.0)
     g = Grid(17, 17)
     op = assemble_A0(EQ, g, params)
-    rep = spectrum(op, interior_only=True)
+    rep = spectrum(op)
     others = rep.eigenvalues[np.abs(rep.eigenvalues) > rep.tol_kernel]
     kernel_residual = np.max(np.abs(op.matrix @ kernel_basis(g)))
     matrix_scale = abs(op.matrix).max()
-    proxy = semisimplicity_proxy(op, interior_only=True)
+    proxy = semisimplicity_proxy(op)
     ok = (rep.kernel_dim == 2
           and np.min(others.real) > 0.0
           and kernel_residual <= 1e-12 * matrix_scale

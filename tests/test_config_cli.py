@@ -9,6 +9,7 @@ from vpice.cli import dispatch
 from vpice.config import ConfigError, RunConfig, parse_config
 from vpice.grid import FieldSet, Grid
 from vpice.io_formats import read_snapshot, write_snapshot
+from vpice.symbols import RootBalanceError
 
 
 SCALED_SNIPPET = """
@@ -177,9 +178,12 @@ def test_lscheck_negative_lambda_config_exit_2(tmp_path, capsys):
 
 def test_spectrum_budget_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, "grid.nx = 80\ngrid.ny = 80\n")
-    assert dispatch(["spectrum", path]) == 2
+    dump = tmp_path / "A0.coo"
+    assert dispatch(["spectrum", path, "--dump-matrix", str(dump)]) == 2
     err = capsys.readouterr().err
     assert "budget" in err
+    assert len(err.splitlines()) == 1
+    assert not dump.exists()
 
 
 def test_spectrum_subcommand_outputs(tmp_path, capsys):
@@ -256,6 +260,27 @@ def test_decay_subcommand_exit_1_when_rate_misses_gap(tmp_path, capsys):
     summary = dict(line.split(" = ") for line in
                    (out / "decay_summary.txt").read_text().splitlines())
     assert float(summary["relative_gap_error"]) > 0.2
+
+
+def test_selftest_subcommand_all_pass(capsys):
+    assert dispatch(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8
+    assert all(line.startswith("[PASS] ") for line in lines)
+
+
+def test_selftest_failing_suite_exit_1_without_traceback(capsys, monkeypatch):
+    def broken(probe, params):
+        raise RootBalanceError("injected root split failure")
+
+    monkeypatch.setattr("vpice.selftest.lopatinskii_shapiro_check", broken)
+    assert dispatch(["selftest"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert "[FAIL] lopatinskii-shapiro: injected root split failure" in lines
+    assert len(lines) == 8
+    assert sum(line.startswith("[PASS] ") for line in lines) == 7
+    assert "Traceback" not in out + err
 
 
 def test_simulate_subcommand_with_snapshots_and_ppm(tmp_path, capsys):

@@ -91,10 +91,12 @@ def test_fieldset_validation():
     bad.u1[0, 2] = 0.1
     with pytest.raises(InvalidStateError):
         bad.validate(p)
+    assert f.validate(p) is f
     drift = f.copy()
     drift.a[2, 2] = 1.0 + 1e-12
-    drift.validate(p)
-    assert drift.a[2, 2] == 1.0
+    clamped = drift.validate(p)
+    assert clamped.a[2, 2] == 1.0
+    assert drift.a[2, 2] == 1.0 + 1e-12  # the input is left as it was
 
 
 # ---------------------------------------------------------------------------

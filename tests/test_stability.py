@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from vpice.dynamics import StepperConfig
+from vpice.dynamics import ForcingInputs, StepperConfig, step
 from vpice.grid import FieldSet, Grid
-from vpice.operators import assemble_neumann_laplacian, divergence_matrix, gradient_coupling
+from vpice.operators import (
+    assemble_coupled,
+    assemble_neumann_laplacian,
+    divergence_matrix,
+    gradient_coupling,
+)
 from vpice.params import InvalidStateError, scaled_params
 from vpice.stability import (
     BudgetExceededError,
@@ -82,7 +87,7 @@ def test_weight_constants():
 def test_spectrum_neumann_alone():
     g = Grid(8, 8)
     op = assemble_neumann_laplacian(g, 1.0)
-    report = spectrum(op, interior_only=True)
+    report = spectrum(op)
     assert report.kernel_dim == 1
     others = report.eigenvalues[np.abs(report.eigenvalues) > report.tol_kernel]
     assert np.max(np.abs(others.imag)) <= 1e-10 * report.spectral_radius
@@ -92,7 +97,7 @@ def test_spectrum_neumann_alone():
 def test_spectrum_a0_kernel_and_gap():
     g = Grid(17, 17)
     op = assemble_A0(EQ, g, PARAMS)
-    report = spectrum(op, interior_only=True)
+    report = spectrum(op)
     assert report.kernel_dim == 2
     others = report.eigenvalues[np.abs(report.eigenvalues) > report.tol_kernel]
     assert np.min(others.real) > 0.0
@@ -117,7 +122,7 @@ def test_spectrum_with_coriolis_keeps_nonnegative_real_parts():
     params = scaled_params(delta=1e-6, c_cor=0.5)
     g = Grid(11, 11)
     op = assemble_A0(Equilibrium(1.0, 0.8), g, params)
-    report = spectrum(op, interior_only=True)
+    report = spectrum(op)
     assert report.kernel_dim == 2
     assert np.min(report.eigenvalues.real) >= -1e-10 * report.spectral_radius
 
@@ -126,7 +131,7 @@ def test_spectrum_budget():
     g = Grid(60, 60)
     op = assemble_A0(EQ, g, PARAMS)
     with pytest.raises(BudgetExceededError):
-        spectrum(op, interior_only=True)
+        spectrum(op)
 
 
 def test_semisimplicity_proxy():
@@ -190,6 +195,18 @@ def test_energy_identity_random_vectors():
             v = dirichlet_random_state(g, rng)
             out = energy_identity_residual(op, v, EQ, params)
             assert out["mismatch"] <= 1e-10
+
+
+def test_callers_leave_a_drifted_state_unchanged():
+    # a within the slack above 1 is clamped in a copy, never in the caller's state
+    g = Grid(9, 9)
+    v = dirichlet_random_state(g, np.random.default_rng(5), scale=1e-2)
+    v.a[4, 4] = 1.0 + 1e-12
+    before = v.to_vector()
+    assemble_coupled(v, g, PARAMS)
+    step(v, ForcingInputs.none(), PARAMS, StepperConfig(dt=0.01, t_end=0.01))
+    energy_identity_residual(assemble_A0(EQ, g, PARAMS), v, EQ, PARAMS)
+    assert np.array_equal(v.to_vector(), before)
 
 
 def test_a0_coriolis_rows_are_interior_rotation():
