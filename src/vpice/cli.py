@@ -7,7 +7,7 @@
     vpice spectrum <config>   linearized spectrum: eigenvalue CSV + summary
     vpice decay <config>      decay experiment: diagnostics CSV + fit summary
                               (exit 1 if the rate misses the gap by > 20%)
-    vpice selftest [config]   run the built-in invariant suites
+    vpice selftest            run the built-in invariant suites
 
 Exit codes: 0 success, 1 violated contract or margin, 2 usage/config error.
 Every subcommand that writes files puts them under experiment.output_dir and
@@ -56,6 +56,7 @@ from .stability import (
     spectrum,
 )
 from .symbols import (
+    LS_MIN_RATIO,
     RootBalanceError,
     ellipticity_report,
     lopatinskii_shapiro_check,
@@ -130,7 +131,7 @@ def cmd_ls_check(cfg: RunConfig) -> int:
                 print(f"probe {index}: {exc}", file=sys.stderr)
                 violated = True
                 continue
-            margin = result.s_min - 1e-8 * result.s_max
+            margin = result.s_min - LS_MIN_RATIO * result.s_max
             fh.write(",".join(
                 [str(index)]
                 + [format_float(x) for x in
@@ -249,11 +250,6 @@ def cmd_simulate(cfg: RunConfig, dump_matrix=None) -> int:
     return 0
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
-    del cfg  # suites pin their own scaled parameters
-    return 0 if run_selftest() else 1
-
-
 def dispatch(argv) -> int:
     """Entry point used by the console script; returns the exit code."""
     argv = list(argv)
@@ -264,6 +260,10 @@ def dispatch(argv) -> int:
     if command not in SUBCOMMANDS:
         return _fail(f"unknown subcommand {command!r}; "
                      f"expected one of {', '.join(SUBCOMMANDS)}", 2)
+    if command == "selftest":  # the suites pin their own parameters
+        if rest:
+            return _fail("usage: vpice selftest", 2)
+        return 0 if run_selftest() else 1
 
     dump_matrix = None
     if "--dump-matrix" in rest:
@@ -275,15 +275,12 @@ def dispatch(argv) -> int:
         dump_matrix = rest[index + 1]
         rest = rest[:index] + rest[index + 2:]
 
-    if command == "selftest":
-        config_path = rest[0] if rest else None
-    else:
-        if len(rest) != 1:
-            return _fail(f"usage: vpice {command} <config>", 2)
-        config_path = rest[0]
+    if len(rest) != 1:
+        return _fail(f"usage: vpice {command} <config>", 2)
+    config_path = rest[0]
 
     try:
-        cfg = load_config(config_path) if config_path else RunConfig()
+        cfg = load_config(config_path)
     except FileNotFoundError:
         return _fail(f"config file not found: {config_path}", 2)
     except ConfigError as exc:
@@ -298,9 +295,7 @@ def dispatch(argv) -> int:
             return cmd_ls_check(cfg)
         if command == "spectrum":
             return cmd_spectrum(cfg, dump_matrix)
-        if command == "decay":
-            return cmd_decay(cfg)
-        return cmd_selftest(cfg)
+        return cmd_decay(cfg)
     except (BudgetExceededError, ConfigError, InvalidStateError) as exc:
         return _fail(str(exc), 2)
     except (StepError, LinearSolveError, PicardDivergenceError,

@@ -72,6 +72,10 @@ class ForcingInputs:
 
 @dataclass(frozen=True)
 class StepperConfig:
+    """Time stepping: step dt and final time t_end in s; the Picard scheme
+    sweeps at most picard_max times, until the relative update is below
+    picard_tol."""
+
     dt: float
     t_end: float
     scheme: str = "frozen-coefficient"
@@ -81,6 +85,8 @@ class StepperConfig:
     def __post_init__(self):
         if not self.dt > 0.0:
             raise InvalidStateError("dt must be positive")
+        if not self.t_end > 0.0:
+            raise InvalidStateError("t_end must be positive")
         if not self.picard_tol > 0.0:
             raise InvalidStateError("picard_tol must be positive")
         if self.picard_max < 1:

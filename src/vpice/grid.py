@@ -27,7 +27,7 @@ from .rheology import StrainRate
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform vertex grid on [0, lx] x [0, ly]."""
+    """Uniform vertex grid of nx x ny nodes on [0, lx] x [0, ly], in m."""
 
     nx: int
     ny: int

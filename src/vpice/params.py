@@ -64,6 +64,9 @@ class RheologyParams:
             value = getattr(self, name)
             if not value > 0.0:
                 raise InvalidStateError(f"parameter {name} must be > 0, got {value!r}")
+        if not self.c_cor >= 0.0:
+            raise InvalidStateError(
+                f"parameter c_cor must be >= 0, got {self.c_cor!r}")
 
     def with_(self, **kwargs) -> "RheologyParams":
         """Copy with selected fields replaced."""

@@ -128,7 +128,7 @@ def ls_suite(seed=4, n=100, params: RheologyParams | None = None):
         probe, _ = sample_ls_probe(rng, params)
         result = lopatinskii_shapiro_check(probe, params)
         worst = min(worst, result.s_min / max(result.s_max, 1e-300))
-    return worst > 1e-8, f"worst s_min/s_max {worst:.2e}"
+    return worst > symbols.LS_MIN_RATIO, f"worst s_min/s_max {worst:.2e}"
 
 
 def operator_suite(params: RheologyParams | None = None):

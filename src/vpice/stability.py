@@ -52,17 +52,22 @@ class DecayFitError(RuntimeError):
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """Constant equilibrium state (0, h*, a*)."""
+    """Constant equilibrium state (0, h*, a*): thickness h* in m,
+    compactness a* in [0, 1]."""
 
     h_star: float
     a_star: float
+
+    def __post_init__(self):
+        if not self.h_star > 0.0:
+            raise InvalidStateError(f"h* = {self.h_star!r} must be positive")
+        if not 0.0 <= self.a_star <= 1.0:
+            raise InvalidStateError(f"a* = {self.a_star!r} outside [0, 1]")
 
     def validate(self, params: RheologyParams) -> "Equilibrium":
         if self.h_star < params.kappa:
             raise InvalidStateError(
                 f"h* = {self.h_star!r} below kappa = {params.kappa!r}")
-        if not 0.0 <= self.a_star <= 1.0:
-            raise InvalidStateError(f"a* = {self.a_star!r} outside [0, 1]")
         return self
 
     def p_star(self, params: RheologyParams) -> float:

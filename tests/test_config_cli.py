@@ -7,8 +7,11 @@ import pytest
 
 from vpice.cli import dispatch
 from vpice.config import ConfigError, RunConfig, parse_config
+from vpice.dynamics import StepperConfig
 from vpice.grid import FieldSet, Grid
 from vpice.io_formats import read_snapshot, write_snapshot
+from vpice.params import InvalidStateError, RheologyParams
+from vpice.stability import Equilibrium
 from vpice.symbols import RootBalanceError
 
 
@@ -109,6 +112,57 @@ def test_typed_accessors():
     assert stepper.dt == 0.01
     eq = cfg.equilibrium()
     assert eq.h_star == 1.0
+
+
+# every key with its printed default, in manifest order
+DEFAULT_ECHO = [
+    ("rheology.e", "2"), ("rheology.delta", "9.9999999999999998e-13"),
+    ("rheology.p_star", "27500"), ("rheology.c", "20"),
+    ("rheology.kappa", "0.10000000000000001"), ("rheology.rho_ice", "900"),
+    ("rheology.rho_atm", "1.3"), ("rheology.rho_ocean", "1026"),
+    ("rheology.c_atm", "0.0011999999999999999"),
+    ("rheology.c_ocean", "0.0054999999999999997"),
+    ("rheology.theta_atm", "0"), ("rheology.theta_ocean", "0"),
+    ("rheology.c_cor", "0.000146"), ("rheology.g", "9.8100000000000005"),
+    ("rheology.d_h", "1"), ("rheology.d_a", "1"),
+    ("grid.nx", "17"), ("grid.ny", "17"), ("grid.lx", "1"), ("grid.ly", "1"),
+    ("stepper.dt", "0.0040000000000000001"),
+    ("stepper.t_end", "0.29999999999999999"),
+    ("stepper.scheme", "frozen-coefficient"), ("stepper.picard_max", "25"),
+    ("stepper.picard_tol", "1e-10"),
+    ("equilibrium.h_star", "1"), ("equilibrium.a_star", "0.80000000000000004"),
+    ("experiment.seed", "0"), ("experiment.n_samples", "1000"),
+    ("experiment.perturbation_scale", "0.001"),
+    ("experiment.output_dir", "out"), ("experiment.snapshot_every", "0"),
+    ("experiment.lambda_re_min", "0"), ("experiment.emit_ppm", "false"),
+]
+
+
+def test_default_echo_is_golden():
+    assert RunConfig().echo() == DEFAULT_ECHO
+
+
+@pytest.mark.parametrize("assignment", [
+    "rheology.delta = -1", "rheology.c_cor = -1", "grid.lx = 0",
+    "stepper.t_end = 0", "stepper.picard_max = 0", "equilibrium.a_star = 1.5",
+    "equilibrium.h_star = 0", "experiment.n_samples = 0",
+])
+def test_range_rules_name_line_and_key(assignment):
+    key = assignment.split(" = ")[0]
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config("grid.nx = 9\n" + assignment + "\n")
+    message = str(excinfo.value)
+    assert message.startswith(f"line 2: key {key} = ")
+    assert "violates its range" in message
+
+
+def test_dataclasses_own_the_range_rules():
+    with pytest.raises(InvalidStateError):
+        RheologyParams(c_cor=-1.0)
+    with pytest.raises(InvalidStateError):
+        StepperConfig(dt=0.1, t_end=0.0)
+    with pytest.raises(InvalidStateError):
+        Equilibrium(1.0, 1.5)
 
 
 def test_echo_prints_17_digits():
@@ -267,6 +321,14 @@ def test_selftest_subcommand_all_pass(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 8
     assert all(line.startswith("[PASS] ") for line in lines)
+
+
+def test_selftest_takes_no_config(tmp_path, capsys):
+    path = write_config(tmp_path, "grid.nx = 99\n")
+    assert dispatch(["selftest", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "vpice: usage: vpice selftest\n"
 
 
 def test_selftest_failing_suite_exit_1_without_traceback(capsys, monkeypatch):
