@@ -19,13 +19,14 @@ grid = Grid(13, 13)
 params = scaled_params(delta=1e-6, c_cor=0.0)
 op = assemble_A0(eq, grid, params)
 rep = spectrum(op)
-proxy = semisimplicity_proxy(op)
+proxy = semisimplicity_proxy(op, grid)
 print(f"grid {grid.nx}x{grid.ny}: {len(rep.eigenvalues)} interior unknowns")
 print(f"kernel dimension       : {rep.kernel_dim}")
 print(f"spectral gap           : {rep.spectral_gap:.5f}")
 print(f"kernel tolerance       : {rep.tol_kernel:.3e}")
-print(f"semi-simplicity        : basis rank sv {proxy.basis_min_singular_value:.3f}, "
-      f"restriction {proxy.restriction_norm:.2e}")
+print(f"semi-simplicity        : {'certified' if proxy.certified else 'NOT certified'}, "
+      f"kernel residuals {proxy.right_residual:.1e} (right), "
+      f"{proxy.left_residual:.1e} (left) vs ||A0|| = {proxy.operator_norm:.3e}")
 
 smallest = np.sort(rep.eigenvalues.real)[:8]
 print(f"smallest real parts    : {np.round(smallest, 5)}")

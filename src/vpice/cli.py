@@ -5,6 +5,8 @@
     vpice symbol <config>     ellipticity margins over random states: CSV
     vpice ls-check <config>   boundary-condition probes: CSV
     vpice spectrum <config>   linearized spectrum: eigenvalue CSV + summary
+                              (exit 1 unless the kernel is 2-dimensional,
+                              certified semisimple, and the gap positive)
     vpice decay <config>      decay experiment: diagnostics CSV + fit summary
                               (exit 1 if the rate misses the gap by > 20%)
     vpice selftest            run the built-in invariant suites
@@ -50,7 +52,9 @@ from .stability import (
     BudgetExceededError,
     DecayFitError,
     assemble_A0,
+    check_dense_budget,
     decay_experiment,
+    dense_unknowns,
     perturbed_equilibrium,
     semisimplicity_proxy,
     spectrum,
@@ -148,11 +152,13 @@ def cmd_ls_check(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, dump_matrix=None) -> int:
-    op = assemble_A0(cfg.equilibrium(), cfg.grid(), cfg.rheology_params())
-    report = spectrum(op)  # an over-budget grid raises before any dump
+    grid = cfg.grid()
+    check_dense_budget(dense_unknowns(grid))  # before any assembly or dump
+    op = assemble_A0(cfg.equilibrium(), grid, cfg.rheology_params())
+    report = spectrum(op)
     if dump_matrix:
         export_coo(op, dump_matrix)
-    proxy = semisimplicity_proxy(op)
+    proxy = semisimplicity_proxy(op, grid)
     directory = _prepare_output(cfg)
     csv_path = os.path.join(directory, "spectrum.csv")
     write_eigenvalue_csv(csv_path, report.eigenvalues)
@@ -162,7 +168,8 @@ def cmd_spectrum(cfg: RunConfig, dump_matrix=None) -> int:
         ("spectral_gap", report.spectral_gap),
         ("tol_kernel", report.tol_kernel),
         ("spectral_radius", report.spectral_radius),
-        ("kernel_basis_min_singular_value", proxy.basis_min_singular_value),
+        ("kernel_right_residual", proxy.right_residual),
+        ("kernel_left_residual", proxy.left_residual),
         ("kernel_restriction_norm", proxy.restriction_norm),
     ])
     files = [("spectrum.csv", "csv"), ("spectrum_summary.txt", "key-value")]
@@ -171,7 +178,8 @@ def cmd_spectrum(cfg: RunConfig, dump_matrix=None) -> int:
     write_manifest(directory, files, cfg.echo())
     print(f"spectrum: kernel dim {report.kernel_dim}, "
           f"gap {format_float(report.spectral_gap)}")
-    violated = report.kernel_dim != 2 or report.spectral_gap <= 0.0
+    violated = (report.kernel_dim != 2 or report.spectral_gap <= 0.0
+                or not proxy.certified)
     return 1 if violated else 0
 
 

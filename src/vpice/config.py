@@ -12,6 +12,7 @@ and range from that field of the section's dataclass (SECTIONS).
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass, field, fields
 
@@ -137,6 +138,8 @@ def _parse_value(key, raw, line_number):
             _build(section, {**DEFAULTS, key: value})
         else:
             minimum = EXPERIMENT_KEYS[key][2]
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidStateError("must be finite")
             if minimum is not None and not value >= minimum:
                 raise InvalidStateError(f"must be >= {minimum}")
     except InvalidStateError as exc:

@@ -31,7 +31,7 @@ from .operators import (
     divergence_matrix,
     solve_linear,
 )
-from .params import InvalidStateError, RheologyParams
+from .params import InvalidStateError, RheologyParams, check_finite
 
 SCHEMES = ("frozen-coefficient", "picard")
 
@@ -83,6 +83,7 @@ class StepperConfig:
     picard_tol: float = 1e-10
 
     def __post_init__(self):
+        check_finite(self)
         if not self.dt > 0.0:
             raise InvalidStateError("dt must be positive")
         if not self.t_end > 0.0:

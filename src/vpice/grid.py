@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .params import STATE_SLACK, InvalidStateError, RheologyParams
+from .params import STATE_SLACK, InvalidStateError, RheologyParams, check_finite
 from .rheology import StrainRate
 
 
@@ -35,6 +35,7 @@ class Grid:
     ly: float = 1.0
 
     def __post_init__(self):
+        check_finite(self)
         if self.nx < 3 or self.ny < 3:
             raise InvalidStateError("grid needs nx, ny >= 3")
         if not (self.lx > 0.0 and self.ly > 0.0):

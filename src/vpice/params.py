@@ -10,13 +10,23 @@ sqrt(delta + Delta^2) keeps units of s^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 STATE_SLACK = 1e-10  # drift of a outside [0, 1] that is clamped, not rejected
 
 
 class InvalidStateError(ValueError):
     """A state (h, a) or parameter set left its admissible range."""
+
+
+def check_finite(obj) -> None:
+    """Raise InvalidStateError when a float field of a dataclass is nan or
+    infinite; every range rule of the settings assumes finite values."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidStateError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +66,7 @@ class RheologyParams:
     d_a: float = 1.0
 
     def __post_init__(self):
+        check_finite(self)
         positive = (
             "e", "delta", "p_star", "c", "kappa", "rho_ice", "rho_atm",
             "rho_ocean", "C_atm", "C_ocean", "g", "d_h", "d_a",

@@ -205,15 +205,18 @@ def test_criterion_8_linearized_spectrum():
     others = rep.eigenvalues[np.abs(rep.eigenvalues) > rep.tol_kernel]
     kernel_residual = np.max(np.abs(op.matrix @ kernel_basis(g)))
     matrix_scale = abs(op.matrix).max()
-    proxy = semisimplicity_proxy(op)
+    proxy = semisimplicity_proxy(op, g)
     ok = (rep.kernel_dim == 2
           and np.min(others.real) > 0.0
           and kernel_residual <= 1e-12 * matrix_scale
-          and proxy.basis_min_singular_value > 1e-6
+          and proxy.right_residual <= 1e-12 * proxy.operator_norm
+          and proxy.left_residual <= 1e-12 * proxy.operator_norm
           and proxy.restriction_norm <= 1e-10 * proxy.operator_norm)
     report("criterion 8 (linearized spectrum on 17^2)", ok, time.time() - t0,
            f"kernel dim {rep.kernel_dim}, gap {rep.spectral_gap:.4f}, "
            f"kernel residual {kernel_residual:.2e}, semi-simplicity "
+           f"residuals {proxy.right_residual:.2e} (right), "
+           f"{proxy.left_residual:.2e} (left), "
            f"restriction {proxy.restriction_norm:.2e}")
 
 

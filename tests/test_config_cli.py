@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vpice.cli import dispatch
-from vpice.config import ConfigError, RunConfig, parse_config
+from vpice.config import KEYS, ConfigError, RunConfig, parse_config
 from vpice.dynamics import StepperConfig
 from vpice.grid import FieldSet, Grid
 from vpice.io_formats import read_snapshot, write_snapshot
@@ -163,6 +163,34 @@ def test_dataclasses_own_the_range_rules():
         StepperConfig(dt=0.1, t_end=0.0)
     with pytest.raises(InvalidStateError):
         Equilibrium(1.0, 1.5)
+    # non-finite floats, built from Python without the config
+    for build in (lambda: RheologyParams(theta_atm=float("nan")),
+                  lambda: RheologyParams(delta=float("inf")),
+                  lambda: Grid(9, 9, lx=float("inf")),
+                  lambda: StepperConfig(dt=0.1, t_end=float("inf")),
+                  lambda: Equilibrium(float("inf"), 0.5)):
+        with pytest.raises(InvalidStateError, match="must be finite"):
+            build()
+
+
+def test_every_float_key_rejects_non_finite_values():
+    float_keys = [key for key, (kind, _) in KEYS.items() if kind is float]
+    assert len(float_keys) == 25
+    for key in float_keys:
+        for raw in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config(f"grid.nx = 9\n{key} = {raw}\n")
+            assert str(excinfo.value).startswith(
+                f"line 2: key {key} = {float(raw)!r} violates its range: ")
+
+
+def test_simulate_infinite_t_end_exit_2_one_line(tmp_path, capsys):
+    path = write_config(tmp_path, "grid.nx = 9\ngrid.ny = 9\n"
+                                  "stepper.t_end = inf\n")
+    assert dispatch(["simulate", path]) == 2
+    err = capsys.readouterr().err
+    assert err == ("vpice: config error: line 3: key stepper.t_end = inf "
+                   "violates its range: t_end must be finite, got inf\n")
 
 
 def test_echo_prints_17_digits():
@@ -230,7 +258,11 @@ def test_lscheck_negative_lambda_config_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_spectrum_budget_exit_2(tmp_path, capsys):
+def test_spectrum_budget_exit_2(tmp_path, capsys, monkeypatch):
+    # the budget is known from the grid: rejected before A0 is assembled
+    assembled = []
+    monkeypatch.setattr("vpice.cli.assemble_A0",
+                        lambda *args: assembled.append(args))
     path = write_config(tmp_path, "grid.nx = 80\ngrid.ny = 80\n")
     dump = tmp_path / "A0.coo"
     assert dispatch(["spectrum", path, "--dump-matrix", str(dump)]) == 2
@@ -238,6 +270,7 @@ def test_spectrum_budget_exit_2(tmp_path, capsys):
     assert "budget" in err
     assert len(err.splitlines()) == 1
     assert not dump.exists()
+    assert assembled == []
 
 
 def test_spectrum_subcommand_outputs(tmp_path, capsys):

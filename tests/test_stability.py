@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from vpice import cli
 from vpice.dynamics import ForcingInputs, StepperConfig, step
 from vpice.grid import FieldSet, Grid
 from vpice.operators import (
+    SparseOperator,
     assemble_coupled,
     assemble_neumann_laplacian,
     divergence_matrix,
@@ -19,6 +22,7 @@ from vpice.stability import (
     assemble_A0,
     decay_experiment,
     delta_gap_sweep,
+    dense_unknowns,
     energy_identity_residual,
     kernel_basis,
     perturbed_equilibrium,
@@ -130,17 +134,73 @@ def test_spectrum_with_coriolis_keeps_nonnegative_real_parts():
 def test_spectrum_budget():
     g = Grid(60, 60)
     op = assemble_A0(EQ, g, PARAMS)
+    # the grid-only count is the one spectrum takes from the Dirichlet mask
+    assert dense_unknowns(g) == int(np.sum(~op.dirichlet_mask)) > 10_000
     with pytest.raises(BudgetExceededError):
         spectrum(op)
 
 
 def test_semisimplicity_proxy():
-    g = Grid(11, 11)
+    # the constant-(h, a) basis is an exact right and left kernel
+    for n in (9, 13, 21):
+        g = Grid(n, n)
+        for c_cor in (0.0, 0.5):
+            report = semisimplicity_proxy(
+                assemble_A0(EQ, g, PARAMS.with_(c_cor=c_cor)), g)
+            bound = 1e-12 * report.operator_norm
+            assert report.kernel_dim == 2
+            assert report.right_residual <= bound
+            assert report.left_residual <= bound
+            assert report.restriction_norm <= bound
+            assert report.certified
+
+
+@pytest.mark.parametrize("n", [11, 21])
+def test_certificate_operator_norm_is_dense_2_norm(n):
+    g = Grid(n, n)
     op = assemble_A0(EQ, g, PARAMS)
-    report = semisimplicity_proxy(op)
-    assert report.kernel_dim == 2
-    assert report.basis_min_singular_value > 0.5
-    assert report.restriction_norm <= 1e-10 * report.operator_norm
+    keep = ~op.dirichlet_mask
+    dense = op.matrix.toarray()[np.ix_(keep, keep)]
+    expected = np.linalg.norm(dense, 2)
+    norm = semisimplicity_proxy(op, g).operator_norm
+    assert abs(norm - expected) <= 1e-10 * expected
+
+
+def broken_kernel(op, grid, side):
+    """A0 plus one entry 1e-3 x max|A0| that breaks the left kernel (an
+    h row reading interior u1) or the right kernel (an interior u1 row
+    reading h)."""
+    n = grid.n_nodes
+    node = int(np.flatnonzero(grid.interior_mask())[0])
+    row, col = (2 * n + node, node) if side == "left" else (node, 2 * n + node)
+    extra = sp.coo_matrix(([1e-3 * abs(op.matrix).max()], ([row], [col])),
+                          shape=op.matrix.shape)
+    return SparseOperator((op.matrix + extra).tocsr(), op.dirichlet_mask)
+
+
+@pytest.mark.parametrize("side, intact", [("left", "right"),
+                                          ("right", "left")])
+def test_certificate_fails_on_broken_kernel(side, intact, tmp_path,
+                                            monkeypatch, capsys):
+    g = Grid(9, 9)
+    report = semisimplicity_proxy(broken_kernel(assemble_A0(EQ, g, PARAMS),
+                                                g, side), g)
+    assert getattr(report, f"{side}_residual") > 1e-12 * report.operator_norm
+    assert getattr(report, f"{intact}_residual") == 0.0
+    assert not report.certified
+
+    original = cli.assemble_A0
+    monkeypatch.setattr(cli, "assemble_A0", lambda eq, grid, params:
+                        broken_kernel(original(eq, grid, params), grid, side))
+    out = tmp_path / "out"
+    config = tmp_path / "spectrum.cfg"
+    config.write_text(f"grid.nx = 9\ngrid.ny = 9\nexperiment.output_dir = {out}\n")
+    assert cli.dispatch(["spectrum", str(config)]) == 1
+    capsys.readouterr()
+    summary = dict(line.split(" = ") for line in
+                   (out / "spectrum_summary.txt").read_text().splitlines())
+    assert float(summary[f"kernel_{side}_residual"]) > 0.0
+    assert float(summary[f"kernel_{intact}_residual"]) == 0.0
 
 
 def test_gap_converges_to_continuum_diffusive_mode():
