@@ -18,7 +18,7 @@ grid = Grid(13, 13)
 
 params = scaled_params(delta=1e-6, c_cor=0.0)
 op = assemble_A0(eq, grid, params)
-rep = spectrum(op)
+rep = spectrum(op, grid)
 proxy = semisimplicity_proxy(op, grid)
 print(f"grid {grid.nx}x{grid.ny}: {len(rep.eigenvalues)} interior unknowns")
 print(f"kernel dimension       : {rep.kernel_dim}")
@@ -38,7 +38,7 @@ for d, g in zip(deltas, gaps):
     print(f"  delta = {d:8.1e}   gap = {g:.6f}")
 
 params_cor = scaled_params(delta=1e-6, c_cor=0.5)
-rep_cor = spectrum(assemble_A0(eq, grid, params_cor))
+rep_cor = spectrum(assemble_A0(eq, grid, params_cor), grid)
 print(f"\nwith rotation c_cor = 0.5: kernel dim {rep_cor.kernel_dim}, "
       f"min Re = {rep_cor.eigenvalues.real.min():.3e} "
       f"(stays nonnegative), max |Im| = "

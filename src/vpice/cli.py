@@ -60,6 +60,7 @@ from .stability import (
     spectrum,
 )
 from .symbols import (
+    COERCIVITY_MARGIN_MIN,
     LS_MIN_RATIO,
     RootBalanceError,
     ellipticity_report,
@@ -109,7 +110,7 @@ def cmd_symbol(cfg: RunConfig) -> int:
                 + [format_float(report.min_eigenvalue),
                    format_float(report.min_coercivity_margin),
                    format_float(rel)]) + "\n")
-            if report.min_eigenvalue <= 0.0 or rel < -1e-10:
+            if report.min_eigenvalue <= 0.0 or rel < COERCIVITY_MARGIN_MIN:
                 violated = True
     write_manifest(directory, [("symbol_report.csv", "csv")], cfg.echo())
     print(f"symbol report: {path}")
@@ -154,12 +155,12 @@ def cmd_ls_check(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig, dump_matrix=None) -> int:
     grid = cfg.grid()
     check_dense_budget(dense_unknowns(grid))  # before any assembly or dump
+    directory = _prepare_output(cfg)  # a dump may go into it
     op = assemble_A0(cfg.equilibrium(), grid, cfg.rheology_params())
-    report = spectrum(op)
+    report = spectrum(op, grid)
     if dump_matrix:
         export_coo(op, dump_matrix)
     proxy = semisimplicity_proxy(op, grid)
-    directory = _prepare_output(cfg)
     csv_path = os.path.join(directory, "spectrum.csv")
     write_eigenvalue_csv(csv_path, report.eigenvalues)
     summary_path = os.path.join(directory, "spectrum_summary.txt")
@@ -227,9 +228,9 @@ def cmd_simulate(cfg: RunConfig, dump_matrix=None) -> int:
     eq = cfg.equilibrium()
     v0 = perturbed_equilibrium(
         eq, grid, cfg["experiment.perturbation_scale"]).validate(params)
+    directory = _prepare_output(cfg)  # a dump may go into it
     if dump_matrix:
         export_coo(assemble_coupled(v0, grid, params), dump_matrix)
-    directory = _prepare_output(cfg)
     files = [("diagnostics.csv", "csv")]
     snapshots = []
 
@@ -306,8 +307,9 @@ def dispatch(argv) -> int:
         return cmd_decay(cfg)
     except (BudgetExceededError, ConfigError, InvalidStateError) as exc:
         return _fail(str(exc), 2)
+    # OSError: an output or dump path that cannot be written
     except (StepError, LinearSolveError, PicardDivergenceError,
-            DecayFitError) as exc:
+            DecayFitError, OSError) as exc:
         return _fail(str(exc), 1)
 
 

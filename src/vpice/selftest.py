@@ -106,7 +106,7 @@ def ellipticity_suite(seed=2, n=200, params: RheologyParams | None = None):
                                     seed=int(rng.integers(1 << 31)))
         worst_eig = min(worst_eig, report.min_eigenvalue)
         worst_margin = min(worst_margin, report.min_coercivity_margin)
-    ok = worst_eig > 0.0 and worst_margin >= -1e-10
+    ok = worst_eig > 0.0 and worst_margin >= symbols.COERCIVITY_MARGIN_MIN
     return ok, f"min eigenvalue {worst_eig:.3e}, margin {worst_margin:.2e}"
 
 
@@ -168,7 +168,7 @@ def spectrum_suite(params: RheologyParams | None = None):
     grid = Grid(11, 11)
     op = assemble_A0(Equilibrium(1.0, 0.8), grid, params)
     residual = np.max(np.abs(op.matrix @ kernel_basis(grid)))
-    report = spectrum(op)
+    report = spectrum(op, grid)
     ok = (report.kernel_dim == 2 and report.spectral_gap > 0.0
           and residual <= 1e-12 * abs(op.matrix).max())
     return ok, (f"kernel dim {report.kernel_dim}, "

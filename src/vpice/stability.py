@@ -14,18 +14,24 @@ with u = 0 span the discrete kernel exactly; for delta small enough every
 other eigenvalue has positive real part, and unforced trajectories decay
 toward the mean-value equilibrium at a rate set by the spectral gap.
 
-``spectrum`` finds the kernel dimension and the gap by a dense eigensolve;
-``semisimplicity_proxy`` certifies, in O(nnz), that the constant vectors
-are both the right and the left kernel, so the zero eigenvalue is
-semisimple.
+At a constant state on the uniform grid, A0 commutes exactly with the
+half turn, and at c_cor = 0 also with the signed x- and y-mirrors (u1,
+resp. u2, changes sign).  ``mirror_blocks`` checks which of them commute
+entry by entry and splits the reduced A0 into 4, 2 or 1 independent blocks;
+``spectrum`` finds the kernel dimension and the gap by one dense eigensolve
+per block.  ``semisimplicity_proxy`` certifies, in O(nnz), that the
+constant vectors are both the right and the left kernel, so the zero
+eigenvalue is semisimple.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dynamics import ForcingInputs, RunResult, StepperConfig, run
@@ -149,20 +155,94 @@ def check_dense_budget(size: int) -> None:
             f"{DENSE_EIG_BUDGET}")
 
 
-def spectrum(op: SparseOperator) -> SpectrumReport:
+def _reflection(grid: Grid, keep: np.ndarray, flip_x: bool, flip_y: bool):
+    """Signed node permutation that reflects x (i -> nx-1-i, u1 -> -u1)
+    and/or y (j -> ny-1-j, u2 -> -u2), on the kept unknowns of stacked
+    nodal fields whose first two are the velocity (when there are two or
+    more).  Returns (index, sign), the map e_k -> sign[k] e_index[k], or
+    None when it sends a kept unknown to a dropped one or the unknowns are
+    no such stack on this grid."""
+    n = grid.n_nodes
+    n_fields = len(keep) // n
+    nodes = np.arange(n).reshape(grid.ny, grid.nx)
+    nodes = nodes[::-1 if flip_y else 1, ::-1 if flip_x else 1].ravel()
+    index = np.concatenate([field * n + nodes for field in range(n_fields)])
+    sign = np.ones(n_fields * n)
+    if n_fields >= 2:
+        sign[:n] = -1.0 if flip_x else 1.0
+        sign[n:2 * n] = -1.0 if flip_y else 1.0
+    if not np.array_equal(keep[index], keep):  # shapes differ off the grid
+        return None
+    return (np.cumsum(keep) - 1)[index[keep]], sign[keep]
+
+
+def _commutes(matrix, index, sign) -> bool:
+    """P M P^T == M entry by entry for the signed permutation P."""
+    perm = sp.csr_matrix((sign, (index, np.arange(len(index)))),
+                         shape=matrix.shape)
+    return (perm @ matrix - matrix @ perm).count_nonzero() == 0
+
+
+def mirror_blocks(op: SparseOperator, grid: Grid) -> list:
+    """The reduced operator split along its exact reflection symmetries.
+
+    With the Dirichlet rows and columns dropped, M is tested against the
+    signed permutations of the x-mirror, the y-mirror and their product,
+    the half turn.  The largest set that commutes with M exactly (P M P^T
+    - M has no nonzero entry) is kept: both mirrors, else the half turn,
+    else none.  For each joint +-1 character chi of the group G they
+    generate, the orbit projector sum_g chi(g) g, applied to one unknown
+    of every orbit, gives an orthonormal sparse basis Q_chi with at most
+    |G| nonzeros per column.  The blocks Q_chi^T M Q_chi are returned; the
+    bases are orthogonal to each other and span the kept unknowns, so the
+    blocks' spectra together are the spectrum of M.
+    """
+    keep = ~op.dirichlet_mask
+    matrix = op.matrix[keep][:, keep].tocsr()
+    generators = []
+    for flips in (((True, False), (False, True)), ((True, True),)):
+        maps = [_reflection(grid, keep, *flip) for flip in flips]
+        if all(m is not None and _commutes(matrix, *m) for m in maps):
+            generators = maps
+            break
+    size = matrix.shape[0]
+    columns = np.arange(size)
+    # every group element: index map, signs, exponents of the generators
+    elements = [(columns, np.ones(size), ())]
+    for position, (index, sign) in enumerate(generators):
+        elements += [(index[member], s * sign[member], powers + (position,))
+                     for member, s, powers in elements]
+    rows = np.concatenate([member for member, _, _ in elements])
+    orbit_first = np.min([member for member, _, _ in elements], axis=0) == columns
+    blocks = []
+    for character in itertools.product((1.0, -1.0), repeat=len(generators)):
+        data = np.concatenate([s * np.prod([character[p] for p in powers])
+                               for _, s, powers in elements])
+        basis = sp.csc_matrix((data, (rows, np.tile(columns, len(elements)))),
+                              shape=(size, size))[:, orbit_first]
+        # a projected column is either zero or has all its entries equal in size
+        norms = np.sqrt(np.asarray(basis.multiply(basis).sum(axis=0))).ravel()
+        basis = basis[:, norms > 0.0] @ sp.diags(1.0 / norms[norms > 0.0])
+        blocks.append((basis.T @ matrix @ basis).tocsr())
+    return blocks
+
+
+def spectrum(op: SparseOperator, grid: Grid) -> SpectrumReport:
     """Dense spectrum with the Dirichlet rows and columns dropped.
 
     Only the velocity boundary identity rows go; thickness and compactness
     unknowns are always kept, so the constant kernel survives.  Over
-    DENSE_EIG_BUDGET unknowns raise BudgetExceededError.  The kernel
-    tolerance is 1e-8 times the spectral radius; the spectral gap is the
-    smallest real part outside the kernel ball.
+    DENSE_EIG_BUDGET unknowns raise BudgetExceededError, before anything
+    is built.  The eigenvalues are those of the ``mirror_blocks``, one
+    dense eigensolve each; the kernel tolerance is 1e-8 times the spectral
+    radius, and the spectral gap is the smallest real part outside the
+    kernel ball.
     """
-    keep = ~op.dirichlet_mask
-    size = int(np.sum(keep))
+    size = int(np.sum(~op.dirichlet_mask))
     check_dense_budget(size)
-    dense = op.matrix.toarray()[np.ix_(keep, keep)]
-    eigenvalues = sla.eigvals(dense)
+    eigenvalues = np.concatenate(
+        [sla.eigvals(block.toarray(), overwrite_a=True, check_finite=False)
+         for block in mirror_blocks(op, grid)])
     radius = float(np.max(np.abs(eigenvalues))) if size else 0.0
     tol_kernel = 1e-8 * radius
     near_zero = np.abs(eigenvalues) <= tol_kernel
@@ -367,7 +447,7 @@ def decay_experiment(eq: Equilibrium, perturbation_scale: float, grid: Grid,
     v_inf = FieldSet.constant(grid, float(np.mean(v0.h)), float(np.mean(v0.a)))
     result = run(v0, ForcingInputs.none(), params, cfg, reference=v_inf)
 
-    gap = spectrum(assemble_A0(eq, grid, params)).spectral_gap
+    gap = spectrum(assemble_A0(eq, grid, params), grid).spectral_gap
 
     norms = result.perturbation_norm
     mismatch = float(norms[-1])
@@ -396,5 +476,5 @@ def delta_gap_sweep(eq: Equilibrium, grid: Grid, params: RheologyParams,
     gaps = []
     for delta in deltas:
         p = params.with_(delta=float(delta))
-        gaps.append(spectrum(assemble_A0(eq, grid, p)).spectral_gap)
+        gaps.append(spectrum(assemble_A0(eq, grid, p), grid).spectral_gap)
     return np.array(gaps)

@@ -44,6 +44,9 @@ PROBE_TOL = 1e-12  # unit length and orthogonality of an LSProbe's (xi, nu)
 IM_THRESHOLD = 1e-6  # |Im (u | v)| / (|u| |v|) beyond which the form is > 0
 SPLIT_TOL = 1e-9  # roots with |Re mu| <= SPLIT_TOL |mu| fail the 2/2 split
 LS_MIN_RATIO = 1e-8  # an LS probe passes when s_min / s_max > LS_MIN_RATIO
+# an ellipticity sample passes when its coercivity margin (relative to the
+# bound in `vpice symbol`) is >= COERCIVITY_MARGIN_MIN
+COERCIVITY_MARGIN_MIN = -1e-10
 
 
 class RootBalanceError(RuntimeError):

@@ -201,7 +201,7 @@ def test_criterion_8_linearized_spectrum():
     params = scaled_params(delta=1e-6, c_cor=0.0)
     g = Grid(17, 17)
     op = assemble_A0(EQ, g, params)
-    rep = spectrum(op)
+    rep = spectrum(op, g)
     others = rep.eigenvalues[np.abs(rep.eigenvalues) > rep.tol_kernel]
     kernel_residual = np.max(np.abs(op.matrix @ kernel_basis(g)))
     matrix_scale = abs(op.matrix).max()

@@ -430,6 +430,31 @@ def test_dump_matrix_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["simulate", "spectrum"])
+def test_dump_matrix_into_fresh_nested_directory(command, tmp_path, capsys):
+    out = tmp_path / "fresh" / "nested" / "out"
+    path = write_config(tmp_path,
+                        SCALED_SNIPPET + f"experiment.output_dir = {out}\n")
+    assert dispatch([command, path, "--dump-matrix", str(out / "A.coo")]) == 0
+    capsys.readouterr()
+    assert len((out / "A.coo").read_text().splitlines()[0].split()) == 3
+    assert "name = A.coo\n" in (out / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["simulate", "spectrum"])
+def test_dump_matrix_unwritable_path_exit_1_one_line(command, tmp_path,
+                                                     capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path,
+                        SCALED_SNIPPET + f"experiment.output_dir = {out}\n")
+    # the dump path is a directory
+    assert dispatch([command, path, "--dump-matrix", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vpice: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_default_runconfig_usable_directly():
     cfg = RunConfig()
     assert cfg["grid.nx"] == 17

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from vpice import cli
@@ -14,7 +15,7 @@ from vpice.operators import (
     divergence_matrix,
     gradient_coupling,
 )
-from vpice.params import InvalidStateError, scaled_params
+from vpice.params import InvalidStateError, RheologyParams, scaled_params
 from vpice.stability import (
     BudgetExceededError,
     DecayFitError,
@@ -25,6 +26,7 @@ from vpice.stability import (
     dense_unknowns,
     energy_identity_residual,
     kernel_basis,
+    mirror_blocks,
     perturbed_equilibrium,
     semisimplicity_proxy,
     spectrum,
@@ -91,7 +93,7 @@ def test_weight_constants():
 def test_spectrum_neumann_alone():
     g = Grid(8, 8)
     op = assemble_neumann_laplacian(g, 1.0)
-    report = spectrum(op)
+    report = spectrum(op, g)
     assert report.kernel_dim == 1
     others = report.eigenvalues[np.abs(report.eigenvalues) > report.tol_kernel]
     assert np.max(np.abs(others.imag)) <= 1e-10 * report.spectral_radius
@@ -101,7 +103,7 @@ def test_spectrum_neumann_alone():
 def test_spectrum_a0_kernel_and_gap():
     g = Grid(17, 17)
     op = assemble_A0(EQ, g, PARAMS)
-    report = spectrum(op)
+    report = spectrum(op, g)
     assert report.kernel_dim == 2
     others = report.eigenvalues[np.abs(report.eigenvalues) > report.tol_kernel]
     assert np.min(others.real) > 0.0
@@ -126,9 +128,61 @@ def test_spectrum_with_coriolis_keeps_nonnegative_real_parts():
     params = scaled_params(delta=1e-6, c_cor=0.5)
     g = Grid(11, 11)
     op = assemble_A0(Equilibrium(1.0, 0.8), g, params)
-    report = spectrum(op)
+    report = spectrum(op, g)
     assert report.kernel_dim == 2
     assert np.min(report.eigenvalues.real) >= -1e-10 * report.spectral_radius
+
+
+def unblocked_eigenvalues(op):
+    keep = ~op.dirichlet_mask
+    return sla.eigvals(op.matrix.toarray()[np.ix_(keep, keep)])
+
+
+def sorted_mismatch(eigenvalues, expected):
+    """Largest gap between the sorted spectra, relative to the radius."""
+    assert eigenvalues.shape == expected.shape
+    return (np.max(np.abs(np.sort_complex(eigenvalues)
+                          - np.sort_complex(expected)))
+            / np.max(np.abs(expected)))
+
+
+MIRROR_GRIDS = [Grid(21, 21), Grid(13, 9, lx=2.0), Grid(10, 7),
+                Grid(9, 15, lx=2.0)]  # 10 x 7: even, no fixed nodes
+MIRROR_PARAMS = [PARAMS, PARAMS.with_(c_cor=0.5), RheologyParams()]
+
+
+@pytest.mark.parametrize("params", MIRROR_PARAMS, ids=["c0", "c05", "si"])
+@pytest.mark.parametrize("g", MIRROR_GRIDS, ids=str)
+def test_mirror_blocked_spectrum_matches_unblocked(g, params):
+    op = assemble_A0(EQ, g, params)
+    report = spectrum(op, g)
+    expected = unblocked_eigenvalues(op)
+    assert sorted_mismatch(report.eigenvalues, expected) <= 1e-12
+    near_zero = np.abs(expected) <= 1e-8 * np.max(np.abs(expected))
+    assert report.kernel_dim == int(np.sum(near_zero))
+    gap = np.min(expected[~near_zero].real)
+    assert abs(report.spectral_gap - gap) <= 1e-8 * abs(gap)
+
+
+@pytest.mark.parametrize("g", MIRROR_GRIDS, ids=str)
+def test_mirror_blocks_use_every_exact_symmetry(g):
+    # both mirrors commute with A0 at c_cor = 0, only the half turn with
+    # rotation; an assembly that breaks bitwise symmetry fails here
+    for c_cor, n_blocks in ((0.0, 4), (0.5, 2)):
+        blocks = mirror_blocks(assemble_A0(EQ, g, PARAMS.with_(c_cor=c_cor)), g)
+        assert len(blocks) == n_blocks
+        assert sum(block.shape[0] for block in blocks) == dense_unknowns(g)
+
+
+def test_mirror_blocks_fall_back_when_symmetry_breaks():
+    # an interior u1 row reading h breaks both mirrors and the half turn
+    g = Grid(9, 9)
+    op = broken_kernel(assemble_A0(EQ, g, PARAMS), g, "right")
+    blocks = mirror_blocks(op, g)
+    assert len(blocks) < 4
+    assert sum(block.shape[0] for block in blocks) == dense_unknowns(g)
+    assert sorted_mismatch(spectrum(op, g).eigenvalues,
+                           unblocked_eigenvalues(op)) <= 1e-12
 
 
 def test_spectrum_budget():
@@ -137,7 +191,7 @@ def test_spectrum_budget():
     # the grid-only count is the one spectrum takes from the Dirichlet mask
     assert dense_unknowns(g) == int(np.sum(~op.dirichlet_mask)) > 10_000
     with pytest.raises(BudgetExceededError):
-        spectrum(op)
+        spectrum(op, g)
 
 
 def test_semisimplicity_proxy():
@@ -211,7 +265,7 @@ def test_gap_converges_to_continuum_diffusive_mode():
     gaps, spacings = [], []
     for n in (9, 17, 33):
         g = Grid(n, n)
-        gaps.append(spectrum(assemble_A0(EQ, g, PARAMS)).spectral_gap)
+        gaps.append(spectrum(assemble_A0(EQ, g, PARAMS), g).spectral_gap)
         spacings.append(g.dx)
     gaps = np.array(gaps)
     continuum = PARAMS.d_h * np.pi**2
