@@ -23,7 +23,6 @@ proxy = semisimplicity_proxy(op, grid)
 print(f"grid {grid.nx}x{grid.ny}: {len(rep.eigenvalues)} interior unknowns")
 print(f"kernel dimension       : {rep.kernel_dim}")
 print(f"spectral gap           : {rep.spectral_gap:.5f}")
-print(f"kernel tolerance       : {rep.tol_kernel:.3e}")
 print(f"semi-simplicity        : {'certified' if proxy.certified else 'NOT certified'}, "
       f"kernel residuals {proxy.right_residual:.1e} (right), "
       f"{proxy.left_residual:.1e} (left) vs ||A0|| = {proxy.operator_norm:.3e}")

@@ -214,10 +214,10 @@ def step(v_n: FieldSet, inputs: ForcingInputs, params: RheologyParams,
     scheme 'frozen-coefficient' freezes coefficients and explicit terms at
     v_n; 'picard' re-freezes them at successive iterates until the relative
     update drops below picard_tol (PicardDivergenceError after picard_max).
-    Raises InvalidStateError when the new state leaves the admissible set
-    (thickness under kappa or compactness outside [0, 1] beyond STATE_SLACK).
+    Raises InvalidStateError when v_n (checked by the assembly) or the new
+    state leaves the admissible set (thickness under kappa or compactness
+    outside [0, 1] beyond STATE_SLACK).
     """
-    v_n = v_n.validate(params)
     if cfg.scheme == "frozen-coefficient":
         vec = _solve_step(v_n, v_n, inputs, params, cfg)
     else:
@@ -295,32 +295,20 @@ def run(v0: FieldSet, inputs: ForcingInputs, params: RheologyParams,
                                       float(np.mean(v0.a)))
     sinks = sinks or RunSinks()
     n_steps = int(np.ceil(cfg.t_end / cfg.dt - 1e-12))
-    rows = [diagnostics_row(v0, 0.0, params, reference)]
-    if sinks.on_diagnostics:
-        sinks.on_diagnostics(rows[0])
-    if sinks.on_snapshot and sinks.snapshot_every > 0:
-        sinks.on_snapshot(0, 0.0, v0)
-    v = v0
-    for k in range(1, n_steps + 1):
+    v, rows = v0, []
+    for k in range(n_steps + 1):
         t = k * cfg.dt
-        try:
-            v = step(v, inputs, params, cfg)
-        except Exception as exc:
-            raise StepError(k, t, exc) from exc
-        row = diagnostics_row(v, t, params, reference)
-        rows.append(row)
+        if k:  # row 0 is the initial state
+            try:
+                v = step(v, inputs, params, cfg)
+            except Exception as exc:
+                raise StepError(k, t, exc) from exc
+        rows.append(diagnostics_row(v, t, params, reference))
         if sinks.on_diagnostics:
-            sinks.on_diagnostics(row)
+            sinks.on_diagnostics(rows[-1])
         if (sinks.on_snapshot and sinks.snapshot_every > 0
                 and k % sinks.snapshot_every == 0):
             sinks.on_snapshot(k, t, v)
-    return RunResult(
-        times=np.array([r["time"] for r in rows]),
-        kinetic_energy=np.array([r["kinetic_energy"] for r in rows]),
-        mean_h=np.array([r["mean_h"] for r in rows]),
-        mean_a=np.array([r["mean_a"] for r in rows]),
-        max_u=np.array([r["max_u"] for r in rows]),
-        perturbation_norm=np.array([r["perturbation_norm"] for r in rows]),
-        final_state=v,
-        n_steps=n_steps,
-    )
+    series = {key: np.array([r[key] for r in rows]) for key in rows[0]}
+    series["times"] = series.pop("time")
+    return RunResult(**series, final_state=v, n_steps=n_steps)

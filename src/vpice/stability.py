@@ -18,8 +18,8 @@ At a constant state on the uniform grid, A0 commutes exactly with the
 half turn, and at c_cor = 0 also with the signed x- and y-mirrors (u1,
 resp. u2, changes sign).  ``mirror_blocks`` checks which of them commute
 entry by entry and splits the reduced A0 into 4, 2 or 1 independent blocks;
-``spectrum`` finds the kernel dimension and the gap by one dense eigensolve
-per block.  ``semisimplicity_proxy`` certifies, in O(nnz), that the
+``spectrum`` deflates the exact constant-(h, a) kernel there and finds the
+gap by one dense eigensolve per block.  ``semisimplicity_proxy`` certifies, in O(nnz), that the
 constant vectors are both the right and the left kernel, so the zero
 eigenvalue is semisimple.
 """
@@ -34,7 +34,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dynamics import ForcingInputs, RunResult, StepperConfig, run
+from .dynamics import ForcingInputs, RunResult, RunSinks, StepperConfig, run
 from .grid import FieldSet, Grid, diff_ops
 from .operators import (
     SparseOperator,
@@ -95,7 +95,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     kernel_dim: int
     spectral_gap: float
-    tol_kernel: float
     spectral_radius: float
 
 
@@ -131,13 +130,12 @@ def assemble_A0(eq: Equilibrium, grid: Grid, params: RheologyParams) -> SparseOp
                           velocity_boundary_mask(grid, 4))
 
 
-def kernel_basis(grid: Grid) -> np.ndarray:
-    """The two constant-(h, a) vectors with u = 0, as unit columns."""
-    n = grid.n_nodes
-    basis = np.zeros((4 * n, 2))
-    basis[2 * n:3 * n, 0] = 1.0 / np.sqrt(n)
-    basis[3 * n:, 1] = 1.0 / np.sqrt(n)
-    return basis
+def kernel_basis(grid: Grid, n_fields: int = 4) -> np.ndarray:
+    """Unit constant vectors of stacked nodal fields, one column per field
+    after the velocity pair (the conserved totals of h and a in A0), or of
+    the single field of a scalar operator."""
+    fields = np.eye(n_fields)[:, 2 if n_fields >= 2 else 0:]
+    return np.kron(fields, np.ones((grid.n_nodes, 1))) / np.sqrt(grid.n_nodes)
 
 
 def dense_unknowns(grid: Grid) -> int:
@@ -183,6 +181,17 @@ def _commutes(matrix, index, sign) -> bool:
     return (perm @ matrix - matrix @ perm).count_nonzero() == 0
 
 
+def _deflate(block, coords: np.ndarray):
+    """B restricted to its invariant subspace coords^T x = 0 (coords^T B = 0
+    puts the range of B in it), in the sparse basis e_i - W[:, i] e_pivots
+    with one pivot per column of ``coords``: B[others, others] -
+    B[others, pivots] W.  Its spectrum is B's less one zero per column."""
+    pivots = np.argmax(np.abs(coords), axis=0)
+    others = np.setdiff1d(np.arange(block.shape[0]), pivots)
+    weights = sp.csr_matrix(np.linalg.solve(coords[pivots].T, coords[others].T))
+    return block[others][:, others] - block[others][:, pivots] @ weights
+
+
 def mirror_blocks(op: SparseOperator, grid: Grid) -> list:
     """The reduced operator split along its exact reflection symmetries.
 
@@ -195,10 +204,13 @@ def mirror_blocks(op: SparseOperator, grid: Grid) -> list:
     of every orbit, gives an orthonormal sparse basis Q_chi with at most
     |G| nonzeros per column.  The blocks Q_chi^T M Q_chi are returned; the
     bases are orthogonal to each other and span the kept unknowns, so the
-    blocks' spectra together are the spectrum of M.
+    blocks' spectra together are the spectrum of M, except that the
+    G-invariant ``kernel_basis`` K, in the trivial character's block, is
+    deflated there: M's zero eigenvalues of K are left out.
     """
     keep = ~op.dirichlet_mask
     matrix = op.matrix[keep][:, keep].tocsr()
+    kernel = kernel_basis(grid, op.dim // grid.n_nodes)[keep]
     generators = []
     for flips in (((True, False), (False, True)), ((True, True),)):
         maps = [_reflection(grid, keep, *flip) for flip in flips]
@@ -223,7 +235,9 @@ def mirror_blocks(op: SparseOperator, grid: Grid) -> list:
         # a projected column is either zero or has all its entries equal in size
         norms = np.sqrt(np.asarray(basis.multiply(basis).sum(axis=0))).ravel()
         basis = basis[:, norms > 0.0] @ sp.diags(1.0 / norms[norms > 0.0])
-        blocks.append((basis.T @ matrix @ basis).tocsr())
+        block = (basis.T @ matrix @ basis).tocsr()
+        # the first character is the trivial one
+        blocks.append(block if blocks else _deflate(block, basis.T @ kernel))
     return blocks
 
 
@@ -233,23 +247,21 @@ def spectrum(op: SparseOperator, grid: Grid) -> SpectrumReport:
     Only the velocity boundary identity rows go; thickness and compactness
     unknowns are always kept, so the constant kernel survives.  Over
     DENSE_EIG_BUDGET unknowns raise BudgetExceededError, before anything
-    is built.  The eigenvalues are those of the ``mirror_blocks``, one
-    dense eigensolve each; the kernel tolerance is 1e-8 times the spectral
-    radius, and the spectral gap is the smallest real part outside the
-    kernel ball.
+    is built.  kernel_dim is the column count of ``kernel_basis`` K, whose
+    exact zeros lead ``eigenvalues``; the others, from one dense
+    eigensolve per ``mirror_blocks`` block, set the spectral gap (their
+    smallest real part).  The deflation of K is exact when K is a left
+    kernel, which ``semisimplicity_proxy`` certifies.
     """
-    size = int(np.sum(~op.dirichlet_mask))
-    check_dense_budget(size)
-    eigenvalues = np.concatenate(
+    check_dense_budget(int(np.sum(~op.dirichlet_mask)))
+    kernel_dim = kernel_basis(grid, op.dim // grid.n_nodes).shape[1]
+    rest = np.concatenate(
         [sla.eigvals(block.toarray(), overwrite_a=True, check_finite=False)
          for block in mirror_blocks(op, grid)])
-    radius = float(np.max(np.abs(eigenvalues))) if size else 0.0
-    tol_kernel = 1e-8 * radius
-    near_zero = np.abs(eigenvalues) <= tol_kernel
-    kernel_dim = int(np.sum(near_zero))
-    rest = eigenvalues[~near_zero]
+    eigenvalues = np.concatenate([np.zeros(kernel_dim, complex), rest])
     gap = float(np.min(rest.real)) if rest.size else np.inf
-    return SpectrumReport(eigenvalues, kernel_dim, gap, tol_kernel, radius)
+    return SpectrumReport(eigenvalues, kernel_dim, gap,
+                          float(np.max(np.abs(eigenvalues), initial=0.0)))
 
 
 @dataclass
@@ -274,18 +286,18 @@ def semisimplicity_proxy(op: SparseOperator, grid: Grid) -> SemisimplicityReport
     """Certify that the zero eigenvalue of A0 is semisimple, in O(nnz).
 
     With the Dirichlet rows and columns dropped, as in ``spectrum``, M K = 0
-    and M^T K = 0 for the orthonormal constant-(h, a) basis K make span K
-    both the right and the left kernel, with Gram matrix K^T K = I.  A
-    Jordan chain M x = k, k in span K nonzero, would give
-    k^T k = k^T M x = 0, so none exists; with ``spectrum``'s kernel_dim == 2
-    the zero eigenvalue is semisimple.  ``certified`` tests both residuals
-    against KERNEL_CERT_RTOL times ||M||_2, which ``svds`` computes from a
+    and M^T K = 0 for the orthonormal ``kernel_basis`` K make span K both
+    the right and the left kernel, with Gram matrix K^T K = I.  A Jordan
+    chain M x = k, k in span K nonzero, would give k^T k = k^T M x = 0, so
+    none exists, and the left kernel is what makes ``spectrum``'s
+    deflation exact.  ``certified`` tests both residuals against
+    KERNEL_CERT_RTOL times ||M||_2, which ``svds`` computes from a
     fixed-seed start vector (a constant start misses the top singular
     vector by symmetry).
     """
     keep = ~op.dirichlet_mask
     matrix = op.matrix[keep][:, keep]
-    basis = kernel_basis(grid)[keep]
+    basis = kernel_basis(grid, op.dim // grid.n_nodes)[keep]
     image = matrix @ basis
     start = np.random.default_rng(0).standard_normal(matrix.shape[0])
     op_norm = spla.svds(matrix, k=1, v0=start, return_singular_vectors=False)
@@ -296,6 +308,13 @@ def semisimplicity_proxy(op: SparseOperator, grid: Grid) -> SemisimplicityReport
         restriction_norm=float(np.linalg.norm(basis.T @ image, 2)),
         operator_norm=float(op_norm[0]),
     )
+
+
+def spectrum_passes(report: SpectrumReport, proxy: SemisimplicityReport) -> bool:
+    """The pass rule of ``vpice spectrum``: the kernel is 2-dimensional and
+    certified semisimple, and the spectral gap is positive."""
+    return (report.kernel_dim == 2 and report.spectral_gap > 0.0
+            and proxy.certified)
 
 
 def energy_identity_residual(op: SparseOperator, v: FieldSet, eq: Equilibrium,
@@ -433,19 +452,20 @@ def perturbed_equilibrium(eq: Equilibrium, grid: Grid, scale: float) -> FieldSet
 
 
 def decay_experiment(eq: Equilibrium, perturbation_scale: float, grid: Grid,
-                     params: RheologyParams, cfg: StepperConfig) -> DecayResult:
+                     params: RheologyParams, cfg: StepperConfig,
+                     sinks: RunSinks | None = None) -> DecayResult:
     """Fit the exponential decay rate toward the mean-value equilibrium.
 
     Runs the unforced dynamics from the perturbed equilibrium, fits a
     log-linear decay of the composite perturbation norm over the asymptotic
     window (the first 40% of the trajectory is discarded as transient), and
     compares with the spectral gap of the independently assembled
-    linearization.
+    linearization.  ``sinks`` receive the trajectory as ``run`` streams it.
     """
     eq.validate(params)
     v0 = perturbed_equilibrium(eq, grid, perturbation_scale).validate(params)
     v_inf = FieldSet.constant(grid, float(np.mean(v0.h)), float(np.mean(v0.a)))
-    result = run(v0, ForcingInputs.none(), params, cfg, reference=v_inf)
+    result = run(v0, ForcingInputs.none(), params, cfg, sinks, v_inf)
 
     gap = spectrum(assemble_A0(eq, grid, params), grid).spectral_gap
 

@@ -44,8 +44,8 @@ PROBE_TOL = 1e-12  # unit length and orthogonality of an LSProbe's (xi, nu)
 IM_THRESHOLD = 1e-6  # |Im (u | v)| / (|u| |v|) beyond which the form is > 0
 SPLIT_TOL = 1e-9  # roots with |Re mu| <= SPLIT_TOL |mu| fail the 2/2 split
 LS_MIN_RATIO = 1e-8  # an LS probe passes when s_min / s_max > LS_MIN_RATIO
-# an ellipticity sample passes when its coercivity margin (relative to the
-# bound in `vpice symbol`) is >= COERCIVITY_MARGIN_MIN
+# an ellipticity sample passes when its relative coercivity margin
+# (EllipticityReport.relative_margin) is >= COERCIVITY_MARGIN_MIN
 COERCIVITY_MARGIN_MIN = -1e-10
 
 
@@ -86,7 +86,8 @@ class LSProbe:
 @dataclass(frozen=True)
 class EllipticityReport:
     min_eigenvalue: float
-    min_coercivity_margin: float
+    min_coercivity_margin: float  # min of form - bound
+    relative_margin: float  # min_coercivity_margin / max(|bound|, 1e-300)
     max_hermitian_defect: float
     n_samples: int
 
@@ -160,7 +161,9 @@ def ellipticity_report(eps: StrainRate, p, params: RheologyParams,
         eta /= np.linalg.norm(eta)
         form = float(np.real(np.vdot(eta, sym @ eta)))
         min_margin = min(min_margin, form - bound)
-    return EllipticityReport(min_eig, min_margin, max_defect, n_samples)
+    return EllipticityReport(min_eig, min_margin,
+                             min_margin / max(abs(bound), 1e-300),
+                             max_defect, n_samples)
 
 
 def boundary_form(a: np.ndarray, xi, nu, u, v) -> float:

@@ -95,7 +95,8 @@ def test_spectrum_neumann_alone():
     op = assemble_neumann_laplacian(g, 1.0)
     report = spectrum(op, g)
     assert report.kernel_dim == 1
-    others = report.eigenvalues[np.abs(report.eigenvalues) > report.tol_kernel]
+    assert report.eigenvalues[0] == 0.0  # the exact kernel leads
+    others = report.eigenvalues[report.kernel_dim:]
     assert np.max(np.abs(others.imag)) <= 1e-10 * report.spectral_radius
     assert np.min(others.real) > 0.0
 
@@ -105,8 +106,9 @@ def test_spectrum_a0_kernel_and_gap():
     op = assemble_A0(EQ, g, PARAMS)
     report = spectrum(op, g)
     assert report.kernel_dim == 2
-    others = report.eigenvalues[np.abs(report.eigenvalues) > report.tol_kernel]
-    assert np.min(others.real) > 0.0
+    assert np.array_equal(report.eigenvalues[:2], np.zeros(2))
+    others = report.eigenvalues[report.kernel_dim:]
+    assert np.min(others.real) == report.spectral_gap
     assert report.spectral_gap > 0.0
     # with c_cor = 0 the spectrum is real up to the tolerance of the report
     assert np.max(np.abs(report.eigenvalues.imag)) <= 1e-8 * report.spectral_radius
@@ -158,10 +160,30 @@ def test_mirror_blocked_spectrum_matches_unblocked(g, params):
     report = spectrum(op, g)
     expected = unblocked_eigenvalues(op)
     assert sorted_mismatch(report.eigenvalues, expected) <= 1e-12
-    near_zero = np.abs(expected) <= 1e-8 * np.max(np.abs(expected))
-    assert report.kernel_dim == int(np.sum(near_zero))
-    gap = np.min(expected[~near_zero].real)
+    # the exact kernel: the 2 smallest |lambda| of the unblocked solve
+    assert report.kernel_dim == 2
+    gap = np.min(expected[np.argsort(np.abs(expected))[2:]].real)
     assert abs(report.spectral_gap - gap) <= 1e-8 * abs(gap)
+
+
+@pytest.mark.parametrize("nx, ny, lx", [(25, 25, 1.0), (9, 15, 2.0)])
+def test_spectrum_cli_si_defaults_keep_the_exact_kernel(nx, ny, lx, tmp_path,
+                                                        capsys):
+    # the SI spectral radius is large (it grows like 1/dx^2), and a kernel
+    # threshold relative to it took the slowest diffusive modes for kernel
+    out = tmp_path / "out"
+    config = tmp_path / "spectrum.cfg"
+    config.write_text(f"grid.nx = {nx}\ngrid.ny = {ny}\ngrid.lx = {lx}\n"
+                      f"experiment.output_dir = {out}\n")
+    assert cli.dispatch(["spectrum", str(config)]) == 0
+    capsys.readouterr()
+    summary = dict(line.split(" = ") for line in
+                   (out / "spectrum_summary.txt").read_text().splitlines())
+    expected = unblocked_eigenvalues(
+        assemble_A0(EQ, Grid(nx, ny, lx=lx), RheologyParams()))
+    gap = np.min(expected[np.argsort(np.abs(expected))[2:]].real)
+    assert summary["kernel_dim"] == "2"
+    assert abs(float(summary["spectral_gap"]) - gap) <= 1e-8 * abs(gap)
 
 
 @pytest.mark.parametrize("g", MIRROR_GRIDS, ids=str)
@@ -171,7 +193,8 @@ def test_mirror_blocks_use_every_exact_symmetry(g):
     for c_cor, n_blocks in ((0.0, 4), (0.5, 2)):
         blocks = mirror_blocks(assemble_A0(EQ, g, PARAMS.with_(c_cor=c_cor)), g)
         assert len(blocks) == n_blocks
-        assert sum(block.shape[0] for block in blocks) == dense_unknowns(g)
+        # the trivial character's block leaves out the 2 kernel unknowns
+        assert sum(block.shape[0] for block in blocks) == dense_unknowns(g) - 2
 
 
 def test_mirror_blocks_fall_back_when_symmetry_breaks():
@@ -180,7 +203,7 @@ def test_mirror_blocks_fall_back_when_symmetry_breaks():
     op = broken_kernel(assemble_A0(EQ, g, PARAMS), g, "right")
     blocks = mirror_blocks(op, g)
     assert len(blocks) < 4
-    assert sum(block.shape[0] for block in blocks) == dense_unknowns(g)
+    assert sum(block.shape[0] for block in blocks) == dense_unknowns(g) - 2
     assert sorted_mismatch(spectrum(op, g).eigenvalues,
                            unblocked_eigenvalues(op)) <= 1e-12
 

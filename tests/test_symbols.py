@@ -1,11 +1,19 @@
 """Symbol, ellipticity and boundary-condition checks."""
 
+import dataclasses
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
+from vpice import selftest
 from vpice.params import RheologyParams, scaled_params
-from vpice.rheology import StrainRate, coefficient_tensor, pressure
+from vpice.rheology import (
+    StrainRate,
+    coefficient_tensor,
+    coercivity_lower_bound,
+    pressure,
+)
 from vpice.symbols import (
     LSProbe,
     RootBalanceError,
@@ -98,6 +106,28 @@ def test_ellipticity_random_states_positive():
         report = ellipticity_report(eps, P, p, n_samples=40, seed=int(rng.integers(1 << 31)))
         assert report.min_eigenvalue > 0.0
         assert report.min_coercivity_margin >= -1e-10
+
+
+def test_ellipticity_relative_margin_is_margin_over_bound():
+    p = scaled_params()
+    eps = StrainRate(0.3, -0.2, 0.1)
+    report = ellipticity_report(eps, 1.0, p, n_samples=8, seed=3)
+    bound = coercivity_lower_bound(eps, 1.0, p) * p.delta / p.e**2
+    assert report.relative_margin == report.min_coercivity_margin / bound
+
+
+@pytest.mark.parametrize("relative, ok", [(-2e-10, False), (-0.5e-10, True)])
+def test_ellipticity_suite_applies_the_relative_margin(monkeypatch, relative,
+                                                       ok):
+    # the pass rule reads the relative margin, whatever the absolute one
+    original = selftest.ellipticity_report
+    monkeypatch.setattr(selftest, "ellipticity_report", lambda *args, **kw:
+                        dataclasses.replace(original(*args, **kw),
+                                            min_coercivity_margin=1.0,
+                                            relative_margin=relative))
+    passed, detail = selftest.ellipticity_suite()
+    assert passed == ok
+    assert detail.endswith(f"margin {relative:.2e}")
 
 
 def test_ellipticity_rejects_empty_sampling():
