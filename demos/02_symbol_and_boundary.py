@@ -8,10 +8,10 @@ stable/unstable root splits and trace-matrix conditioning.
 import numpy as np
 
 from vpice.params import scaled_params
-from vpice.rheology import StrainRate, pressure
+from vpice.rheology import StrainRate, coefficient_tensor, pressure
 from vpice.symbols import (
     LSProbe, boundary_form_check, ellipticity_report,
-    lopatinskii_shapiro_check, principal_symbol,
+    lopatinskii_shapiro_check, symbol_polynomial,
 )
 
 params = scaled_params(delta=1e-4)
@@ -21,21 +21,23 @@ print(f"frozen state: eps = ({eps.e11}, {eps.e12}, {eps.e22}), P = {P:.4f}\n")
 
 print("symbol eigenvalues over the frequency circle:")
 print(f"{'theta':>8} {'lambda_min':>12} {'lambda_max':>12}")
-for theta in np.linspace(0.0, np.pi, 9):
-    xi = np.array([np.cos(theta), np.sin(theta)])
-    m = principal_symbol(eps, P, xi, params).matrix
-    w = np.linalg.eigvalsh(m)
+# the principal symbol A_#(xi) = Q(xi, xi), batched over the 9 frequencies
+thetas = np.linspace(0.0, np.pi, 9)
+xi = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+a = coefficient_tensor(eps, P, params)
+for theta, w in zip(thetas, np.linalg.eigvalsh(symbol_polynomial(a, xi, xi))):
     print(f"{theta:8.3f} {w[0]:12.5f} {w[1]:12.5f}")
 
 report = ellipticity_report(eps, P, params, n_samples=500, seed=1)
 print(f"\nsampled minima over 500 (xi, eta): min eigenvalue "
       f"{report.min_eigenvalue:.5f}, coercivity margin "
-      f"{report.min_coercivity_margin:.3e} (must be >= 0 up to rounding)")
+      f"{report.min_coercivity_margin:.3e} (must be >= 0 up to rounding); "
+      f"passes: {report.passes}")
 
 bf = boundary_form_check(eps, P, params, n_samples=2000, seed=2)
 print(f"boundary form over 2000 samples: min {bf.min_form:.3e}, "
       f"conditional min {bf.min_conditional_form:.3e} "
-      f"({bf.n_conditional} samples with Im(u|v) != 0)")
+      f"({bf.n_conditional} samples with Im(u|v) != 0); passes: {bf.passes}")
 
 print("\nhalf-line boundary probes (decaying-mode construction):")
 print(f"{'theta':>8} {'lambda':>22} {'stable roots':>5} {'s_min/s_max':>12}")

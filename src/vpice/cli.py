@@ -61,8 +61,6 @@ from .stability import (
     spectrum_passes,
 )
 from .symbols import (
-    COERCIVITY_MARGIN_MIN,
-    LS_MIN_RATIO,
     RootBalanceError,
     ellipticity_report,
     lopatinskii_shapiro_check,
@@ -108,9 +106,7 @@ def cmd_symbol(cfg: RunConfig) -> int:
                 + [format_float(report.min_eigenvalue),
                    format_float(report.min_coercivity_margin),
                    format_float(report.relative_margin)]) + "\n")
-            if (report.min_eigenvalue <= 0.0
-                    or report.relative_margin < COERCIVITY_MARGIN_MIN):
-                violated = True
+            violated = violated or not report.passes
     write_manifest(directory, [("symbol_report.csv", "csv")], cfg.echo())
     print(f"symbol report: {path}")
     return 1 if violated else 0
@@ -135,7 +131,6 @@ def cmd_ls_check(cfg: RunConfig) -> int:
                 print(f"probe {index}: {exc}", file=sys.stderr)
                 violated = True
                 continue
-            margin = result.s_min - LS_MIN_RATIO * result.s_max
             fh.write(",".join(
                 [str(index)]
                 + [format_float(x) for x in
@@ -143,9 +138,8 @@ def cmd_ls_check(cfg: RunConfig) -> int:
                     theta, probe.lam.real, probe.lam.imag)]
                 + [str(len(result.stable_roots)), str(len(result.unstable_roots))]
                 + [format_float(result.s_min), format_float(result.s_max),
-                   format_float(margin)]) + "\n")
-            if margin <= 0.0:
-                violated = True
+                   format_float(result.margin)]) + "\n")
+            violated = violated or not result.passes
     write_manifest(directory, [("ls_report.csv", "csv")], cfg.echo())
     print(f"boundary-condition report: {path}")
     return 1 if violated else 0

@@ -18,6 +18,7 @@ vanishes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -88,6 +89,9 @@ class StepperConfig:
             raise InvalidStateError("dt must be positive")
         if not self.t_end > 0.0:
             raise InvalidStateError("t_end must be positive")
+        if not math.isfinite(self.t_end / self.dt):
+            raise InvalidStateError(
+                f"t_end / dt must be finite, got {self.t_end!r} / {self.dt!r}")
         if not self.picard_tol > 0.0:
             raise InvalidStateError("picard_tol must be positive")
         if self.picard_max < 1:

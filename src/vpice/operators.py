@@ -44,6 +44,7 @@ from .rheology import (
     delta_reg,
     pressure,
     pressure_derivatives,
+    s_tensor,
 )
 
 DIRECT_SOLVE_LIMIT = 20_000
@@ -120,12 +121,10 @@ def _hibler_terms(v_frozen: FieldSet, grid: Grid, params: RheologyParams) -> lis
     p0 = pressure(v_frozen.h, v_frozen.a, params)
     coeff = coefficient_tensor(eps0, p0, params).reshape(2, 2, 2, 2, -1) * interior
 
-    q = 1.0 / params.e**2
     dreg = delta_reg(eps0, params)
     dp_dx = np.gradient(p0, grid.dx, axis=1, edge_order=2)
     dp_dy = np.gradient(p0, grid.dy, axis=0, edge_order=2)
-    g1 = (-dp_dx / (2.0 * dreg)).ravel() * interior
-    g2 = (-dp_dy / (2.0 * dreg)).ravel() * interior
+    g = [(-dp / (2.0 * dreg)).ravel() * interior for dp in (dp_dx, dp_dy)]
 
     terms = [("id", i, i, 1.0 - interior, 1.0) for i in range(2)]
     for i in range(2):
@@ -133,11 +132,11 @@ def _hibler_terms(v_frozen: FieldSet, grid: Grid, params: RheologyParams) -> lis
             c = coeff[i, j]
             terms += [("dxx", i, j, c[0, 0], -1.0), ("dyy", i, j, c[1, 1], -1.0),
                       ("dxy", i, j, c[0, 1] + c[1, 0], -1.0)]
-    # lower-order term: -(1/(2 Delta_delta)) [dP/dx (S eps(u))_i1 + dP/dy (S eps(u))_i2]
-    return terms + [("dx", 0, 0, g1, 1 + q), ("dy", 0, 0, g2, q),
-                    ("dy", 0, 1, g1, 1 - q), ("dx", 0, 1, g2, q),
-                    ("dy", 1, 0, g1, q), ("dx", 1, 0, g2, 1 - q),
-                    ("dx", 1, 1, g1, q), ("dy", 1, 1, g2, 1 + q)]
+    # lower-order term -(1/(2 Delta_delta)) sum_k (d_k P) (S eps(u))_ik; the
+    # coefficient of d_l u_j in (S eps(u))_ik is S_ij^kl
+    s = s_tensor(params)
+    return terms + [(("dx", "dy")[l], i, j, g[k], s[i, j, k, l])
+                    for i, j, k, l in zip(*np.nonzero(s))]
 
 
 def assemble_hibler(v_frozen: FieldSet, grid: Grid,

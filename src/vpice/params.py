@@ -78,6 +78,10 @@ class RheologyParams:
         if not self.c_cor >= 0.0:
             raise InvalidStateError(
                 f"parameter c_cor must be >= 0, got {self.c_cor!r}")
+        e_sq = self.e * self.e  # Python's e**2 raises on overflow, e * e does not
+        if not (e_sq > 0.0 and 0.0 < 1.0 / e_sq < math.inf):
+            raise InvalidStateError(
+                f"parameter e must have 1/e^2 positive and finite, got {self.e!r}")
 
     def with_(self, **kwargs) -> "RheologyParams":
         """Copy with selected fields replaced."""

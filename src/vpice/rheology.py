@@ -17,6 +17,9 @@ and the quasilinear coefficient tensor
 which is exactly the Jacobian of the stress part (P/2) S eps / Delta_delta
 with respect to the full 2x2 deformation tensor.
 
+S is written out only in ``s_tensor`` (its 4x4 form) and ``s_map``; a general
+2x2 matrix enters through its symmetric part, ``StrainRate.from_matrix``.
+
 Every function broadcasts over numpy arrays, so a StrainRate whose entries
 are (ny, nx) fields is processed nodewise in one call.  All functions are
 pure; no global state.
@@ -61,15 +64,18 @@ class StrainRate:
         """Third invariant e12 (shear)."""
         return self.e12
 
+    @classmethod
+    def from_matrix(cls, m) -> "StrainRate":
+        """Symmetric part of a general (..., 2, 2) matrix m.
+
+        S m and Delta(m) depend on sym(m) only, so every general-matrix
+        evaluation goes through this."""
+        m = np.asarray(m)
+        return cls(m[..., 0, 0], 0.5 * (m[..., 0, 1] + m[..., 1, 0]), m[..., 1, 1])
+
     def as_matrix(self) -> np.ndarray:
         """Dense (..., 2, 2) representation."""
-        e11, e12, e22 = np.broadcast_arrays(self.e11, self.e12, self.e22)
-        out = np.empty(np.shape(e11) + (2, 2))
-        out[..., 0, 0] = e11
-        out[..., 0, 1] = e12
-        out[..., 1, 0] = e12
-        out[..., 1, 1] = e22
-        return out
+        return _symmetric_matrix(self.e11, self.e12, self.e22)
 
 
 @dataclass(frozen=True)
@@ -85,13 +91,15 @@ class Stress2x2:
         return self.s11 + self.s22
 
     def as_matrix(self) -> np.ndarray:
-        s11, s12, s22 = np.broadcast_arrays(self.s11, self.s12, self.s22)
-        out = np.empty(np.shape(s11) + (2, 2))
-        out[..., 0, 0] = s11
-        out[..., 0, 1] = s12
-        out[..., 1, 0] = s12
-        out[..., 1, 1] = s22
-        return out
+        """Dense (..., 2, 2) representation."""
+        return _symmetric_matrix(self.s11, self.s12, self.s22)
+
+
+def _symmetric_matrix(x11, x12, x22) -> np.ndarray:
+    """The (..., 2, 2) float matrix [[x11, x12], [x12, x22]]."""
+    x11, x12, x22 = np.broadcast_arrays(x11, x12, x22)
+    return np.stack([x11, x12, x12, x22], axis=-1,
+                    dtype=float).reshape(x11.shape + (2, 2))
 
 
 class YieldDiagnostics(NamedTuple):
@@ -115,13 +123,7 @@ def s_tensor(params: RheologyParams) -> np.ndarray:
         [0.0, q, q, 0.0],
         [1.0 - q, 0.0, 0.0, 1.0 + q],
     ])
-    out = np.empty((2, 2, 2, 2))
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    out[i, j, k, l] = s4[2 * i + k, 2 * j + l]
-    return out
+    return s4.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
 
 
 def s_map(eps: StrainRate, params: RheologyParams) -> Stress2x2:
@@ -147,15 +149,6 @@ def delta_sq(eps: StrainRate, params: RheologyParams):
     """
     q = 1.0 / params.e**2
     return eps.eps_i**2 + q * (eps.eps_ii**2 + 4.0 * eps.eps_iii**2)
-
-
-def delta_sq_general(m: np.ndarray, params: RheologyParams):
-    """Delta^2 of a general (..., 2, 2) matrix d, with d_III = (d12 + d21)/2."""
-    d_i = m[..., 0, 0] + m[..., 1, 1]
-    d_ii = m[..., 0, 0] - m[..., 1, 1]
-    d_iii = 0.5 * (m[..., 0, 1] + m[..., 1, 0])
-    q = 1.0 / params.e**2
-    return d_i**2 + q * (d_ii**2 + 4.0 * d_iii**2)
 
 
 def delta_reg(eps: StrainRate, params: RheologyParams):
@@ -245,13 +238,9 @@ def coefficient_tensor(eps: StrainRate, p, params: RheologyParams) -> np.ndarray
     """
     s = s_tensor(params)
     dreg = delta_reg(eps, params)
-    se = s_map(eps, params)
-    # (S eps) indexed as the (i, k) slot of the contraction
-    se_mat = np.empty((2, 2) + np.shape(dreg))
-    se_mat[0, 0] = se.s11
-    se_mat[0, 1] = se.s12
-    se_mat[1, 0] = se.s12
-    se_mat[1, 1] = se.s22
+    # (S eps) in the (i, k) slot of the contraction, contiguous for a fast einsum
+    se_mat = np.ascontiguousarray(
+        np.moveaxis(s_map(eps, params).as_matrix(), (-2, -1), (0, 1)))
     rank_one = np.einsum("ik...,jl...->ijkl...", se_mat, se_mat)
     s_full = s.reshape((2, 2, 2, 2) + (1,) * np.ndim(dreg))
     scale = np.asarray(p, dtype=float) / (2.0 * dreg)
@@ -270,15 +259,9 @@ def coercivity_lower_bound(eps: StrainRate, p, params: RheologyParams):
 
 def _stress_part_general(m: np.ndarray, p, params: RheologyParams) -> np.ndarray:
     """(P/2) S m / Delta_delta(m) for a general (possibly nonsymmetric) 2x2 m."""
-    q = 1.0 / params.e**2
-    off = m[..., 0, 1] + m[..., 1, 0]
-    sm = np.empty_like(m)
-    sm[..., 0, 0] = (1.0 + q) * m[..., 0, 0] + (1.0 - q) * m[..., 1, 1]
-    sm[..., 1, 1] = (1.0 - q) * m[..., 0, 0] + (1.0 + q) * m[..., 1, 1]
-    sm[..., 0, 1] = q * off
-    sm[..., 1, 0] = q * off
-    dreg = np.sqrt(params.delta + delta_sq_general(m, params))
-    return 0.5 * np.asarray(p, dtype=float) * sm / dreg[..., None, None]
+    eps = StrainRate.from_matrix(m)
+    return (0.5 * np.asarray(p, dtype=float) * s_map(eps, params).as_matrix()
+            / delta_reg(eps, params)[..., None, None])
 
 
 def strain_derivative_gap(eps: StrainRate, p, params: RheologyParams) -> float:
@@ -289,19 +272,13 @@ def strain_derivative_gap(eps: StrainRate, p, params: RheologyParams) -> float:
     representation independently with step FD_REL_STEP * (1 + max|eps|).
     The contract is gap <= 1e-6 * max|a| at generic strain rates.
     """
-    m0 = np.array([[float(eps.e11), float(eps.e12)],
-                   [float(eps.e12), float(eps.e22)]])
+    m0 = eps.as_matrix()
     step = FD_REL_STEP * (1.0 + np.max(np.abs(m0)))
-    fd = np.empty((2, 2, 2, 2))
-    for j in range(2):
-        for l in range(2):
-            mp = m0.copy()
-            mp[j, l] += step
-            mm = m0.copy()
-            mm[j, l] -= step
-            diff = (_stress_part_general(mp, p, params)
-                    - _stress_part_general(mm, p, params)) / (2.0 * step)
-            fd[:, j, :, l] = diff  # d(S_delta)_ik / d eps_jl stored at [i,j,k,l]
+    shifts = step * np.eye(4).reshape(4, 2, 2)  # entry (j, l) moved by step
+    diff = (_stress_part_general(m0 + shifts, p, params)
+            - _stress_part_general(m0 - shifts, p, params)) / (2.0 * step)
+    # d(S_delta)_ik / d eps_jl, indexed [jl, i, k], stored at [i, j, k, l]
+    fd = diff.reshape(2, 2, 2, 2).transpose(2, 0, 3, 1)
     analytic = coefficient_tensor(eps, p, params)
     return float(np.max(np.abs(fd - analytic)))
 

@@ -2,10 +2,11 @@
 
 The frozen-coefficient operator has principal symbol
 
-    A_#(xi)_ij = sum_kl a_ij^kl xi_k xi_l,
+    A_#(xi)_ij = sum_kl a_ij^kl xi_k xi_l = symbol_polynomial(a, xi, xi),
 
 a real symmetric positive definite 2x2 matrix for real xi != 0.  This module
-verifies, by deterministic seeded sampling,
+verifies, by deterministic seeded sampling (each report's ``passes``
+property is its pass rule),
 
   * strong ellipticity: Re (A_#(xi) eta | eta) >=
     (P / (2 Delta_delta^3)) delta / e^2 |xi|^2 |eta|^2,
@@ -43,24 +44,17 @@ from .rheology import (
 PROBE_TOL = 1e-12  # unit length and orthogonality of an LSProbe's (xi, nu)
 IM_THRESHOLD = 1e-6  # |Im (u | v)| / (|u| |v|) beyond which the form is > 0
 SPLIT_TOL = 1e-9  # roots with |Re mu| <= SPLIT_TOL |mu| fail the 2/2 split
+# Each report's ``passes`` property is its pass rule; NaN fails every one.
 LS_MIN_RATIO = 1e-8  # an LS probe passes when s_min / s_max > LS_MIN_RATIO
-# an ellipticity sample passes when its relative coercivity margin
-# (EllipticityReport.relative_margin) is >= COERCIVITY_MARGIN_MIN
+# an ellipticity sample passes when its symbol eigenvalues are positive and
+# its relative coercivity margin (EllipticityReport.relative_margin) is
+# >= COERCIVITY_MARGIN_MIN
 COERCIVITY_MARGIN_MIN = -1e-10
+BOUNDARY_FORM_MIN = -1e-10  # rounding allowance of the form's ">= 0"
 
 
 class RootBalanceError(RuntimeError):
     """The stable/unstable root split of the boundary ODE is not 2/2."""
-
-
-@dataclass(frozen=True)
-class SymbolMatrix:
-    """Principal symbol at a frozen state and frequency."""
-
-    matrix: np.ndarray
-    eps: StrainRate
-    p: float
-    xi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -91,6 +85,11 @@ class EllipticityReport:
     max_hermitian_defect: float
     n_samples: int
 
+    @property
+    def passes(self) -> bool:
+        return (self.min_eigenvalue > 0.0
+                and self.relative_margin >= COERCIVITY_MARGIN_MIN)
+
 
 @dataclass(frozen=True)
 class BoundaryFormReport:
@@ -98,6 +97,11 @@ class BoundaryFormReport:
     min_conditional_form: float
     n_samples: int
     n_conditional: int
+
+    @property
+    def passes(self) -> bool:
+        return (self.min_form >= BOUNDARY_FORM_MIN
+                and self.min_conditional_form > 0.0)
 
 
 @dataclass(frozen=True)
@@ -107,31 +111,35 @@ class LSResult:
     stable_roots: np.ndarray = field(repr=False)
     unstable_roots: np.ndarray = field(repr=False)
 
+    @property
+    def margin(self) -> float:
+        return self.s_min - LS_MIN_RATIO * self.s_max
 
-def principal_symbol(eps: StrainRate, p, xi, params: RheologyParams) -> SymbolMatrix:
-    """Assemble A_#(xi) from the six independent coefficients.
-
-    For complex xi (used by the boundary ODE) the same polynomial contraction
-    applies entrywise without conjugation.
-    """
-    a = coefficient_tensor(eps, p, params)
-    xi = np.asarray(xi)
-    a1111 = a[0, 0, 0, 0]
-    a1112 = a[0, 0, 0, 1]
-    a1122 = a[0, 0, 1, 1]
-    a1212 = a[0, 1, 0, 1]
-    a1222 = a[0, 1, 1, 1]
-    a2222 = a[1, 1, 1, 1]
-    x1, x2 = xi[0], xi[1]
-    m11 = a1111 * x1**2 + 2.0 * a1112 * x1 * x2 + a1122 * x2**2
-    m12 = a1112 * x1**2 + (a1212 + a1122) * x1 * x2 + a1222 * x2**2
-    m22 = a1122 * x1**2 + 2.0 * a1222 * x1 * x2 + a2222 * x2**2
-    return SymbolMatrix(np.array([[m11, m12], [m12, m22]]), eps, p, xi)
+    @property
+    def passes(self) -> bool:
+        return self.margin > 0.0
 
 
 def symbol_polynomial(a: np.ndarray, left, right) -> np.ndarray:
-    """Bilinear symbol Q_ij(p, q) = sum_kl a_ij^kl p_k q_l."""
-    return np.einsum("ijkl,k,l->ij", a, np.asarray(left), np.asarray(right))
+    """Bilinear symbol Q_ij(p, q) = sum_kl a_ij^kl p_k q_l, of shape (..., 2, 2).
+
+    The principal symbol is A_#(xi) = Q(xi, xi); complex p, q are contracted
+    without conjugation.  The trailing state axes of a (2, 2, 2, 2, ...)
+    broadcast against the leading axes of p and q (..., 2).
+    """
+    return np.einsum("ijkl...,...k,...l->...ij", a, left, right)
+
+
+def _draw_samples(rng, n_samples: int, n_vectors: int) -> tuple:
+    """Draws one sample at a time: theta on [0, 2 pi), then n_vectors complex
+    normal 2-vectors.  Returns theta (n,) and the vectors (n_vectors, n, 2)."""
+    theta = np.empty(n_samples)
+    vectors = np.empty((n_vectors, n_samples, 2), dtype=complex)
+    for index in range(n_samples):
+        theta[index] = rng.uniform(0.0, 2.0 * np.pi)
+        for vec in vectors:
+            vec[index] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return theta, vectors
 
 
 def ellipticity_report(eps: StrainRate, p, params: RheologyParams,
@@ -141,39 +149,32 @@ def ellipticity_report(eps: StrainRate, p, params: RheologyParams,
     Checks that the symbol is real symmetric with positive eigenvalues and
     that the quadratic form clears the quantitative lower bound
     (P / (2 Delta_delta^3)) delta / e^2.  Reductions use min/max only, so the
-    report is independent of evaluation order.
+    report is independent of evaluation order; a NaN sample makes it NaN.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
+    theta, (eta,) = _draw_samples(np.random.default_rng(seed), n_samples, 1)
+    eta /= np.linalg.norm(eta, axis=-1, keepdims=True)
+    xi = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    sym = symbol_polynomial(coefficient_tensor(eps, p, params), xi, xi)
     bound = coercivity_lower_bound(eps, p, params) * params.delta / params.e**2
-    min_eig = np.inf
-    min_margin = np.inf
-    max_defect = 0.0
-    for _ in range(n_samples):
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        xi = np.array([np.cos(theta), np.sin(theta)])
-        sym = principal_symbol(eps, p, xi, params).matrix
-        max_defect = max(max_defect, float(np.max(np.abs(sym - sym.T))))
-        eigs = np.linalg.eigvalsh(sym)
-        min_eig = min(min_eig, float(eigs[0]))
-        eta = rng.normal(size=2) + 1j * rng.normal(size=2)
-        eta /= np.linalg.norm(eta)
-        form = float(np.real(np.vdot(eta, sym @ eta)))
-        min_margin = min(min_margin, form - bound)
-    return EllipticityReport(min_eig, min_margin,
-                             min_margin / max(abs(bound), 1e-300),
-                             max_defect, n_samples)
+    forms = np.real(np.einsum("ni,nij,nj->n", eta.conj(), sym, eta))
+    min_margin = float(np.min(forms - bound))
+    return EllipticityReport(
+        float(np.min(np.linalg.eigvalsh(sym)[:, 0])), min_margin,
+        min_margin / max(abs(bound), 1e-300),
+        float(np.max(np.abs(sym - np.swapaxes(sym, -1, -2)))), n_samples)
 
 
-def boundary_form(a: np.ndarray, xi, nu, u, v) -> float:
-    """Re sum a_ij^kl (xi_l u_j - nu_l v_j) conj(xi_k u_i - nu_k v_i)."""
-    xi = np.asarray(xi, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    b = np.einsum("j,l->jl", u, xi) - np.einsum("j,l->jl", v, nu)
-    return float(np.real(np.einsum("ijkl,jl,ik->", a, b, b.conj())))
+def boundary_form(a: np.ndarray, xi, nu, u, v):
+    """Re sum a_ij^kl (xi_l u_j - nu_l v_j) conj(xi_k u_i - nu_k v_i).
+
+    Batched like ``symbol_polynomial``: the state axes of a broadcast
+    against the leading axes of the (..., 2) vectors xi, nu, u and v.
+    """
+    b = (np.einsum("...j,...l->...jl", u, xi)
+         - np.einsum("...j,...l->...jl", v, nu))
+    return np.real(np.einsum("ijkl...,...jl,...ik->...", a, b, b.conj()))
 
 
 def boundary_form_check(eps: StrainRate, p, params: RheologyParams,
@@ -183,24 +184,17 @@ def boundary_form_check(eps: StrainRate, p, params: RheologyParams,
     The form must be >= 0 always and strictly positive whenever
     |Im (u | v)| > IM_THRESHOLD |u| |v|.
     """
-    rng = np.random.default_rng(seed)
-    a = coefficient_tensor(eps, p, params)
-    min_form = np.inf
-    min_cond = np.inf
-    n_cond = 0
-    for _ in range(n_samples):
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        xi = np.array([np.cos(theta), np.sin(theta)])
-        nu = np.array([-np.sin(theta), np.cos(theta)])
-        u = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        value = boundary_form(a, xi, nu, u, v)
-        min_form = min(min_form, value)
-        im_uv = abs(np.imag(np.vdot(v, u)))  # Im (u | v) with (u|v) = sum u conj(v)
-        if im_uv > IM_THRESHOLD * np.linalg.norm(u) * np.linalg.norm(v):
-            n_cond += 1
-            min_cond = min(min_cond, value)
-    return BoundaryFormReport(min_form, min_cond, n_samples, n_cond)
+    theta, (u, v) = _draw_samples(np.random.default_rng(seed), n_samples, 2)
+    xi = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    nu = np.stack([-xi[:, 1], xi[:, 0]], axis=-1)
+    forms = boundary_form(coefficient_tensor(eps, p, params), xi, nu, u, v)
+    # Im (u | v) with (u | v) = sum u conj(v)
+    im_uv = np.abs(np.imag(np.sum(u * v.conj(), axis=-1)))
+    conditional = im_uv > (IM_THRESHOLD * np.linalg.norm(u, axis=-1)
+                           * np.linalg.norm(v, axis=-1))
+    return BoundaryFormReport(float(np.min(forms, initial=np.inf)),
+                              float(np.min(forms[conditional], initial=np.inf)),
+                              n_samples, int(np.sum(conditional)))
 
 
 def _companion_matrix(a: np.ndarray, lam: complex, xi, nu) -> np.ndarray:
@@ -209,15 +203,23 @@ def _companion_matrix(a: np.ndarray, lam: complex, xi, nu) -> np.ndarray:
     With w(y) = w0 exp(mu y) the ODE reads
     (C0 + mu C1 + mu^2 C2) w0 = 0 where C0 = lambda I + Q(xi, xi),
     C1 = i (Q(xi, nu) + Q(nu, xi)), C2 = -Q(nu, nu).  Q(nu, nu) is positive
-    definite for unit nu, so C2 is invertible.
+    definite for unit nu, so C2 is invertible; at states where it is not in
+    floating point, or the matrix is not finite, RootBalanceError.
     """
     c0 = lam * np.eye(2) + symbol_polynomial(a, xi, xi)
     c1 = 1j * (symbol_polynomial(a, xi, nu) + symbol_polynomial(a, nu, xi))
     c2 = -symbol_polynomial(a, nu, nu)
-    c2_inv = np.linalg.inv(c2)
+    try:
+        c2_inv = np.linalg.inv(c2)
+    except np.linalg.LinAlgError as exc:
+        raise RootBalanceError("C2 = -Q(nu, nu) is singular") from exc
     top = np.hstack([np.zeros((2, 2)), np.eye(2)])
-    bottom = np.hstack([-c2_inv @ c0, -c2_inv @ c1])
-    return np.vstack([top, bottom]).astype(complex)
+    with np.errstate(all="ignore"):  # a non-finite result is rejected below
+        bottom = np.hstack([-c2_inv @ c0, -c2_inv @ c1])
+    m = np.vstack([top, bottom]).astype(complex)
+    if not np.all(np.isfinite(m)):
+        raise RootBalanceError("companion matrix is not finite")
+    return m
 
 
 def sample_ls_probe(rng, params: RheologyParams, lambda_re_min: float = 0.0,

@@ -17,7 +17,12 @@ from vpice.operators import (
     assemble_neumann_laplacian,
 )
 from vpice.params import scaled_params
-from vpice.rheology import coefficient_tensor, delta_reg, pressure, sample_state
+from vpice.rheology import (
+    coefficient_tensor,
+    coercivity_lower_bound,
+    pressure,
+    sample_state,
+)
 from vpice.selftest import jacobian_suite, ls_suite, rheology_suite
 from vpice.stability import (
     Equilibrium,
@@ -27,7 +32,11 @@ from vpice.stability import (
     semisimplicity_proxy,
     spectrum,
 )
-from vpice.symbols import IM_THRESHOLD
+from vpice.symbols import (
+    IM_THRESHOLD,
+    boundary_form,
+    symbol_polynomial,
+)
 
 EQ = Equilibrium(1.0, 0.8)
 
@@ -64,15 +73,14 @@ def test_criterion_3_ellipticity():
     tensor = coefficient_tensor(eps, p, params)
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     xi = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    symbols = np.einsum("ijkln,nk,nl->nij", tensor, xi, xi)
+    symbols = symbol_polynomial(tensor, xi, xi)
     defect = np.max(np.abs(symbols - np.transpose(symbols, (0, 2, 1))))
     eigs = np.linalg.eigvalsh(symbols)
     min_eig = np.min(eigs)
     eta = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
     eta /= np.linalg.norm(eta, axis=1, keepdims=True)
     forms = np.real(np.einsum("ni,nij,nj->n", eta.conj(), symbols, eta))
-    dreg = delta_reg(eps, params)
-    bound = p / (2.0 * dreg**3) * params.delta / params.e**2
+    bound = coercivity_lower_bound(eps, p, params) * params.delta / params.e**2
     worst_margin = np.min(forms - bound)
     ok = (min_eig > 0.0 and worst_margin >= -1e-10
           and defect <= 1e-12 * np.max(np.abs(symbols)))
@@ -101,12 +109,11 @@ def test_criterion_5_boundary_form():
     nu = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
     u = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
     v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    b = np.einsum("nj,nl->njl", u, xi) - np.einsum("nj,nl->njl", v, nu)
-    forms = np.real(np.einsum("ijkln,njl,nik->n", tensor, b, b.conj()))
-    min_form = np.min(forms)
+    forms = boundary_form(tensor, xi, nu, u, v)
     im_uv = np.abs(np.imag(np.einsum("ni,ni->n", u, v.conj())))
     conditional = im_uv > (IM_THRESHOLD * np.linalg.norm(u, axis=1)
                            * np.linalg.norm(v, axis=1))
+    min_form = np.min(forms)
     min_conditional = np.min(forms[conditional])
     ok = min_form >= -1e-10 and min_conditional > 0.0
     report("criterion 5 (boundary form, 10^4 samples)", ok, time.time() - t0,

@@ -1,5 +1,6 @@
 """Configuration grammar, subcommand dispatch, file formats, reproducibility."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -146,6 +147,8 @@ def test_default_echo_is_golden():
     "rheology.delta = -1", "rheology.c_cor = -1", "grid.lx = 0",
     "stepper.t_end = 0", "stepper.picard_max = 0", "equilibrium.a_star = 1.5",
     "equilibrium.h_star = 0", "experiment.n_samples = 0",
+    # 1/e^2 underflows to 0 or overflows to inf
+    "rheology.e = 1e-308", "rheology.e = 1e308",
 ])
 def test_range_rules_name_line_and_key(assignment):
     key = assignment.split(" = ")[0]
@@ -184,13 +187,19 @@ def test_every_float_key_rejects_non_finite_values():
                 f"line 2: key {key} = {float(raw)!r} violates its range: ")
 
 
-def test_simulate_infinite_t_end_exit_2_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("t_end, reason", [
+    ("inf", "t_end must be finite, got inf"),
+    # finite, but the step count t_end / dt overflows
+    ("1e308", "t_end / dt must be finite, got 1e+308 / 0.004"),
+])
+def test_simulate_infinite_t_end_exit_2_one_line(tmp_path, capsys, t_end,
+                                                 reason):
     path = write_config(tmp_path, "grid.nx = 9\ngrid.ny = 9\n"
-                                  "stepper.t_end = inf\n")
+                                  f"stepper.t_end = {t_end}\n")
     assert dispatch(["simulate", path]) == 2
     err = capsys.readouterr().err
-    assert err == ("vpice: config error: line 3: key stepper.t_end = inf "
-                   "violates its range: t_end must be finite, got inf\n")
+    assert err == (f"vpice: config error: line 3: key stepper.t_end = "
+                   f"{float(t_end)!r} violates its range: {reason}\n")
 
 
 def test_echo_prints_17_digits():
@@ -317,6 +326,44 @@ def test_ls_check_subcommand(tmp_path, capsys):
     for line in lines[1:]:
         cells = line.split(",")
         assert cells[8] == "2" and cells[9] == "2"
+
+
+def test_symbol_nan_row_exit_1(tmp_path, capsys):
+    # P = 1e308 h exp(...) overflows: the report rows hold inf and NaN
+    out = tmp_path / "symbol"
+    path = write_config(tmp_path, "grid.nx = 5\ngrid.ny = 5\n"
+                                  "experiment.n_samples = 5\n"
+                                  "rheology.p_star = 1e308\n"
+                                  f"experiment.output_dir = {out}\n")
+    with np.errstate(all="ignore"):
+        assert dispatch(["symbol", path]) == 1
+    capsys.readouterr()
+    assert "nan" in (out / "symbol_report.csv").read_text()
+
+
+def test_ls_check_nan_s_min_exit_1(tmp_path, capsys, monkeypatch):
+    from vpice import cli
+    original = cli.lopatinskii_shapiro_check
+    monkeypatch.setattr(cli, "lopatinskii_shapiro_check", lambda *args:
+                        dataclasses.replace(original(*args), s_min=np.nan))
+    body = SCALED_SNIPPET + f"experiment.output_dir = {tmp_path / 'ls'}\n"
+    assert dispatch(["ls-check", write_config(tmp_path, body)]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("assignment", ["rheology.p_star = 1e-308",
+                                        "rheology.c = 1e308"])
+def test_ls_check_degenerate_symbol_exit_1_without_traceback(
+        tmp_path, capsys, assignment):
+    # P is 0 or subnormal: C2 = -Q(nu, nu) is singular or its inverse not
+    # finite, and every probe reports a RootBalanceError line
+    body = (f"grid.nx = 5\ngrid.ny = 5\nexperiment.n_samples = 3\n"
+            f"{assignment}\nexperiment.output_dir = {tmp_path / 'ls'}\n")
+    assert dispatch(["ls-check", write_config(tmp_path, body)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[0].startswith("probe 0: ")
+    assert len(err.splitlines()) == 3
 
 
 def test_decay_subcommand(tmp_path, capsys):

@@ -11,7 +11,6 @@ from vpice.rheology import (
     coercivity_lower_bound,
     delta_reg,
     delta_sq,
-    delta_sq_general,
     pressure,
     pressure_derivatives,
     s_map,
@@ -82,6 +81,31 @@ def test_s_map_matches_tensor_contraction_randomly():
         oracle = np.einsum("ijkl,jl->ik", s, m)
         se = s_map(eps, p).as_matrix()
         np.testing.assert_allclose(se, oracle, rtol=0, atol=1e-14)
+
+
+def test_s_tensor_is_the_4x4_form():
+    s4 = s4_oracle(1.7)
+    s = s_tensor(RheologyParams(e=1.7))
+    for i, j, k, l in np.ndindex(2, 2, 2, 2):
+        assert s[i, j, k, l] == s4[2 * i + k, 2 * j + l]
+
+
+def test_general_matrix_goes_through_its_symmetric_part():
+    # S m and Delta^2(m) of a nonsymmetric m, against the 4x4 form acting
+    # on all four entries of m
+    p = RheologyParams(e=1.7)
+    s4 = s4_oracle(1.7)
+    rng = np.random.default_rng(13)
+    m = rng.normal(size=(20, 2, 2))
+    eps = StrainRate.from_matrix(m)
+    vec = np.stack([as_vec4(x) for x in m])
+    np.testing.assert_allclose(eps.as_matrix(),
+                               0.5 * (m + np.swapaxes(m, 1, 2)), rtol=1e-15)
+    np.testing.assert_allclose(s_map(eps, p).as_matrix().reshape(20, 4),
+                               vec @ s4.T, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(delta_sq(eps, p),
+                               np.einsum("ni,ij,nj->n", vec, s4, vec),
+                               rtol=1e-12)
 
 
 def test_delta_sq_examples_and_oracle():
@@ -250,7 +274,8 @@ def test_coefficient_tensor_coercivity():
         a = coefficient_tensor(eps, P, p)
         d = rng.normal(size=(2, 2))
         quad = np.einsum("ijkl,ik,jl->", a, d, d)
-        bound = coercivity_lower_bound(eps, P, p) * p.delta * delta_sq_general(d, p)
+        bound = (coercivity_lower_bound(eps, P, p) * p.delta
+                 * delta_sq(StrainRate.from_matrix(d), p))
         assert quad >= bound - 1e-10
 
 
@@ -263,7 +288,7 @@ def test_cauchy_schwarz_bound():
         eps = random_strain(rng)
         dv, ev = as_vec4(d), as_vec4(eps.as_matrix())
         lhs = float(dv @ s4 @ ev) ** 2
-        rhs = delta_sq_general(d, p) * delta_sq(eps, p)
+        rhs = delta_sq(StrainRate.from_matrix(d), p) * delta_sq(eps, p)
         assert lhs <= rhs * (1.0 + 1e-12) + 1e-300
 
 

@@ -13,15 +13,20 @@ from vpice.rheology import (
     coefficient_tensor,
     coercivity_lower_bound,
     pressure,
+    sample_state,
 )
 from vpice.symbols import (
+    IM_THRESHOLD,
+    LS_MIN_RATIO,
+    BoundaryFormReport,
+    EllipticityReport,
     LSProbe,
+    LSResult,
     RootBalanceError,
     boundary_form,
     boundary_form_check,
     ellipticity_report,
     lopatinskii_shapiro_check,
-    principal_symbol,
     symbol_polynomial,
 )
 
@@ -45,40 +50,53 @@ def test_symbol_at_rest_axis_frequency():
     delta = 1e-6
     p = RheologyParams(e=2.0, delta=delta)
     P = 2.0 * np.sqrt(delta)
-    sym = principal_symbol(StrainRate(0.0, 0.0, 0.0), P, np.array([1.0, 0.0]), p)
-    np.testing.assert_allclose(sym.matrix, np.diag([1.25, 0.25]), rtol=1e-13)
+    a = coefficient_tensor(StrainRate(0.0, 0.0, 0.0), P, p)
+    xi = np.array([1.0, 0.0])
+    np.testing.assert_allclose(symbol_polynomial(a, xi, xi),
+                               np.diag([1.25, 0.25]), rtol=1e-13)
 
 
 def test_symbol_zero_frequency():
     p = RheologyParams()
-    sym = principal_symbol(StrainRate(0.1, 0.2, -0.3), 1.0, np.zeros(2), p)
-    assert np.all(sym.matrix == 0.0)
+    a = coefficient_tensor(StrainRate(0.1, 0.2, -0.3), 1.0, p)
+    assert np.all(symbol_polynomial(a, np.zeros(2), np.zeros(2)) == 0.0)
 
 
-def test_symbol_matches_full_contraction():
+def test_symbol_and_boundary_form_batched_match_one_at_a_time():
+    # states on the trailing axis of a, frequencies on the leading axis of
+    # the vectors: (5, 1) against (6,) broadcasts to (5, 6)
     p = scaled_params()
     rng = np.random.default_rng(2)
-    for _ in range(100):
-        eps = random_strain(rng)
-        P = pressure(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0), p)
-        xi = rng.normal(size=2)
-        a = coefficient_tensor(eps, P, p)
-        oracle = np.einsum("ijkl,k,l->ij", a, xi, xi)
-        sym = principal_symbol(eps, P, xi, p).matrix
-        np.testing.assert_allclose(sym, oracle, rtol=0,
-                                   atol=1e-12 * max(np.max(np.abs(oracle)), 1e-300))
+    eps, _, _, P = sample_state(rng, p, size=6)
+    a = coefficient_tensor(eps, P, p)
+    xi, nu = rng.normal(size=(2, 5, 1, 2))
+    u, v = rng.normal(size=(2, 5, 6, 2)) + 1j * rng.normal(size=(2, 5, 6, 2))
+    sym = symbol_polynomial(a, xi, xi)
+    forms = boundary_form(a, xi, nu, u, v)
+    assert sym.shape == (5, 6, 2, 2) and forms.shape == (5, 6)
+    for f, s in np.ndindex(5, 6):
+        single = symbol_polynomial(a[..., s], xi[f, 0], xi[f, 0])
+        assert np.array_equal(sym[f, s], single)
         # hermitian for real frequencies
-        assert np.max(np.abs(sym - sym.T)) <= 1e-12 * max(np.max(np.abs(sym)), 1e-300)
+        assert np.max(np.abs(single - single.T)) <= 1e-12 * np.max(np.abs(single))
+        assert forms[f, s] == boundary_form(a[..., s], xi[f, 0], nu[f, 0],
+                                            u[f, s], v[f, s])
 
 
 def test_symbol_accepts_complex_frequency():
+    # oracle: the symbol from the six independent coefficients, by the
+    # index symmetries of a
     p = scaled_params()
-    eps = StrainRate(0.3, -0.2, 0.1)
-    a = coefficient_tensor(eps, 1.0, p)
-    zeta = np.array([1.0 + 0.5j, -0.3 + 2.0j])
-    sym = principal_symbol(eps, 1.0, zeta, p).matrix
-    oracle = np.einsum("ijkl,k,l->ij", a, zeta, zeta)
-    np.testing.assert_allclose(sym, oracle, rtol=1e-12)
+    a = coefficient_tensor(StrainRate(0.3, -0.2, 0.1), 1.0, p)
+    z1, z2 = zeta = np.array([1.0 + 0.5j, -0.3 + 2.0j])
+    a1111, a1112, a1122 = a[0, 0, 0, 0], a[0, 0, 0, 1], a[0, 0, 1, 1]
+    a1212, a1222, a2222 = a[0, 1, 0, 1], a[0, 1, 1, 1], a[1, 1, 1, 1]
+    m12 = a1112 * z1**2 + (a1212 + a1122) * z1 * z2 + a1222 * z2**2
+    oracle = np.array([
+        [a1111 * z1**2 + 2.0 * a1112 * z1 * z2 + a1122 * z2**2, m12],
+        [m12, a1122 * z1**2 + 2.0 * a1222 * z1 * z2 + a2222 * z2**2]])
+    np.testing.assert_allclose(symbol_polynomial(a, zeta, zeta), oracle,
+                               rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +134,8 @@ def test_ellipticity_relative_margin_is_margin_over_bound():
     assert report.relative_margin == report.min_coercivity_margin / bound
 
 
-@pytest.mark.parametrize("relative, ok", [(-2e-10, False), (-0.5e-10, True)])
+@pytest.mark.parametrize("relative, ok", [(-2e-10, False), (-0.5e-10, True),
+                                          (np.nan, False)])
 def test_ellipticity_suite_applies_the_relative_margin(monkeypatch, relative,
                                                        ok):
     # the pass rule reads the relative margin, whatever the absolute one
@@ -128,6 +147,62 @@ def test_ellipticity_suite_applies_the_relative_margin(monkeypatch, relative,
     passed, detail = selftest.ellipticity_suite()
     assert passed == ok
     assert detail.endswith(f"margin {relative:.2e}")
+
+
+def test_ellipticity_report_equals_loop_over_single_samples():
+    # the same draws, one sample at a time: theta, then the complex vector
+    p = scaled_params()
+    eps, P = StrainRate(0.3, -0.2, 0.1), 1.3
+    report = ellipticity_report(eps, P, p, n_samples=50, seed=9)
+    rng = np.random.default_rng(9)
+    a = coefficient_tensor(eps, P, p)
+    eigs, forms, defects = [], [], []
+    for _ in range(50):
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        xi = np.array([np.cos(theta), np.sin(theta)])
+        eta = rng.normal(size=2) + 1j * rng.normal(size=2)
+        eta /= np.linalg.norm(eta)
+        sym = symbol_polynomial(a, xi, xi)
+        eigs.append(np.linalg.eigvalsh(sym)[0])
+        forms.append(np.real(np.vdot(eta, sym @ eta)))
+        defects.append(np.max(np.abs(sym - sym.T)))
+    bound = coercivity_lower_bound(eps, P, p) * p.delta / p.e**2
+    assert report.min_eigenvalue == min(eigs)
+    assert report.max_hermitian_defect == max(defects)
+    assert report.min_coercivity_margin == pytest.approx(min(forms) - bound,
+                                                         rel=1e-14)
+
+
+@pytest.mark.parametrize("report, ok", [
+    (EllipticityReport(1.0, 0.0, 0.0, 0.0, 1), True),
+    (EllipticityReport(0.0, 0.0, 0.0, 0.0, 1), False),
+    (EllipticityReport(1.0, 0.0, -2e-10, 0.0, 1), False),
+    (EllipticityReport(np.nan, 0.0, 0.0, 0.0, 1), False),
+    (EllipticityReport(1.0, np.nan, np.nan, 0.0, 1), False),
+    (BoundaryFormReport(0.0, 1.0, 1, 1), True),
+    (BoundaryFormReport(-2e-10, 1.0, 1, 1), False),
+    (BoundaryFormReport(0.0, 0.0, 1, 1), False),
+    (BoundaryFormReport(np.nan, 1.0, 1, 1), False),
+    (BoundaryFormReport(0.0, np.nan, 1, 1), False),
+    (LSResult(1.0, 1.0, None, None), True),
+    (LSResult(1e-8, 1.0, None, None), False),
+    (LSResult(np.nan, 1.0, None, None), False),
+    (LSResult(1.0, np.nan, None, None), False),
+])
+def test_pass_rules_fail_on_nan(report, ok):
+    assert report.passes is ok
+
+
+def test_ls_result_margin():
+    assert LSResult(0.5, 2.0, None, None).margin == 0.5 - LS_MIN_RATIO * 2.0
+
+
+def test_ls_suite_fails_on_nan_s_min(monkeypatch):
+    original = selftest.lopatinskii_shapiro_check
+    monkeypatch.setattr(selftest, "lopatinskii_shapiro_check", lambda *args:
+                        dataclasses.replace(original(*args), s_min=np.nan))
+    passed, _ = selftest.ls_suite(n=3)
+    assert not passed
 
 
 def test_ellipticity_rejects_empty_sampling():
@@ -162,6 +237,28 @@ def test_boundary_form_real_parallel_vectors_can_vanish():
     # still nonnegative, and Im(u|v) = 0
     assert value >= -1e-14
     assert abs(np.imag(np.vdot(w, w))) == 0.0
+
+
+def test_boundary_form_check_equals_loop_over_single_samples():
+    p = scaled_params()
+    eps, P = StrainRate(0.4, -0.1, 0.2), 1.3
+    report = boundary_form_check(eps, P, p, n_samples=300, seed=11)
+    rng = np.random.default_rng(11)
+    a = coefficient_tensor(eps, P, p)
+    forms, conditional = [], []
+    for _ in range(300):
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        xi = np.array([np.cos(theta), np.sin(theta)])
+        nu = np.array([-np.sin(theta), np.cos(theta)])
+        u = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        forms.append(boundary_form(a, xi, nu, u, v))
+        if (abs(np.imag(np.vdot(v, u)))
+                > IM_THRESHOLD * np.linalg.norm(u) * np.linalg.norm(v)):
+            conditional.append(forms[-1])
+    assert report.min_form == min(forms)
+    assert report.min_conditional_form == min(conditional)
+    assert report.n_conditional == len(conditional)
 
 
 def test_boundary_form_margins():
