@@ -22,6 +22,8 @@ rep = spectrum(op, grid)
 proxy = semisimplicity_proxy(op, grid)
 print(f"grid {grid.nx}x{grid.ny}: {len(rep.eigenvalues)} interior unknowns")
 print(f"kernel dimension       : {rep.kernel_dim}")
+print(f"symmetry group         : {rep.symmetry_group}, dense blocks "
+      f"(size, copies) {rep.block_sizes}")
 print(f"spectral gap           : {rep.spectral_gap:.5f}")
 print(f"semi-simplicity        : {'certified' if proxy.certified else 'NOT certified'}, "
       f"kernel residuals {proxy.right_residual:.1e} (right), "
@@ -38,7 +40,8 @@ for d, g in zip(deltas, gaps):
 
 params_cor = scaled_params(delta=1e-6, c_cor=0.5)
 rep_cor = spectrum(assemble_A0(eq, grid, params_cor), grid)
-print(f"\nwith rotation c_cor = 0.5: kernel dim {rep_cor.kernel_dim}, "
+print(f"\nwith rotation c_cor = 0.5: {rep_cor.symmetry_group}, dense blocks "
+      f"(size, copies) {rep_cor.block_sizes}, kernel dim {rep_cor.kernel_dim}, "
       f"min Re = {rep_cor.eigenvalues.real.min():.3e} "
       f"(stays nonnegative), max |Im| = "
       f"{np.abs(rep_cor.eigenvalues.imag).max():.3e}")

@@ -51,6 +51,7 @@ from .rheology import pressure, sample_state
 from .stability import (
     BudgetExceededError,
     DecayFitError,
+    NormEstimateError,
     assemble_A0,
     check_dense_budget,
     decay_experiment,
@@ -164,6 +165,10 @@ def cmd_spectrum(cfg: RunConfig, dump_matrix=None) -> int:
         ("kernel_right_residual", proxy.right_residual),
         ("kernel_left_residual", proxy.left_residual),
         ("kernel_restriction_norm", proxy.restriction_norm),
+        ("symmetry_group", report.symmetry_group),
+        # "401x2": one block of 401 whose eigenvalues count twice
+        ("block_sizes", " ".join(f"{size}x{copies}" if copies > 1 else str(size)
+                                 for size, copies in report.block_sizes)),
     ])
     files = [("spectrum.csv", "csv"), ("spectrum_summary.txt", "key-value")]
     if dump_matrix:
@@ -290,7 +295,7 @@ def dispatch(argv) -> int:
         return _fail(str(exc), 2)
     # OSError: an output or dump path that cannot be written
     except (StepError, LinearSolveError, PicardDivergenceError,
-            DecayFitError, OSError) as exc:
+            DecayFitError, NormEstimateError, OSError) as exc:
         return _fail(str(exc), 1)
 
 

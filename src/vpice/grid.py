@@ -15,6 +15,7 @@ identities of the solver rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -40,6 +41,12 @@ class Grid:
             raise InvalidStateError("grid needs nx, ny >= 3")
         if not (self.lx > 0.0 and self.ly > 0.0):
             raise InvalidStateError("grid extents must be positive")
+        for name, h in (("dx", self.dx), ("dy", self.dy)):
+            h_sq = h * h  # Python's h**2 raises on overflow, h * h does not
+            if not (h_sq > 0.0 and 0.0 < 1.0 / h_sq < math.inf):
+                raise InvalidStateError(
+                    f"grid spacing {name} = {h!r} must have 1/{name}^2 "
+                    f"positive and finite")
 
     @property
     def dx(self) -> float:

@@ -183,7 +183,8 @@ SUITES = (("rheology-identities", rheology_suite),
 # a suite that raises one of these fails with its message; the others still run
 SUITE_ERRORS = (symbols.RootBalanceError, InvalidStateError,
                 operators.LinearSolveError, dynamics.StepError,
-                dynamics.PicardDivergenceError, stability.BudgetExceededError)
+                dynamics.PicardDivergenceError, stability.BudgetExceededError,
+                stability.NormEstimateError)
 
 
 def run_selftest() -> bool:

@@ -16,17 +16,23 @@ toward the mean-value equilibrium at a rate set by the spectral gap.
 
 At a constant state on the uniform grid, A0 commutes exactly with the
 half turn, and at c_cor = 0 also with the signed x- and y-mirrors (u1,
-resp. u2, changes sign).  ``mirror_blocks`` checks which of them commute
-entry by entry and splits the reduced A0 into 4, 2 or 1 independent blocks;
+resp. u2, changes sign).  On a square grid with dx == dy it commutes with
+the quarter turn as well, and at c_cor = 0 with the diagonal reflection
+(u1 <-> u2), which makes the group D4.  ``symmetry_blocks`` checks which
+maps commute entry by entry and splits the reduced A0 along the characters
+of the largest such group: D4 gives 4 blocks plus one, for the 2-D irrep,
+whose eigenvalues count twice; C4 two real blocks plus a complex one whose
+conjugate block is not built; the mirrors alone 4 blocks; the half turn 2.
 ``spectrum`` deflates the exact constant-(h, a) kernel there and finds the
-gap by one dense eigensolve per block.  ``semisimplicity_proxy`` certifies, in O(nnz), that the
-constant vectors are both the right and the left kernel, so the zero
-eigenvalue is semisimple.
+gap by one dense eigensolve per block.  ``semisimplicity_proxy`` certifies,
+in O(nnz), that the constant vectors are both the right and the left
+kernel, so the zero eigenvalue is semisimple.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +68,10 @@ class DecayFitError(RuntimeError):
     """Too few samples in the asymptotic window to fit a decay rate."""
 
 
+class NormEstimateError(RuntimeError):
+    """ARPACK failed to estimate ||M||_2 for the kernel certificate."""
+
+
 @dataclass(frozen=True)
 class Equilibrium:
     """Constant equilibrium state (0, h*, a*): thickness h* in m,
@@ -74,6 +84,10 @@ class Equilibrium:
         check_finite(self)
         if not self.h_star > 0.0:
             raise InvalidStateError(f"h* = {self.h_star!r} must be positive")
+        if not math.isfinite(2.0 * self.h_star):
+            raise InvalidStateError(
+                f"h* = {self.h_star!r}: the sampling range [h*/2, 2 h*] "
+                f"must be finite")
         if not 0.0 <= self.a_star <= 1.0:
             raise InvalidStateError(f"a* = {self.a_star!r} outside [0, 1]")
 
@@ -96,6 +110,8 @@ class SpectrumReport:
     kernel_dim: int
     spectral_gap: float
     spectral_radius: float
+    symmetry_group: str  # the group ``symmetry_blocks`` split by
+    block_sizes: tuple  # (size, copies) of each dense block solved
 
 
 def weight_constants(eq: Equilibrium, params: RheologyParams) -> tuple:
@@ -118,16 +134,23 @@ def assemble_A0(eq: Equilibrium, grid: Grid, params: RheologyParams) -> SparseOp
     The quasilinear block operator frozen at (0, h*, a*) plus the rows it
     lacks: h* div(u) and a* div(u) from linearizing the advective fluxes
     (so A0 is not block triangular) and the Coriolis term +c_cor (n x u),
-    the linearization of the stepper's tendency -c_cor (n x u).
+    the linearization of the stepper's tendency -c_cor (n x u).  Settings
+    whose A0 has a non-finite entry raise InvalidStateError.
     """
     eq.validate(params)
     interior = grid.interior_mask().ravel().astype(float)
-    # +c_cor (n x u) with n x u = (-u2, u1), interior rows only
-    terms = coupled_terms(eq.state(grid).validate(params), grid, params) + [
-        ("id", 0, 1, interior, -params.c_cor), ("id", 1, 0, interior, params.c_cor),
-        ("div", 2, 0, None, eq.h_star), ("div", 3, 0, None, eq.a_star)]
-    return SparseOperator(assemble_terms(grid, (4, 4), terms),
-                          velocity_boundary_mask(grid, 4))
+    # a non-finite entry is rejected below, so its float warnings are not shown
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # +c_cor (n x u) with n x u = (-u2, u1), interior rows only
+        terms = coupled_terms(eq.state(grid).validate(params), grid, params) + [
+            ("id", 0, 1, interior, -params.c_cor),
+            ("id", 1, 0, interior, params.c_cor),
+            ("div", 2, 0, None, eq.h_star), ("div", 3, 0, None, eq.a_star)]
+        matrix = assemble_terms(grid, (4, 4), terms)
+    if not np.all(np.isfinite(matrix.data)):
+        raise InvalidStateError(
+            "the linearization A0 has non-finite entries at these settings")
+    return SparseOperator(matrix, velocity_boundary_mask(grid, 4))
 
 
 def kernel_basis(grid: Grid, n_fields: int = 4) -> np.ndarray:
@@ -153,22 +176,34 @@ def check_dense_budget(size: int) -> None:
             f"{DENSE_EIG_BUDGET}")
 
 
-def _reflection(grid: Grid, keep: np.ndarray, flip_x: bool, flip_y: bool):
-    """Signed node permutation that reflects x (i -> nx-1-i, u1 -> -u1)
-    and/or y (j -> ny-1-j, u2 -> -u2), on the kept unknowns of stacked
-    nodal fields whose first two are the velocity (when there are two or
-    more).  Returns (index, sign), the map e_k -> sign[k] e_index[k], or
-    None when it sends a kept unknown to a dropped one or the unknowns are
-    no such stack on this grid."""
-    n = grid.n_nodes
-    n_fields = len(keep) // n
-    nodes = np.arange(n).reshape(grid.ny, grid.nx)
-    nodes = nodes[::-1 if flip_y else 1, ::-1 if flip_x else 1].ravel()
-    index = np.concatenate([field * n + nodes for field in range(n_fields)])
-    sign = np.ones(n_fields * n)
-    if n_fields >= 2:
-        sign[:n] = -1.0 if flip_x else 1.0
-        sign[n:2 * n] = -1.0 if flip_y else 1.0
+def _symmetry(grid: Grid, keep: np.ndarray, name: str):
+    """Signed permutation of a grid symmetry on the kept unknowns of
+    stacked nodal fields whose first two are the velocity (when there are
+    two or more): the x-mirror "x" (i -> nx-1-i, u1 -> -u1), the y-mirror
+    "y" (j -> ny-1-j, u2 -> -u2), their product the half turn "xy", the
+    diagonal reflection "d" ((i, j) -> (j, i), u1 <-> u2) or the quarter
+    turn "r" ((i, j) -> (j, nx-1-i), u1 -> -u2, u2 -> u1).  Returns
+    (index, sign), the map e_k -> sign[k] e_index[k], or None when the grid
+    is not square for "d" and "r", the map sends a kept unknown to a
+    dropped one, or the unknowns are no such stack on this grid."""
+    nx, ny, n = grid.nx, grid.ny, grid.n_nodes
+    if name in ("d", "r") and nx != ny:
+        return None
+    j, i = np.divmod(np.arange(n), nx)
+    # node (i, j) goes to (i_to, j_to); u1 and u2 go to (field, sign)
+    i_to, j_to, velocity = {
+        "x": (nx - 1 - i, j, ((0, -1.0), (1, 1.0))),
+        "y": (i, ny - 1 - j, ((0, 1.0), (1, -1.0))),
+        "xy": (nx - 1 - i, ny - 1 - j, ((0, -1.0), (1, -1.0))),
+        "d": (j, i, ((1, 1.0), (0, 1.0))),
+        "r": (j, nx - 1 - i, ((1, -1.0), (0, 1.0))),
+    }[name]
+    nodes = j_to * nx + i_to
+    fields = [(field, 1.0) for field in range(len(keep) // n)]
+    if len(fields) >= 2:
+        fields[:2] = velocity
+    index = np.concatenate([field * n + nodes for field, _ in fields])
+    sign = np.repeat([s for _, s in fields], n)
     if not np.array_equal(keep[index], keep):  # shapes differ off the grid
         return None
     return (np.cumsum(keep) - 1)[index[keep]], sign[keep]
@@ -192,53 +227,107 @@ def _deflate(block, coords: np.ndarray):
     return block[others][:, others] - block[others][:, pivots] @ weights
 
 
-def mirror_blocks(op: SparseOperator, grid: Grid) -> list:
-    """The reduced operator split along its exact reflection symmetries.
+# The exact symmetry groups, largest first: name, generators (see
+# ``_symmetry``) and one block per (character on the generators, copies,
+# conjugate).  The trivial character comes first.  A character shorter
+# than the generators is one of the subgroup of the leading ones: D4's
+# 2-D irrep E is split by the mirrors into the (+,-) and (-,+) characters,
+# which d maps onto each other, so the (+,-) block is solved and counted
+# twice.  At c_cor > 0 the quarter turn's characters i and -i give
+# complex conjugate blocks, so only i is solved.
+_GROUPS = (
+    ("D4", ("x", "y", "d"),
+     [((1, 1, 1), 1, False), ((1, 1, -1), 1, False),
+      ((-1, -1, 1), 1, False), ((-1, -1, -1), 1, False),
+      ((1, -1), 2, False)]),
+    ("Klein", ("x", "y"),
+     [(character, 1, False)
+      for character in itertools.product((1, -1), repeat=2)]),
+    ("C4", ("r",), [((1,), 1, False), ((-1,), 1, False), ((1j,), 1, True)]),
+    ("C2", ("xy",), [((1,), 1, False), ((-1,), 1, False)]),
+    ("trivial", (), [((), 1, False)]),
+)
+
+
+@dataclass(frozen=True)
+class SymmetryBlock:
+    """One block Q^H M Q of ``symmetry_blocks``: its eigenvalues count
+    ``copies`` times in the spectrum of M, and when ``conjugate`` is set
+    so do their complex conjugates."""
+
+    matrix: sp.csr_matrix
+    copies: int
+    conjugate: bool
+
+
+def symmetry_blocks(op: SparseOperator, grid: Grid) -> tuple:
+    """The reduced operator split along its exact grid symmetries.
 
     With the Dirichlet rows and columns dropped, M is tested against the
-    signed permutations of the x-mirror, the y-mirror and their product,
-    the half turn.  The largest set that commutes with M exactly (P M P^T
-    - M has no nonzero entry) is kept: both mirrors, else the half turn,
-    else none.  For each joint +-1 character chi of the group G they
-    generate, the orbit projector sum_g chi(g) g, applied to one unknown
-    of every orbit, gives an orthonormal sparse basis Q_chi with at most
-    |G| nonzeros per column.  The blocks Q_chi^T M Q_chi are returned; the
-    bases are orthogonal to each other and span the kept unknowns, so the
-    blocks' spectra together are the spectrum of M, except that the
-    G-invariant ``kernel_basis`` K, in the trivial character's block, is
-    deflated there: M's zero eigenvalues of K are left out.
+    signed permutations of ``_symmetry``, each entry by entry (P M P^T - M
+    has no nonzero entry), and the first group of ``_GROUPS`` whose
+    generators all commute with M is kept: D4 (both mirrors and the
+    diagonal reflection, c_cor = 0 on a square grid with dx == dy), the
+    Klein four group of the two mirrors (c_cor = 0), C4 (the quarter
+    turn, square grids), C2 (the half turn) or the trivial group.  For
+    each character chi of a block, the orbit projector sum_g conj(chi(g)) g
+    over the group G (or the subgroup the character is of), applied to one
+    unknown of every orbit, gives an orthonormal sparse basis Q with at
+    most |G| nonzeros per column.  The bases of the blocks solved and of
+    the blocks they stand for (``SymmetryBlock.copies`` and ``conjugate``)
+    are orthogonal to each other and span the kept unknowns, so together
+    the blocks' spectra are the spectrum of M, except that the G-invariant
+    ``kernel_basis`` K, in the trivial character's block, is deflated
+    there: M's zero eigenvalues of K are left out.  Returns (group name,
+    blocks).
     """
     keep = ~op.dirichlet_mask
     matrix = op.matrix[keep][:, keep].tocsr()
     kernel = kernel_basis(grid, op.dim // grid.n_nodes)[keep]
-    generators = []
-    for flips in (((True, False), (False, True)), ((True, True),)):
-        maps = [_reflection(grid, keep, *flip) for flip in flips]
-        if all(m is not None and _commutes(matrix, *m) for m in maps):
-            generators = maps
-            break
+    maps = {}
+
+    def exact(name):
+        if name not in maps:
+            found = _symmetry(grid, keep, name)
+            exact = found is not None and _commutes(matrix, *found)
+            maps[name] = found if exact else None
+        return maps[name] is not None
+
+    group, names, characters = next(
+        entry for entry in _GROUPS if all(exact(name) for name in entry[1]))
     size = matrix.shape[0]
     columns = np.arange(size)
-    # every group element: index map, signs, exponents of the generators
+    # every group element: index map, signs, the positions of its word's
+    # generators
     elements = [(columns, np.ones(size), ())]
-    for position, (index, sign) in enumerate(generators):
-        elements += [(index[member], s * sign[member], powers + (position,))
-                     for member, s, powers in elements]
-    rows = np.concatenate([member for member, _, _ in elements])
-    orbit_first = np.min([member for member, _, _ in elements], axis=0) == columns
+    for position, name in enumerate(names):
+        index, sign = maps[name]
+        power = elements
+        for _ in range(3 if name == "r" else 1):  # r has order 4, the rest 2
+            power = [(index[member], s * sign[member], word + (position,))
+                     for member, s, word in power]
+            elements = elements + power
     blocks = []
-    for character in itertools.product((1.0, -1.0), repeat=len(generators)):
-        data = np.concatenate([s * np.prod([character[p] for p in powers])
-                               for _, s, powers in elements])
-        basis = sp.csc_matrix((data, (rows, np.tile(columns, len(elements)))),
-                              shape=(size, size))[:, orbit_first]
+    for character, copies, conjugate in characters:
+        used = [element for element in elements
+                if all(position < len(character) for position in element[2])]
+        members = [member for member, _, _ in used]
+        orbit_first = np.min(members, axis=0) == columns
+        data = np.concatenate(
+            [s * np.conj(np.prod([character[p] for p in word]))
+             for _, s, word in used])
+        basis = sp.csc_matrix(
+            (data, (np.concatenate(members), np.tile(columns, len(used)))),
+            shape=(size, size))[:, orbit_first]
         # a projected column is either zero or has all its entries equal in size
-        norms = np.sqrt(np.asarray(basis.multiply(basis).sum(axis=0))).ravel()
+        norms = np.sqrt(np.asarray(abs(basis).power(2).sum(axis=0))).ravel()
         basis = basis[:, norms > 0.0] @ sp.diags(1.0 / norms[norms > 0.0])
-        block = (basis.T @ matrix @ basis).tocsr()
+        block = (basis.conj().T @ matrix @ basis).tocsr()
         # the first character is the trivial one
-        blocks.append(block if blocks else _deflate(block, basis.T @ kernel))
-    return blocks
+        blocks.append(SymmetryBlock(
+            block if blocks else _deflate(block, basis.T @ kernel),
+            copies, conjugate))
+    return group, blocks
 
 
 def spectrum(op: SparseOperator, grid: Grid) -> SpectrumReport:
@@ -249,19 +338,28 @@ def spectrum(op: SparseOperator, grid: Grid) -> SpectrumReport:
     DENSE_EIG_BUDGET unknowns raise BudgetExceededError, before anything
     is built.  kernel_dim is the column count of ``kernel_basis`` K, whose
     exact zeros lead ``eigenvalues``; the others, from one dense
-    eigensolve per ``mirror_blocks`` block, set the spectral gap (their
-    smallest real part).  The deflation of K is exact when K is a left
-    kernel, which ``semisimplicity_proxy`` certifies.
+    eigensolve per ``symmetry_blocks`` block, each counted as the block
+    says, set the spectral gap (their smallest real part).  The deflation
+    of K is exact when K is a left kernel, which ``semisimplicity_proxy``
+    certifies.
     """
     check_dense_budget(int(np.sum(~op.dirichlet_mask)))
     kernel_dim = kernel_basis(grid, op.dim // grid.n_nodes).shape[1]
-    rest = np.concatenate(
-        [sla.eigvals(block.toarray(), overwrite_a=True, check_finite=False)
-         for block in mirror_blocks(op, grid)])
+    group, blocks = symmetry_blocks(op, grid)
+    parts, sizes = [], []
+    for block in blocks:
+        values = sla.eigvals(block.matrix.toarray(), overwrite_a=True,
+                             check_finite=False)
+        copies = ([values, values.conj()] if block.conjugate
+                  else [values]) * block.copies
+        parts += copies
+        sizes.append((len(values), len(copies)))
+    rest = np.concatenate(parts)
     eigenvalues = np.concatenate([np.zeros(kernel_dim, complex), rest])
     gap = float(np.min(rest.real)) if rest.size else np.inf
     return SpectrumReport(eigenvalues, kernel_dim, gap,
-                          float(np.max(np.abs(eigenvalues), initial=0.0)))
+                          float(np.max(np.abs(eigenvalues), initial=0.0)),
+                          group, tuple(sizes))
 
 
 @dataclass
@@ -300,7 +398,11 @@ def semisimplicity_proxy(op: SparseOperator, grid: Grid) -> SemisimplicityReport
     basis = kernel_basis(grid, op.dim // grid.n_nodes)[keep]
     image = matrix @ basis
     start = np.random.default_rng(0).standard_normal(matrix.shape[0])
-    op_norm = spla.svds(matrix, k=1, v0=start, return_singular_vectors=False)
+    try:
+        op_norm = spla.svds(matrix, k=1, v0=start,
+                            return_singular_vectors=False)
+    except spla.ArpackError as exc:
+        raise NormEstimateError(f"||A0||_2 estimate failed: {exc}") from None
     return SemisimplicityReport(
         kernel_dim=basis.shape[1],
         right_residual=float(np.linalg.norm(image, 2)),

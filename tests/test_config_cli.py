@@ -149,6 +149,10 @@ def test_default_echo_is_golden():
     "equilibrium.h_star = 0", "experiment.n_samples = 0",
     # 1/e^2 underflows to 0 or overflows to inf
     "rheology.e = 1e-308", "rheology.e = 1e308",
+    # so do 1/dx^2 and 1/dy^2
+    "grid.lx = 1e-308", "grid.lx = 1e308", "grid.ly = 1e308",
+    # the sampling range [h*/2, 2 h*] overflows
+    "equilibrium.h_star = 1e308",
 ])
 def test_range_rules_name_line_and_key(assignment):
     key = assignment.split(" = ")[0]
@@ -293,11 +297,46 @@ def test_spectrum_subcommand_outputs(tmp_path, capsys):
     n = 9 * 9
     interior_unknowns = 2 * (7 * 7) + 2 * n
     assert len(lines) - 1 == interior_unknowns
-    summary = (out / "spectrum_summary.txt").read_text()
-    assert "kernel_dim = 2" in summary
+    summary = [line.split(" = ") for line in
+               (out / "spectrum_summary.txt").read_text().splitlines()]
+    assert [key for key, _ in summary] == [
+        "kernel_dim", "spectral_gap", "spectral_radius",
+        "kernel_right_residual", "kernel_left_residual",
+        "kernel_restriction_norm", "symmetry_group", "block_sizes"]
+    summary = dict(summary)
+    assert summary["kernel_dim"] == "2"
+    # D4 at c_cor = 0 on a square grid; the 2-D irrep's block counts twice
+    assert summary["symmetry_group"] == "D4"
+    assert summary["block_sizes"] == "40 32 32 24 65x2"
+    assert 40 + 32 + 32 + 24 + 2 * 65 == interior_unknowns - 2
     manifest = (out / "manifest.txt").read_text()
     assert "file.0.name = spectrum.csv" in manifest
     assert "config.grid.nx = 9" in manifest
+
+
+@pytest.mark.parametrize("command, assignment, code", [
+    # A0 is not finite: a config error
+    ("spectrum", "rheology.p_star = 1e308", 2),
+    ("spectrum", "rheology.rho_ice = 1e-308", 2),
+    ("spectrum", "rheology.d_h = 1e308", 2),
+    ("spectrum", "equilibrium.h_star = 1e308", 2),
+    ("symbol", "equilibrium.h_star = 1e308", 2),
+    ("ls-check", "equilibrium.h_star = 1e308", 2),
+    # A0 is finite, but ARPACK cannot estimate ||A0||_2
+    ("spectrum", "rheology.delta = 1e-308", 1),
+    ("spectrum", "rheology.c_cor = 1e308", 1),
+])
+def test_extreme_finite_settings_exit_with_one_line(command, assignment, code,
+                                                    tmp_path, capsys):
+    path = write_config(tmp_path, f"grid.nx = 5\ngrid.ny = 5\n"
+                                  f"experiment.n_samples = 5\n"
+                                  f"experiment.output_dir = {tmp_path / 'out'}\n"
+                                  f"{assignment}\n")
+    assert dispatch([command, path]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("vpice: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_symbol_subcommand_and_reproducibility(tmp_path, capsys):

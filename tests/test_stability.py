@@ -26,10 +26,10 @@ from vpice.stability import (
     dense_unknowns,
     energy_identity_residual,
     kernel_basis,
-    mirror_blocks,
     perturbed_equilibrium,
     semisimplicity_proxy,
     spectrum,
+    symmetry_blocks,
     weight_constants,
     weighted_equilibrium_energy,
 )
@@ -149,7 +149,9 @@ def sorted_mismatch(eigenvalues, expected):
 
 
 MIRROR_GRIDS = [Grid(21, 21), Grid(13, 9, lx=2.0), Grid(10, 7),
-                Grid(9, 15, lx=2.0)]  # 10 x 7: even, no fixed nodes
+                Grid(9, 15, lx=2.0), Grid(10, 10), Grid(9, 9, lx=2.0)]
+# 10 x 7: even, no fixed nodes; 10 x 10: even, nodes on the diagonal fixed
+# by d; 9 x 9 with lx = 2: square, but dx != dy breaks d and the quarter turn
 MIRROR_PARAMS = [PARAMS, PARAMS.with_(c_cor=0.5), RheologyParams()]
 
 
@@ -184,26 +186,88 @@ def test_spectrum_cli_si_defaults_keep_the_exact_kernel(nx, ny, lx, tmp_path,
     gap = np.min(expected[np.argsort(np.abs(expected))[2:]].real)
     assert summary["kernel_dim"] == "2"
     assert abs(float(summary["spectral_gap"]) - gap) <= 1e-8 * abs(gap)
+    # the SI defaults rotate: the quarter turn on the square grid
+    assert summary["symmetry_group"] == ("C4" if nx == ny else "C2")
+
+
+def split_size(blocks):
+    """Unknowns the blocks stand for, each counted as often as its
+    eigenvalues are."""
+    return sum(block.matrix.shape[0] * block.copies * (1 + block.conjugate)
+               for block in blocks)
 
 
 @pytest.mark.parametrize("g", MIRROR_GRIDS, ids=str)
 def test_mirror_blocks_use_every_exact_symmetry(g):
     # both mirrors commute with A0 at c_cor = 0, only the half turn with
-    # rotation; an assembly that breaks bitwise symmetry fails here
-    for c_cor, n_blocks in ((0.0, 4), (0.5, 2)):
-        blocks = mirror_blocks(assemble_A0(EQ, g, PARAMS.with_(c_cor=c_cor)), g)
-        assert len(blocks) == n_blocks
+    # rotation; on a square grid with dx == dy also the diagonal reflection
+    # (D4), resp. the quarter turn (C4); an assembly that breaks bitwise
+    # symmetry fails here
+    square = g.nx == g.ny and g.dx == g.dy
+    groups = (((0.0, "D4", 5), (0.5, "C4", 3)) if square
+              else ((0.0, "Klein", 4), (0.5, "C2", 2)))
+    for c_cor, expected, n_blocks in groups:
+        group, blocks = symmetry_blocks(
+            assemble_A0(EQ, g, PARAMS.with_(c_cor=c_cor)), g)
+        assert (group, len(blocks)) == (expected, n_blocks)
         # the trivial character's block leaves out the 2 kernel unknowns
-        assert sum(block.shape[0] for block in blocks) == dense_unknowns(g) - 2
+        assert split_size(blocks) == dense_unknowns(g) - 2
+
+
+def test_symmetry_blocks_at_21():
+    g = Grid(21, 21)
+    for c_cor, expected in ((0.0, ((220, 1), (200, 1), (200, 1), (180, 1),
+                                   (401, 2))),
+                            (0.5, ((400, 1), (400, 1), (401, 2)))):
+        report = spectrum(assemble_A0(EQ, g, PARAMS.with_(c_cor=c_cor)), g)
+        assert report.block_sizes == expected
+
+
+@pytest.mark.parametrize("g", [Grid(21, 21), Grid(10, 10)], ids=str)
+def test_quarter_turn_conjugate_blocks(g):
+    # the character i block is complex, and the character -i block it
+    # stands for is its conjugate: the spectrum is closed under conjugation
+    # bit for bit
+    op = assemble_A0(EQ, g, PARAMS.with_(c_cor=0.5))
+    group, blocks = symmetry_blocks(op, g)
+    assert group == "C4"
+    assert [block.conjugate for block in blocks] == [False, False, True]
+    assert np.iscomplexobj(blocks[2].matrix.data)
+    eigenvalues = spectrum(op, g).eigenvalues
+    assert np.array_equal(np.sort_complex(eigenvalues),
+                          np.sort_complex(eigenvalues.conj()))
+
+
+def drag_on_u1(op, grid):
+    """A0 plus 0.1 I on the interior u1 rows only: it keeps both mirrors
+    and the half turn but breaks the diagonal reflection and the quarter
+    turn, which swap u1 and u2."""
+    interior = np.concatenate([grid.interior_mask().ravel(),
+                               np.zeros(3 * grid.n_nodes, bool)])
+    return SparseOperator((op.matrix + sp.diags(0.1 * interior)).tocsr(),
+                          op.dirichlet_mask)
 
 
 def test_mirror_blocks_fall_back_when_symmetry_breaks():
-    # an interior u1 row reading h breaks both mirrors and the half turn
+    # an interior u1 row reading h breaks every symmetry
     g = Grid(9, 9)
     op = broken_kernel(assemble_A0(EQ, g, PARAMS), g, "right")
-    blocks = mirror_blocks(op, g)
-    assert len(blocks) < 4
-    assert sum(block.shape[0] for block in blocks) == dense_unknowns(g) - 2
+    group, blocks = symmetry_blocks(op, g)
+    assert (group, len(blocks)) == ("trivial", 1)
+    assert split_size(blocks) == dense_unknowns(g) - 2
+    assert sorted_mismatch(spectrum(op, g).eigenvalues,
+                           unblocked_eigenvalues(op)) <= 1e-12
+
+
+@pytest.mark.parametrize("c_cor, expected", [(0.0, ("Klein", 4)),
+                                             (0.5, ("C2", 2))])
+def test_symmetry_blocks_fall_back_when_u1_u2_swap_breaks(c_cor, expected):
+    # only the diagonal reflection, resp. the quarter turn, is broken
+    g = Grid(9, 9)
+    op = drag_on_u1(assemble_A0(EQ, g, PARAMS.with_(c_cor=c_cor)), g)
+    group, blocks = symmetry_blocks(op, g)
+    assert (group, len(blocks)) == expected
+    assert split_size(blocks) == dense_unknowns(g) - 2
     assert sorted_mismatch(spectrum(op, g).eigenvalues,
                            unblocked_eigenvalues(op)) <= 1e-12
 
