@@ -27,7 +27,8 @@ print(f"symmetry group         : {rep.symmetry_group}, dense blocks "
 print(f"spectral gap           : {rep.spectral_gap:.5f}")
 print(f"semi-simplicity        : {'certified' if proxy.certified else 'NOT certified'}, "
       f"kernel residuals {proxy.right_residual:.1e} (right), "
-      f"{proxy.left_residual:.1e} (left) vs ||A0|| = {proxy.operator_norm:.3e}")
+      f"{proxy.left_residual:.1e} (left) vs max|A0_ij| = "
+      f"{proxy.operator_norm:.3e}")
 
 smallest = np.sort(rep.eigenvalues.real)[:8]
 print(f"smallest real parts    : {np.round(smallest, 5)}")

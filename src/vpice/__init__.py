@@ -13,10 +13,16 @@ Subpackages:
                decay, selftest)
 """
 
-from .params import InvalidStateError, RheologyParams, scaled_params
+from .params import (
+    InvalidStateError,
+    RheologyParams,
+    VpiceError,
+    scaled_params,
+)
 from .rheology import StrainRate, Stress2x2
 
 __all__ = [
+    "VpiceError",
     "InvalidStateError",
     "RheologyParams",
     "scaled_params",

@@ -6,12 +6,13 @@
     vpice ls-check <config>   boundary-condition probes: CSV
     vpice spectrum <config>   linearized spectrum: eigenvalue CSV + summary
                               (exit 1 unless the kernel is 2-dimensional,
-                              certified semisimple, and the gap positive)
+                              certified semisimple, and the gap resolved)
     vpice decay <config>      decay experiment: diagnostics CSV + fit summary
                               (exit 1 if the rate misses the gap by > 20%)
     vpice selftest            run the built-in invariant suites
 
-Exit codes: 0 success, 1 violated contract or margin, 2 usage/config error.
+Exit codes: 0 success, 1 violated contract or margin, 2 usage/config error;
+a package error (params.VpiceError) exits with its exit_code.
 Every subcommand that writes files puts them under experiment.output_dir and
 lists them, with the exact configuration echo, in manifest.txt.  Identical
 configuration and seed produce byte-identical CSV output.
@@ -28,13 +29,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .dynamics import (
-    ForcingInputs,
-    PicardDivergenceError,
-    RunSinks,
-    StepError,
-    run,
-)
+from .dynamics import ForcingInputs, RunSinks, run
 from .io_formats import (
     DiagnosticsCsvWriter,
     format_float,
@@ -44,14 +39,11 @@ from .io_formats import (
     write_ppm,
     write_snapshot,
 )
-from .operators import LinearSolveError, assemble_coupled, export_coo
-from .params import InvalidStateError
+from .operators import assemble_coupled, export_coo
+from .params import VpiceError
 # pressure is unused here; perfbench/spans.py traces this binding
 from .rheology import pressure, sample_state
 from .stability import (
-    BudgetExceededError,
-    DecayFitError,
-    NormEstimateError,
     assemble_A0,
     check_dense_budget,
     decay_experiment,
@@ -246,8 +238,22 @@ def cmd_simulate(cfg: RunConfig, dump_matrix=None) -> int:
 
 
 def dispatch(argv) -> int:
-    """Entry point used by the console script; returns the exit code."""
-    argv = list(argv)
+    """Entry point used by the console script; returns the exit code.
+
+    A package error ends the command with its one-line message and its
+    ``exit_code``.  Float overflow, invalid and divide warnings are not
+    shown: every command rejects a non-finite result by a finite check or
+    a pass rule that fails on NaN."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            return _dispatch(list(argv))
+        except VpiceError as exc:
+            return _fail(str(exc), exc.exit_code)
+        except OSError as exc:  # an output or dump path that cannot be written
+            return _fail(str(exc), 1)
+
+
+def _dispatch(argv: list) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         print(USAGE)
         return 0 if argv else 2
@@ -281,22 +287,15 @@ def dispatch(argv) -> int:
     except ConfigError as exc:
         return _fail(f"config error: {exc}", 2)
 
-    try:
-        if command == "simulate":
-            return cmd_simulate(cfg, dump_matrix)
-        if command == "symbol":
-            return cmd_symbol(cfg)
-        if command == "ls-check":
-            return cmd_ls_check(cfg)
-        if command == "spectrum":
-            return cmd_spectrum(cfg, dump_matrix)
-        return cmd_decay(cfg)
-    except (BudgetExceededError, ConfigError, InvalidStateError) as exc:
-        return _fail(str(exc), 2)
-    # OSError: an output or dump path that cannot be written
-    except (StepError, LinearSolveError, PicardDivergenceError,
-            DecayFitError, NormEstimateError, OSError) as exc:
-        return _fail(str(exc), 1)
+    if command == "simulate":
+        return cmd_simulate(cfg, dump_matrix)
+    if command == "symbol":
+        return cmd_symbol(cfg)
+    if command == "ls-check":
+        return cmd_ls_check(cfg)
+    if command == "spectrum":
+        return cmd_spectrum(cfg, dump_matrix)
+    return cmd_decay(cfg)
 
 
 def main() -> None:

@@ -7,7 +7,8 @@ keys, type mismatches and range violations are reported with their line
 number.  Missing keys take the documented defaults, so the empty file is a
 valid configuration and the result is independent of assignment order.
 A solver key ``<section>.<field name, lower-cased>`` takes its type, default
-and range from that field of the section's dataclass (SECTIONS).
+and range from that field of the section's dataclass (SECTIONS), and a
+section's values are in range when it can be built from them.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ from dataclasses import dataclass, field, fields
 
 from .dynamics import StepperConfig
 from .grid import Grid
-from .params import InvalidStateError, RheologyParams
+from .params import InvalidStateError, RheologyParams, VpiceError
 from .stability import Equilibrium
 
 
-class ConfigError(ValueError):
+class ConfigError(VpiceError, ValueError):
     """Parse, unknown-key or range error, carrying the offending line."""
+
+    exit_code = 2
 
     def __init__(self, message: str, line_number: int | None = None):
         prefix = f"line {line_number}: " if line_number is not None else ""
@@ -131,26 +134,45 @@ def _parse_value(key, raw, line_number):
         except ValueError:
             raise ConfigError(f"key {key} expects {NUMBER_NAMES[expected]}, "
                               f"got {raw!r}", line_number) from None
-    # a value is in range when its section can be built with it
-    section = key.split(".", 1)[0]
-    try:
-        if section in SECTIONS:
-            _build(section, {**DEFAULTS, key: value})
-        else:
-            minimum = EXPERIMENT_KEYS[key][2]
-            if isinstance(value, float) and not math.isfinite(value):
-                raise InvalidStateError("must be finite")
-            if minimum is not None and not value >= minimum:
-                raise InvalidStateError(f"must be >= {minimum}")
-    except InvalidStateError as exc:
-        raise ConfigError(f"key {key} = {value!r} violates its range: {exc}",
-                          line_number) from None
+    if key in EXPERIMENT_KEYS:  # a section key is checked with its section
+        minimum = EXPERIMENT_KEYS[key][2]
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _range_error(key, value, "must be finite", line_number)
+        if minimum is not None and not value >= minimum:
+            raise _range_error(key, value, f"must be >= {minimum}",
+                               line_number)
     return value
+
+
+def _range_error(key, value, reason, line_number) -> ConfigError:
+    return ConfigError(f"key {key} = {value!r} violates its range: {reason}",
+                       line_number)
+
+
+def _check_section(section, values, lines) -> None:
+    """Build the section from ``values``.  A rejection is reported on the
+    line of the first assigned key that the section rejects on its own
+    (with the defaults), or else, for a rule across keys such as the step
+    count t_end / dt, on the section's last assigned line."""
+    try:
+        _build(section, values)
+        return
+    except InvalidStateError as exc:
+        reason = exc
+    assigned = sorted((lines[key], key) for key, _ in _section_fields(section)
+                      if key in lines)
+    for line_number, key in assigned:
+        try:
+            _build(section, {**DEFAULTS, key: values[key]})
+        except InvalidStateError as exc:
+            raise _range_error(key, values[key], exc, line_number) from None
+    line_number, key = assigned[-1]
+    raise _range_error(key, values[key], reason, line_number) from None
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse flat key = value text into a validated RunConfig."""
-    values = {}
+    values, lines = {}, {}
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -162,7 +184,11 @@ def parse_config(text: str) -> RunConfig:
         if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}", line_number)
         values[key] = _parse_value(key, raw, line_number)
-    return RunConfig(values)
+        lines[key] = line_number
+    config = RunConfig(values)
+    for section in SECTIONS:
+        _check_section(section, config.values, lines)
+    return config
 
 
 def load_config(path) -> RunConfig:

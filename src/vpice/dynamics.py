@@ -6,10 +6,6 @@ tilt and sources explicitly:
 
     (I + dt A(v_n)) v_{n+1} = v_n + dt F(v_n).
 
-The picard scheme re-freezes both the operator and the explicit side at
-successive iterates until the relative update drops below picard_tol,
-converging to the fully implicit backward-Euler solution.
-
 Advection of h and a is discretized in flux form with the divergence matrix
 that is the exact negative adjoint of the centered gradient, so nodal
 totals of h and a are conserved to rounding whenever the growth function
@@ -32,16 +28,12 @@ from .operators import (
     divergence_matrix,
     solve_linear,
 )
-from .params import InvalidStateError, RheologyParams, check_finite
+from .params import InvalidStateError, RheologyParams, VpiceError, check_finite
 
-SCHEMES = ("frozen-coefficient", "picard")
-
-
-class PicardDivergenceError(RuntimeError):
-    """Picard iteration failed to contract within picard_max sweeps."""
+MAX_STEPS = 10**6  # steps a run may take; t_end / dt beyond it is rejected
 
 
-class StepError(RuntimeError):
+class StepError(VpiceError):
     """A time step failed; carries the step index and simulation time."""
 
     def __init__(self, step_index: int, time: float, cause: Exception):
@@ -73,15 +65,11 @@ class ForcingInputs:
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Time stepping: step dt and final time t_end in s; the Picard scheme
-    sweeps at most picard_max times, until the relative update is below
-    picard_tol."""
+    """Time stepping: step dt and final time t_end in s, at most MAX_STEPS
+    steps."""
 
     dt: float
     t_end: float
-    scheme: str = "frozen-coefficient"
-    picard_max: int = 25
-    picard_tol: float = 1e-10
 
     def __post_init__(self):
         check_finite(self)
@@ -92,12 +80,15 @@ class StepperConfig:
         if not math.isfinite(self.t_end / self.dt):
             raise InvalidStateError(
                 f"t_end / dt must be finite, got {self.t_end!r} / {self.dt!r}")
-        if not self.picard_tol > 0.0:
-            raise InvalidStateError("picard_tol must be positive")
-        if self.picard_max < 1:
-            raise InvalidStateError("picard_max must be >= 1")
-        if self.scheme not in SCHEMES:
-            raise InvalidStateError(f"scheme must be one of {SCHEMES}")
+        if self.n_steps > MAX_STEPS:
+            raise InvalidStateError(
+                f"t_end / dt asks for {self.n_steps:.3g} steps, more than "
+                f"MAX_STEPS = {MAX_STEPS}")
+
+    @property
+    def n_steps(self) -> int:
+        """Steps from 0 to t_end; the last may end past t_end."""
+        return math.ceil(self.t_end / self.dt - 1e-12)
 
 
 def _pair(value, grid: Grid):
@@ -198,49 +189,24 @@ def _explicit_rhs(v: FieldSet, inputs: ForcingInputs,
     return np.concatenate([f1.ravel(), f2.ravel(), rhs_h, rhs_a])
 
 
-def _solve_step(v_n: FieldSet, v_freeze: FieldSet, inputs: ForcingInputs,
-                params: RheologyParams, cfg: StepperConfig) -> np.ndarray:
-    grid = v_n.grid
-    coupled = assemble_coupled(v_freeze, grid, params)
-    matrix = sp.identity(coupled.dim, format="csr") + cfg.dt * coupled.matrix
-    op = SparseOperator(matrix.tocsr(), coupled.dirichlet_mask)
-    rhs = v_n.to_vector() + cfg.dt * _explicit_rhs(v_freeze, inputs, params)
-    rhs[coupled.dirichlet_mask] = 0.0
-    vec = solve_linear(op, rhs)
-    vec[coupled.dirichlet_mask] = 0.0  # impose the known boundary values exactly
-    return vec
-
-
 def step(v_n: FieldSet, inputs: ForcingInputs, params: RheologyParams,
          cfg: StepperConfig) -> FieldSet:
     """Advance one backward-Euler step; returns the validated new state.
 
-    scheme 'frozen-coefficient' freezes coefficients and explicit terms at
-    v_n; 'picard' re-freezes them at successive iterates until the relative
-    update drops below picard_tol (PicardDivergenceError after picard_max).
-    Raises InvalidStateError when v_n (checked by the assembly) or the new
-    state leaves the admissible set (thickness under kappa or compactness
+    The coefficients and the explicit terms are frozen at v_n.  Raises
+    InvalidStateError when v_n (checked by the assembly) or the new state
+    leaves the admissible set (thickness under kappa or compactness
     outside [0, 1] beyond STATE_SLACK).
     """
-    if cfg.scheme == "frozen-coefficient":
-        vec = _solve_step(v_n, v_n, inputs, params, cfg)
-    else:
-        current = v_n
-        vec = None
-        for _ in range(cfg.picard_max):
-            vec = _solve_step(v_n, current, inputs, params, cfg)
-            candidate = FieldSet.from_vector(v_n.grid, vec)
-            update = np.linalg.norm(vec - current.to_vector())
-            scale = max(np.linalg.norm(vec), 1e-300)
-            current = candidate
-            if update <= cfg.picard_tol * scale:
-                break
-        else:
-            raise PicardDivergenceError(
-                f"no contraction below {cfg.picard_tol!r} within "
-                f"{cfg.picard_max} sweeps (last update {update / scale:.3e})")
-    out = FieldSet.from_vector(v_n.grid, vec)
-    return out.validate(params)
+    grid = v_n.grid
+    coupled = assemble_coupled(v_n, grid, params)
+    matrix = sp.identity(coupled.dim, format="csr") + cfg.dt * coupled.matrix
+    op = SparseOperator(matrix.tocsr(), coupled.dirichlet_mask)
+    rhs = v_n.to_vector() + cfg.dt * _explicit_rhs(v_n, inputs, params)
+    rhs[coupled.dirichlet_mask] = 0.0
+    vec = solve_linear(op, rhs)
+    vec[coupled.dirichlet_mask] = 0.0  # impose the known boundary values exactly
+    return FieldSet.from_vector(grid, vec).validate(params)
 
 
 @dataclass
@@ -298,9 +264,8 @@ def run(v0: FieldSet, inputs: ForcingInputs, params: RheologyParams,
         reference = FieldSet.constant(v0.grid, float(np.mean(v0.h)),
                                       float(np.mean(v0.a)))
     sinks = sinks or RunSinks()
-    n_steps = int(np.ceil(cfg.t_end / cfg.dt - 1e-12))
     v, rows = v0, []
-    for k in range(n_steps + 1):
+    for k in range(cfg.n_steps + 1):
         t = k * cfg.dt
         if k:  # row 0 is the initial state
             try:
@@ -315,4 +280,4 @@ def run(v0: FieldSet, inputs: ForcingInputs, params: RheologyParams,
             sinks.on_snapshot(k, t, v)
     series = {key: np.array([r[key] for r in rows]) for key in rows[0]}
     series["times"] = series.pop("time")
-    return RunResult(**series, final_state=v, n_steps=n_steps)
+    return RunResult(**series, final_state=v, n_steps=cfg.n_steps)

@@ -38,7 +38,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import FieldSet, Grid, diff_ops, strain_rate_field
-from .params import RheologyParams
+from .params import RheologyParams, VpiceError
 from .rheology import (
     coefficient_tensor,
     delta_reg,
@@ -52,7 +52,7 @@ SOLVE_RTOL = 1e-10  # relative residual every solve_linear result must reach
 MAX_REFINEMENTS = 3  # iterative-refinement sweeps after a direct solve
 
 
-class LinearSolveError(RuntimeError):
+class LinearSolveError(VpiceError):
     """Factorization breakdown or Krylov non-convergence."""
 
     def __init__(self, message: str, achieved_residual: float = np.nan):

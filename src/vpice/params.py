@@ -16,8 +16,18 @@ from dataclasses import dataclass, fields, replace
 STATE_SLACK = 1e-10  # drift of a outside [0, 1] that is clamped, not rejected
 
 
-class InvalidStateError(ValueError):
+class VpiceError(Exception):
+    """Base of every package error; ``exit_code`` is the command's exit
+    status when it ends in this error: 2 for bad input, 1 for a run that
+    failed."""
+
+    exit_code = 1
+
+
+class InvalidStateError(VpiceError, ValueError):
     """A state (h, a) or parameter set left its admissible range."""
+
+    exit_code = 2
 
 
 def check_finite(obj) -> None:

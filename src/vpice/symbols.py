@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .params import RheologyParams
+from .params import RheologyParams, VpiceError
 from .rheology import (
     StrainRate,
     coefficient_tensor,
@@ -53,7 +53,7 @@ COERCIVITY_MARGIN_MIN = -1e-10
 BOUNDARY_FORM_MIN = -1e-10  # rounding allowance of the form's ">= 0"
 
 
-class RootBalanceError(RuntimeError):
+class RootBalanceError(VpiceError):
     """The stable/unstable root split of the boundary ODE is not 2/2."""
 
 
@@ -214,8 +214,7 @@ def _companion_matrix(a: np.ndarray, lam: complex, xi, nu) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise RootBalanceError("C2 = -Q(nu, nu) is singular") from exc
     top = np.hstack([np.zeros((2, 2)), np.eye(2)])
-    with np.errstate(all="ignore"):  # a non-finite result is rejected below
-        bottom = np.hstack([-c2_inv @ c0, -c2_inv @ c1])
+    bottom = np.hstack([-c2_inv @ c0, -c2_inv @ c1])
     m = np.vstack([top, bottom]).astype(complex)
     if not np.all(np.isfinite(m)):
         raise RootBalanceError("companion matrix is not finite")

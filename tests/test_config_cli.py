@@ -1,17 +1,24 @@
 """Configuration grammar, subcommand dispatch, file formats, reproducibility."""
 
 import dataclasses
+import importlib
 import os
+import pkgutil
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from vpice.cli import dispatch
+import vpice
+from vpice.cli import SUBCOMMANDS, dispatch
 from vpice.config import KEYS, ConfigError, RunConfig, parse_config
-from vpice.dynamics import StepperConfig
+from vpice.dynamics import MAX_STEPS, StepperConfig
 from vpice.grid import FieldSet, Grid
 from vpice.io_formats import read_snapshot, write_snapshot
-from vpice.params import InvalidStateError, RheologyParams
+from vpice.params import InvalidStateError, RheologyParams, VpiceError
 from vpice.stability import Equilibrium
 from vpice.symbols import RootBalanceError
 
@@ -55,12 +62,12 @@ def test_parse_assignments_and_comments():
     # comment line
     rheology.delta = 1e-9   # trailing comment
     grid.nx = 33
-    stepper.scheme = picard
+    stepper.dt = 0.002
     experiment.emit_ppm = true
     """)
     assert cfg["rheology.delta"] == 1e-9
     assert cfg["grid.nx"] == 33
-    assert cfg["stepper.scheme"] == "picard"
+    assert cfg["stepper.dt"] == 0.002
     assert cfg["experiment.emit_ppm"] is True
 
 
@@ -74,7 +81,8 @@ def test_unknown_key_reports_line():
     # removed settings are rejected like any other unknown key
     for line in ("bogus.key = 1", "rheology.variant = tanh",
                  "rheology.zeta_max = 1e12", "rheology.eta_max = 2.5e11",
-                 "stepper.omega = 0.5"):
+                 "stepper.omega = 0.5", "stepper.scheme = picard",
+                 "stepper.picard_max = 25", "stepper.picard_tol = 1e-10"):
         with pytest.raises(ConfigError) as excinfo:
             parse_config("rheology.e = 2.0\n" + line + "\n")
         assert "line 2" in str(excinfo.value)
@@ -129,8 +137,6 @@ DEFAULT_ECHO = [
     ("grid.nx", "17"), ("grid.ny", "17"), ("grid.lx", "1"), ("grid.ly", "1"),
     ("stepper.dt", "0.0040000000000000001"),
     ("stepper.t_end", "0.29999999999999999"),
-    ("stepper.scheme", "frozen-coefficient"), ("stepper.picard_max", "25"),
-    ("stepper.picard_tol", "1e-10"),
     ("equilibrium.h_star", "1"), ("equilibrium.a_star", "0.80000000000000004"),
     ("experiment.seed", "0"), ("experiment.n_samples", "1000"),
     ("experiment.perturbation_scale", "0.001"),
@@ -141,11 +147,12 @@ DEFAULT_ECHO = [
 
 def test_default_echo_is_golden():
     assert RunConfig().echo() == DEFAULT_ECHO
+    assert len(KEYS) == 31
 
 
 @pytest.mark.parametrize("assignment", [
     "rheology.delta = -1", "rheology.c_cor = -1", "grid.lx = 0",
-    "stepper.t_end = 0", "stepper.picard_max = 0", "equilibrium.a_star = 1.5",
+    "stepper.t_end = 0", "equilibrium.a_star = 1.5",
     "equilibrium.h_star = 0", "experiment.n_samples = 0",
     # 1/e^2 underflows to 0 or overflows to inf
     "rheology.e = 1e-308", "rheology.e = 1e308",
@@ -153,6 +160,8 @@ def test_default_echo_is_golden():
     "grid.lx = 1e-308", "grid.lx = 1e308", "grid.ly = 1e308",
     # the sampling range [h*/2, 2 h*] overflows
     "equilibrium.h_star = 1e308",
+    # t_end / dt = 3e307 steps, past MAX_STEPS
+    "stepper.dt = 1e-308",
 ])
 def test_range_rules_name_line_and_key(assignment):
     key = assignment.split(" = ")[0]
@@ -180,9 +189,30 @@ def test_dataclasses_own_the_range_rules():
             build()
 
 
+def test_step_count_is_bounded():
+    assert StepperConfig(dt=1.0, t_end=float(MAX_STEPS)).n_steps == MAX_STEPS
+    with pytest.raises(InvalidStateError, match="MAX_STEPS"):
+        StepperConfig(dt=1.0, t_end=MAX_STEPS + 1.0)
+
+
+def test_rule_across_keys_sees_every_assigned_value():
+    # 2 steps; t_end = 2e9 alone, with the default dt, would be 5e11
+    for body in ("stepper.dt = 1e9\nstepper.t_end = 2e9\n",
+                 "stepper.t_end = 2e9\nstepper.dt = 1e9\n"):
+        assert parse_config(body).stepper().n_steps == 2
+    with pytest.raises(ConfigError, match="^line 1: key stepper.t_end = "):
+        parse_config("stepper.t_end = 2e9\n")
+    # each value passes alone, together they ask for 1e7 steps: reported
+    # on the section's last assigned line
+    for body in ("stepper.dt = 1e-5\ngrid.nx = 9\nstepper.t_end = 100\n",
+                 "stepper.t_end = 100\ngrid.nx = 9\nstepper.dt = 1e-5\n"):
+        with pytest.raises(ConfigError, match="^line 3: .*MAX_STEPS"):
+            parse_config(body)
+
+
 def test_every_float_key_rejects_non_finite_values():
     float_keys = [key for key, (kind, _) in KEYS.items() if kind is float]
-    assert len(float_keys) == 25
+    assert len(float_keys) == 24
     for key in float_keys:
         for raw in ("nan", "inf", "-inf"):
             with pytest.raises(ConfigError) as excinfo:
@@ -236,6 +266,25 @@ def test_snapshot_roundtrip(tmp_path):
 # Dispatch and exit codes
 # ---------------------------------------------------------------------------
 
+def test_every_package_error_carries_an_exit_code():
+    errors = set()
+    for info in pkgutil.iter_modules(vpice.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"vpice.{info.name}")
+        errors.update(value for value in vars(module).values()
+                      if isinstance(value, type)
+                      and issubclass(value, BaseException)
+                      and value.__module__ == module.__name__)
+    assert len(errors) == 8
+    for error in errors:
+        assert issubclass(error, VpiceError)
+        assert error.exit_code in (1, 2)
+    assert ConfigError.exit_code == InvalidStateError.exit_code == 2
+    assert issubclass(ConfigError, ValueError)
+    assert issubclass(InvalidStateError, ValueError)
+
+
 def test_dispatch_usage_errors(tmp_path, capsys):
     assert dispatch([]) == 2
     assert dispatch(["not-a-command"]) == 2
@@ -245,12 +294,14 @@ def test_dispatch_usage_errors(tmp_path, capsys):
 
 
 def test_dispatch_config_error_exit_2(tmp_path, capsys):
-    for body in ("grid.nx = 2\n", "grid.nx = 9\nstepper.omega = 0.5\n"):
+    for body in ("grid.nx = 2\n", "grid.nx = 9\nstepper.omega = 0.5\n",
+                 "grid.nx = 9\nstepper.scheme = picard\n"):
         path = write_config(tmp_path, body)
         assert dispatch(["spectrum", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("vpice: config error: line ")
         assert err.count("\n") == 1
+    assert "unknown key 'stepper.scheme'" in err
 
 
 def test_failing_step_exit_1_one_line(tmp_path, capsys):
@@ -314,29 +365,84 @@ def test_spectrum_subcommand_outputs(tmp_path, capsys):
     assert "config.grid.nx = 9" in manifest
 
 
-@pytest.mark.parametrize("command, assignment, code", [
+PROBE_LINE = re.compile(r"probe \d+: ")  # ls-check's line per failed probe
+
+
+def dispatch_cleanly(argv, capfd):
+    """dispatch, checked for no warning (every one is recorded, not only
+    the first per source line), no traceback, no LAPACK text on stdout
+    (``**`` lines written to fd 1) and at most one stderr line besides
+    ls-check's probe lines.  Returns the exit code, stdout and those
+    stderr lines."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = dispatch(argv)
+    out, err = capfd.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in out + err
+    assert "**" not in out and "LAPACK" not in out
+    lines = [line for line in err.splitlines() if not PROBE_LINE.match(line)]
+    assert len(lines) <= 1
+    return code, out, lines
+
+
+@pytest.mark.parametrize("command, assignment, code, error_line", [
     # A0 is not finite: a config error
-    ("spectrum", "rheology.p_star = 1e308", 2),
-    ("spectrum", "rheology.rho_ice = 1e-308", 2),
-    ("spectrum", "rheology.d_h = 1e308", 2),
-    ("spectrum", "equilibrium.h_star = 1e308", 2),
-    ("symbol", "equilibrium.h_star = 1e308", 2),
-    ("ls-check", "equilibrium.h_star = 1e308", 2),
-    # A0 is finite, but ARPACK cannot estimate ||A0||_2
-    ("spectrum", "rheology.delta = 1e-308", 1),
-    ("spectrum", "rheology.c_cor = 1e308", 1),
+    ("spectrum", "rheology.p_star = 1e308", 2, True),
+    ("spectrum", "rheology.rho_ice = 1e-308", 2, True),
+    ("spectrum", "rheology.d_h = 1e308", 2, True),
+    ("spectrum", "equilibrium.h_star = 1e308", 2, True),
+    ("symbol", "equilibrium.h_star = 1e308", 2, True),
+    ("ls-check", "equilibrium.h_star = 1e308", 2, True),
+    # the gap is rounding noise (6.8e-17 against a radius of 2.6e138) or
+    # negative: the pass rule fails
+    ("spectrum", "rheology.delta = 1e-308", 1, False),
+    ("spectrum", "rheology.c_cor = 1e308", 1, False),
+    # float overflow in the coefficients or the solve: the step fails
+    ("simulate", "rheology.p_star = 1e308", 1, True),
+    ("simulate", "rheology.rho_ice = 1e-308", 1, True),
+    ("simulate", "rheology.rho_ocean = 1e308", 1, True),
+    ("simulate", "rheology.d_h = 1e308", 1, True),
+    ("simulate", "rheology.d_a = 1e308", 1, True),
+    # overflow in the pointwise checks: a report row, or probe lines
+    ("symbol", "rheology.delta = 1e308", 0, False),
+    ("symbol", "rheology.p_star = 1e308", 1, False),
+    ("ls-check", "experiment.lambda_re_min = 1e308", 1, False),
 ])
 def test_extreme_finite_settings_exit_with_one_line(command, assignment, code,
-                                                    tmp_path, capsys):
+                                                    error_line, tmp_path,
+                                                    capfd):
     path = write_config(tmp_path, f"grid.nx = 5\ngrid.ny = 5\n"
                                   f"experiment.n_samples = 5\n"
                                   f"experiment.output_dir = {tmp_path / 'out'}\n"
                                   f"{assignment}\n")
-    assert dispatch([command, path]) == code
-    err = capsys.readouterr().err
-    assert err.startswith("vpice: ")
-    assert err.count("\n") == 1
-    assert "Traceback" not in err
+    exit_code, out, lines = dispatch_cleanly([command, path], capfd)
+    assert exit_code == code
+    if error_line:
+        assert len(lines) == 1 and lines[0].startswith("vpice: ")
+    else:  # the command ran to its summary line
+        assert lines == []
+        assert len(out.splitlines()) == 1
+
+
+FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-308")
+
+
+@pytest.mark.parametrize("key", list(KEYS))
+@settings(derandomize=True, deadline=None, max_examples=13,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from([c for c in SUBCOMMANDS if c != "selftest"]),
+       raw=st.sampled_from(FUZZ_VALUES))
+def test_fuzzed_key_exits_cleanly(key, command, raw, tmp_path, capfd,
+                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a fuzzed output_dir is a relative path
+    # 25 steps: enough rows for the decay fit
+    path = write_config(tmp_path, f"grid.nx = 5\ngrid.ny = 5\n"
+                                  f"stepper.t_end = 0.1\n"
+                                  f"experiment.n_samples = 5\n"
+                                  f"experiment.output_dir = {tmp_path / 'out'}\n"
+                                  f"{key} = {raw}\n")
+    assert dispatch_cleanly([command, path], capfd)[0] in (0, 1, 2)
 
 
 def test_symbol_subcommand_and_reproducibility(tmp_path, capsys):
@@ -374,8 +480,7 @@ def test_symbol_nan_row_exit_1(tmp_path, capsys):
                                   "experiment.n_samples = 5\n"
                                   "rheology.p_star = 1e308\n"
                                   f"experiment.output_dir = {out}\n")
-    with np.errstate(all="ignore"):
-        assert dispatch(["symbol", path]) == 1
+    assert dispatch(["symbol", path]) == 1
     capsys.readouterr()
     assert "nan" in (out / "symbol_report.csv").read_text()
 

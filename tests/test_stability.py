@@ -1,5 +1,7 @@
 """Linearized operator, spectra, energy identities and decay rates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -17,6 +19,7 @@ from vpice.operators import (
 )
 from vpice.params import InvalidStateError, RheologyParams, scaled_params
 from vpice.stability import (
+    KERNEL_CERT_RTOL,
     BudgetExceededError,
     DecayFitError,
     Equilibrium,
@@ -29,6 +32,7 @@ from vpice.stability import (
     perturbed_equilibrium,
     semisimplicity_proxy,
     spectrum,
+    spectrum_passes,
     symmetry_blocks,
     weight_constants,
     weighted_equilibrium_energy,
@@ -297,14 +301,26 @@ def test_semisimplicity_proxy():
 
 
 @pytest.mark.parametrize("n", [11, 21])
-def test_certificate_operator_norm_is_dense_2_norm(n):
+def test_certificate_operator_norm_is_max_abs_entry(n):
     g = Grid(n, n)
     op = assemble_A0(EQ, g, PARAMS)
     keep = ~op.dirichlet_mask
     dense = op.matrix.toarray()[np.ix_(keep, keep)]
-    expected = np.linalg.norm(dense, 2)
     norm = semisimplicity_proxy(op, g).operator_norm
-    assert abs(norm - expected) <= 1e-10 * expected
+    assert norm == np.max(np.abs(dense))
+    # the 1 -> inf norm is at most the 2-norm, so the rule is no looser
+    assert norm <= np.linalg.norm(dense, 2)
+
+
+def test_spectrum_pass_rule_needs_a_resolved_gap():
+    g = Grid(9, 9)
+    op = assemble_A0(EQ, g, PARAMS)
+    report, proxy = spectrum(op, g), semisimplicity_proxy(op, g)
+    assert spectrum_passes(report, proxy)
+    # a positive gap at the rounding level of the radius is not resolved
+    noise = 0.5 * KERNEL_CERT_RTOL * report.spectral_radius
+    assert not spectrum_passes(
+        dataclasses.replace(report, spectral_gap=noise), proxy)
 
 
 def broken_kernel(op, grid, side):
