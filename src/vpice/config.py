@@ -192,5 +192,14 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Read and parse a config file; a directory or a file that is not
+    UTF-8 text is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except IsADirectoryError:
+        raise ConfigError(f"{path} is a directory, not a config file") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from None
+    return parse_config(text)

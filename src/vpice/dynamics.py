@@ -19,11 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import FieldSet, Grid, diff_ops
 from .operators import (
-    SparseOperator,
     assemble_coupled,
     divergence_matrix,
     solve_linear,
@@ -87,8 +85,9 @@ class StepperConfig:
 
     @property
     def n_steps(self) -> int:
-        """Steps from 0 to t_end; the last may end past t_end."""
-        return math.ceil(self.t_end / self.dt - 1e-12)
+        """Steps from 0 to t_end, at least one; the last may end past
+        t_end."""
+        return max(1, math.ceil(self.t_end / self.dt - 1e-12))
 
 
 def _pair(value, grid: Grid):
@@ -199,13 +198,11 @@ def step(v_n: FieldSet, inputs: ForcingInputs, params: RheologyParams,
     outside [0, 1] beyond STATE_SLACK).
     """
     grid = v_n.grid
-    coupled = assemble_coupled(v_n, grid, params)
-    matrix = sp.identity(coupled.dim, format="csr") + cfg.dt * coupled.matrix
-    op = SparseOperator(matrix.tocsr(), coupled.dirichlet_mask)
+    op = assemble_coupled(v_n, grid, params, dt=cfg.dt)  # I + dt A(v_n)
     rhs = v_n.to_vector() + cfg.dt * _explicit_rhs(v_n, inputs, params)
-    rhs[coupled.dirichlet_mask] = 0.0
+    rhs[op.dirichlet_mask] = 0.0
     vec = solve_linear(op, rhs)
-    vec[coupled.dirichlet_mask] = 0.0  # impose the known boundary values exactly
+    vec[op.dirichlet_mask] = 0.0  # impose the known boundary values exactly
     return FieldSet.from_vector(grid, vec).validate(params)
 
 

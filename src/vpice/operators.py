@@ -1,7 +1,15 @@
 """Sparse assembly of the frozen-coefficient operators and linear solves.
 
 Every operator is a sum of terms weight[row] * (factor * stencil) in blocks
-of the (u1, u2, h, a) layout, assembled by ``assemble_terms``.
+of the (u1, u2, h, a) layout, assembled by ``assemble_terms``.  The index
+work of a sum (its sorted, duplicate-merged pattern) is planned once per
+grid and term layout; each assembly only computes values, adds them on that
+pattern and drops exact zeros, so the matrices equal a plain COO -> CSR sum
+bit for bit.
+
+Linear solves (``solve_linear``) factor up to DIRECT_SOLVE_LIMIT unknowns
+with ``splu`` and beyond run ``_gmres``, scipy's restarted Jacobi-GMRES
+algorithm step for step without its per-iteration allocations.
 
 The velocity block discretizes
 
@@ -31,11 +39,15 @@ nodewise; the rows of A^H are summed before 1/(rho_ice h0) weights them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
 from .grid import FieldSet, Grid, diff_ops, strain_rate_field
 from .params import RheologyParams, VpiceError
@@ -50,6 +62,8 @@ from .rheology import (
 DIRECT_SOLVE_LIMIT = 20_000
 SOLVE_RTOL = 1e-10  # relative residual every solve_linear result must reach
 MAX_REFINEMENTS = 3  # iterative-refinement sweeps after a direct solve
+KRYLOV_RESTART = 50  # GMRES inner iterations per cycle
+KRYLOV_MAX_CYCLES = 200  # GMRES restart cycles before giving up
 
 
 class LinearSolveError(VpiceError):
@@ -73,30 +87,110 @@ class SparseOperator:
         return self.matrix.shape[0]
 
 
-def assemble_terms(grid: Grid, blocks: tuple, terms) -> sp.csr_matrix:
-    """Sum of terms weight[row] * (factor * stencil) as one CSR matrix.
+class _Sum(NamedTuple):
+    """A sum of terms before exact zeros are dropped: values on the union
+    pattern of its plan, usable as the stencil of an enclosing sum."""
+
+    plan: "_Plan"
+    data: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """Index work of one term layout on one grid, done once.
+
+    The union pattern (indptr, indices) is the sorted, duplicate-merged CSR
+    pattern of every term.  Term values are laid out in one buffer, term
+    after term from ``offsets``, and ``position`` gives the union entry of
+    each value.
+    """
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    offsets: tuple
+    position: np.ndarray
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """Position of each diagonal entry; the pattern must hold them all."""
+        at = np.flatnonzero(self.indices == _row_of_entry(self.indptr))
+        if len(at) != self.shape[0]:
+            raise ValueError("the pattern lacks diagonal entries")
+        return at.astype(np.int32)
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """CSR matrix of union values, exact zeros dropped."""
+        keep = data != 0.0
+        dropped = np.flatnonzero(~keep)
+        indptr = self.indptr - np.searchsorted(dropped, self.indptr).astype(np.int32)
+        return sp.csr_matrix((data[keep], self.indices[keep], indptr),
+                             shape=self.shape)
+
+
+def _row_of_entry(indptr: np.ndarray) -> np.ndarray:
+    return np.repeat(np.arange(len(indptr) - 1, dtype=np.int32), np.diff(indptr))
+
+
+@lru_cache(maxsize=32)
+def _plan(grid: Grid, blocks: tuple, layout: tuple) -> _Plan:
+    """The plan of a layout of (stencil, block_row, block_col) terms; a
+    stencil is a ``diff_ops`` key or the plan of a nested sum."""
+    n = grid.n_nodes
+    shape = (blocks[0] * n, blocks[1] * n)
+    rows, cols = [], []
+    for stencil, block_row, block_col in layout:
+        s = diff_ops(grid)[stencil] if isinstance(stencil, str) else stencil
+        rows.append(_row_of_entry(s.indptr) + block_row * n)
+        cols.append(s.indices + block_col * n)
+    offsets = tuple(np.cumsum([0] + [len(c) for c in cols]).tolist())
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    position = np.empty(len(order), dtype=np.int32)
+    position[order] = np.cumsum(new) - 1
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows[new], minlength=shape[0]), out=indptr[1:])
+    return _Plan(shape, indptr, cols[new], offsets, position)
+
+
+def _sum_terms(grid: Grid, blocks: tuple, terms) -> _Sum:
+    """Sum of terms weight[row] * (factor * stencil) on its union pattern.
 
     ``blocks`` counts the (rows, cols) of N x N blocks.  A term is (stencil,
-    block_row, block_col, weight, factor): a ``diff_ops`` key or a sparse
-    matrix, the block of its first entry, an array over the stencil's rows
-    (None for no weight) and a scalar.  One COO -> CSR conversion sums the
-    terms and drops exact zeros; the callers here let at most two nonzero
-    terms meet in an entry, so the order of summation does not matter.
+    block_row, block_col, weight, factor): a ``diff_ops`` key or a nested
+    ``_Sum``, the block of its first entry, an array over the stencil's rows
+    (None for no weight) and a scalar.  The index work is cached per grid
+    and layout; a call only computes values and adds the ones that share an
+    entry, in term order.  The callers here let at most two nonzero terms
+    meet in an entry, so the sums are those of a COO -> CSR conversion, bit
+    for bit, whatever its order of summation.
     """
-    n, ops = grid.n_nodes, diff_ops(grid)
-    parts = []
-    for stencil, block_row, block_col, weight, factor in terms:
-        s = ops[stencil] if isinstance(stencil, str) else stencil
-        r = np.repeat(np.arange(s.shape[0], dtype=np.int32), np.diff(s.indptr))
-        v = factor * s.data
-        parts.append((v if weight is None else weight[r] * v,
-                      r + block_row * n, s.indices + block_col * n))
-    vals, rows, cols = map(np.concatenate, zip(*parts))
-    del parts  # freed before the conversion copies every entry once more
-    matrix = sp.csr_matrix((vals, (rows, cols)),
-                           shape=(blocks[0] * n, blocks[1] * n))
-    matrix.eliminate_zeros()
-    return matrix
+    # int(): a numpy integer block index would widen the int32 index arrays
+    plan = _plan(grid, blocks, tuple(
+        (s if isinstance(s, str) else s.plan, int(block_row), int(block_col))
+        for s, block_row, block_col, _, _ in terms))
+    ops = diff_ops(grid)
+    values = np.empty(plan.offsets[-1])
+    for (s, _, _, weight, factor), start, stop in zip(terms, plan.offsets,
+                                                      plan.offsets[1:]):
+        indptr, data = ((ops[s].indptr, ops[s].data) if isinstance(s, str)
+                        else (s.plan.indptr, s.data))
+        part = values[start:stop]
+        np.multiply(data, factor, out=part)
+        if weight is not None:
+            part *= np.repeat(weight, np.diff(indptr))
+    # bincount adds in input order: for each entry, its terms in order
+    return _Sum(plan, np.bincount(plan.position, values,
+                                  minlength=len(plan.indices)))
+
+
+def assemble_terms(grid: Grid, blocks: tuple, terms) -> sp.csr_matrix:
+    """``_sum_terms`` as one CSR matrix with exact zeros dropped."""
+    total = _sum_terms(grid, blocks, terms)
+    return total.plan.matrix(total.data)
 
 
 def velocity_boundary_mask(grid: Grid, n_blocks: int) -> np.ndarray:
@@ -182,7 +276,7 @@ def assemble_neumann_laplacian(grid: Grid, d: float) -> SparseOperator:
 def coupled_terms(v_frozen: FieldSet, grid: Grid, params: RheologyParams) -> list:
     """Terms of the coupled operator frozen at v_frozen, in 4 x 4 blocks."""
     interior = grid.interior_mask().ravel()
-    hibler = assemble_terms(grid, (2, 2), _hibler_terms(v_frozen, grid, params))
+    hibler = _sum_terms(grid, (2, 2), _hibler_terms(v_frozen, grid, params))
     # weight 1 keeps the boundary identity rows of the velocity block
     inv_mass = np.where(interior, 1.0 / (params.rho_ice * v_frozen.h.ravel()), 1.0)
     dp_dh, dp_da = pressure_derivatives(v_frozen.h, v_frozen.a, params)
@@ -194,24 +288,29 @@ def coupled_terms(v_frozen: FieldSet, grid: Grid, params: RheologyParams) -> lis
                ("neumann", 3, 3, None, params.d_a)])
 
 
-def assemble_coupled(v_frozen: FieldSet, grid: Grid,
-                     params: RheologyParams) -> SparseOperator:
-    """Block upper-triangular quasilinear operator frozen at v_frozen (4N x 4N)."""
+def assemble_coupled(v_frozen: FieldSet, grid: Grid, params: RheologyParams,
+                     dt: Optional[float] = None) -> SparseOperator:
+    """Block upper-triangular quasilinear operator A frozen at v_frozen
+    (4N x 4N); with ``dt``, the backward-Euler matrix I + dt A, formed on the
+    same cached pattern (the id and neumann terms hold every diagonal
+    entry)."""
     v_frozen = v_frozen.validate(params)
-    return SparseOperator(
-        assemble_terms(grid, (4, 4), coupled_terms(v_frozen, grid, params)),
-        velocity_boundary_mask(grid, 4))
+    total = _sum_terms(grid, (4, 4), coupled_terms(v_frozen, grid, params))
+    data = total.data
+    if dt is not None:
+        data *= dt
+        data[total.plan.diagonal] += 1.0
+    return SparseOperator(total.plan.matrix(data), velocity_boundary_mask(grid, 4))
 
 
 def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve op x = rhs to relative residual <= SOLVE_RTOL, deterministically.
 
     Direct sparse factorization up to DIRECT_SOLVE_LIMIT unknowns (with up
-    to MAX_REFINEMENTS refinement sweeps), restarted GMRES with Jacobi
-    preconditioning beyond.  Raises LinearSolveError on breakdown or
-    non-convergence, reporting the achieved residual.
+    to MAX_REFINEMENTS refinement sweeps); beyond, ``_gmres`` on the CSR
+    matrix with Jacobi preconditioning.  Raises LinearSolveError on
+    breakdown or non-convergence, reporting the achieved residual.
     """
-    matrix = op.matrix.tocsc()
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (op.dim,):
         raise ValueError(f"rhs has shape {rhs.shape}, operator dim {op.dim}")
@@ -219,34 +318,116 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
 
-    if op.dim <= DIRECT_SOLVE_LIMIT:
-        try:
-            lu = spla.splu(matrix)
-            x = lu.solve(rhs)
-        except RuntimeError as exc:
-            raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-        if not np.all(np.isfinite(x)):
-            raise LinearSolveError("factorization produced non-finite values")
-        for _ in range(MAX_REFINEMENTS):
-            residual = rhs - matrix @ x
-            if np.linalg.norm(residual) <= SOLVE_RTOL * rhs_norm:
-                break
-            x = x + lu.solve(residual)
-        achieved = np.linalg.norm(rhs - matrix @ x) / rhs_norm
-        if not achieved <= SOLVE_RTOL:
-            raise LinearSolveError("direct solve did not reach tolerance",
-                                   achieved)
+    if op.dim > DIRECT_SOLVE_LIMIT:
+        diag = op.matrix.diagonal()
+        safe = np.where(np.abs(diag) > 0.0, diag, 1.0)
+        x, _ = _gmres(op.matrix, rhs, lambda v: v / safe)
         return x
 
-    diag = matrix.diagonal()
-    safe = np.where(np.abs(diag) > 0.0, diag, 1.0)
-    precond = spla.LinearOperator(matrix.shape, lambda v: v / safe)
-    x, info = spla.gmres(matrix, rhs, rtol=SOLVE_RTOL, atol=0.0, restart=50,
-                         maxiter=200, M=precond)
+    matrix = op.matrix.tocsc()
+    try:
+        lu = spla.splu(matrix)
+        x = lu.solve(rhs)
+    except RuntimeError as exc:
+        raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise LinearSolveError("factorization produced non-finite values")
+    for _ in range(MAX_REFINEMENTS):
+        residual = rhs - matrix @ x
+        if np.linalg.norm(residual) <= SOLVE_RTOL * rhs_norm:
+            break
+        x = x + lu.solve(residual)
     achieved = np.linalg.norm(rhs - matrix @ x) / rhs_norm
-    if info != 0 or not achieved <= SOLVE_RTOL:
-        raise LinearSolveError(f"GMRES did not converge (info={info})", achieved)
+    if not achieved <= SOLVE_RTOL:
+        raise LinearSolveError("direct solve did not reach tolerance", achieved)
     return x
+
+
+def _gmres(matrix: sp.csr_matrix, rhs: np.ndarray,
+           precond: Callable[[np.ndarray], np.ndarray]) -> tuple:
+    """Restarted GMRES(KRYLOV_RESTART) from x0 = 0 to ||rhs - A x|| <=
+    SOLVE_RTOL ||rhs||; returns x and the number of inner iterations.
+
+    Step for step the algorithm of ``scipy.sparse.linalg.gmres`` (scipy
+    1.17; Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986): left
+    preconditioning by ``precond`` (r -> M^-1 r, a new array), modified
+    Gram-Schmidt against every earlier basis vector, the exact-solution
+    breakdown test, lartg Givens rotations, a true residual after each cycle
+    and scipy's adaptive inner tolerance (gh-8400).  Only the plumbing
+    differs: a preallocated basis updated in place by BLAS ddot/daxpy,
+    rotations on Python floats and the CSR matrix multiplied directly.
+    daxpy fuses the multiply-add, so x and the residual estimates differ
+    from scipy's at rounding level, and an iteration count can differ by
+    one where an estimate meets its tolerance within rounding.  Raises
+    LinearSolveError with the achieved residual and the iteration count
+    when a breakdown or KRYLOV_MAX_CYCLES cycles end short of the
+    tolerance.
+    """
+    dot, axpy, lartg = blas.ddot, blas.daxpy, lapack.dlartg
+    eps = float(np.finfo(float).eps)
+    n = rhs.shape[0]
+    restart = min(KRYLOV_RESTART, n)
+    rhs_norm = math.sqrt(dot(rhs, rhs))
+    atol = SOLVE_RTOL * rhs_norm
+    m_rhs = precond(rhs)
+    ptol_max_factor = 1.0
+    ptol = math.sqrt(dot(m_rhs, m_rhs)) * min(1.0, atol / rhs_norm)
+    basis = np.empty((restart + 1, n))
+    hess = np.zeros((restart, restart + 1))  # row j: column j of H
+    x = np.zeros(n)
+    residual, inner = rhs, 0
+    for _ in range(KRYLOV_MAX_CYCLES):
+        basis[0] = precond(residual)
+        beta = math.sqrt(dot(basis[0], basis[0]))
+        basis[0] *= 1.0 / beta
+        g = [beta] + [0.0] * restart  # rotated right-hand side
+        rotations = []
+        breakdown = False
+        for col in range(restart):
+            w = precond(matrix @ basis[col])
+            h0 = math.sqrt(dot(w, w))
+            h = [0.0] * (col + 2)
+            for k in range(col + 1):
+                h[k] = dot(basis[k], w)
+                axpy(basis[k], w, a=-h[k])
+            h1 = math.sqrt(dot(w, w))
+            if h1 <= eps * h0:  # exact solution in the Krylov space
+                h1, breakdown = 0.0, True
+            else:
+                np.multiply(w, 1.0 / h1, out=basis[col + 1])
+            for k, (c, s) in enumerate(rotations):
+                h[k], h[k + 1] = c * h[k] + s * h[k + 1], -s * h[k] + c * h[k + 1]
+            c, s, h[col] = lartg(h[col], h1)
+            rotations.append((c, s))
+            hess[col, :col + 2] = h
+            g[col], g[col + 1] = c * g[col], -s * g[col]
+            presid = abs(g[col + 1])
+            inner += 1
+            if presid <= ptol or breakdown:
+                break
+        if hess[col, col] == 0.0:
+            g[col] = 0.0
+        y = np.array(g[:col + 1])
+        for k in range(col, 0, -1):  # back substitution, as scipy pseudo-solves
+            if y[k] != 0.0:
+                y[k] /= hess[k, k]
+                y[:k] -= y[k] * hess[k, :k]
+        if y[0] != 0.0:
+            y[0] /= hess[0, 0]
+        x += y @ basis[:col + 1]
+        residual = rhs - matrix @ x
+        achieved = np.linalg.norm(residual)
+        if achieved <= atol:
+            return x, inner
+        if breakdown:
+            break
+        if presid <= ptol:
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / achieved)
+    raise LinearSolveError(f"GMRES did not converge in {inner} inner iterations",
+                           achieved / rhs_norm)
 
 
 def export_coo(op: SparseOperator, path) -> None:

@@ -304,6 +304,39 @@ def test_dispatch_config_error_exit_2(tmp_path, capsys):
     assert "unknown key 'stepper.scheme'" in err
 
 
+@pytest.mark.parametrize("kind", ["not utf-8", "directory"])
+def test_unreadable_config_exit_2_one_line(tmp_path, capsys, kind):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe\x00grid.nx = 9\n")
+    assert dispatch(["simulate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"vpice: config error: {path} is ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_step_longer_than_the_run_takes_one_step(tmp_path, capsys):
+    # t_end / dt = 3e-309: the run still takes its one step, which either
+    # writes a second row or fails with exit 1
+    assert StepperConfig(dt=1e308, t_end=0.3).n_steps == 1
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "grid.nx = 5\ngrid.ny = 5\n"
+                                  "stepper.dt = 1e308\n"
+                                  f"experiment.output_dir = {out}\n")
+    code = dispatch(["simulate", path])
+    captured = capsys.readouterr()
+    rows = (out / "diagnostics.csv").read_text().splitlines()
+    if code == 0:
+        assert len(rows) == 3  # header, initial state, one step
+    else:
+        assert code == 1 and len(rows) == 2
+        assert captured.err.startswith("vpice: step 1 ")
+        assert captured.err.count("\n") == 1
+
+
 def test_failing_step_exit_1_one_line(tmp_path, capsys):
     out = tmp_path / "fail"
     body = (f"experiment.output_dir = {out}\n"

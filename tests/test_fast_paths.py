@@ -1,0 +1,213 @@
+"""The per-grid assembly plan and the Krylov kernel against plain references.
+
+The plan must give the matrices of a plain COO sum bit for bit, so the
+direct solve path does not move; the GMRES kernel must take scipy's steps,
+so its iteration counts equal ``scipy.sparse.linalg.gmres``'s.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from vpice import scaled_params
+from vpice.grid import FieldSet, Grid, diff_ops
+from vpice.operators import (
+    KRYLOV_MAX_CYCLES,
+    KRYLOV_RESTART,
+    SOLVE_RTOL,
+    LinearSolveError,
+    _gmres,
+    _hibler_terms,
+    assemble_coupled,
+    assemble_hibler,
+    coupled_terms,
+    gradient_coupling,
+)
+from vpice.stability import Equilibrium, assemble_A0
+
+
+# ---------------------------------------------------------------------------
+# Assembly plan
+# ---------------------------------------------------------------------------
+
+def coo_sum(grid, blocks, terms):
+    """Oracle: every term as COO triplets, summed by one COO -> CSR
+    conversion, exact zeros dropped."""
+    n, ops = grid.n_nodes, diff_ops(grid)
+    vals, rows, cols = [], [], []
+    for stencil, block_row, block_col, weight, factor in terms:
+        s = ops[stencil] if isinstance(stencil, str) else stencil
+        r = np.repeat(np.arange(s.shape[0], dtype=np.int32), np.diff(s.indptr))
+        v = factor * s.data
+        vals.append(v if weight is None else weight[r] * v)
+        rows.append(r + block_row * n)
+        cols.append(s.indices + block_col * n)
+    matrix = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(blocks[0] * n, blocks[1] * n))
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def oracle_coupled_terms(state, grid, params):
+    # the velocity block is summed on its own before inv_mass weights it
+    hibler = coo_sum(grid, (2, 2), _hibler_terms(state, grid, params))
+    (_, _, _, inv_mass, factor), *rest = coupled_terms(state, grid, params)
+    return [(hibler, 0, 0, inv_mass, factor)] + rest
+
+
+def assert_bitwise(got, expected):
+    assert got.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+
+
+GRIDS = [Grid(5, 5), Grid(17, 17), Grid(9, 15, lx=2.0)]
+
+
+def states(grid):
+    x, y = grid.coords()
+    h = 1.0 + 0.01 * np.cos(np.pi * x / grid.lx) * np.cos(2.0 * np.pi * y)
+    a = 0.8 + 0.01 * np.sin(np.pi * x / grid.lx)
+    interior = grid.interior_mask()
+    rng = np.random.default_rng(grid.nx * grid.ny)
+    u1, u2 = (np.where(interior, 1e-3 * rng.normal(size=x.shape), 0.0)
+              for _ in range(2))
+    zero = np.zeros_like(x)
+    return {"rest": FieldSet.constant(grid, 1.0, 0.8),
+            "perturbed": FieldSet(grid, zero, zero.copy(), h, a),
+            "moving": FieldSet(grid, u1, u2, h.copy(), a.copy())}
+
+
+@pytest.mark.parametrize("c_cor", [0.0, 0.5])
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+def test_plan_assembly_is_the_coo_sum_bit_for_bit(grid, c_cor):
+    params = scaled_params(delta=1e-6, c_cor=c_cor)
+    for state in states(grid).values():
+        assert_bitwise(assemble_hibler(state, grid, params).matrix,
+                       coo_sum(grid, (2, 2), _hibler_terms(state, grid, params)))
+        coupled = coo_sum(grid, (4, 4), oracle_coupled_terms(state, grid, params))
+        assert_bitwise(assemble_coupled(state, grid, params).matrix, coupled)
+        for dt in (0.004, 0.04, 1e9):
+            fused = assemble_coupled(state, grid, params, dt=dt).matrix
+            assert_bitwise(fused, sp.identity(coupled.shape[0], format="csr")
+                           + dt * coupled)
+        weight = state.h.ravel() * grid.interior_mask().ravel()
+        assert_bitwise(gradient_coupling(grid, state.h),
+                       coo_sum(grid, (2, 1), [("dx", 0, 0, weight, 1.0),
+                                              ("dy", 1, 0, weight, 1.0)]))
+    eq = Equilibrium(1.0, 0.8)
+    interior = grid.interior_mask().ravel().astype(float)
+    a0_terms = oracle_coupled_terms(eq.state(grid), grid, params) + [
+        ("id", 0, 1, interior, -c_cor), ("id", 1, 0, interior, c_cor),
+        ("div", 2, 0, None, eq.h_star), ("div", 3, 0, None, eq.a_star)]
+    assert_bitwise(assemble_A0(eq, grid, params).matrix,
+                   coo_sum(grid, (4, 4), a0_terms))
+
+
+def test_plan_is_built_once_per_grid_and_layout():
+    from vpice.operators import _plan
+
+    grid, params = Grid(7, 9), scaled_params()
+    state = states(grid)["moving"]
+    assemble_coupled(state, grid, params)
+    before = _plan.cache_info()
+    assemble_coupled(state, grid, params, dt=0.01)
+    after = _plan.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 2  # the velocity block and the sum
+
+
+# ---------------------------------------------------------------------------
+# Krylov kernel
+# ---------------------------------------------------------------------------
+
+def jacobi(matrix):
+    diag = matrix.diagonal()
+    safe = np.where(np.abs(diag) > 0.0, diag, 1.0)
+    return lambda v: v / safe
+
+
+def scipy_gmres(matrix, rhs, precond):
+    """x and the inner iteration count of scipy's GMRES with the settings
+    of the kernel."""
+    count = [0]
+
+    def tally(_):
+        count[0] += 1
+
+    x, info = spla.gmres(matrix.tocsc(), rhs, rtol=SOLVE_RTOL, atol=0.0,
+                         restart=KRYLOV_RESTART, maxiter=KRYLOV_MAX_CYCLES,
+                         M=spla.LinearOperator(matrix.shape, precond),
+                         callback=tally, callback_type="pr_norm")
+    return x, info, count[0]
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-8])
+@pytest.mark.parametrize("c_cor", [0.0, 0.5])
+def test_kernel_takes_scipys_steps_on_the_coupled_system(c_cor, delta):
+    grid = Grid(33, 33)
+    n = grid.n_nodes
+    params = scaled_params(delta=delta, c_cor=c_cor)
+    state = states(grid)["moving"]
+    op = assemble_coupled(state, grid, params, dt=0.04)
+    rhs = state.to_vector()
+    rhs[op.dirichlet_mask] = 0.0
+    precond = jacobi(op.matrix)
+    x, inner = _gmres(op.matrix, rhs, precond)
+    expected, info, count = scipy_gmres(op.matrix, rhs, precond)
+    assert info == 0 and inner == count > 1
+    u, u_ref = x[:2 * n], expected[:2 * n]
+    assert np.linalg.norm(u - u_ref) <= 1e-6 * np.linalg.norm(u_ref)
+    for block in (slice(2 * n, 3 * n), slice(3 * n, 4 * n)):
+        assert (np.linalg.norm(x[block] - expected[block])
+                <= 1e-12 * np.linalg.norm(expected[block]))
+    residual = np.linalg.norm(rhs - op.matrix @ x) / np.linalg.norm(rhs)
+    assert residual <= SOLVE_RTOL
+
+
+def test_kernel_stops_at_an_exact_breakdown():
+    # Jordan blocks: the Krylov space of e_2 is invariant after two steps,
+    # and every operation on it is exact
+    n = 40
+    matrix = sp.block_diag([np.array([[1.0, 1.0], [0.0, 1.0]])] * (n // 2),
+                           format="csr")
+    rhs = np.zeros(n)
+    rhs[1] = 1.0
+    precond = jacobi(matrix)
+    x, inner = _gmres(matrix, rhs, precond)
+    expected, info, count = scipy_gmres(matrix, rhs, precond)
+    assert inner == count == 2 and info == 0
+    assert np.array_equal(x, expected)
+    assert np.linalg.norm(rhs - matrix @ x) <= SOLVE_RTOL
+
+
+def assert_gmres_fails(matrix, rhs, inner):
+    with pytest.raises(LinearSolveError) as excinfo:
+        _gmres(matrix, rhs, jacobi(matrix))
+    assert excinfo.value.achieved_residual == 1.0
+    assert f"in {inner} inner iterations" in str(excinfo.value)
+
+
+def test_kernel_fails_on_an_inconsistent_system():
+    # singular, rhs outside the range: breakdown at the first step, and the
+    # true residual is the whole rhs
+    n = 10
+    matrix = sp.diags(np.r_[np.ones(n - 1), 0.0], format="csr")
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    assert_gmres_fails(matrix, rhs, 1)
+    _, info, count = scipy_gmres(matrix, rhs, jacobi(matrix))
+    assert info != 0 and count == 1
+
+
+def test_kernel_gives_up_after_the_last_cycle():
+    # cyclic shift of e_1: no restarted cycle shorter than n makes progress
+    n = KRYLOV_RESTART + 1
+    matrix = sp.csr_matrix(np.roll(np.eye(n), 1, axis=0))
+    rhs = np.zeros(n)
+    rhs[0] = 1.0
+    assert_gmres_fails(matrix, rhs, KRYLOV_MAX_CYCLES * KRYLOV_RESTART)
