@@ -9,6 +9,7 @@ Subpackages:
   dynamics     forcing, sources and IMEX time integration
   stability    linearized operator, spectra and decay experiments
   config       flat key = value run configuration
+  io_formats   every file written: CSV, key-value text, snapshots, PPM, COO
   cli          subcommand front end (simulate, symbol, ls-check, spectrum,
                decay, selftest)
 """

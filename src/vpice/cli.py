@@ -25,13 +25,16 @@ from __future__ import annotations
 
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .dynamics import ForcingInputs, RunSinks, run
 from .io_formats import (
+    CsvWriter,
     DiagnosticsCsvWriter,
+    export_coo,
     format_float,
     write_eigenvalue_csv,
     write_key_values,
@@ -39,7 +42,7 @@ from .io_formats import (
     write_ppm,
     write_snapshot,
 )
-from .operators import assemble_coupled, export_coo
+from .operators import assemble_coupled
 from .params import VpiceError
 # pressure is unused here; perfbench/spans.py traces this binding
 from .rheology import pressure, sample_state
@@ -61,10 +64,6 @@ from .symbols import (
 )
 from .selftest import run_selftest
 
-USAGE = __doc__
-
-SUBCOMMANDS = ("simulate", "symbol", "ls-check", "spectrum", "decay", "selftest")
-
 DECAY_GAP_RTOL = 0.2  # fitted rate vs gap, the bound of acceptance criterion 10
 
 
@@ -85,20 +84,17 @@ def cmd_symbol(cfg: RunConfig) -> int:
     directory = _prepare_output(cfg)
     path = os.path.join(directory, "symbol_report.csv")
     violated = False
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,e11,e12,e22,h,a,p,min_eigenvalue,"
-                 "coercivity_margin,relative_margin\n")
+    with CsvWriter(path, ("id", "e11", "e12", "e22", "h", "a", "p",
+                          "min_eigenvalue", "coercivity_margin",
+                          "relative_margin")) as writer:
         for index in range(cfg["experiment.n_samples"]):
             eps, h, a, p = sample_state(rng, params,
                                         cfg["equilibrium.h_star"])
             report = ellipticity_report(eps, p, params, n_samples=8,
                                         seed=int(rng.integers(1 << 31)))
-            fh.write(",".join(
-                [str(index)]
-                + [format_float(x) for x in (eps.e11, eps.e12, eps.e22, h, a, p)]
-                + [format_float(report.min_eigenvalue),
-                   format_float(report.min_coercivity_margin),
-                   format_float(report.relative_margin)]) + "\n")
+            writer((index, eps.e11, eps.e12, eps.e22, h, a, p,
+                    report.min_eigenvalue, report.min_coercivity_margin,
+                    report.relative_margin))
             violated = violated or not report.passes
     write_manifest(directory, [("symbol_report.csv", "csv")], cfg.echo())
     print(f"symbol report: {path}")
@@ -112,9 +108,9 @@ def cmd_ls_check(cfg: RunConfig) -> int:
     path = os.path.join(directory, "ls_report.csv")
     re_min = cfg["experiment.lambda_re_min"]
     violated = False
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id,e11,e12,e22,p,theta,lambda_re,lambda_im,"
-                 "n_stable,n_unstable,s_min,s_max,margin\n")
+    with CsvWriter(path, ("id", "e11", "e12", "e22", "p", "theta",
+                          "lambda_re", "lambda_im", "n_stable", "n_unstable",
+                          "s_min", "s_max", "margin")) as writer:
         for index in range(cfg["experiment.n_samples"]):
             probe, theta = sample_ls_probe(rng, params, re_min,
                                            cfg["equilibrium.h_star"])
@@ -124,14 +120,10 @@ def cmd_ls_check(cfg: RunConfig) -> int:
                 print(f"probe {index}: {exc}", file=sys.stderr)
                 violated = True
                 continue
-            fh.write(",".join(
-                [str(index)]
-                + [format_float(x) for x in
-                   (probe.eps.e11, probe.eps.e12, probe.eps.e22, probe.p,
-                    theta, probe.lam.real, probe.lam.imag)]
-                + [str(len(result.stable_roots)), str(len(result.unstable_roots))]
-                + [format_float(result.s_min), format_float(result.s_max),
-                   format_float(result.margin)]) + "\n")
+            writer((index, probe.eps.e11, probe.eps.e12, probe.eps.e22,
+                    probe.p, theta, probe.lam.real, probe.lam.imag,
+                    len(result.stable_roots), len(result.unstable_roots),
+                    result.s_min, result.s_max, result.margin))
             violated = violated or not result.passes
     write_manifest(directory, [("ls_report.csv", "csv")], cfg.echo())
     print(f"boundary-condition report: {path}")
@@ -149,8 +141,7 @@ def cmd_spectrum(cfg: RunConfig, dump_matrix=None) -> int:
     proxy = semisimplicity_proxy(op, grid)
     csv_path = os.path.join(directory, "spectrum.csv")
     write_eigenvalue_csv(csv_path, report.eigenvalues)
-    summary_path = os.path.join(directory, "spectrum_summary.txt")
-    write_key_values(summary_path, [
+    write_key_values(os.path.join(directory, "spectrum_summary.txt"), [
         ("kernel_dim", report.kernel_dim),
         ("spectral_gap", report.spectral_gap),
         ("spectral_radius", report.spectral_radius),
@@ -172,19 +163,17 @@ def cmd_spectrum(cfg: RunConfig, dump_matrix=None) -> int:
 
 
 def cmd_decay(cfg: RunConfig) -> int:
-    params = cfg.rheology_params()
-    grid = cfg.grid()
     directory = _prepare_output(cfg)
     csv_path = os.path.join(directory, "decay_diagnostics.csv")
     with DiagnosticsCsvWriter(csv_path) as writer:
         result = decay_experiment(cfg.equilibrium(),
                                   cfg["experiment.perturbation_scale"],
-                                  grid, params, cfg.stepper(),
+                                  cfg.grid(), cfg.rheology_params(),
+                                  cfg.stepper(),
                                   RunSinks(on_diagnostics=writer))
     rel = (abs(result.fitted_rate - result.predicted_gap)
            / max(result.predicted_gap, 1e-300))
-    summary_path = os.path.join(directory, "decay_summary.txt")
-    write_key_values(summary_path, [
+    write_key_values(os.path.join(directory, "decay_summary.txt"), [
         ("fitted_rate", result.fitted_rate),
         ("predicted_gap", result.predicted_gap),
         ("relative_gap_error", rel),
@@ -209,32 +198,47 @@ def cmd_simulate(cfg: RunConfig, dump_matrix=None) -> int:
     directory = _prepare_output(cfg)  # a dump may go into it
     if dump_matrix:
         export_coo(assemble_coupled(v0, grid, params), dump_matrix)
-    files = [("diagnostics.csv", "csv")]
-    snapshots = []
+    files = [("diagnostics.csv", "csv")]  # then snapshots, then the dump
 
     def on_snapshot(step_index, t, state):
         name = f"snapshot_{step_index:06d}.bin"
         write_snapshot(os.path.join(directory, name), state, t)
-        snapshots.append((name, "snapshot-binary"))
+        files.append((name, "snapshot-binary"))
         if cfg["experiment.emit_ppm"]:
             for field_name, field in (("u1", state.u1), ("u2", state.u2),
                                       ("h", state.h), ("a", state.a)):
                 ppm = f"snapshot_{step_index:06d}_{field_name}.ppm"
                 write_ppm(os.path.join(directory, ppm), field)
-                snapshots.append((ppm, "ppm-p6"))
-                snapshots.append((ppm + ".scale.txt", "key-value"))
+                files.append((ppm, "ppm-p6"))
+                files.append((ppm + ".scale.txt", "key-value"))
 
     csv_path = os.path.join(directory, "diagnostics.csv")
     with DiagnosticsCsvWriter(csv_path) as writer:
         sinks = RunSinks(on_diagnostics=writer, on_snapshot=on_snapshot,
                          snapshot_every=cfg["experiment.snapshot_every"])
         run(v0, ForcingInputs.none(), params, cfg.stepper(), sinks=sinks)
-    files.extend(snapshots)
     if dump_matrix:
         files.append((os.path.basename(dump_matrix), "coo-text"))
     write_manifest(directory, files, cfg.echo())
     print(f"simulation diagnostics: {csv_path}")
     return 0
+
+
+class Command(NamedTuple):
+    run: Callable[..., int]  # run(cfg[, dump_matrix]), or run() without config
+    takes_config: bool = True
+    dumps_matrix: bool = False
+
+
+COMMANDS = {
+    "simulate": Command(cmd_simulate, dumps_matrix=True),
+    "symbol": Command(cmd_symbol),
+    "ls-check": Command(cmd_ls_check),
+    "spectrum": Command(cmd_spectrum, dumps_matrix=True),
+    "decay": Command(cmd_decay),
+    "selftest": Command(run_selftest, takes_config=False),
+}
+SUBCOMMANDS = tuple(COMMANDS)
 
 
 def dispatch(argv) -> int:
@@ -255,47 +259,37 @@ def dispatch(argv) -> int:
 
 def _dispatch(argv: list) -> int:
     if not argv or argv[0] in ("-h", "--help"):
-        print(USAGE)
+        print(__doc__)
         return 0 if argv else 2
-    command, rest = argv[0], argv[1:]
-    if command not in SUBCOMMANDS:
-        return _fail(f"unknown subcommand {command!r}; "
+    name, rest = argv[0], argv[1:]
+    if name not in COMMANDS:
+        return _fail(f"unknown subcommand {name!r}; "
                      f"expected one of {', '.join(SUBCOMMANDS)}", 2)
-    if command == "selftest":  # the suites pin their own parameters
-        if rest:
-            return _fail("usage: vpice selftest", 2)
-        return 0 if run_selftest() else 1
+    command = COMMANDS[name]
 
-    dump_matrix = None
+    args = []  # the dump path, when given
     if "--dump-matrix" in rest:
         index = rest.index("--dump-matrix")
-        if command not in ("simulate", "spectrum"):
-            return _fail("--dump-matrix applies to simulate and spectrum", 2)
+        if not command.dumps_matrix:
+            return _fail("--dump-matrix applies to " + " and ".join(
+                n for n, c in COMMANDS.items() if c.dumps_matrix), 2)
         if index + 1 >= len(rest):
             return _fail("--dump-matrix needs a path", 2)
-        dump_matrix = rest[index + 1]
+        args = [rest[index + 1]]
         rest = rest[:index] + rest[index + 2:]
 
+    if not command.takes_config:
+        return _fail(f"usage: vpice {name}", 2) if rest else command.run()
     if len(rest) != 1:
-        return _fail(f"usage: vpice {command} <config>", 2)
-    config_path = rest[0]
+        return _fail(f"usage: vpice {name} <config>", 2)
 
     try:
-        cfg = load_config(config_path)
+        cfg = load_config(rest[0])
     except FileNotFoundError:
-        return _fail(f"config file not found: {config_path}", 2)
+        return _fail(f"config file not found: {rest[0]}", 2)
     except ConfigError as exc:
         return _fail(f"config error: {exc}", 2)
-
-    if command == "simulate":
-        return cmd_simulate(cfg, dump_matrix)
-    if command == "symbol":
-        return cmd_symbol(cfg)
-    if command == "ls-check":
-        return cmd_ls_check(cfg)
-    if command == "spectrum":
-        return cmd_spectrum(cfg, dump_matrix)
-    return cmd_decay(cfg)
+    return command.run(cfg, *args)
 
 
 def main() -> None:

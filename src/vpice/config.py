@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields
 
 from .dynamics import StepperConfig
 from .grid import Grid
+from .io_formats import format_float
 from .params import InvalidStateError, RheologyParams, VpiceError
 from .stability import Equilibrium
 
@@ -112,7 +113,7 @@ class RunConfig:
             if isinstance(value, bool):
                 printed = "true" if value else "false"
             elif isinstance(value, float):
-                printed = format(value, ".17g")
+                printed = format_float(value)
             else:
                 printed = str(value)
             out.append((key, printed))

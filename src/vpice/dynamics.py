@@ -126,24 +126,18 @@ def compute_forcing(v: FieldSet, inputs: ForcingInputs,
     f1 -= params.g * tilt_x
     f2 -= params.g * tilt_y
 
-    def rotated(w1, w2, theta):
-        c, s = np.cos(theta), np.sin(theta)
-        return c * w1 - s * w2, s * w1 + c * w2
-
-    atm1, atm2 = _pair(inputs.u_atm, g)
-    speed = np.hypot(atm1, atm2)
-    r1, r2 = rotated(atm1, atm2, params.theta_atm)
-    c_atm = params.rho_atm * params.C_atm / params.rho_ice
-    f1 += c_atm / v.h * speed * r1
-    f2 += c_atm / v.h * speed * r2
-
+    # quadratic drag (rho C / rho_ice) / h |w| R(theta) w by the wind and
+    # by the current relative to the ice
     oce1, oce2 = _pair(inputs.u_ocean, g)
-    rel1, rel2 = oce1 - v.u1, oce2 - v.u2
-    speed = np.hypot(rel1, rel2)
-    r1, r2 = rotated(rel1, rel2, params.theta_ocean)
-    c_oce = params.rho_ocean * params.C_ocean / params.rho_ice
-    f1 += c_oce / v.h * speed * r1
-    f2 += c_oce / v.h * speed * r2
+    for (w1, w2), rho, c_drag, theta in (
+            (_pair(inputs.u_atm, g), params.rho_atm, params.C_atm,
+             params.theta_atm),
+            ((oce1 - v.u1, oce2 - v.u2), params.rho_ocean, params.C_ocean,
+             params.theta_ocean)):
+        drag = rho * c_drag / params.rho_ice / v.h * np.hypot(w1, w2)
+        c, s = np.cos(theta), np.sin(theta)
+        f1 += drag * (c * w1 - s * w2)
+        f2 += drag * (s * w1 + c * w2)
 
     f1[~interior] = 0.0
     f2[~interior] = 0.0

@@ -1,4 +1,5 @@
-"""File emission: diagnostics CSV, binary snapshots, PPM heatmaps, manifests.
+"""Every file the package writes: CSV reports, key-value summaries and
+manifests, binary snapshots, PPM heatmaps and COO matrix dumps.
 
 All floating-point text output uses 17 significant digits so that identical
 runs produce byte-identical files and values round-trip exactly.
@@ -7,6 +8,7 @@ runs produce byte-identical files and values round-trip exactly.
 from __future__ import annotations
 
 import os
+from contextlib import AbstractContextManager
 
 import numpy as np
 
@@ -14,42 +16,51 @@ from .grid import FieldSet, Grid
 
 DIAGNOSTIC_COLUMNS = ("time", "kinetic_energy", "mean_h", "mean_a",
                       "max_u", "perturbation_norm")
+FLOAT_FIELD = "{:.17g}"  # 17 significant digits: every float round-trips
 
 
 def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+    return FLOAT_FIELD.format(float(x))
 
 
-class DiagnosticsCsvWriter:
-    """Streaming CSV sink for run diagnostics."""
+class CsvWriter(AbstractContextManager):
+    """Streaming CSV: the header, then one line per row (a dict keyed by
+    column or a sequence of one value per column), each value printed as
+    format_float prints it (an int as itself); UTF-8, LF line ends."""
 
-    def __init__(self, path):
-        self.path = path
+    def __init__(self, path, columns):
+        self.columns = tuple(columns)
+        # one format call per line, not one format_float call per value
+        self._line = ",".join([FLOAT_FIELD] * len(self.columns)) + "\n"
         self._fh = open(path, "w", encoding="utf-8", newline="\n")
-        self._fh.write(",".join(DIAGNOSTIC_COLUMNS) + "\n")
+        self._fh.write(",".join(self.columns) + "\n")
 
-    def __call__(self, row: dict) -> None:
-        self._fh.write(",".join(format_float(row[c]) for c in DIAGNOSTIC_COLUMNS)
-                       + "\n")
+    def __call__(self, row) -> None:
+        if isinstance(row, dict):
+            row = [row[c] for c in self.columns]
+        self._fh.write(self._line.format(*row))
 
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self):
-        return self
+    def write_columns(self, *columns) -> None:
+        """Equal-length columns, one value per row each, in one write."""
+        self._fh.write("".join(map(self._line.format, *columns)))
 
     def __exit__(self, *exc):
-        self.close()
-        return False
+        self._fh.close()
+
+
+class DiagnosticsCsvWriter(CsvWriter):
+    """Streaming sink for run diagnostics rows."""
+
+    def __init__(self, path):
+        super().__init__(path, DIAGNOSTIC_COLUMNS)
 
 
 def write_eigenvalue_csv(path, eigenvalues) -> None:
-    order = np.lexsort((np.asarray(eigenvalues).imag,
-                        np.asarray(eigenvalues).real))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("re,im\n")
-        for value in np.asarray(eigenvalues)[order]:
-            fh.write(f"{format_float(value.real)},{format_float(value.imag)}\n")
+    """Columns re, im, sorted by real then imaginary part."""
+    values = np.asarray(eigenvalues)
+    values = values[np.lexsort((values.imag, values.real))]
+    with CsvWriter(path, ("re", "im")) as writer:
+        writer.write_columns(values.real.tolist(), values.imag.tolist())
 
 
 def write_key_values(path, items) -> None:
@@ -78,10 +89,8 @@ def read_snapshot(path):
         header = fh.readline().decode("ascii").split()
         nx, ny = int(header[0]), int(header[1])
         lx, ly, t = float(header[2]), float(header[3]), float(header[4])
-        grid = Grid(nx, ny, lx, ly)
-        n = nx * ny
-        raw = np.frombuffer(fh.read(4 * n * 8), dtype="<f8")
-    return FieldSet.from_vector(grid, raw), t
+        raw = np.frombuffer(fh.read(4 * nx * ny * 8), dtype="<f8")
+    return FieldSet.from_vector(Grid(nx, ny, lx, ly), raw), t
 
 
 def write_ppm(path, field: np.ndarray) -> None:
@@ -96,17 +105,25 @@ def write_ppm(path, field: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P6\n{nx} {ny}\n255\n".encode("ascii"))
         fh.write(rgb.tobytes())
-    write_key_values(str(path) + ".scale.txt",
-                     [("min", lo), ("max", hi)])
+    write_key_values(f"{path}.scale.txt", [("min", lo), ("max", hi)])
 
 
-def write_manifest(directory, files, config_echo) -> str:
+def write_manifest(directory, files, config_echo) -> None:
     """Manifest of emitted files (name, format) and the exact config echo."""
     path = os.path.join(directory, "manifest.txt")
+    items = []
+    for index, (name, fmt) in enumerate(files):
+        items += [(f"file.{index}.name", name), (f"file.{index}.format", fmt)]
+    write_key_values(path, items + [(f"config.{key}", value)
+                                    for key, value in config_echo])
+
+
+def export_coo(op, path) -> None:
+    """Write a SparseOperator as 'row col value' text lines (17 significant
+    digits), sorted by row then column."""
+    coo = op.matrix.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    line = "{} {} " + FLOAT_FIELD + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for index, (name, fmt) in enumerate(files):
-            fh.write(f"file.{index}.name = {name}\n")
-            fh.write(f"file.{index}.format = {fmt}\n")
-        for key, value in config_echo:
-            fh.write(f"config.{key} = {value}\n")
-    return path
+        fh.write("".join(map(line.format, coo.row[order].tolist(),
+                             coo.col[order].tolist(), coo.data[order].tolist())))

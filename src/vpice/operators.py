@@ -67,11 +67,13 @@ KRYLOV_MAX_CYCLES = 200  # GMRES restart cycles before giving up
 
 
 class LinearSolveError(VpiceError):
-    """Factorization breakdown or Krylov non-convergence."""
+    """Factorization breakdown or Krylov non-convergence; the message names
+    the achieved residual when one was computed."""
 
-    def __init__(self, message: str, achieved_residual: float = np.nan):
-        super().__init__(f"{message} (achieved relative residual "
-                         f"{achieved_residual:.3e})")
+    def __init__(self, message: str, achieved_residual: float | None = None):
+        if achieved_residual is not None:
+            message += f" (achieved relative residual {achieved_residual:.3e})"
+        super().__init__(message)
         self.achieved_residual = achieved_residual
 
 
@@ -429,11 +431,3 @@ def _gmres(matrix: sp.csr_matrix, rhs: np.ndarray,
     raise LinearSolveError(f"GMRES did not converge in {inner} inner iterations",
                            achieved / rhs_norm)
 
-
-def export_coo(op: SparseOperator, path) -> None:
-    """Write the operator as 'row col value' text lines (17 significant digits)."""
-    coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", encoding="utf-8") as fh:
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {v:.17g}\n")

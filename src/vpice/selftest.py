@@ -181,11 +181,10 @@ SUITES = (("rheology-identities", rheology_suite),
           ("linearized-spectrum", spectrum_suite))
 
 
-def run_selftest() -> bool:
-    """Run every suite; print one pass/fail line each; return overall success.
-
-    A suite that raises a package error fails with its message; the others
-    still run."""
+def run_selftest() -> int:
+    """Run every suite, printing one pass/fail line each; the exit code is 0
+    when all pass, else 1.  The suites pin their own parameters; one that
+    raises a package error fails with its message, and the others still run."""
     all_ok = True
     for name, suite in SUITES:
         try:
@@ -194,4 +193,4 @@ def run_selftest() -> bool:
             ok, detail = False, str(exc)
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         all_ok = all_ok and ok
-    return all_ok
+    return 0 if all_ok else 1

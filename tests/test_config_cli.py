@@ -17,7 +17,12 @@ from vpice.cli import SUBCOMMANDS, dispatch
 from vpice.config import KEYS, ConfigError, RunConfig, parse_config
 from vpice.dynamics import MAX_STEPS, StepperConfig
 from vpice.grid import FieldSet, Grid
-from vpice.io_formats import read_snapshot, write_snapshot
+from vpice.io_formats import (
+    CsvWriter,
+    read_snapshot,
+    write_manifest,
+    write_snapshot,
+)
 from vpice.params import InvalidStateError, RheologyParams, VpiceError
 from vpice.stability import Equilibrium
 from vpice.symbols import RootBalanceError
@@ -243,8 +248,33 @@ def test_echo_prints_17_digits():
 
 
 # ---------------------------------------------------------------------------
-# Snapshot round trip
+# File formats
 # ---------------------------------------------------------------------------
+
+def test_csv_writer_format(tmp_path):
+    path = tmp_path / "rows.csv"
+    with CsvWriter(path, ("id", "x", "n")) as writer:
+        writer((0, 0.1, 2))  # a sequence in column order
+        writer({"n": 2, "x": 1.0 / 3.0, "id": 1})  # a dict by column
+        writer.write_columns([2, 3], [-0.0, 1e300], [0, -7])
+    assert path.read_bytes() == (b"id,x,n\n"
+                                 b"0,0.10000000000000001,2\n"
+                                 b"1,0.33333333333333331,2\n"
+                                 b"2,-0,0\n"
+                                 b"3,1.0000000000000001e+300,-7\n")
+
+
+def test_manifest_layout(tmp_path):
+    echo = RunConfig().echo()
+    write_manifest(tmp_path, [("a.csv", "csv"), ("b.txt", "key-value")], echo)
+    with open(tmp_path / "manifest.txt", encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    assert lines[:4] == ["file.0.name = a.csv", "file.0.format = csv",
+                         "file.1.name = b.txt", "file.1.format = key-value"]
+    assert lines[4:] == [f"config.{key} = {value}" for key, value in echo] + [""]
+    assert "config.grid.nx = 17" in lines
+    assert "config.experiment.emit_ppm = false" in lines
+
 
 def test_snapshot_roundtrip(tmp_path):
     g = Grid(7, 5, 2.0, 3.0)
@@ -347,6 +377,19 @@ def test_failing_step_exit_1_one_line(tmp_path, capsys):
     assert err.startswith("vpice: step 1 ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_factorization_failure_names_no_residual(tmp_path, capsys):
+    # I + dt A overflows at dt = 1e308 and its LU is singular: the solve
+    # computed no residual, so the message names none
+    path = write_config(tmp_path, "grid.nx = 5\ngrid.ny = 5\n"
+                                  "stepper.dt = 1e308\nstepper.t_end = 1e308\n"
+                                  f"experiment.output_dir = {tmp_path}\n")
+    assert dispatch(["simulate", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vpice: step 1 ") and err.count("\n") == 1
+    assert "sparse factorization failed" in err
+    assert "residual" not in err and "nan" not in err
 
 
 def test_lscheck_negative_lambda_config_exit_2(tmp_path, capsys):
@@ -640,18 +683,17 @@ def test_simulate_reproducibility_byte_identical(tmp_path, capsys):
     assert a == b
 
 
-def test_dump_matrix_flag(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["symbol", "ls-check", "decay", "selftest"])
+def test_dump_matrix_flag(command, tmp_path, capsys):
+    # simulate and spectrum take the flag (tests below); the others reject
+    # it before reading the config
     out = tmp_path / "dump"
-    body = SCALED_SNIPPET + f"experiment.output_dir = {out}\n"
-    path = write_config(tmp_path, body)
-    target = str(out / "a0.txt")
-    os.makedirs(out, exist_ok=True)
-    assert dispatch(["spectrum", path, "--dump-matrix", target]) == 0
-    capsys.readouterr()
-    first = open(target).readline().split()
-    assert len(first) == 3
-    assert dispatch(["symbol", path, "--dump-matrix", target]) == 2
-    capsys.readouterr()
+    path = write_config(tmp_path,
+                        SCALED_SNIPPET + f"experiment.output_dir = {out}\n")
+    assert dispatch([command, path, "--dump-matrix", str(out / "a0.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err == "vpice: --dump-matrix applies to simulate and spectrum\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "spectrum"])

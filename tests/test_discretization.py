@@ -5,13 +5,13 @@ import pytest
 import scipy.sparse as sp
 
 from vpice.grid import FieldSet, Grid, strain_rate_field
+from vpice.io_formats import export_coo
 from vpice.operators import (
     LinearSolveError,
     assemble_coupled,
     assemble_hibler,
     assemble_neumann_laplacian,
     divergence_matrix,
-    export_coo,
     gradient_coupling,
     solve_linear,
 )

@@ -61,6 +61,24 @@ def test_forcing_ocean_drag_plugin():
     assert np.all(f1[~interior] == 0.0)
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_forcing_wind_drag(theta):
+    # (rho_atm C_atm / rho_ice) / h |u_atm| R(theta) u_atm at rest on h = 2
+    g = Grid(9, 9)
+    params = scaled_params(delta=1e-4, theta_atm=theta)
+    wind = (np.full((g.ny, g.nx), 0.6), np.full((g.ny, g.nx), 0.8))
+    f1, f2 = compute_forcing(equilibrium(g, h_star=2.0),
+                             ForcingInputs(u_atm=wind), params)
+    c1 = params.rho_atm * params.C_atm / params.rho_ice
+    c, s = np.cos(theta), np.sin(theta)
+    interior = g.interior_mask()
+    np.testing.assert_allclose(f1[interior], c1 / 2.0 * (0.6 * c - 0.8 * s),
+                               rtol=1e-13)
+    np.testing.assert_allclose(f2[interior], c1 / 2.0 * (0.6 * s + 0.8 * c),
+                               rtol=1e-13)
+    assert np.all(f1[~interior] == 0.0) and np.all(f2[~interior] == 0.0)
+
+
 def test_forcing_coriolis_orientation():
     g = Grid(9, 9)
     params = scaled_params(c_cor=0.7)
