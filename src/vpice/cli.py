@@ -216,7 +216,7 @@ def cmd_simulate(cfg: RunConfig, dump_matrix=None) -> int:
     with DiagnosticsCsvWriter(csv_path) as writer:
         sinks = RunSinks(on_diagnostics=writer, on_snapshot=on_snapshot,
                          snapshot_every=cfg["experiment.snapshot_every"])
-        run(v0, ForcingInputs.none(), params, cfg.stepper(), sinks=sinks)
+        run(v0, ForcingInputs(), params, cfg.stepper(), sinks=sinks)
     if dump_matrix:
         files.append((os.path.basename(dump_matrix), "coo-text"))
     write_manifest(directory, files, cfg.echo())

@@ -56,10 +56,6 @@ class ForcingInputs:
     h_tilt_grad: Optional[tuple] = None
     f_growth: Optional[Callable] = None
 
-    @staticmethod
-    def none() -> "ForcingInputs":
-        return ForcingInputs()
-
 
 @dataclass(frozen=True)
 class StepperConfig:
@@ -97,11 +93,26 @@ def _pair(value, grid: Grid):
     return np.asarray(value[0], dtype=float), np.asarray(value[1], dtype=float)
 
 
+def momentum_advection(v: FieldSet) -> tuple:
+    """(u . grad) u by centered differences, as flat (adv1, adv2)."""
+    ops = diff_ops(v.grid)
+    u1, u2 = v.u1.ravel(), v.u2.ravel()
+    return tuple(u1 * (ops["dx"] @ w) + u2 * (ops["dy"] @ w) for w in (u1, u2))
+
+
+def transport(v: FieldSet) -> tuple:
+    """Flux-form transport (div(u h), div(u a)) by the divergence matrix,
+    as flat arrays."""
+    div = divergence_matrix(v.grid)
+    return tuple(div @ np.concatenate([(v.u1 * f).ravel(), (v.u2 * f).ravel()])
+                 for f in (v.h, v.a))
+
+
 def compute_forcing(v: FieldSet, inputs: ForcingInputs,
                     params: RheologyParams) -> tuple:
     """Velocity-space forcing, zero on Dirichlet boundary rows.
 
-    - u . grad u by centered differences (advection of momentum),
+    - advection of momentum, -(u . grad) u (``momentum_advection``),
     - Coriolis rotation n x u = (-u2, u1),
     - surface tilt -g grad H,
     - quadratic atmospheric and oceanic drag with rotation matrices.
@@ -110,12 +121,9 @@ def compute_forcing(v: FieldSet, inputs: ForcingInputs,
         raise InvalidStateError(
             f"thickness below kappa in forcing evaluation: min h = {v.h.min()!r}")
     g = v.grid
-    ops = diff_ops(g)
     interior = g.interior_mask()
 
-    u1, u2 = v.u1.ravel(), v.u2.ravel()
-    adv1 = v.u1.ravel() * (ops["dx"] @ u1) + v.u2.ravel() * (ops["dy"] @ u1)
-    adv2 = v.u1.ravel() * (ops["dx"] @ u2) + v.u2.ravel() * (ops["dy"] @ u2)
+    adv1, adv2 = momentum_advection(v)
     f1 = -adv1.reshape(g.ny, g.nx)
     f2 = -adv2.reshape(g.ny, g.nx)
 
@@ -171,15 +179,11 @@ def source_terms(v: FieldSet, inputs: ForcingInputs,
 
 def _explicit_rhs(v: FieldSet, inputs: ForcingInputs,
                   params: RheologyParams) -> np.ndarray:
-    g = v.grid
-    div = divergence_matrix(g)
     f1, f2 = compute_forcing(v, inputs, params)
     s_h, s_a = source_terms(v, inputs, params)
-    flux_h = np.concatenate([(v.u1 * v.h).ravel(), (v.u2 * v.h).ravel()])
-    flux_a = np.concatenate([(v.u1 * v.a).ravel(), (v.u2 * v.a).ravel()])
-    rhs_h = -(div @ flux_h) + s_h.ravel()
-    rhs_a = -(div @ flux_a) + s_a.ravel()
-    return np.concatenate([f1.ravel(), f2.ravel(), rhs_h, rhs_a])
+    div_h, div_a = transport(v)
+    return np.concatenate([f1.ravel(), f2.ravel(), -div_h + s_h.ravel(),
+                           -div_a + s_a.ravel()])
 
 
 def step(v_n: FieldSet, inputs: ForcingInputs, params: RheologyParams,
@@ -241,19 +245,17 @@ def diagnostics_row(v: FieldSet, t: float, params: RheologyParams,
 
 
 def run(v0: FieldSet, inputs: ForcingInputs, params: RheologyParams,
-        cfg: StepperConfig, sinks: Optional[RunSinks] = None,
-        reference: Optional[FieldSet] = None) -> RunResult:
+        cfg: StepperConfig, sinks: Optional[RunSinks] = None) -> RunResult:
     """Integrate from v0 until t_end, streaming per-step diagnostics.
 
-    The perturbation norm is measured against ``reference``; by default the
-    mean-value equilibrium (0, mean h0, mean a0), the expected limit of
-    unforced dynamics.  Step failures are re-raised as StepError with the
-    step index and time attached.
+    The perturbation norm is measured against the mean-value equilibrium
+    (0, mean h0, mean a0), the expected limit of unforced dynamics.  Step
+    failures are re-raised as StepError with the step index and time
+    attached.
     """
     v0 = v0.validate(params)
-    if reference is None:
-        reference = FieldSet.constant(v0.grid, float(np.mean(v0.h)),
-                                      float(np.mean(v0.a)))
+    reference = FieldSet.constant(v0.grid, float(np.mean(v0.h)),
+                                  float(np.mean(v0.a)))
     sinks = sinks or RunSinks()
     v, rows = v0, []
     for k in range(cfg.n_steps + 1):

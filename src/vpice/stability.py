@@ -39,7 +39,15 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .dynamics import ForcingInputs, RunResult, RunSinks, StepperConfig, run
+from .dynamics import (
+    ForcingInputs,
+    RunResult,
+    RunSinks,
+    StepperConfig,
+    momentum_advection,
+    run,
+    transport,
+)
 from .grid import FieldSet, Grid, diff_ops
 from .operators import (
     SparseOperator,
@@ -112,17 +120,11 @@ class SpectrumReport:
 
 
 def weight_constants(eq: Equilibrium, params: RheologyParams) -> tuple:
-    """Weights (C_h, C_a) of the equilibrium energy form.
-
-    C_h = p* exp(-c (1 - a*)) / (2 h*); C_a = c P* / (2 a*) for a* > 0 and
-    1 for a* = 0.
-    """
-    c_h = params.p_star * np.exp(-params.c * (1.0 - eq.a_star)) / (2.0 * eq.h_star)
-    if eq.a_star > 0.0:
-        c_a = params.c * eq.p_star(params) / (2.0 * eq.a_star)
-    else:
-        c_a = 1.0
-    return float(c_h), float(c_a)
+    """Weights (C_h, C_a) of the equilibrium energy form: dP/dh / (2 h*)
+    and dP/da / (2 a*) at (h*, a*), with C_a = 1 for a* = 0."""
+    dp_dh, dp_da = pressure_derivatives(eq.h_star, eq.a_star, params)
+    c_a = dp_da / (2.0 * eq.a_star) if eq.a_star > 0.0 else 1.0
+    return float(dp_dh / (2.0 * eq.h_star)), float(c_a)
 
 
 def assemble_A0(eq: Equilibrium, grid: Grid, params: RheologyParams) -> SparseOperator:
@@ -148,12 +150,10 @@ def assemble_A0(eq: Equilibrium, grid: Grid, params: RheologyParams) -> SparseOp
     return SparseOperator(matrix, velocity_boundary_mask(grid, 4))
 
 
-def kernel_basis(grid: Grid, n_fields: int = 4) -> np.ndarray:
-    """Unit constant vectors of stacked nodal fields, one column per field
-    after the velocity pair (the conserved totals of h and a in A0), or of
-    the single field of a scalar operator."""
-    fields = np.eye(n_fields)[:, 2 if n_fields >= 2 else 0:]
-    return np.kron(fields, np.ones((grid.n_nodes, 1))) / np.sqrt(grid.n_nodes)
+def kernel_basis(grid: Grid) -> np.ndarray:
+    """Unit constant vectors of the h and a fields of the (u1, u2, h, a)
+    stack: the conserved totals, the exact kernel of A0."""
+    return np.kron(np.eye(4)[:, 2:], np.ones((grid.n_nodes, 1))) / np.sqrt(grid.n_nodes)
 
 
 def dense_unknowns(grid: Grid) -> int:
@@ -172,15 +172,14 @@ def check_dense_budget(size: int) -> None:
 
 
 def _symmetry(grid: Grid, keep: np.ndarray, name: str):
-    """Signed permutation of a grid symmetry on the kept unknowns of
-    stacked nodal fields whose first two are the velocity (when there are
-    two or more): the x-mirror "x" (i -> nx-1-i, u1 -> -u1), the y-mirror
-    "y" (j -> ny-1-j, u2 -> -u2), their product the half turn "xy", the
-    diagonal reflection "d" ((i, j) -> (j, i), u1 <-> u2) or the quarter
-    turn "r" ((i, j) -> (j, nx-1-i), u1 -> -u2, u2 -> u1).  Returns
+    """Signed permutation of a grid symmetry on the kept unknowns of the
+    (u1, u2, h, a) stack: the x-mirror "x" (i -> nx-1-i, u1 -> -u1), the
+    y-mirror "y" (j -> ny-1-j, u2 -> -u2), their product the half turn
+    "xy", the diagonal reflection "d" ((i, j) -> (j, i), u1 <-> u2) or the
+    quarter turn "r" ((i, j) -> (j, nx-1-i), u1 -> -u2, u2 -> u1).  Returns
     (index, sign), the map e_k -> sign[k] e_index[k], or None when the grid
-    is not square for "d" and "r", the map sends a kept unknown to a
-    dropped one, or the unknowns are no such stack on this grid."""
+    is not square for "d" and "r" or the map sends a kept unknown to a
+    dropped one."""
     nx, ny, n = grid.nx, grid.ny, grid.n_nodes
     if name in ("d", "r") and nx != ny:
         return None
@@ -194,14 +193,24 @@ def _symmetry(grid: Grid, keep: np.ndarray, name: str):
         "r": (j, nx - 1 - i, ((1, -1.0), (0, 1.0))),
     }[name]
     nodes = j_to * nx + i_to
-    fields = [(field, 1.0) for field in range(len(keep) // n)]
-    if len(fields) >= 2:
-        fields[:2] = velocity
+    fields = velocity + ((2, 1.0), (3, 1.0))
     index = np.concatenate([field * n + nodes for field, _ in fields])
     sign = np.repeat([s for _, s in fields], n)
-    if not np.array_equal(keep[index], keep):  # shapes differ off the grid
+    if not np.array_equal(keep[index], keep):
         return None
     return (np.cumsum(keep) - 1)[index[keep]], sign[keep]
+
+
+def _reduced(op: SparseOperator, grid: Grid) -> tuple:
+    """A0 with its Dirichlet rows and columns dropped, the mask of the kept
+    unknowns and the kept rows of ``kernel_basis``.  Raises ValueError
+    unless op is 4N x 4N on this grid."""
+    if op.matrix.shape != (4 * grid.n_nodes,) * 2:
+        raise ValueError(f"expected the 4N x 4N linearization A0 on a "
+                         f"{grid.nx}x{grid.ny} grid, got shape "
+                         f"{op.matrix.shape}")
+    keep = ~op.dirichlet_mask
+    return op.matrix[keep][:, keep].tocsr(), keep, kernel_basis(grid)[keep]
 
 
 def _commutes(matrix, index, sign) -> bool:
@@ -276,9 +285,7 @@ def symmetry_blocks(op: SparseOperator, grid: Grid) -> tuple:
     there: M's zero eigenvalues of K are left out.  Returns (group name,
     blocks).
     """
-    keep = ~op.dirichlet_mask
-    matrix = op.matrix[keep][:, keep].tocsr()
-    kernel = kernel_basis(grid, op.dim // grid.n_nodes)[keep]
+    matrix, keep, kernel = _reduced(op, grid)
     maps = {}
 
     def exact(name):
@@ -330,16 +337,16 @@ def spectrum(op: SparseOperator, grid: Grid) -> SpectrumReport:
 
     Only the velocity boundary identity rows go; thickness and compactness
     unknowns are always kept, so the constant kernel survives.  Over
-    DENSE_EIG_BUDGET unknowns raise BudgetExceededError, before anything
-    is built.  kernel_dim is the column count of ``kernel_basis`` K, whose
-    exact zeros lead ``eigenvalues``; the others, from one dense
+    DENSE_EIG_BUDGET ``dense_unknowns`` raise BudgetExceededError, before
+    anything is built.  kernel_dim is the column count of ``kernel_basis``
+    K, whose exact zeros lead ``eigenvalues``; the others, from one dense
     eigensolve per ``symmetry_blocks`` block, each counted as the block
     says, set the spectral gap (their smallest real part).  The deflation
     of K is exact when K is a left kernel, which ``semisimplicity_proxy``
     certifies.
     """
-    check_dense_budget(int(np.sum(~op.dirichlet_mask)))
-    kernel_dim = kernel_basis(grid, op.dim // grid.n_nodes).shape[1]
+    check_dense_budget(dense_unknowns(grid))
+    kernel_dim = kernel_basis(grid).shape[1]
     group, blocks = symmetry_blocks(op, grid)
     parts, sizes = [], []
     for block in blocks:
@@ -351,9 +358,8 @@ def spectrum(op: SparseOperator, grid: Grid) -> SpectrumReport:
         sizes.append((len(values), len(copies)))
     rest = np.concatenate(parts)
     eigenvalues = np.concatenate([np.zeros(kernel_dim, complex), rest])
-    gap = float(np.min(rest.real)) if rest.size else np.inf
-    return SpectrumReport(eigenvalues, kernel_dim, gap,
-                          float(np.max(np.abs(eigenvalues), initial=0.0)),
+    return SpectrumReport(eigenvalues, kernel_dim, float(np.min(rest.real)),
+                          float(np.max(np.abs(eigenvalues))),
                           group, tuple(sizes))
 
 
@@ -387,9 +393,7 @@ def semisimplicity_proxy(op: SparseOperator, grid: Grid) -> SemisimplicityReport
     deflation exact.  ``certified`` tests both residuals against
     KERNEL_CERT_RTOL times max|M_ij|, which is exact and at most ||M||_2.
     """
-    keep = ~op.dirichlet_mask
-    matrix = op.matrix[keep][:, keep]
-    basis = kernel_basis(grid, op.dim // grid.n_nodes)[keep]
+    matrix, _, basis = _reduced(op, grid)
     image = matrix @ basis
     return SemisimplicityReport(
         kernel_dim=basis.shape[1],
@@ -482,21 +486,15 @@ def weighted_equilibrium_energy(v: FieldSet, eq: Equilibrium,
     v = v.validate(params)
     area = grid.cell_area
     c_h, c_a = weight_constants(eq, params)
-    n = grid.n_nodes
     ops = diff_ops(grid)
-    div = divergence_matrix(grid)
 
     u_vec = np.concatenate([v.u1.ravel(), v.u2.ravel()])
     hibler = assemble_hibler(v, grid, params)
     p_field = pressure(v.h, v.a, params).ravel()
     grad_p = np.stack([ops["dx"] @ p_field, ops["dy"] @ p_field])
     u1, u2 = v.u1.ravel(), v.u2.ravel()
-
-    adv1 = u1 * (ops["dx"] @ u1) + u2 * (ops["dy"] @ u1)
-    adv2 = u1 * (ops["dx"] @ u2) + u2 * (ops["dy"] @ u2)
-
-    flux_h = np.concatenate([(v.u1 * v.h).ravel(), (v.u2 * v.h).ravel()])
-    flux_a = np.concatenate([(v.u1 * v.a).ravel(), (v.u2 * v.a).ravel()])
+    adv1, adv2 = momentum_advection(v)
+    div_h, div_a = transport(v)
     lap_h = assemble_neumann_laplacian(grid, params.d_h).matrix
     lap_a = assemble_neumann_laplacian(grid, params.d_a).matrix
 
@@ -506,9 +504,9 @@ def weighted_equilibrium_energy(v: FieldSet, eq: Equilibrium,
                              * float(np.sum(grad_p[0] * u1 + grad_p[1] * u2)),
         "momentum_advection": area * params.rho_ice
                               * float(np.sum(v.h.ravel() * (adv1 * u1 + adv2 * u2))),
-        "thickness_transport": c_h * area * float(v.h.ravel() @ (div @ flux_h)),
+        "thickness_transport": c_h * area * float(v.h.ravel() @ div_h),
         "thickness_diffusion": c_h * area * float(v.h.ravel() @ (lap_h @ v.h.ravel())),
-        "compactness_transport": c_a * area * float(v.a.ravel() @ (div @ flux_a)),
+        "compactness_transport": c_a * area * float(v.a.ravel() @ div_a),
         "compactness_diffusion": c_a * area * float(v.a.ravel() @ (lap_a @ v.a.ravel())),
     }
     return sum(breakdown.values()), breakdown
@@ -556,8 +554,7 @@ def decay_experiment(eq: Equilibrium, perturbation_scale: float, grid: Grid,
     """
     eq.validate(params)
     v0 = perturbed_equilibrium(eq, grid, perturbation_scale).validate(params)
-    v_inf = FieldSet.constant(grid, float(np.mean(v0.h)), float(np.mean(v0.a)))
-    result = run(v0, ForcingInputs.none(), params, cfg, sinks, v_inf)
+    result = run(v0, ForcingInputs(), params, cfg, sinks)
 
     gap = spectrum(assemble_A0(eq, grid, params), grid).spectral_gap
 

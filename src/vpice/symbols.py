@@ -21,9 +21,10 @@ property is its pass rule),
     axis whenever Re lambda >= 0 and |lambda| + |xi| != 0; the Dirichlet
     trace of the stable solution space must be nonsingular.
 
-Multiple stable roots are handled through the ordered complex Schur form of
-the companion linearization, whose leading columns span the stable invariant
-subspace including generalized eigendirections.
+One ordered complex Schur form of the companion linearization gives both
+the roots, on its diagonal, and the stable invariant subspace, spanned by
+its leading columns including generalized eigendirections, so multiple
+stable roots need no special case.
 """
 
 from __future__ import annotations
@@ -184,6 +185,8 @@ def boundary_form_check(eps: StrainRate, p, params: RheologyParams,
     The form must be >= 0 always and strictly positive whenever
     |Im (u | v)| > IM_THRESHOLD |u| |v|.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     theta, (u, v) = _draw_samples(np.random.default_rng(seed), n_samples, 2)
     xi = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     nu = np.stack([-xi[:, 1], xi[:, 0]], axis=-1)
@@ -246,7 +249,10 @@ def lopatinskii_shapiro_check(probe: LSProbe, params: RheologyParams) -> LSResul
             f"Re lambda must be >= 0, got lambda = {probe.lam!r}")
     a = coefficient_tensor(probe.eps, probe.p, params)
     m = _companion_matrix(a, complex(probe.lam), probe.xi, probe.nu)
-    roots = np.linalg.eigvals(m)
+    # the roots on the diagonal, stable first; z's leading columns are an
+    # orthonormal basis of the stable invariant subspace
+    t, z, _ = sla.schur(m, output="complex", sort=lambda x: x.real < 0.0)
+    roots = np.diag(t)
     mags = np.abs(roots)
     on_axis = np.abs(roots.real) <= SPLIT_TOL * np.maximum(mags, 1e-300)
     if np.any(on_axis):
@@ -258,12 +264,6 @@ def lopatinskii_shapiro_check(probe: LSProbe, params: RheologyParams) -> LSResul
         raise RootBalanceError(
             f"stable/unstable split is {len(stable)}/{len(unstable)}, "
             f"roots {roots!r}")
-    # orthonormal basis of the stable invariant subspace (ordered Schur);
-    # handles defective eigenvalues through generalized eigendirections
-    _, z, sdim = sla.schur(m, output="complex", sort=lambda x: x.real < 0.0)
-    if sdim != 2:
-        raise RootBalanceError(f"Schur stable dimension {sdim} != 2")
-    trace_matrix = z[:2, :2]
-    svals = np.linalg.svd(trace_matrix, compute_uv=False)
+    svals = np.linalg.svd(z[:2, :2], compute_uv=False)
     return LSResult(float(svals[-1]), float(svals[0]),
                     np.sort_complex(stable), np.sort_complex(unstable))

@@ -232,7 +232,7 @@ def test_criterion_9_fixed_point_and_conservation():
     params = scaled_params(delta=1e-6, c_cor=0.0)
     g = Grid(17, 17)
     cfg = StepperConfig(dt=0.004, t_end=4.0)
-    inputs = ForcingInputs.none()
+    inputs = ForcingInputs()
 
     v = EQ.state(g)
     ref = v.to_vector()

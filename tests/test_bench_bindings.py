@@ -1,10 +1,14 @@
 """The benchmark reaches into the package by module attribute: the traced
 run patches every binding ``perfbench/spans.py`` lists, or
 ``perfbench/run.py --trace 1`` fails, and the spectrum-21 workload captures
-three ``vpice.cli`` calls and gates on their reports."""
+three ``vpice.cli`` calls and gates on their reports.  One job of each
+workload runs here with its correctness gates, so a broken call into the
+package or an answer off the recorded reference fails in the test suite."""
 
 import importlib
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,3 +45,18 @@ def test_spectrum_job_call_contract(tmp_path, monkeypatch, capsys):
     (report,), (proxy,) = calls["spectrum"], calls["semisimplicity_proxy"]
     assert report.kernel_dim == 2 and report.spectral_gap > 0.0
     assert proxy.restriction_norm <= 1e-10 * proxy.operator_norm
+
+
+@pytest.mark.parametrize("name", ["step-17", "step-73", "spectrum-21", "probes"])
+def test_benchmark_job_passes_its_gates(name, tmp_path, monkeypatch):
+    # as perfbench/run.py sets up and runs a job: the recorded reference,
+    # a fixed seed, the job's own wrappers installed
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    job = workloads.WORKLOADS[name].setup(3, tmp_path,
+                                          workloads.load_reference())
+    tally = workloads.Tally()
+    with job.active():
+        job.run(tally)
+    assert tally.attempted > 0
+    assert tally.failed == 0, tally.failures

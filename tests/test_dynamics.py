@@ -43,7 +43,7 @@ def perturbed(grid, h_star=1.0, a_star=0.8, scale=1e-3, seed=0):
 
 def test_forcing_all_zero():
     g = Grid(9, 9)
-    f1, f2 = compute_forcing(equilibrium(g), ForcingInputs.none(), PARAMS)
+    f1, f2 = compute_forcing(equilibrium(g), ForcingInputs(), PARAMS)
     assert np.all(f1 == 0.0) and np.all(f2 == 0.0)
 
 
@@ -85,7 +85,7 @@ def test_forcing_coriolis_orientation():
     v = equilibrium(g)
     interior = g.interior_mask()
     v.u1[interior] = 1.0  # u = (1, 0) in the interior
-    f1, f2 = compute_forcing(v, ForcingInputs.none(), params)
+    f1, f2 = compute_forcing(v, ForcingInputs(), params)
     # -c_cor (n x u) with n x u = (-u2, u1) gives (0, -c_cor) plus advection 0
     deep = np.zeros_like(interior)
     deep[2:-2, 2:-2] = True
@@ -105,7 +105,7 @@ def test_forcing_rejects_thin_ice():
     g = Grid(9, 9)
     v = FieldSet.constant(g, 0.5 * PARAMS.kappa, 0.5)
     with pytest.raises(InvalidStateError):
-        compute_forcing(v, ForcingInputs.none(), PARAMS)
+        compute_forcing(v, ForcingInputs(), PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,7 @@ def test_forcing_rejects_thin_ice():
 
 def test_sources_zero_growth():
     g = Grid(7, 7)
-    s_h, s_a = source_terms(equilibrium(g), ForcingInputs.none(), PARAMS)
+    s_h, s_a = source_terms(equilibrium(g), ForcingInputs(), PARAMS)
     assert np.all(s_h == 0.0) and np.all(s_a == 0.0)
 
 
@@ -167,7 +167,7 @@ def test_equilibrium_is_fixed_point():
     g = Grid(11, 11)
     cfg = StepperConfig(dt=0.01, t_end=0.1)
     v = equilibrium(g)
-    out = step(v, ForcingInputs.none(), PARAMS, cfg)
+    out = step(v, ForcingInputs(), PARAMS, cfg)
     assert np.max(np.abs(out.to_vector() - v.to_vector())) <= 1e-12
 
 
@@ -175,7 +175,7 @@ def test_equilibrium_fixed_point_at_larger_step():
     g = Grid(9, 9)
     v = equilibrium(g)
     cfg = StepperConfig(dt=0.02, t_end=0.1)
-    out = step(v, ForcingInputs.none(), PARAMS, cfg)
+    out = step(v, ForcingInputs(), PARAMS, cfg)
     assert np.max(np.abs(out.to_vector() - v.to_vector())) <= 1e-12
 
 
@@ -186,7 +186,7 @@ def test_totals_conserved_without_growth():
     total_h0 = np.sum(v.h)
     total_a0 = np.sum(v.a)
     for _ in range(20):
-        v = step(v, ForcingInputs.none(), PARAMS, cfg)
+        v = step(v, ForcingInputs(), PARAMS, cfg)
     assert abs(np.sum(v.h) - total_h0) <= 1e-10 * total_h0
     assert abs(np.sum(v.a) - total_a0) <= 1e-10 * total_a0
 
@@ -198,7 +198,7 @@ def test_kinetic_energy_nonincreasing_unforced():
     x, y = g.coords()
     v.u1[interior] = (1e-3 * np.sin(np.pi * x) * np.sin(np.pi * y))[interior]
     cfg = StepperConfig(dt=0.01, t_end=0.1)
-    result = run(v, ForcingInputs.none(), PARAMS, cfg)
+    result = run(v, ForcingInputs(), PARAMS, cfg)
     diffs = np.diff(result.kinetic_energy)
     assert np.all(diffs <= 1e-12 * max(result.kinetic_energy[0], 1e-300))
 
@@ -246,7 +246,7 @@ def test_run_zero_data_all_diagnostics_constant():
     g = Grid(9, 9)
     v = equilibrium(g)
     cfg = StepperConfig(dt=0.02, t_end=0.1)
-    result = run(v, ForcingInputs.none(), PARAMS, cfg)
+    result = run(v, ForcingInputs(), PARAMS, cfg)
     np.testing.assert_allclose(result.kinetic_energy, 0.0, atol=1e-30)
     np.testing.assert_allclose(result.mean_h, result.mean_h[0], rtol=1e-13)
     np.testing.assert_allclose(result.mean_a, result.mean_a[0], rtol=1e-13)
@@ -257,7 +257,7 @@ def test_run_mean_h_constant_in_time():
     g = Grid(9, 9)
     v = perturbed(g, scale=5e-3)
     cfg = StepperConfig(dt=0.01, t_end=0.2)
-    result = run(v, ForcingInputs.none(), PARAMS, cfg)
+    result = run(v, ForcingInputs(), PARAMS, cfg)
     np.testing.assert_allclose(result.mean_h, result.mean_h[0], rtol=1e-12)
 
 
@@ -265,7 +265,7 @@ def test_run_perturbation_norm_decreases_unforced():
     g = Grid(11, 11)
     v = perturbed(g, scale=1e-3)
     cfg = StepperConfig(dt=0.01, t_end=0.3)
-    result = run(v, ForcingInputs.none(), PARAMS, cfg)
+    result = run(v, ForcingInputs(), PARAMS, cfg)
     norms = result.perturbation_norm
     assert norms[-1] < 0.1 * norms[0]
     assert np.all(np.diff(norms) <= 1e-12 * norms[0])
@@ -278,7 +278,7 @@ def test_run_sinks_receive_rows_and_snapshots():
                      on_snapshot=lambda k, t, v: snaps.append((k, t)),
                      snapshot_every=2)
     cfg = StepperConfig(dt=0.01, t_end=0.05)
-    run(equilibrium(g), ForcingInputs.none(), PARAMS, cfg, sinks=sinks)
+    run(equilibrium(g), ForcingInputs(), PARAMS, cfg, sinks=sinks)
     assert len(rows) == 6  # initial + 5 steps
     assert [k for k, _ in snaps] == [0, 2, 4]
 

@@ -84,7 +84,7 @@ def test_a0_annihilates_the_constant_kernel(nx, ny, h_star, a_star, c_cor):
 @PROPERTY
 @given(states(a_range=(0.1, 0.9)))
 def test_step_conserves_nodal_totals(v):
-    out = step(v, ForcingInputs.none(), PARAMS,
+    out = step(v, ForcingInputs(), PARAMS,
                StepperConfig(dt=0.01, t_end=0.01))
     for name in ("h", "a"):
         before = np.sum(getattr(v, name))

@@ -205,10 +205,12 @@ def test_ls_suite_fails_on_nan_s_min(monkeypatch):
     assert not passed
 
 
-def test_ellipticity_rejects_empty_sampling():
+@pytest.mark.parametrize("check", [ellipticity_report, boundary_form_check])
+def test_ellipticity_rejects_empty_sampling(check):
+    # a check over no samples has no minimum to pass on
     p = scaled_params()
     with pytest.raises(ValueError):
-        ellipticity_report(StrainRate(0.0, 0.0, 0.0), 1.0, p, n_samples=0)
+        check(StrainRate(0.0, 0.0, 0.0), 1.0, p, n_samples=0)
 
 
 # ---------------------------------------------------------------------------
