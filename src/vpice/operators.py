@@ -9,7 +9,11 @@ bit for bit.
 
 Linear solves (``solve_linear``) factor up to DIRECT_SOLVE_LIMIT unknowns
 with ``splu`` and beyond run ``_gmres``, scipy's restarted Jacobi-GMRES
-algorithm step for step without its per-iteration allocations.
+algorithm step for step in preallocated buffers.  The direct path orders
+the columns once per sparsity pattern: the first factorization of a
+pattern runs SuperLU's COLAMD, later ones reuse its column permutation
+(``_ORDERINGS``), so the backward-Euler matrix of every step, whose
+pattern the stencil fixes, skips the ordering and the CSC conversion.
 
 The velocity block discretizes
 
@@ -40,6 +44,7 @@ nodewise; the rows of A^H are summed before 1/(rho_ice h0) weights them.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -48,6 +53,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
+from scipy.sparse._sparsetools import csr_matvec
 
 from .grid import FieldSet, Grid, diff_ops, strain_rate_field
 from .params import RheologyParams, VpiceError
@@ -305,11 +311,97 @@ def assemble_coupled(v_frozen: FieldSet, grid: Grid, params: RheologyParams,
     return SparseOperator(total.plan.matrix(data), velocity_boundary_mask(grid, 4))
 
 
+class _CacheInfo(NamedTuple):
+    """The counts of ``functools.lru_cache``'s ``cache_info``."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _ColumnOrder(NamedTuple):
+    """A fill-reducing column permutation of one CSR pattern and the gather
+    that lays the pattern's CSR values out as the CSC matrix A[:, q] of the
+    permuted columns, q the inverse of ``perm_c``."""
+
+    perm_c: np.ndarray  # SuperLU's: A[:, q] z = b gives x = z[perm_c]
+    gather: np.ndarray  # the CSR entry of each CSC entry of A[:, q]
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @classmethod
+    def of(cls, matrix: sp.csr_matrix, perm_c: np.ndarray) -> "_ColumnOrder":
+        n = matrix.shape[1]
+        column = perm_c[matrix.indices]  # of each entry, in A[:, q]
+        # stable: the rows of a column stay ascending, as CSC wants them
+        gather = np.argsort(column, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(column, minlength=n), out=indptr[1:])
+        return cls(perm_c, gather, _row_of_entry(matrix.indptr)[gather], indptr)
+
+    def solver(self, matrix: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+        permuted = sp.csc_matrix((matrix.data[self.gather], self.indices,
+                                  self.indptr), shape=matrix.shape)
+        lu = spla.splu(permuted, permc_spec="NATURAL")
+        return lambda b: lu.solve(b)[self.perm_c]
+
+
+class _OrderingCache:
+    """Column orderings by exact CSR pattern (shape, indptr, indices), the
+    least recently used dropped beyond ``maxsize``; ``cache_info`` and
+    ``cache_clear`` as for ``functools.lru_cache``."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        self._orders: OrderedDict = OrderedDict()
+        self._hits = self._misses = 0
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._orders))
+
+    def solver(self, matrix: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+        """b -> A^-1 b from a new LU factorization of ``matrix``.
+
+        The first factorization of a pattern runs SuperLU's COLAMD and keeps
+        its column permutation, which depends on the pattern alone and
+        already holds SuperLU's elimination-tree postorder (the step that
+        ``splu``'s natural order skips).  Later ones factor the permuted
+        columns in their natural order and give the COLAMD factorization's
+        solutions bit for bit, except where a pivot ties the diagonal:
+        ``diag_pivot_thresh`` = 1 prefers the diagonal, which the
+        permutation moves (seen on grids with at most 4 nodes along a
+        side, up to 3e-16 relative in ||x||).  Raises RuntimeError as
+        ``splu`` does.
+        """
+        key = (matrix.shape, matrix.indptr.tobytes(), matrix.indices.tobytes())
+        order = self._orders.get(key)
+        if order is not None:
+            self._hits += 1
+            self._orders.move_to_end(key)
+            return order.solver(matrix)
+        self._misses += 1
+        lu = spla.splu(matrix.tocsc())
+        # a copy: lu.perm_c is a view that would keep the factors alive
+        self._orders[key] = _ColumnOrder.of(matrix, lu.perm_c.copy())
+        if len(self._orders) > self.maxsize:
+            self._orders.popitem(last=False)
+        return lu.solve
+
+
+# a run sees two patterns per grid: the rest state's and the moving state's
+_ORDERINGS = _OrderingCache(maxsize=8)
+
+
 def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve op x = rhs to relative residual <= SOLVE_RTOL, deterministically.
 
-    Direct sparse factorization up to DIRECT_SOLVE_LIMIT unknowns (with up
-    to MAX_REFINEMENTS refinement sweeps); beyond, ``_gmres`` on the CSR
+    Up to DIRECT_SOLVE_LIMIT unknowns, a sparse LU factorization on the
+    column ordering cached for the matrix's pattern (``_ORDERINGS``), with
+    up to MAX_REFINEMENTS refinement sweeps; beyond, ``_gmres`` on the CSR
     matrix with Jacobi preconditioning.  Raises LinearSolveError on
     breakdown or non-convergence, reporting the achieved residual.
     """
@@ -323,46 +415,48 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
     if op.dim > DIRECT_SOLVE_LIMIT:
         diag = op.matrix.diagonal()
         safe = np.where(np.abs(diag) > 0.0, diag, 1.0)
-        x, _ = _gmres(op.matrix, rhs, lambda v: v / safe)
+        x, _ = _gmres(op.matrix, rhs, lambda v, out: np.divide(v, safe, out=out))
         return x
 
-    matrix = op.matrix.tocsc()
+    matrix = op.matrix
     try:
-        lu = spla.splu(matrix)
-        x = lu.solve(rhs)
+        solve = _ORDERINGS.solver(matrix)
+        x = solve(rhs)
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise LinearSolveError("factorization produced non-finite values")
+    residual = rhs - matrix @ x
     for _ in range(MAX_REFINEMENTS):
-        residual = rhs - matrix @ x
         if np.linalg.norm(residual) <= SOLVE_RTOL * rhs_norm:
             break
-        x = x + lu.solve(residual)
-    achieved = np.linalg.norm(rhs - matrix @ x) / rhs_norm
+        x = x + solve(residual)
+        residual = rhs - matrix @ x
+    achieved = np.linalg.norm(residual) / rhs_norm
     if not achieved <= SOLVE_RTOL:
         raise LinearSolveError("direct solve did not reach tolerance", achieved)
     return x
 
 
 def _gmres(matrix: sp.csr_matrix, rhs: np.ndarray,
-           precond: Callable[[np.ndarray], np.ndarray]) -> tuple:
+           precond: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> tuple:
     """Restarted GMRES(KRYLOV_RESTART) from x0 = 0 to ||rhs - A x|| <=
     SOLVE_RTOL ||rhs||; returns x and the number of inner iterations.
 
     Step for step the algorithm of ``scipy.sparse.linalg.gmres`` (scipy
     1.17; Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986): left
-    preconditioning by ``precond`` (r -> M^-1 r, a new array), modified
-    Gram-Schmidt against every earlier basis vector, the exact-solution
-    breakdown test, lartg Givens rotations, a true residual after each cycle
-    and scipy's adaptive inner tolerance (gh-8400).  Only the plumbing
-    differs: a preallocated basis updated in place by BLAS ddot/daxpy,
-    rotations on Python floats and the CSR matrix multiplied directly.
-    daxpy fuses the multiply-add, so x and the residual estimates differ
-    from scipy's at rounding level, and an iteration count can differ by
-    one where an estimate meets its tolerance within rounding.  Raises
-    LinearSolveError with the achieved residual and the iteration count
-    when a breakdown or KRYLOV_MAX_CYCLES cycles end short of the
+    preconditioning by ``precond`` (``precond(r, out)`` writes M^-1 r to
+    out), modified Gram-Schmidt against every earlier basis vector, the
+    exact-solution breakdown test, lartg Givens rotations, a true residual
+    after each cycle and scipy's adaptive inner tolerance (gh-8400).  Only
+    the plumbing differs: a preallocated basis updated in place by BLAS
+    ddot/daxpy, rotations on Python floats, and each product A v written by
+    ``csr_matvec``, the kernel of ``matrix @ v``, into one preallocated
+    buffer.  daxpy fuses the multiply-add, so x and the residual estimates
+    differ from scipy's at rounding level, and an iteration count can
+    differ by one where an estimate meets its tolerance within rounding.
+    Raises LinearSolveError with the achieved residual and the iteration
+    count when a breakdown or KRYLOV_MAX_CYCLES cycles end short of the
     tolerance.
     """
     dot, axpy, lartg = blas.ddot, blas.daxpy, lapack.dlartg
@@ -371,22 +465,28 @@ def _gmres(matrix: sp.csr_matrix, rhs: np.ndarray,
     restart = min(KRYLOV_RESTART, n)
     rhs_norm = math.sqrt(dot(rhs, rhs))
     atol = SOLVE_RTOL * rhs_norm
-    m_rhs = precond(rhs)
+    m_rhs = np.empty(n)
+    precond(rhs, m_rhs)
     ptol_max_factor = 1.0
     ptol = math.sqrt(dot(m_rhs, m_rhs)) * min(1.0, atol / rhs_norm)
     basis = np.empty((restart + 1, n))
+    product = np.empty(n)  # A v before preconditioning
     hess = np.zeros((restart, restart + 1))  # row j: column j of H
     x = np.zeros(n)
     residual, inner = rhs, 0
     for _ in range(KRYLOV_MAX_CYCLES):
-        basis[0] = precond(residual)
+        precond(residual, basis[0])
         beta = math.sqrt(dot(basis[0], basis[0]))
         basis[0] *= 1.0 / beta
         g = [beta] + [0.0] * restart  # rotated right-hand side
         rotations = []
         breakdown = False
         for col in range(restart):
-            w = precond(matrix @ basis[col])
+            product.fill(0.0)  # csr_matvec adds to its output
+            csr_matvec(n, n, matrix.indptr, matrix.indices, matrix.data,
+                       basis[col], product)
+            w = basis[col + 1]
+            precond(product, w)
             h0 = math.sqrt(dot(w, w))
             h = [0.0] * (col + 2)
             for k in range(col + 1):
@@ -396,7 +496,7 @@ def _gmres(matrix: sp.csr_matrix, rhs: np.ndarray,
             if h1 <= eps * h0:  # exact solution in the Krylov space
                 h1, breakdown = 0.0, True
             else:
-                np.multiply(w, 1.0 / h1, out=basis[col + 1])
+                w *= 1.0 / h1
             for k, (c, s) in enumerate(rotations):
                 h[k], h[k + 1] = c * h[k] + s * h[k + 1], -s * h[k] + c * h[k + 1]
             c, s, h[col] = lartg(h[col], h1)

@@ -1,6 +1,8 @@
-"""The per-grid assembly plan and the Krylov kernel against plain references.
+"""The per-grid assembly plan, the cached column ordering and the Krylov
+kernel against plain references.
 
-The plan must give the matrices of a plain COO sum bit for bit, so the
+The plan must give the matrices of a plain COO sum bit for bit, and the
+factorization on a cached ordering the solutions of a fresh ``splu``, so the
 direct solve path does not move; the GMRES kernel must take scipy's steps,
 so its iteration counts equal ``scipy.sparse.linalg.gmres``'s.
 """
@@ -13,16 +15,23 @@ import scipy.sparse.linalg as spla
 from vpice import scaled_params
 from vpice.grid import FieldSet, Grid, diff_ops
 from vpice.operators import (
+    _ORDERINGS,
     KRYLOV_MAX_CYCLES,
     KRYLOV_RESTART,
+    MAX_REFINEMENTS,
     SOLVE_RTOL,
     LinearSolveError,
+    SparseOperator,
     _gmres,
     _hibler_terms,
+    _OrderingCache,
     assemble_coupled,
     assemble_hibler,
+    assemble_neumann_laplacian,
     coupled_terms,
+    csr_matvec,
     gradient_coupling,
+    solve_linear,
 )
 from vpice.stability import Equilibrium, assemble_A0
 
@@ -57,12 +66,15 @@ def oracle_coupled_terms(state, grid, params):
     return [(hibler, 0, 0, inv_mass, factor)] + rest
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8),
+                                                 b.view(np.uint8))
+
+
 def assert_bitwise(got, expected):
     assert got.shape == expected.shape
     for name in ("indptr", "indices", "data"):
-        a, b = getattr(got, name), getattr(expected, name)
-        assert a.dtype == b.dtype, name
-        assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), name
+        assert same_bits(getattr(got, name), getattr(expected, name)), name
 
 
 GRIDS = [Grid(5, 5), Grid(17, 17), Grid(9, 15, lx=2.0)]
@@ -122,13 +134,100 @@ def test_plan_is_built_once_per_grid_and_layout():
 
 
 # ---------------------------------------------------------------------------
+# Direct solve on a cached column ordering
+# ---------------------------------------------------------------------------
+
+def fresh_lu_solve(matrix, rhs):
+    """Oracle: a COLAMD ``splu`` of the CSC matrix per solve, refined with
+    CSC residuals until SOLVE_RTOL."""
+    matrix = matrix.tocsc()
+    lu = spla.splu(matrix)
+    x = lu.solve(rhs)
+    for _ in range(MAX_REFINEMENTS):
+        residual = rhs - matrix @ x
+        if np.linalg.norm(residual) <= SOLVE_RTOL * np.linalg.norm(rhs):
+            break
+        x = x + lu.solve(residual)
+    return x
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+def test_cached_ordering_solves_like_a_fresh_lu_bit_for_bit(grid):
+    params = scaled_params(delta=1e-6)
+    cache = _OrderingCache(maxsize=8)
+    for state in states(grid).values():
+        rhs = state.to_vector()
+        # on 17x17 the first residual at dt = 1e3 misses SOLVE_RTOL, so
+        # refinement runs
+        for dt in (0.004, 0.04, 1.0, 1e3):
+            op = assemble_coupled(state, grid, params, dt=dt)
+            expected = spla.splu(op.matrix.tocsc()).solve(rhs)
+            cache.solver(op.matrix)  # orders a new pattern
+            hits = cache.cache_info().hits
+            assert same_bits(cache.solver(op.matrix)(rhs), expected)
+            assert cache.cache_info().hits == hits + 1
+            assert same_bits(solve_linear(op, rhs), fresh_lu_solve(op.matrix, rhs))
+
+
+def test_colamd_runs_once_per_pattern():
+    grid, params = Grid(11, 13), scaled_params(delta=1e-6)
+    rest, moving = states(grid)["rest"], states(grid)["moving"]
+    _ORDERINGS.cache_clear()
+    for dt in (0.004, 0.04, 0.4):
+        for state in (rest, moving):
+            solve_linear(assemble_coupled(state, grid, params, dt=dt),
+                         state.to_vector())
+    info = _ORDERINGS.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+
+
+def test_cache_drops_the_least_recently_used_pattern():
+    cache = _OrderingCache(maxsize=2)
+    first, second, third = (assemble_neumann_laplacian(Grid(n, n), 1.0).matrix
+                            for n in (5, 6, 7))
+    for matrix in (first, second, first, third, first, second):
+        cache.solver(matrix)
+    info = cache.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (4, 2, 2)
+
+
+def test_singular_matrix_on_a_cached_pattern_raises():
+    grid = Grid(9, 9)
+    lap = assemble_neumann_laplacian(grid, 1.0)
+    shifted = SparseOperator(
+        (sp.identity(grid.n_nodes, format="csr") + lap.matrix).tocsr(),
+        lap.dirichlet_mask)
+    rhs = np.ones(grid.n_nodes)  # not orthogonal to the kernel of the adjoint
+    solve_linear(shifted, rhs)
+    hits = _ORDERINGS.cache_info().hits
+    with pytest.raises(LinearSolveError):
+        solve_linear(lap, rhs)
+    assert _ORDERINGS.cache_info().hits == hits + 1
+
+
+# ---------------------------------------------------------------------------
 # Krylov kernel
 # ---------------------------------------------------------------------------
 
 def jacobi(matrix):
     diag = matrix.diagonal()
     safe = np.where(np.abs(diag) > 0.0, diag, 1.0)
-    return lambda v: v / safe
+    return lambda v, out=None: np.divide(v, safe, out=out)
+
+
+def test_buffered_product_is_the_scipy_product_bit_for_bit():
+    # the kernel's private csr_matvec call must stay what matrix @ v does
+    grid = Grid(33, 33)
+    op = assemble_coupled(states(grid)["moving"], grid,
+                          scaled_params(delta=1e-6), dt=0.04)
+    matrix = op.matrix
+    product = np.empty(op.dim)
+    for seed in range(3):
+        v = np.random.default_rng(seed).normal(size=op.dim)
+        product.fill(0.0)
+        csr_matvec(op.dim, op.dim, matrix.indptr, matrix.indices, matrix.data,
+                   v, product)
+        assert same_bits(product, matrix @ v)
 
 
 def scipy_gmres(matrix, rhs, precond):
