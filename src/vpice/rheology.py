@@ -165,13 +165,18 @@ def pressure(h, a, params: RheologyParams):
     """
     h = np.asarray(h, dtype=float)
     a = np.asarray(a, dtype=float)
-    if np.any(h < 0.0):
+    # one reduction per bound; fmin/fmax skip NaN, which fails every
+    # comparison, so a NaN entry hides no bad one, and the initial values
+    # admit an empty array
+    if np.fmin.reduce(h, axis=None, initial=np.inf) < 0.0:
         raise InvalidStateError(f"thickness must be >= 0, min was {h.min()!r}")
-    if np.any(a < -STATE_SLACK) or np.any(a > 1.0 + STATE_SLACK):
+    if (np.fmin.reduce(a, axis=None, initial=np.inf) < -STATE_SLACK
+            or np.fmax.reduce(a, axis=None, initial=-np.inf)
+            > 1.0 + STATE_SLACK):
         raise InvalidStateError(
             "compactness left [0, 1] beyond slack "
             f"{STATE_SLACK!r}: range [{a.min()!r}, {a.max()!r}]")
-    a = np.clip(a, 0.0, 1.0)
+    a = a.clip(0.0, 1.0)
     out = params.p_star * h * np.exp(-params.c * (1.0 - a))
     return out[()] if out.ndim == 0 else out
 
@@ -236,13 +241,15 @@ def coefficient_tensor(eps: StrainRate, p, params: RheologyParams) -> np.ndarray
     coercivity sum a_ij^kl d_ik d_jl >= (P / (2 Delta_delta^3)) delta
     Delta^2(d) for every real 2x2 d.
     """
-    s = s_tensor(params)
     dreg = delta_reg(eps, params)
+    se = s_map(eps, params)
     # (S eps) in the (i, k) slot of the contraction, contiguous for a fast einsum
-    se_mat = np.ascontiguousarray(
-        np.moveaxis(s_map(eps, params).as_matrix(), (-2, -1), (0, 1)))
+    se_mat = np.empty((2, 2) + np.shape(dreg))
+    se_mat[0, 0] = se.s11
+    se_mat[0, 1] = se_mat[1, 0] = se.s12
+    se_mat[1, 1] = se.s22
     rank_one = np.einsum("ik...,jl...->ijkl...", se_mat, se_mat)
-    s_full = s.reshape((2, 2, 2, 2) + (1,) * np.ndim(dreg))
+    s_full = s_tensor(params).reshape((2, 2, 2, 2) + (1,) * np.ndim(dreg))
     scale = np.asarray(p, dtype=float) / (2.0 * dreg)
     return scale * (s_full - rank_one / dreg**2)
 

@@ -133,14 +133,22 @@ def symbol_polynomial(a: np.ndarray, left, right) -> np.ndarray:
 
 def _draw_samples(rng, n_samples: int, n_vectors: int) -> tuple:
     """Draws one sample at a time: theta on [0, 2 pi), then n_vectors complex
-    normal 2-vectors.  Returns theta (n,) and the vectors (n_vectors, n, 2)."""
-    theta = np.empty(n_samples)
-    vectors = np.empty((n_vectors, n_samples, 2), dtype=complex)
+    normal 2-vectors, each as its real and then its imaginary part.
+    Returns the unit frequencies xi = (cos theta, sin theta) (n, 2) and the
+    vectors (n_vectors, n, 2)."""
+    unit = np.empty(n_samples)
+    # [vector, real/imaginary, sample, component]: one sample's normals in
+    # the order drawn, and each vector's parts C-ordered for the sum below
+    normals = np.empty((n_vectors, 2, n_samples, 2))
     for index in range(n_samples):
-        theta[index] = rng.uniform(0.0, 2.0 * np.pi)
-        for vec in vectors:
-            vec[index] = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return theta, vectors
+        unit[index] = rng.random()
+        normals[:, :, index] = rng.normal(size=(n_vectors, 2, 2))
+    # rng.uniform(0, 2 pi) is 0 + 2 pi * rng.random(): the same draw and double
+    theta = 2.0 * np.pi * unit
+    xi = np.empty((n_samples, 2))
+    xi[:, 0] = np.cos(theta)
+    xi[:, 1] = np.sin(theta)
+    return xi, normals[:, 0] + 1j * normals[:, 1]
 
 
 def ellipticity_report(eps: StrainRate, p, params: RheologyParams,
@@ -154,17 +162,16 @@ def ellipticity_report(eps: StrainRate, p, params: RheologyParams,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    theta, (eta,) = _draw_samples(np.random.default_rng(seed), n_samples, 1)
+    xi, (eta,) = _draw_samples(np.random.default_rng(seed), n_samples, 1)
     eta /= np.linalg.norm(eta, axis=-1, keepdims=True)
-    xi = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     sym = symbol_polynomial(coefficient_tensor(eps, p, params), xi, xi)
     bound = coercivity_lower_bound(eps, p, params) * params.delta / params.e**2
     forms = np.real(np.einsum("ni,nij,nj->n", eta.conj(), sym, eta))
-    min_margin = float(np.min(forms - bound))
+    min_margin = float((forms - bound).min())
     return EllipticityReport(
-        float(np.min(np.linalg.eigvalsh(sym)[:, 0])), min_margin,
+        float(np.linalg.eigvalsh(sym)[:, 0].min()), min_margin,
         min_margin / max(abs(bound), 1e-300),
-        float(np.max(np.abs(sym - np.swapaxes(sym, -1, -2)))), n_samples)
+        float(np.abs(sym - sym.swapaxes(-1, -2)).max()), n_samples)
 
 
 def boundary_form(a: np.ndarray, xi, nu, u, v):
@@ -187,8 +194,7 @@ def boundary_form_check(eps: StrainRate, p, params: RheologyParams,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    theta, (u, v) = _draw_samples(np.random.default_rng(seed), n_samples, 2)
-    xi = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    xi, (u, v) = _draw_samples(np.random.default_rng(seed), n_samples, 2)
     nu = np.stack([-xi[:, 1], xi[:, 0]], axis=-1)
     forms = boundary_form(coefficient_tensor(eps, p, params), xi, nu, u, v)
     # Im (u | v) with (u | v) = sum u conj(v)
@@ -216,10 +222,11 @@ def _companion_matrix(a: np.ndarray, lam: complex, xi, nu) -> np.ndarray:
         c2_inv = np.linalg.inv(c2)
     except np.linalg.LinAlgError as exc:
         raise RootBalanceError("C2 = -Q(nu, nu) is singular") from exc
-    top = np.hstack([np.zeros((2, 2)), np.eye(2)])
-    bottom = np.hstack([-c2_inv @ c0, -c2_inv @ c1])
-    m = np.vstack([top, bottom]).astype(complex)
-    if not np.all(np.isfinite(m)):
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 2] = m[1, 3] = 1.0
+    m[2:, :2] = -c2_inv @ c0
+    m[2:, 2:] = -c2_inv @ c1
+    if not np.isfinite(m).all():
         raise RootBalanceError("companion matrix is not finite")
     return m
 
@@ -241,7 +248,8 @@ def lopatinskii_shapiro_check(probe: LSProbe, params: RheologyParams) -> LSResul
     Raises RootBalanceError if Re lambda < 0 (hypothesis violated) or if the
     four roots of det(lambda I + A_#(xi + i mu nu)) = 0 do not split cleanly
     two/two across the imaginary axis (roots with |Re mu| <= SPLIT_TOL |mu|
-    count as a failed split, never as silently classified).
+    count as a failed split, never as silently classified), or if LAPACK
+    finds no ordered Schur form.
     """
     probe.validate()
     if np.real(probe.lam) < 0.0:
@@ -250,12 +258,18 @@ def lopatinskii_shapiro_check(probe: LSProbe, params: RheologyParams) -> LSResul
     a = coefficient_tensor(probe.eps, probe.p, params)
     m = _companion_matrix(a, complex(probe.lam), probe.xi, probe.nu)
     # the roots on the diagonal, stable first; z's leading columns are an
-    # orthonormal basis of the stable invariant subspace
-    t, z, _ = sla.schur(m, output="complex", sort=lambda x: x.real < 0.0)
-    roots = np.diag(t)
+    # orthonormal basis of the stable invariant subspace.  The two LAPACK
+    # calls of sla.schur(m, output="complex", sort=...), without its input
+    # checks: m is finite, complex and 4x4, and is not read again.
+    lwork = int(sla.lapack.zgees(lambda x: None, m, lwork=-1)[-2][0].real)
+    t, _, _, z, _, info = sla.lapack.zgees(
+        lambda x: x.real < 0.0, m, lwork=lwork, overwrite_a=True, sort_t=1)
+    if info:
+        raise RootBalanceError(f"no ordered Schur form (zgees info {info})")
+    roots = t.diagonal()
     mags = np.abs(roots)
     on_axis = np.abs(roots.real) <= SPLIT_TOL * np.maximum(mags, 1e-300)
-    if np.any(on_axis):
+    if on_axis.any():
         raise RootBalanceError(
             f"roots too close to the imaginary axis: {roots!r}")
     stable = roots[roots.real < 0.0]
@@ -266,4 +280,4 @@ def lopatinskii_shapiro_check(probe: LSProbe, params: RheologyParams) -> LSResul
             f"roots {roots!r}")
     svals = np.linalg.svd(z[:2, :2], compute_uv=False)
     return LSResult(float(svals[-1]), float(svals[0]),
-                    np.sort_complex(stable), np.sort_complex(unstable))
+                    np.sort(stable), np.sort(unstable))

@@ -60,3 +60,24 @@ def test_benchmark_job_passes_its_gates(name, tmp_path, monkeypatch):
         job.run(tally)
     assert tally.attempted > 0
     assert tally.failed == 0, tally.failures
+
+
+def test_probes_job_traced_call_counts(tmp_path, monkeypatch):
+    # the traced run counts every probe through its module binding; a call
+    # inlined away would drop its span and skew the per-layer figures
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    job = workloads.WORKLOADS["probes"].setup(3, tmp_path, None)
+    tracer = spans.Tracer("probes")
+    tally = workloads.Tally()
+    with job.active(), tracer.installed():
+        job.run(tally)
+    assert tally.failed == 0, tally.failures
+    metrics = tracer.layer_metrics()
+    assert {name: metrics[f"{name}.calls"] for name in (
+        "rheology.coefficient_tensor", "rheology.pressure",
+        "symbols.ellipticity_report", "symbols.lopatinskii_shapiro_check",
+    )} == {"rheology.coefficient_tensor": 200, "rheology.pressure": 200,
+           "symbols.ellipticity_report": 100,
+           "symbols.lopatinskii_shapiro_check": 100}

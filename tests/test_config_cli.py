@@ -669,17 +669,22 @@ def test_simulate_subcommand_with_snapshots_and_ppm(tmp_path, capsys):
     assert listed == emitted
 
 
-def test_simulate_reproducibility_byte_identical(tmp_path, capsys):
+@pytest.mark.parametrize("command, csv_name", [
+    ("simulate", "diagnostics.csv"),
+    ("symbol", "symbol_report.csv"),
+    ("ls-check", "ls_report.csv"),
+])
+def test_reproducibility_byte_identical(command, csv_name, tmp_path, capsys):
     outs = []
     for tag in ("r1", "r2"):
         out = tmp_path / tag
         body = SCALED_SNIPPET + f"experiment.output_dir = {out}\n"
         path = write_config(tmp_path, body, name=f"{tag}.cfg")
-        assert dispatch(["simulate", path]) == 0
+        assert dispatch([command, path]) == 0
         capsys.readouterr()
         outs.append(out)
-    a = (outs[0] / "diagnostics.csv").read_bytes()
-    b = (outs[1] / "diagnostics.csv").read_bytes()
+    a = (outs[0] / csv_name).read_bytes()
+    b = (outs[1] / csv_name).read_bytes()
     assert a == b
 
 

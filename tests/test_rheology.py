@@ -168,6 +168,35 @@ def test_pressure_rejects_bad_states():
     assert pressure(1.0, 1.0 + 1e-12, p) == pytest.approx(p.p_star, rel=1e-12)
 
 
+@pytest.mark.parametrize("h, a, message", [
+    ([1.0, -0.1, 2.0], [0.5, 0.5, 0.5],
+     f"thickness must be >= 0, min was {np.float64(-0.1)!r}"),
+    ([1.0, 1.0, 1.0], [0.5, 1.5, 0.5],
+     "compactness left [0, 1] beyond slack 1e-10: "
+     f"range [{np.float64(0.5)!r}, {np.float64(1.5)!r}]"),
+    ([1.0, 1.0, 1.0], [0.5, -1e-6, 0.5],
+     "compactness left [0, 1] beyond slack 1e-10: "
+     f"range [{np.float64(-1e-6)!r}, {np.float64(0.5)!r}]"),
+    # a NaN entry does not hide a bad one
+    ([1.0, 1.0], [np.nan, 1.5],
+     "compactness left [0, 1] beyond slack 1e-10: "
+     f"range [{np.float64(np.nan)!r}, {np.float64(np.nan)!r}]"),
+])
+def test_pressure_rejects_one_bad_entry_in_an_array(h, a, message):
+    # the array path, which assembly takes
+    with pytest.raises(InvalidStateError) as info:
+        pressure(np.array(h), np.array(a), RheologyParams())
+    assert str(info.value) == message
+
+
+def test_pressure_clamps_array_entries_within_the_slack():
+    p = RheologyParams()
+    h = np.array([[1.0, 2.0, 0.5]])
+    got = pressure(h, np.array([[-5e-11, 0.5, 1.0 + 5e-11]]), p)
+    assert got.shape == (1, 3)
+    np.testing.assert_array_equal(got, pressure(h, np.array([[0.0, 0.5, 1.0]]), p))
+
+
 def test_pressure_derivatives():
     p = RheologyParams()
     dh, da = pressure_derivatives(1.3, 0.7, p)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
+import scipy.linalg as sla
 
 from vpice import selftest
 from vpice.params import RheologyParams, scaled_params
@@ -331,6 +332,33 @@ def test_ls_detects_roots_on_axis():
     roots = np.linalg.eigvals(m)
     on_axis = np.abs(roots.real) <= 1e-9 * np.maximum(np.abs(roots), 1e-300)
     assert np.any(on_axis)
+
+
+def test_ls_check_is_the_ordered_schur_form_of_the_block_companion():
+    # the reference: the companion matrix stacked from its blocks and
+    # scipy's ordered complex Schur form; the check must match it bit for bit
+    from vpice.symbols import _companion_matrix, sample_ls_probe
+    p = scaled_params()
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        probe, _ = sample_ls_probe(rng, p, lambda_re_min=0.0)
+        a = coefficient_tensor(probe.eps, probe.p, p)
+        lam, xi, nu = complex(probe.lam), probe.xi, probe.nu
+        c0 = lam * np.eye(2) + symbol_polynomial(a, xi, xi)
+        c1 = 1j * (symbol_polynomial(a, xi, nu) + symbol_polynomial(a, nu, xi))
+        c2_inv = np.linalg.inv(-symbol_polynomial(a, nu, nu))
+        m = np.vstack([np.hstack([np.zeros((2, 2)), np.eye(2)]),
+                       np.hstack([-c2_inv @ c0, -c2_inv @ c1])]).astype(complex)
+        np.testing.assert_array_equal(_companion_matrix(a, lam, xi, nu), m)
+        t, z, _ = sla.schur(m, output="complex", sort=lambda x: x.real < 0.0)
+        roots = np.diag(t)
+        svals = np.linalg.svd(z[:2, :2], compute_uv=False)
+        result = lopatinskii_shapiro_check(probe, p)
+        assert (result.s_min, result.s_max) == (svals[-1], svals[0])
+        np.testing.assert_array_equal(
+            result.stable_roots, np.sort_complex(roots[roots.real < 0.0]))
+        np.testing.assert_array_equal(
+            result.unstable_roots, np.sort_complex(roots[roots.real > 0.0]))
 
 
 def test_ls_degenerate_lambda_zero_allowed():
