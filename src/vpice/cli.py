@@ -185,7 +185,6 @@ def cmd_decay(cfg: RunConfig) -> int:
                                ("decay_summary.txt", "key-value")], cfg.echo())
     print(f"decay: fitted rate {format_float(result.fitted_rate)}, "
           f"gap {format_float(result.predicted_gap)}")
-    # a zero perturbation has no fitted rate (NaN), which passes
     return 1 if rel > DECAY_GAP_RTOL else 0
 
 

@@ -121,6 +121,8 @@ class RunConfig:
 
 
 def _parse_value(key, raw, line_number):
+    if not raw:
+        raise ConfigError(f"key {key} has an empty value", line_number)
     expected = KEYS[key][0]
     if expected is bool:
         low = raw.lower()

@@ -9,11 +9,11 @@ bit for bit.
 
 Linear solves (``solve_linear``) factor up to DIRECT_SOLVE_LIMIT unknowns
 with ``splu`` and beyond run ``_gmres``, scipy's restarted Jacobi-GMRES
-algorithm step for step in preallocated buffers.  The direct path orders
-the columns once per sparsity pattern: the first factorization of a
-pattern runs SuperLU's COLAMD, later ones reuse its column permutation
-(``_ORDERINGS``), so the backward-Euler matrix of every step, whose
-pattern the stencil fixes, skips the ordering and the CSC conversion.
+algorithm step for step in preallocated buffers.  The direct path
+(``_lu_solver``) runs SuperLU's COLAMD once per sparsity pattern and
+reuses its column permutation, kept for the 8 most recently used
+patterns, so the backward-Euler matrix of every step, whose pattern the
+stencil fixes, skips the ordering and the CSC conversion.
 
 The velocity block discretizes
 
@@ -44,7 +44,6 @@ nodewise; the rows of A^H are summed before 1/(rho_ice h0) weights them.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -311,15 +310,6 @@ def assemble_coupled(v_frozen: FieldSet, grid: Grid, params: RheologyParams,
     return SparseOperator(total.plan.matrix(data), velocity_boundary_mask(grid, 4))
 
 
-class _CacheInfo(NamedTuple):
-    """The counts of ``functools.lru_cache``'s ``cache_info``."""
-
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
 class _ColumnOrder(NamedTuple):
     """A fill-reducing column permutation of one CSR pattern and the gather
     that lays the pattern's CSR values out as the CSC matrix A[:, q] of the
@@ -347,63 +337,43 @@ class _ColumnOrder(NamedTuple):
         return lambda b: lu.solve(b)[self.perm_c]
 
 
-class _OrderingCache:
-    """Column orderings by exact CSR pattern (shape, indptr, indices), the
-    least recently used dropped beyond ``maxsize``; ``cache_info`` and
-    ``cache_clear`` as for ``functools.lru_cache``."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.cache_clear()
-
-    def cache_clear(self) -> None:
-        self._orders: OrderedDict = OrderedDict()
-        self._hits = self._misses = 0
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._orders))
-
-    def solver(self, matrix: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
-        """b -> A^-1 b from a new LU factorization of ``matrix``.
-
-        The first factorization of a pattern runs SuperLU's COLAMD and keeps
-        its column permutation, which depends on the pattern alone and
-        already holds SuperLU's elimination-tree postorder (the step that
-        ``splu``'s natural order skips).  Later ones factor the permuted
-        columns in their natural order and give the COLAMD factorization's
-        solutions bit for bit, except where a pivot ties the diagonal:
-        ``diag_pivot_thresh`` = 1 prefers the diagonal, which the
-        permutation moves (seen on grids with at most 4 nodes along a
-        side, up to 3e-16 relative in ||x||).  Raises RuntimeError as
-        ``splu`` does.
-        """
-        key = (matrix.shape, matrix.indptr.tobytes(), matrix.indices.tobytes())
-        order = self._orders.get(key)
-        if order is not None:
-            self._hits += 1
-            self._orders.move_to_end(key)
-            return order.solver(matrix)
-        self._misses += 1
-        lu = spla.splu(matrix.tocsc())
-        # a copy: lu.perm_c is a view that would keep the factors alive
-        self._orders[key] = _ColumnOrder.of(matrix, lu.perm_c.copy())
-        if len(self._orders) > self.maxsize:
-            self._orders.popitem(last=False)
-        return lu.solve
+_MAX_ORDERINGS = 8  # a run sees two patterns per grid: at rest and moving
+_ORDERINGS: dict = {}  # CSR pattern -> _ColumnOrder, least recently used first
 
 
-# a run sees two patterns per grid: the rest state's and the moving state's
-_ORDERINGS = _OrderingCache(maxsize=8)
+def _lu_solver(matrix: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+    """b -> A^-1 b from a new LU factorization of ``matrix``.
+
+    A new pattern runs SuperLU's COLAMD, whose column permutation depends
+    on the pattern alone and holds SuperLU's elimination-tree postorder.
+    A known one factors the permuted columns in their natural order, which
+    gives the COLAMD solutions bit for bit except where a pivot ties the
+    diagonal: ``diag_pivot_thresh`` = 1 prefers the diagonal, which the
+    permutation moves (seen on grids with at most 4 nodes along a side, up
+    to 3e-16 relative in ||x||).  Raises RuntimeError as ``splu`` does.
+    """
+    key = (matrix.shape, matrix.indptr.tobytes(), matrix.indices.tobytes())
+    order = _ORDERINGS.pop(key, None)
+    if order is not None:
+        _ORDERINGS[key] = order  # re-inserted: now the most recently used
+        return order.solver(matrix)
+    lu = spla.splu(matrix.tocsc())
+    # a copy: lu.perm_c is a view that would keep the factors alive
+    _ORDERINGS[key] = _ColumnOrder.of(matrix, lu.perm_c.copy())
+    if len(_ORDERINGS) > _MAX_ORDERINGS:
+        del _ORDERINGS[next(iter(_ORDERINGS))]
+    return lu.solve
 
 
 def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve op x = rhs to relative residual <= SOLVE_RTOL, deterministically.
 
-    Up to DIRECT_SOLVE_LIMIT unknowns, a sparse LU factorization on the
-    column ordering cached for the matrix's pattern (``_ORDERINGS``), with
-    up to MAX_REFINEMENTS refinement sweeps; beyond, ``_gmres`` on the CSR
-    matrix with Jacobi preconditioning.  Raises LinearSolveError on
-    breakdown or non-convergence, reporting the achieved residual.
+    Up to DIRECT_SOLVE_LIMIT unknowns, a sparse LU factorization by
+    ``_lu_solver``, on the column ordering kept for each of the 8 most
+    recently used patterns, with up to MAX_REFINEMENTS refinement sweeps;
+    beyond, ``_gmres`` on the CSR matrix with Jacobi preconditioning.
+    Raises LinearSolveError on breakdown or non-convergence, reporting the
+    achieved residual.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (op.dim,):
@@ -420,7 +390,7 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
 
     matrix = op.matrix
     try:
-        solve = _ORDERINGS.solver(matrix)
+        solve = _lu_solver(matrix)
         x = solve(rhs)
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc

@@ -74,7 +74,8 @@ class BudgetExceededError(VpiceError):
 
 
 class DecayFitError(VpiceError):
-    """Too few samples in the asymptotic window to fit a decay rate."""
+    """No decay rate to fit: the perturbation is lost to rounding, or too
+    few samples lie in the asymptotic window."""
 
 
 @dataclass(frozen=True)
@@ -551,9 +552,21 @@ def decay_experiment(eq: Equilibrium, perturbation_scale: float, grid: Grid,
     window (the first 40% of the trajectory is discarded as transient), and
     compares with the spectral gap of the independently assembled
     linearization.  ``sinks`` receive the trajectory as ``run`` streams it.
+    A zero ``perturbation_scale`` raises InvalidStateError before the run.
+    DecayFitError is raised before it for a perturbation lost to rounding,
+    and after it for fewer than MIN_FIT_SAMPLES positive norms in the fit
+    window.
     """
     eq.validate(params)
+    if perturbation_scale == 0.0:
+        raise InvalidStateError("decay needs a nonzero perturbation_scale: "
+                                "the equilibrium itself has no rate to fit")
     v0 = perturbed_equilibrium(eq, grid, perturbation_scale).validate(params)
+    rest = eq.state(grid)
+    if np.array_equal(v0.h, rest.h) and np.array_equal(v0.a, rest.a):
+        # the norm would fit the rounding of the mean-value equilibrium
+        raise DecayFitError(f"perturbation_scale = {perturbation_scale!r} is "
+                            f"lost to rounding: the state is the equilibrium")
     result = run(v0, ForcingInputs(), params, cfg, sinks)
 
     gap = spectrum(assemble_A0(eq, grid, params), grid).spectral_gap
@@ -563,9 +576,6 @@ def decay_experiment(eq: Equilibrium, perturbation_scale: float, grid: Grid,
     mean_h_drift = abs(result.mean_h[-1] - result.mean_h[0])
     mean_a_drift = abs(result.mean_a[-1] - result.mean_a[0])
 
-    if perturbation_scale == 0.0 or norms[0] == 0.0:
-        return DecayResult(np.nan, gap, mismatch, mean_h_drift, mean_a_drift,
-                           result)
     start = int(np.floor(0.4 * len(norms)))
     window_t = result.times[start:]
     window_n = norms[start:]

@@ -111,6 +111,18 @@ def test_type_errors():
         parse_config("just some words")
 
 
+def test_empty_value_reports_line(tmp_path, capfd):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config("grid.nx = 9\nexperiment.output_dir =\n")
+    assert excinfo.value.line_number == 2
+    assert "empty value" in str(excinfo.value)
+    path = write_config(tmp_path, "experiment.output_dir =   # no directory\n")
+    exit_code, _, lines = dispatch_cleanly(["simulate", path], capfd)
+    assert exit_code == 2
+    assert lines == ["vpice: config error: line 1: key experiment.output_dir "
+                     "has an empty value"]
+
+
 def test_negative_lambda_re_min_is_range_error():
     with pytest.raises(ConfigError):
         parse_config("experiment.lambda_re_min = -0.5")
@@ -614,6 +626,27 @@ def test_decay_subcommand_exit_1_when_rate_misses_gap(tmp_path, capsys):
     summary = dict(line.split(" = ") for line in
                    (out / "decay_summary.txt").read_text().splitlines())
     assert float(summary["relative_gap_error"]) > 0.2
+
+
+@pytest.mark.parametrize("scale, code, message", [
+    # nothing to fit: rejected before the run
+    ("0", 2, "nonzero perturbation_scale"),
+    # lost to rounding: the state is the equilibrium, no rate to fit
+    ("1e-308", 1, "lost to rounding"),
+])
+def test_decay_without_a_perturbation_fails_without_a_summary(
+        scale, code, message, tmp_path, capfd):
+    out = tmp_path / "decay"
+    body = (SCALED_SNIPPET
+            + f"experiment.output_dir = {out}\n"
+            + "stepper.t_end = 0.25\n"
+            + f"experiment.perturbation_scale = {scale}\n")
+    exit_code, _, lines = dispatch_cleanly(["decay", write_config(tmp_path, body)],
+                                           capfd)
+    assert exit_code == code
+    assert len(lines) == 1 and lines[0].startswith("vpice: ")
+    assert message in lines[0]
+    assert not (out / "decay_summary.txt").exists()
 
 
 def test_selftest_subcommand_all_pass(capsys):

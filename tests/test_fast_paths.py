@@ -12,10 +12,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from vpice import scaled_params
+from vpice import operators, scaled_params
 from vpice.grid import FieldSet, Grid, diff_ops
 from vpice.operators import (
-    _ORDERINGS,
     KRYLOV_MAX_CYCLES,
     KRYLOV_RESTART,
     MAX_REFINEMENTS,
@@ -24,7 +23,7 @@ from vpice.operators import (
     SparseOperator,
     _gmres,
     _hibler_terms,
-    _OrderingCache,
+    _lu_solver,
     assemble_coupled,
     assemble_hibler,
     assemble_neumann_laplacian,
@@ -151,10 +150,28 @@ def fresh_lu_solve(matrix, rhs):
     return x
 
 
+@pytest.fixture
+def splu_specs(monkeypatch):
+    """The ``permc_spec`` of every ``splu`` call (None for scipy's COLAMD
+    default), the held orderings emptied for the test."""
+    specs, splu = [], spla.splu
+
+    def recording(*args, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    monkeypatch.setattr(operators, "_ORDERINGS", {})
+    return specs
+
+
+def colamd_runs(specs):
+    return sum(spec != "NATURAL" for spec in specs)
+
+
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
-def test_cached_ordering_solves_like_a_fresh_lu_bit_for_bit(grid):
+def test_cached_ordering_solves_like_a_fresh_lu_bit_for_bit(grid, splu_specs):
     params = scaled_params(delta=1e-6)
-    cache = _OrderingCache(maxsize=8)
     for state in states(grid).values():
         rhs = state.to_vector()
         # on 17x17 the first residual at dt = 1e3 misses SOLVE_RTOL, so
@@ -162,36 +179,51 @@ def test_cached_ordering_solves_like_a_fresh_lu_bit_for_bit(grid):
         for dt in (0.004, 0.04, 1.0, 1e3):
             op = assemble_coupled(state, grid, params, dt=dt)
             expected = spla.splu(op.matrix.tocsc()).solve(rhs)
-            cache.solver(op.matrix)  # orders a new pattern
-            hits = cache.cache_info().hits
-            assert same_bits(cache.solver(op.matrix)(rhs), expected)
-            assert cache.cache_info().hits == hits + 1
+            _lu_solver(op.matrix)  # orders a new pattern
+            solve = _lu_solver(op.matrix)
+            assert splu_specs[-1] == "NATURAL"  # on the held ordering
+            assert same_bits(solve(rhs), expected)
             assert same_bits(solve_linear(op, rhs), fresh_lu_solve(op.matrix, rhs))
 
 
-def test_colamd_runs_once_per_pattern():
+def test_colamd_runs_once_per_pattern_and_each_solve_factors_once(splu_specs):
     grid, params = Grid(11, 13), scaled_params(delta=1e-6)
     rest, moving = states(grid)["rest"], states(grid)["moving"]
-    _ORDERINGS.cache_clear()
+    solves = 0
     for dt in (0.004, 0.04, 0.4):
         for state in (rest, moving):
             solve_linear(assemble_coupled(state, grid, params, dt=dt),
                          state.to_vector())
-    info = _ORDERINGS.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+            solves += 1
+            assert len(splu_specs) == solves
+    assert colamd_runs(splu_specs) == 2
+    assert len(operators._ORDERINGS) == 2
+    # copies: a view of lu.perm_c would keep the first factors alive
+    assert all(order.perm_c.flags.owndata
+               for order in operators._ORDERINGS.values())
 
 
-def test_cache_drops_the_least_recently_used_pattern():
-    cache = _OrderingCache(maxsize=2)
-    first, second, third = (assemble_neumann_laplacian(Grid(n, n), 1.0).matrix
-                            for n in (5, 6, 7))
-    for matrix in (first, second, first, third, first, second):
-        cache.solver(matrix)
-    info = cache.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (4, 2, 2)
+def test_at_most_8_patterns_are_held_the_least_recently_used_dropped(splu_specs):
+    def shifted_laplacian(n):
+        lap = assemble_neumann_laplacian(Grid(n, n), 1.0).matrix
+        return (sp.identity(lap.shape[0], format="csr") + lap).tocsr()
+
+    matrices = {n: shifted_laplacian(n) for n in range(5, 14)}
+    for n in range(5, 13):  # 8 patterns
+        _lu_solver(matrices[n])
+    _lu_solver(matrices[5])  # now the most recently used
+    _lu_solver(matrices[13])  # drops 6
+    held = [shape[0] for shape, _, _ in operators._ORDERINGS]
+    assert held == [n * n for n in (*range(7, 13), 5, 13)]
+    assert colamd_runs(splu_specs) == 9
+    _lu_solver(matrices[5])
+    assert colamd_runs(splu_specs) == 9
+    _lu_solver(matrices[6])  # dropped: ordered again
+    assert colamd_runs(splu_specs) == 10
+    assert len(operators._ORDERINGS) == 8
 
 
-def test_singular_matrix_on_a_cached_pattern_raises():
+def test_singular_matrix_on_a_cached_pattern_raises(splu_specs):
     grid = Grid(9, 9)
     lap = assemble_neumann_laplacian(grid, 1.0)
     shifted = SparseOperator(
@@ -199,10 +231,10 @@ def test_singular_matrix_on_a_cached_pattern_raises():
         lap.dirichlet_mask)
     rhs = np.ones(grid.n_nodes)  # not orthogonal to the kernel of the adjoint
     solve_linear(shifted, rhs)
-    hits = _ORDERINGS.cache_info().hits
     with pytest.raises(LinearSolveError):
         solve_linear(lap, rhs)
-    assert _ORDERINGS.cache_info().hits == hits + 1
+    assert splu_specs == [None, "NATURAL"]
+    assert len(operators._ORDERINGS) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from vpice import cli
-from vpice.dynamics import ForcingInputs, StepperConfig, step
+from vpice.dynamics import ForcingInputs, RunSinks, StepperConfig, step
 from vpice.grid import FieldSet, Grid
 from vpice.operators import (
     SparseOperator,
@@ -565,12 +565,19 @@ def test_transport_cancels_weighted_gradient_exactly():
 # Decay experiments
 # ---------------------------------------------------------------------------
 
-def test_decay_zero_perturbation():
-    g = Grid(9, 9)
+@pytest.mark.parametrize("scale, error, message", [
+    (0.0, InvalidStateError, "nonzero perturbation_scale"),
+    # the run's perturbation norm would hold only the rounding of the
+    # mean-value equilibrium, about 1e-16, and fit a rate to it
+    (1e-308, DecayFitError, "lost to rounding"),
+])
+def test_decay_zero_perturbation(scale, error, message):
+    rows = []  # stopped before the run: no diagnostics row is streamed
     cfg = StepperConfig(dt=0.01, t_end=0.15)
-    result = decay_experiment(EQ, 0.0, g, PARAMS, cfg)
-    assert np.isnan(result.fitted_rate)
-    assert result.limit_mismatch <= 1e-12
+    with pytest.raises(error, match=message):
+        decay_experiment(EQ, scale, Grid(9, 9), PARAMS, cfg,
+                         RunSinks(on_diagnostics=rows.append))
+    assert rows == []
 
 
 def test_decay_fit_needs_enough_samples():
