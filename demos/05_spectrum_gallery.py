@@ -1,8 +1,9 @@
 """Spectrum of the linearized operator across the regularization sweep.
 
 Assembles the linearization at a constant equilibrium, prints the kernel
-and gap structure, sweeps the regularization constant, and (optionally)
-plots the eigenvalue cloud with and without rotation.
+and gap structure and the dense blocks the spectrum is split into, sweeps
+the regularization constant, and (optionally) plots the eigenvalue cloud
+with and without rotation.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ from vpice.grid import Grid
 from vpice.params import scaled_params
 from vpice.stability import (
     Equilibrium, assemble_A0, delta_gap_sweep, semisimplicity_proxy, spectrum,
+    symmetry_blocks,
 )
 
 eq = Equilibrium(1.0, 0.8)
@@ -24,6 +26,24 @@ print(f"grid {grid.nx}x{grid.ny}: {len(rep.eigenvalues)} interior unknowns")
 print(f"kernel dimension       : {rep.kernel_dim}")
 print(f"symmetry group         : {rep.symmetry_group}, dense blocks "
       f"(size, copies) {rep.block_sizes}")
+
+
+def print_blocks(params, label):
+    """The dense blocks behind the spectrum and the structures that cut
+    them: the grid symmetry group always, and with d_h == d_a the pure
+    diffusion of q = (a* h - h* a) / r."""
+    group, blocks = symmetry_blocks(assemble_A0(eq, grid, params), grid)
+    split = blocks[0].fields != "u h a"
+    print(f"{label}: {group} symmetry"
+          + (" and the (p, q) diffusion split" if split else " only"))
+    for block in blocks:
+        count = block.copies * (1 + block.conjugate)
+        print(f"    {block.fields:5s} block of {block.matrix.shape[0]:3d}"
+              + (f", counted {count}x" if count > 1 else ""))
+
+
+print_blocks(params, "d_h == d_a")
+print_blocks(params.with_(d_a=0.5), "d_a = d_h / 2")
 print(f"spectral gap           : {rep.spectral_gap:.5f}")
 print(f"semi-simplicity        : {'certified' if proxy.certified else 'NOT certified'}, "
       f"kernel residuals {proxy.right_residual:.1e} (right), "

@@ -23,8 +23,13 @@ maps commute entry by entry and splits the reduced A0 along the characters
 of the largest such group: D4 gives 4 blocks plus one, for the 2-D irrep,
 whose eigenvalues count twice; C4 two real blocks plus a complex one whose
 conjugate block is not built; the mirrors alone 4 blocks; the half turn 2.
-``spectrum`` deflates the exact constant-(h, a) kernel there and finds the
-gap by one dense eigensolve per block.  ``semisimplicity_proxy`` certifies,
+With d_h == d_a the field q = (a* h - h* a) / r, r = hypot(h*, a*), is a
+pure diffusion, q' = -d Lap_N q: the h* div u and a* div u terms cancel.
+A0 is then block triangular in (u, p, q), p = (h* h + a* a) / r, and
+``symmetry_blocks`` turns each node's (h, a) pair into (p, q) and cuts
+every block into its (u, p) part and its q part.  ``spectrum`` deflates
+the exact constant-(h, a) kernel there and finds the gap by one dense
+eigensolve per block.  ``semisimplicity_proxy`` certifies,
 in O(nnz), that the constant vectors are both the right and the left
 kernel, so the zero eigenvalue is semisimple.
 """
@@ -63,7 +68,11 @@ from .params import InvalidStateError, RheologyParams, VpiceError, check_finite
 from .rheology import pressure, pressure_derivatives
 
 DENSE_EIG_BUDGET = 10_000
-MIN_FIT_SAMPLES = 10  # positive norms decay_experiment needs in its fit window
+MIN_FIT_SAMPLES = 10  # norms decay_experiment needs in its fit window
+# decay_experiment's fit window stays above this many times the rounding
+# floor of the mean-value equilibrium, eps sqrt(cell_area) ||(h, a)||; at
+# 9^2 the norm stalls at about 3x the floor
+FIT_FLOOR_FACTOR = 100
 KERNEL_CERT_RTOL = 1e-12  # kernel residuals, relative to max|A0_ij|, that pass
 
 
@@ -221,6 +230,42 @@ def _commutes(matrix, index, sign) -> bool:
     return (perm @ matrix - matrix @ perm).count_nonzero() == 0
 
 
+def _rotated(matrix, keep: np.ndarray, n: int):
+    """The reduced M with each node's (h, a) pair turned to (p, q) = (c h +
+    s a, s h - c a), (c, s) = (h*, a*) / r, r = hypot(h*, a*), or None.
+
+    When M's (h, h) and (a, a) blocks are equal entry for entry, say D,
+    and its (h, a) and (a, h) blocks hold no entries, the turn keeps D in
+    the (p, p) and (q, q) blocks, exactly, and leaves the (p, q) and (q, p)
+    blocks empty.  The h and a rows' div parts are h* div and a* div, so
+    their largest entries give (c, s), and the q rows' div part s h* div -
+    c a* div cancels to rounding: q' = -D q is a pure diffusion.  Returns
+    None, and nothing is split, unless all of this holds and the q rows'
+    entries outside the q columns are at most machine eps x max|M|, which
+    is within the backward error of a dense eigensolve of M.  The turn
+    is symmetric and orthogonal, so the result is similar to M, on the
+    same unknowns: p and q in the place of h and a."""
+    velocity = int(np.sum(keep[:2 * n]))
+    u, h, a = (slice(0, velocity), slice(velocity, velocity + n),
+               slice(velocity + n, None))
+    diffusion = matrix[h, h]
+    if (not keep[2 * n:].all() or (diffusion != matrix[a, a]).nnz
+            or matrix[h, a].count_nonzero() or matrix[a, h].count_nonzero()):
+        return None
+    h_div, a_div = matrix[h, u], matrix[a, u]
+    x, y = abs(h_div).max(), abs(a_div).max()
+    r = math.hypot(x, y)
+    c, s = (x / r, y / r) if r else (1.0, 0.0)  # no div part: any turn
+    q_div = s * h_div - c * a_div
+    if abs(q_div).max() > np.finfo(float).eps * abs(matrix).max():
+        return None
+    return sp.bmat(
+        [[matrix[u, u], c * matrix[u, h] + s * matrix[u, a],
+          s * matrix[u, h] - c * matrix[u, a]],
+         [c * h_div + s * a_div, diffusion, None],
+         [q_div, None, diffusion]], format="csr")
+
+
 def _deflate(block, coords: np.ndarray):
     """B restricted to its invariant subspace coords^T x = 0 (coords^T B = 0
     puts the range of B in it), in the sparse basis e_i - W[:, i] e_pivots
@@ -263,15 +308,17 @@ class SymmetryBlock:
     matrix: sp.csr_matrix
     copies: int
     conjugate: bool
+    fields: str  # the unknowns it acts on: "u h a", or "u p" or "q" once split
 
 
 def symmetry_blocks(op: SparseOperator, grid: Grid) -> tuple:
     """The reduced operator split along its exact grid symmetries.
 
-    With the Dirichlet rows and columns dropped, M is tested against the
-    signed permutations of ``_symmetry``, each entry by entry (P M P^T - M
-    has no nonzero entry), and the first group of ``_GROUPS`` whose
-    generators all commute with M is kept: D4 (both mirrors and the
+    With the Dirichlet rows and columns dropped, M is turned to (u, p, q)
+    by ``_rotated`` where its q rows are a pure diffusion.  M is tested
+    against the signed permutations of ``_symmetry``, each entry by entry
+    (P M P^T - M has no nonzero entry), and the first group of ``_GROUPS``
+    whose generators all commute with M is kept: D4 (both mirrors and the
     diagonal reflection, c_cor = 0 on a square grid with dx == dy), the
     Klein four group of the two mirrors (c_cor = 0), C4 (the quarter
     turn, square grids), C2 (the half turn) or the trivial group.  For
@@ -283,10 +330,17 @@ def symmetry_blocks(op: SparseOperator, grid: Grid) -> tuple:
     are orthogonal to each other and span the kept unknowns, so together
     the blocks' spectra are the spectrum of M, except that the G-invariant
     ``kernel_basis`` K, in the trivial character's block, is deflated
-    there: M's zero eigenvalues of K are left out.  Returns (group name,
-    blocks).
+    there: M's zero eigenvalues of K are left out.  A turned M has each
+    block cut into its (u, p) part and its q part, ``SymmetryBlock.fields``
+    "u p" and "q", which drops the q rows' rounding-level coupling to u;
+    constant p and constant q, which span K, are deflated one per part.
+    Otherwise each block acts on "u h a".  Returns (group name, blocks).
     """
     matrix, keep, kernel = _reduced(op, grid)
+    n = grid.n_nodes
+    rotated = _rotated(matrix, keep, n)
+    if rotated is not None:
+        matrix = rotated
     maps = {}
 
     def exact(name):
@@ -311,7 +365,7 @@ def symmetry_blocks(op: SparseOperator, grid: Grid) -> tuple:
                      for member, s, word in power]
             elements = elements + power
     blocks = []
-    for character, copies, conjugate in characters:
+    for i, (character, copies, conjugate) in enumerate(characters):
         used = [element for element in elements
                 if all(position < len(character) for position in element[2])]
         members = [member for member, _, _ in used]
@@ -324,12 +378,23 @@ def symmetry_blocks(op: SparseOperator, grid: Grid) -> tuple:
             shape=(size, size))[:, orbit_first]
         # a projected column is either zero or has all its entries equal in size
         norms = np.sqrt(np.asarray(abs(basis).power(2).sum(axis=0))).ravel()
-        basis = basis[:, norms > 0.0] @ sp.diags(1.0 / norms[norms > 0.0])
+        nonzero = norms > 0.0
+        basis = basis[:, nonzero] @ sp.diags(1.0 / norms[nonzero])
         block = (basis.conj().T @ matrix @ basis).tocsr()
-        # the first character is the trivial one
-        blocks.append(SymmetryBlock(
-            block if blocks else _deflate(block, basis.T @ kernel),
-            copies, conjugate))
+        coords = basis.T @ kernel
+        if rotated is None:
+            parts = [(block, coords, "u h a")]
+        else:
+            # the q columns are the orbits of the last n unknowns; the
+            # constant p and q, the two columns of K, are one per part
+            q = columns[orbit_first][nonzero] >= size - n
+            parts = [(block[~q][:, ~q], coords[~q][:, :1], "u p"),
+                     (block[q][:, q], coords[q][:, 1:], "q")]
+        for part, part_coords, fields in parts:
+            # the first character is the trivial one
+            blocks.append(SymmetryBlock(
+                part if i else _deflate(part, part_coords),
+                copies, conjugate, fields))
     return group, blocks
 
 
@@ -554,8 +619,10 @@ def decay_experiment(eq: Equilibrium, perturbation_scale: float, grid: Grid,
     linearization.  ``sinks`` receive the trajectory as ``run`` streams it.
     A zero ``perturbation_scale`` raises InvalidStateError before the run.
     DecayFitError is raised before it for a perturbation lost to rounding,
-    and after it for fewer than MIN_FIT_SAMPLES positive norms in the fit
-    window.
+    and after it when a norm in the fit window is within FIT_FLOOR_FACTOR
+    times the rounding floor of the equilibrium (the fit would take its
+    rate from rounding noise) or the window holds fewer than
+    MIN_FIT_SAMPLES norms.
     """
     eq.validate(params)
     if perturbation_scale == 0.0:
@@ -569,8 +636,6 @@ def decay_experiment(eq: Equilibrium, perturbation_scale: float, grid: Grid,
                             f"lost to rounding: the state is the equilibrium")
     result = run(v0, ForcingInputs(), params, cfg, sinks)
 
-    gap = spectrum(assemble_A0(eq, grid, params), grid).spectral_gap
-
     norms = result.perturbation_norm
     mismatch = float(norms[-1])
     mean_h_drift = abs(result.mean_h[-1] - result.mean_h[0])
@@ -579,12 +644,20 @@ def decay_experiment(eq: Equilibrium, perturbation_scale: float, grid: Grid,
     start = int(np.floor(0.4 * len(norms)))
     window_t = result.times[start:]
     window_n = norms[start:]
-    positive = window_n > 0.0
-    if int(np.sum(positive)) < MIN_FIT_SAMPLES:
+    floor = (np.finfo(float).eps * math.sqrt(grid.cell_area)
+             * math.hypot(np.linalg.norm(rest.h), np.linalg.norm(rest.a)))
+    if np.min(window_n) <= FIT_FLOOR_FACTOR * floor:
         raise DecayFitError(
-            f"only {int(np.sum(positive))} usable samples in the fit window, "
+            f"perturbation_scale = {perturbation_scale!r} decays to "
+            f"{np.min(window_n):.3g} in the fit window, within "
+            f"{FIT_FLOOR_FACTOR} times the rounding floor {floor:.3g} of "
+            f"the equilibrium")
+    if len(window_n) < MIN_FIT_SAMPLES:
+        raise DecayFitError(
+            f"only {len(window_n)} usable samples in the fit window, "
             f"need {MIN_FIT_SAMPLES}")
-    slope, _ = np.polyfit(window_t[positive], np.log(window_n[positive]), 1)
+    slope, _ = np.polyfit(window_t, np.log(window_n), 1)
+    gap = spectrum(assemble_A0(eq, grid, params), grid).spectral_gap
     return DecayResult(float(-slope), gap, mismatch, mean_h_drift,
                        mean_a_drift, result)
 

@@ -444,10 +444,12 @@ def test_spectrum_subcommand_outputs(tmp_path, capsys):
         "kernel_restriction_norm", "symmetry_group", "block_sizes"]
     summary = dict(summary)
     assert summary["kernel_dim"] == "2"
-    # D4 at c_cor = 0 on a square grid; the 2-D irrep's block counts twice
+    # D4 at c_cor = 0 on a square grid; the 2-D irrep's blocks count twice;
+    # with d_h == d_a each character gives a (u, p) block and a q block
     assert summary["symmetry_group"] == "D4"
-    assert summary["block_sizes"] == "40 32 32 24 65x2"
-    assert 40 + 32 + 32 + 24 + 2 * 65 == interior_unknowns - 2
+    assert summary["block_sizes"] == "26 14 22 10 22 10 18 6 45x2 20x2"
+    assert 26 + 14 + 22 + 10 + 22 + 10 + 18 + 6 + 2 * (45 + 20) == (
+        interior_unknowns - 2)
     manifest = (out / "manifest.txt").read_text()
     assert "file.0.name = spectrum.csv" in manifest
     assert "config.grid.nx = 9" in manifest
@@ -633,6 +635,8 @@ def test_decay_subcommand_exit_1_when_rate_misses_gap(tmp_path, capsys):
     ("0", 2, "nonzero perturbation_scale"),
     # lost to rounding: the state is the equilibrium, no rate to fit
     ("1e-308", 1, "lost to rounding"),
+    # the fit window would hold rounding noise of the equilibrium
+    ("1e-14", 1, "rounding floor"),
 ])
 def test_decay_without_a_perturbation_fails_without_a_summary(
         scale, code, message, tmp_path, capfd):

@@ -203,10 +203,12 @@ def test_mirror_blocks_use_every_exact_symmetry(g):
     # both mirrors commute with A0 at c_cor = 0, only the half turn with
     # rotation; on a square grid with dx == dy also the diagonal reflection
     # (D4), resp. the quarter turn (C4); an assembly that breaks bitwise
-    # symmetry fails here
+    # symmetry fails here.  With d_h == d_a each character's block is split
+    # into its (u, p) and q parts, so there are twice as many blocks as
+    # characters
     square = g.nx == g.ny and g.dx == g.dy
-    groups = (((0.0, "D4", 5), (0.5, "C4", 3)) if square
-              else ((0.0, "Klein", 4), (0.5, "C2", 2)))
+    groups = (((0.0, "D4", 10), (0.5, "C4", 6)) if square
+              else ((0.0, "Klein", 8), (0.5, "C2", 4)))
     for c_cor, expected, n_blocks in groups:
         group, blocks = symmetry_blocks(
             assemble_A0(EQ, g, PARAMS.with_(c_cor=c_cor)), g)
@@ -216,10 +218,14 @@ def test_mirror_blocks_use_every_exact_symmetry(g):
 
 
 def test_symmetry_blocks_at_21():
+    # each character's (u, p) block, then its q block: D4's 220, 200, 200,
+    # 180 and 401x2 and C4's 400, 400 and 401x2 before the diffusion split
     g = Grid(21, 21)
-    for c_cor, expected in ((0.0, ((220, 1), (200, 1), (200, 1), (180, 1),
-                                   (401, 2))),
-                            (0.5, ((400, 1), (400, 1), (401, 2)))):
+    for c_cor, expected in ((0.0, ((155, 1), (65, 1), (145, 1), (55, 1),
+                                   (145, 1), (55, 1), (135, 1), (45, 1),
+                                   (291, 2), (110, 2))),
+                            (0.5, ((290, 1), (110, 1), (290, 1), (110, 1),
+                                   (291, 2), (110, 2)))):
         report = spectrum(assemble_A0(EQ, g, PARAMS.with_(c_cor=c_cor)), g)
         assert report.block_sizes == expected
 
@@ -232,8 +238,8 @@ def test_quarter_turn_conjugate_blocks(g):
     op = assemble_A0(EQ, g, PARAMS.with_(c_cor=0.5))
     group, blocks = symmetry_blocks(op, g)
     assert group == "C4"
-    assert [block.conjugate for block in blocks] == [False, False, True]
-    assert np.iscomplexobj(blocks[2].matrix.data)
+    assert [block.conjugate for block in blocks] == [False] * 4 + [True] * 2
+    assert all(np.iscomplexobj(block.matrix.data) for block in blocks[4:])
     eigenvalues = spectrum(op, g).eigenvalues
     assert np.array_equal(np.sort_complex(eigenvalues),
                           np.sort_complex(eigenvalues.conj()))
@@ -254,14 +260,15 @@ def test_mirror_blocks_fall_back_when_symmetry_breaks():
     g = Grid(9, 9)
     op = broken_kernel(assemble_A0(EQ, g, PARAMS), g, "right")
     group, blocks = symmetry_blocks(op, g)
-    assert (group, len(blocks)) == ("trivial", 1)
+    # the extra entry leaves the q rows alone: the diffusion split stays
+    assert (group, len(blocks)) == ("trivial", 2)
     assert split_size(blocks) == dense_unknowns(g) - 2
     assert sorted_mismatch(spectrum(op, g).eigenvalues,
                            unblocked_eigenvalues(op)) <= 1e-12
 
 
-@pytest.mark.parametrize("c_cor, expected", [(0.0, ("Klein", 4)),
-                                             (0.5, ("C2", 2))])
+@pytest.mark.parametrize("c_cor, expected", [(0.0, ("Klein", 8)),
+                                             (0.5, ("C2", 4))])
 def test_symmetry_blocks_fall_back_when_u1_u2_swap_breaks(c_cor, expected):
     # only the diagonal reflection, resp. the quarter turn, is broken
     g = Grid(9, 9)
@@ -271,6 +278,77 @@ def test_symmetry_blocks_fall_back_when_u1_u2_swap_breaks(c_cor, expected):
     assert split_size(blocks) == dense_unknowns(g) - 2
     assert sorted_mismatch(spectrum(op, g).eigenvalues,
                            unblocked_eigenvalues(op)) <= 1e-12
+
+
+SPLIT_CASES = {  # group: (grid, c_cor, characters)
+    "D4": (Grid(9, 9), 0.0, 5),
+    "C4": (Grid(10, 10), 0.5, 3),
+    "Klein": (Grid(13, 9, lx=2.0), 0.0, 4),
+    "C2": (Grid(13, 9, lx=2.0), 0.5, 2),
+    "trivial": (Grid(9, 9), 0.0, 1),  # the kernel-breaking entry below
+}
+
+
+def split_case(group, d_a, a_star):
+    g, c_cor, _ = SPLIT_CASES[group]
+    op = assemble_A0(Equilibrium(1.0, a_star), g,
+                     PARAMS.with_(c_cor=c_cor, d_a=d_a))
+    return g, broken_kernel(op, g, "right") if group == "trivial" else op
+
+
+@pytest.mark.parametrize("a_star", [0.8, 0.0])
+@pytest.mark.parametrize("d_a", [PARAMS.d_h, 0.5 * PARAMS.d_h],
+                         ids=["d_a=d_h", "d_a=d_h/2"])
+@pytest.mark.parametrize("group", SPLIT_CASES)
+def test_diffusion_split_exactly_when_d_h_equals_d_a(group, d_a, a_star):
+    # with d_h == d_a the q = (a* h - h* a) / r rows are a pure diffusion,
+    # so every character's block splits into its (u, p) and q parts
+    g, op = split_case(group, d_a, a_star)
+    found, blocks = symmetry_blocks(op, g)
+    assert found == group
+    characters = SPLIT_CASES[group][2]
+    if d_a == PARAMS.d_h:
+        assert [block.fields for block in blocks] == ["u p", "q"] * characters
+    else:
+        assert [block.fields for block in blocks] == ["u h a"] * characters
+    assert split_size(blocks) == dense_unknowns(g) - 2
+    eigenvalues = spectrum(op, g).eigenvalues
+    assert sorted_mismatch(eigenvalues, unblocked_eigenvalues(op)) <= 1e-12
+    if group == "C4":
+        assert np.array_equal(np.sort_complex(eigenvalues),
+                              np.sort_complex(eigenvalues.conj()))
+
+
+@pytest.mark.parametrize("group", SPLIT_CASES)
+def test_unsplit_blocks_join_the_split_parts(group):
+    # at d_h != d_a the blocks are the symmetry blocks alone, each the size
+    # of the (u, p) and q parts it splits into at d_h == d_a
+    g, op = split_case(group, 0.5 * PARAMS.d_h, 0.8)
+    whole = [block.matrix.shape[0] for block in symmetry_blocks(op, g)[1]]
+    g, op = split_case(group, PARAMS.d_h, 0.8)
+    parts = [block.matrix.shape[0] for block in symmetry_blocks(op, g)[1]]
+    assert whole == [up + q for up, q in zip(parts[::2], parts[1::2])]
+
+
+def test_d4_blocks_without_the_diffusion_split():
+    g, op = split_case("D4", 0.5 * PARAMS.d_h, 0.8)
+    assert spectrum(op, g).block_sizes == ((40, 1), (32, 1), (32, 1), (24, 1),
+                                           (65, 2))
+
+
+def test_diffusion_split_needs_the_q_rows_decoupled():
+    # scaling one a-row div entry keeps the equal diffusion blocks but
+    # couples q to u: nothing is split
+    g = Grid(9, 9)
+    op = assemble_A0(EQ, g, PARAMS)
+    n = g.n_nodes
+    matrix = op.matrix.tolil()
+    row = 3 * n + int(np.flatnonzero(g.interior_mask())[0])
+    col = matrix.rows[row][0]
+    assert col < 2 * n
+    matrix[row, col] *= 1.5
+    op = SparseOperator(matrix.tocsr(), op.dirichlet_mask)
+    assert {block.fields for block in symmetry_blocks(op, g)[1]} == {"u h a"}
 
 
 def test_spectrum_budget():
@@ -578,6 +656,23 @@ def test_decay_zero_perturbation(scale, error, message):
         decay_experiment(EQ, scale, Grid(9, 9), PARAMS, cfg,
                          RunSinks(on_diagnostics=rows.append))
     assert rows == []
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-14, 1e-15])
+def test_decay_refuses_a_fit_window_at_the_rounding_floor(scale):
+    # the norm stalls at about 8.7e-16, rounding of the mean-value
+    # equilibrium: 1e-14 fitted 3.75 and 1e-15 a growth rate, -3.3e-6, and
+    # 1e-13, whose window ends 49 times above the floor, 7.55 for 7.44
+    cfg = StepperConfig(dt=0.01, t_end=0.25)
+    with pytest.raises(DecayFitError, match="rounding floor"):
+        decay_experiment(EQ, scale, Grid(9, 9), PARAMS, cfg)
+
+
+def test_decay_rate_holds_down_to_the_rounding_floor():
+    cfg = StepperConfig(dt=0.01, t_end=0.25)
+    rates = [decay_experiment(EQ, scale, Grid(9, 9), PARAMS, cfg).fitted_rate
+             for scale in (1e-3, 1e-12)]
+    assert rates[1] == pytest.approx(rates[0], rel=1e-3)
 
 
 def test_decay_fit_needs_enough_samples():
