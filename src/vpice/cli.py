@@ -14,7 +14,8 @@
 Exit codes: 0 success, 1 violated contract or margin, 2 usage/config error;
 a package error (params.VpiceError) exits with its exit_code.
 Every subcommand that writes files puts them under experiment.output_dir and
-lists them, with the exact configuration echo, in manifest.txt.  Identical
+lists them, with the exact configuration echo, in manifest.txt, also when the
+run fails after writing some of them.  Identical
 configuration and seed produce byte-identical CSV output.
 
 Optional flag for simulate and spectrum: --dump-matrix <path> exports the
@@ -165,24 +166,27 @@ def cmd_spectrum(cfg: RunConfig, dump_matrix=None) -> int:
 def cmd_decay(cfg: RunConfig) -> int:
     directory = _prepare_output(cfg)
     csv_path = os.path.join(directory, "decay_diagnostics.csv")
-    with DiagnosticsCsvWriter(csv_path) as writer:
-        result = decay_experiment(cfg.equilibrium(),
-                                  cfg["experiment.perturbation_scale"],
-                                  cfg.grid(), cfg.rheology_params(),
-                                  cfg.stepper(),
-                                  RunSinks(on_diagnostics=writer))
-    rel = (abs(result.fitted_rate - result.predicted_gap)
-           / max(result.predicted_gap, 1e-300))
-    write_key_values(os.path.join(directory, "decay_summary.txt"), [
-        ("fitted_rate", result.fitted_rate),
-        ("predicted_gap", result.predicted_gap),
-        ("relative_gap_error", rel),
-        ("limit_mismatch", result.limit_mismatch),
-        ("mean_h_drift", result.mean_h_drift),
-        ("mean_a_drift", result.mean_a_drift),
-    ])
-    write_manifest(directory, [("decay_diagnostics.csv", "csv"),
-                               ("decay_summary.txt", "key-value")], cfg.echo())
+    files = [("decay_diagnostics.csv", "csv")]
+    try:  # a failed fit still lists the diagnostics it streamed
+        with DiagnosticsCsvWriter(csv_path) as writer:
+            result = decay_experiment(cfg.equilibrium(),
+                                      cfg["experiment.perturbation_scale"],
+                                      cfg.grid(), cfg.rheology_params(),
+                                      cfg.stepper(),
+                                      RunSinks(on_diagnostics=writer))
+        rel = (abs(result.fitted_rate - result.predicted_gap)
+               / max(result.predicted_gap, 1e-300))
+        write_key_values(os.path.join(directory, "decay_summary.txt"), [
+            ("fitted_rate", result.fitted_rate),
+            ("predicted_gap", result.predicted_gap),
+            ("relative_gap_error", rel),
+            ("limit_mismatch", result.limit_mismatch),
+            ("mean_h_drift", result.mean_h_drift),
+            ("mean_a_drift", result.mean_a_drift),
+        ])
+        files.append(("decay_summary.txt", "key-value"))
+    finally:
+        write_manifest(directory, files, cfg.echo())
     print(f"decay: fitted rate {format_float(result.fitted_rate)}, "
           f"gap {format_float(result.predicted_gap)}")
     return 1 if rel > DECAY_GAP_RTOL else 0
@@ -212,13 +216,15 @@ def cmd_simulate(cfg: RunConfig, dump_matrix=None) -> int:
                 files.append((ppm + ".scale.txt", "key-value"))
 
     csv_path = os.path.join(directory, "diagnostics.csv")
-    with DiagnosticsCsvWriter(csv_path) as writer:
-        sinks = RunSinks(on_diagnostics=writer, on_snapshot=on_snapshot,
-                         snapshot_every=cfg["experiment.snapshot_every"])
-        run(v0, ForcingInputs(), params, cfg.stepper(), sinks=sinks)
-    if dump_matrix:
-        files.append((os.path.basename(dump_matrix), "coo-text"))
-    write_manifest(directory, files, cfg.echo())
+    try:  # a failed step still lists what the run wrote before it
+        with DiagnosticsCsvWriter(csv_path) as writer:
+            sinks = RunSinks(on_diagnostics=writer, on_snapshot=on_snapshot,
+                             snapshot_every=cfg["experiment.snapshot_every"])
+            run(v0, ForcingInputs(), params, cfg.stepper(), sinks=sinks)
+    finally:
+        if dump_matrix:
+            files.append((os.path.basename(dump_matrix), "coo-text"))
+        write_manifest(directory, files, cfg.echo())
     print(f"simulation diagnostics: {csv_path}")
     return 0
 

@@ -23,13 +23,17 @@ maps commute entry by entry and splits the reduced A0 along the characters
 of the largest such group: D4 gives 4 blocks plus one, for the 2-D irrep,
 whose eigenvalues count twice; C4 two real blocks plus a complex one whose
 conjugate block is not built; the mirrors alone 4 blocks; the half turn 2.
+The exact commutation lets it read each block off the rows of A0 at one
+unknown per orbit, without forming the symmetry-adapted basis.
 With d_h == d_a the field q = (a* h - h* a) / r, r = hypot(h*, a*), is a
 pure diffusion, q' = -d Lap_N q: the h* div u and a* div u terms cancel.
 A0 is then block triangular in (u, p, q), p = (h* h + a* a) / r, and
 ``symmetry_blocks`` turns each node's (h, a) pair into (p, q) and cuts
-every block into its (u, p) part and its q part.  ``spectrum`` deflates
-the exact constant-(h, a) kernel there and finds the gap by one dense
-eigensolve per block.  ``semisimplicity_proxy`` certifies,
+every block into its (u, p) part and its q part, which is Hermitian
+because the diffusion block is symmetric.  The exact constant-(h, a)
+kernel is deflated there, and ``spectrum`` finds the gap by one dense
+eigensolve per block, ``eigvalsh`` for the q parts.
+``semisimplicity_proxy`` certifies,
 in O(nnz), that the constant vectors are both the right and the left
 kernel, so the zero eigenvalue is semisimple.
 """
@@ -237,7 +241,9 @@ def _rotated(matrix, keep: np.ndarray, n: int):
     When M's (h, h) and (a, a) blocks are equal entry for entry, say D,
     and its (h, a) and (a, h) blocks hold no entries, the turn keeps D in
     the (p, p) and (q, q) blocks, exactly, and leaves the (p, q) and (q, p)
-    blocks empty.  The h and a rows' div parts are h* div and a* div, so
+    blocks empty.  D must also equal D^T entry for entry, so that every q
+    part of ``symmetry_blocks`` is Hermitian for ``spectrum``'s
+    ``eigvalsh``.  The h and a rows' div parts are h* div and a* div, so
     their largest entries give (c, s), and the q rows' div part s h* div -
     c a* div cancels to rounding: q' = -D q is a pure diffusion.  Returns
     None, and nothing is split, unless all of this holds and the q rows'
@@ -250,6 +256,7 @@ def _rotated(matrix, keep: np.ndarray, n: int):
                slice(velocity + n, None))
     diffusion = matrix[h, h]
     if (not keep[2 * n:].all() or (diffusion != matrix[a, a]).nnz
+            or (diffusion != diffusion.T).nnz
             or matrix[h, a].count_nonzero() or matrix[a, h].count_nonzero()):
         return None
     h_div, a_div = matrix[h, u], matrix[a, u]
@@ -270,11 +277,29 @@ def _deflate(block, coords: np.ndarray):
     """B restricted to its invariant subspace coords^T x = 0 (coords^T B = 0
     puts the range of B in it), in the sparse basis e_i - W[:, i] e_pivots
     with one pivot per column of ``coords``: B[others, others] -
-    B[others, pivots] W.  Its spectrum is B's less one zero per column."""
+    B[others, pivots] W.  Its spectrum is B's less one zero per column.  The
+    basis is oblique, so a symmetric B gives a nonsymmetric result, solved
+    by ``eigvals``; ``_reflect`` deflates a symmetric B and keeps it so."""
     pivots = np.argmax(np.abs(coords), axis=0)
     others = np.setdiff1d(np.arange(block.shape[0]), pivots)
     weights = sp.csr_matrix(np.linalg.solve(coords[pivots].T, coords[others].T))
     return block[others][:, others] - block[others][:, pivots] @ weights
+
+
+def _reflect(block, coords: np.ndarray):
+    """A real symmetric B with B w = 0, w = ``coords``, restricted to the
+    complement of w: the Householder reflection H = I - beta u u^T, u =
+    w / ||w|| + sign(w_0) e_0, maps w to a multiple of e_0, so H B H has
+    its first row and column zero to rounding, and its trailing block,
+    returned, is symmetric like B (H is orthogonal) with B's spectrum less
+    one zero."""
+    u = coords / np.linalg.norm(coords)
+    u[0] += math.copysign(1.0, u[0])
+    beta = 2.0 / (u @ u)
+    dense = block.toarray()
+    dense -= np.outer(beta * u, u @ dense)  # H B
+    dense -= np.outer(dense @ u, beta * u)  # (H B) H
+    return sp.csr_matrix(dense[1:, 1:])
 
 
 # The exact symmetry groups, largest first: name, generators (see
@@ -301,9 +326,10 @@ _GROUPS = (
 
 @dataclass(frozen=True)
 class SymmetryBlock:
-    """One block Q^H M Q of ``symmetry_blocks``: its eigenvalues count
-    ``copies`` times in the spectrum of M, and when ``conjugate`` is set
-    so do their complex conjugates."""
+    """One block Q^H M Q of ``symmetry_blocks``, Q an orthonormal basis of
+    one character's unknowns: its eigenvalues count ``copies`` times in the
+    spectrum of M, and when ``conjugate`` is set so do their complex
+    conjugates.  A "q" block is Hermitian."""
 
     matrix: sp.csr_matrix
     copies: int
@@ -322,19 +348,26 @@ def symmetry_blocks(op: SparseOperator, grid: Grid) -> tuple:
     diagonal reflection, c_cor = 0 on a square grid with dx == dy), the
     Klein four group of the two mirrors (c_cor = 0), C4 (the quarter
     turn, square grids), C2 (the half turn) or the trivial group.  For
-    each character chi of a block, the orbit projector sum_g conj(chi(g)) g
-    over the group G (or the subgroup the character is of), applied to one
-    unknown of every orbit, gives an orthonormal sparse basis Q with at
-    most |G| nonzeros per column.  The bases of the blocks solved and of
-    the blocks they stand for (``SymmetryBlock.copies`` and ``conjugate``)
-    are orthogonal to each other and span the kept unknowns, so together
-    the blocks' spectra are the spectrum of M, except that the G-invariant
-    ``kernel_basis`` K, in the trivial character's block, is deflated
-    there: M's zero eigenvalues of K are left out.  A turned M has each
-    block cut into its (u, p) part and its q part, ``SymmetryBlock.fields``
-    "u p" and "q", which drops the q rows' rounding-level coupling to u;
-    constant p and constant q, which span K, are deflated one per part.
-    Otherwise each block acts on "u h a".  Returns (group name, blocks).
+    each character chi of a block, over the group G or the subgroup H the
+    character is of, the projected column v_b = sum_{g in H} conj(chi(g))
+    P_g e_{r_b} of every orbit b, r_b its smallest unknown, is either zero
+    or one column of an orthonormal basis Q, v_b / n_b with n_b = ||v_b||.
+    The exact commutation makes the projector (1/|H|) sum_g conj(chi(g))
+    P_g commute with M, so the block is read off the rows r_a of M:
+    (Q^H M Q)[a, b] = |H| (M v_b)[r_a] / (n_a n_b), one weighted sum per
+    entry of those rows (the projection-operator method).  The bases of
+    the blocks solved and of the blocks they stand for
+    (``SymmetryBlock.copies`` and ``conjugate``) are orthogonal to each
+    other and span the kept unknowns, so together the blocks' spectra are
+    the spectrum of M, except that the G-invariant ``kernel_basis`` K, in
+    the trivial character's block, is deflated there: M's zero
+    eigenvalues of K are left out.  A turned M has each block cut into its
+    (u, p) part and its q part, ``SymmetryBlock.fields`` "u p" and "q",
+    which drops the q rows' rounding-level coupling to u; constant p and
+    constant q, which span K, are deflated one per part: by ``_deflate``
+    from the (u, p) part and by the Householder reflection of
+    ``_reflect`` from the q part, which stays symmetric.  Otherwise each
+    block acts on "u h a".  Returns (group name, blocks).
     """
     matrix, keep, kernel = _reduced(op, grid)
     n = grid.n_nodes
@@ -368,33 +401,55 @@ def symmetry_blocks(op: SparseOperator, grid: Grid) -> tuple:
     for i, (character, copies, conjugate) in enumerate(characters):
         used = [element for element in elements
                 if all(position < len(character) for position in element[2])]
-        members = [member for member, _, _ in used]
-        orbit_first = np.min(members, axis=0) == columns
-        data = np.concatenate(
-            [s * np.conj(np.prod([character[p] for p in word]))
-             for _, s, word in used])
-        basis = sp.csc_matrix(
-            (data, (np.concatenate(members), np.tile(columns, len(used)))),
-            shape=(size, size))[:, orbit_first]
-        # a projected column is either zero or has all its entries equal in size
-        norms = np.sqrt(np.asarray(abs(basis).power(2).sum(axis=0))).ravel()
-        nonzero = norms > 0.0
-        basis = basis[:, nonzero] @ sp.diags(1.0 / norms[nonzero])
-        block = (basis.conj().T @ matrix @ basis).tocsr()
-        coords = basis.T @ kernel
+        # each unknown's orbit representative, the smallest unknown it maps to
+        rep = np.min([member for member, _, _ in used], axis=0)
+        # coeff[k]: entry k of v, the projected column of k's orbit
+        coeff = sum(
+            np.where(member[rep] == columns,
+                     s[rep] * np.conj(np.prod([character[p] for p in word])),
+                     0.0)
+            for member, s, word in used)
+        # a projected column is either zero or has all its entries equal in
+        # size; reps ascend, and the zero columns are left out
+        norms = np.sqrt(np.bincount(rep, np.abs(coeff) ** 2, size))
+        reps = np.flatnonzero(norms)
+        place = np.full(size, -1)
+        place[reps] = np.arange(len(reps))
+        # B[a, b] = |H| (M v_b)[r_a] / (n_a n_b): the entries of the rows r_a,
+        # each weighted by coeff and summed into its orbit's column
+        rows = matrix[reps]
+        row = np.repeat(np.arange(len(reps)), np.diff(rows.indptr))
+        column = place[rep[rows.indices]]  # -1 in a zero column
+        scale = len(used) / norms[reps]
         if rotated is None:
-            parts = [(block, coords, "u h a")]
+            parts = [(0, len(reps), slice(None), "u h a")]
         else:
-            # the q columns are the orbits of the last n unknowns; the
+            # q is the last n unknowns, so its orbits' reps come last; the
             # constant p and q, the two columns of K, are one per part
-            q = columns[orbit_first][nonzero] >= size - n
-            parts = [(block[~q][:, ~q], coords[~q][:, :1], "u p"),
-                     (block[q][:, q], coords[q][:, 1:], "q")]
-        for part, part_coords, fields in parts:
-            # the first character is the trivial one
-            blocks.append(SymmetryBlock(
-                part if i else _deflate(part, part_coords),
-                copies, conjugate, fields))
+            cut = int(np.searchsorted(reps, size - n))
+            parts = [(0, cut, slice(0, 1), "u p"),
+                     (cut, len(reps), slice(1, 2), "q")]
+        for start, stop, kernel_columns, fields in parts:
+            entries = slice(rows.indptr[start], rows.indptr[stop])
+            inside = (column[entries] >= start) & (column[entries] < stop)
+            a, b = row[entries][inside], column[entries][inside]
+            k = rows.indices[entries][inside]
+            # one factor per entry of M: coeff and the norms applied one
+            # by one can overflow an entry near the float limit where the
+            # block entry does not
+            weight = coeff[k] * scale[a] / norms[reps[b]]
+            part = sp.csr_matrix(
+                (rows.data[entries][inside] * weight, (a - start, b - start)),
+                shape=(stop - start,) * 2)
+            if not i:  # the first character is the trivial one
+                # K in the block's basis: v_b^T K / n_b
+                coords = np.stack(
+                    [np.bincount(rep, coeff * constant, size)[reps[start:stop]]
+                     for constant in kernel[:, kernel_columns].T],
+                    axis=1) / norms[reps[start:stop], None]
+                part = (_reflect(part, coords[:, 0]) if fields == "q"
+                        else _deflate(part, coords))
+            blocks.append(SymmetryBlock(part, copies, conjugate, fields))
     return group, blocks
 
 
@@ -407,8 +462,10 @@ def spectrum(op: SparseOperator, grid: Grid) -> SpectrumReport:
     anything is built.  kernel_dim is the column count of ``kernel_basis``
     K, whose exact zeros lead ``eigenvalues``; the others, from one dense
     eigensolve per ``symmetry_blocks`` block, each counted as the block
-    says, set the spectral gap (their smallest real part).  The deflation
-    of K is exact when K is a left kernel, which ``semisimplicity_proxy``
+    says, set the spectral gap (their smallest real part).  A "q" block,
+    Hermitian, is solved by ``eigvalsh``, so its pure-diffusion modes come
+    out exactly real; every other block by ``eigvals``.  The deflation of
+    K is exact when K is a left kernel, which ``semisimplicity_proxy``
     certifies.
     """
     check_dense_budget(dense_unknowns(grid))
@@ -416,8 +473,10 @@ def spectrum(op: SparseOperator, grid: Grid) -> SpectrumReport:
     group, blocks = symmetry_blocks(op, grid)
     parts, sizes = [], []
     for block in blocks:
-        values = sla.eigvals(block.matrix.toarray(), overwrite_a=True,
-                             check_finite=False)
+        # a q part is Hermitian: D == D^T, and Q is orthonormal
+        solve = sla.eigvalsh if block.fields == "q" else sla.eigvals
+        values = solve(block.matrix.toarray(), overwrite_a=True,
+                       check_finite=False)
         copies = ([values, values.conj()] if block.conjugate
                   else [values]) * block.copies
         parts += copies

@@ -389,6 +389,9 @@ def test_failing_step_exit_1_one_line(tmp_path, capsys):
     assert err.startswith("vpice: step 1 ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    # the diagnostics streamed before the failed step are listed
+    manifest = (out / "manifest.txt").read_text()
+    assert "file.0.name = diagnostics.csv\n" in manifest
 
 
 def test_factorization_failure_names_no_residual(tmp_path, capsys):
@@ -651,6 +654,10 @@ def test_decay_without_a_perturbation_fails_without_a_summary(
     assert len(lines) == 1 and lines[0].startswith("vpice: ")
     assert message in lines[0]
     assert not (out / "decay_summary.txt").exists()
+    # the streamed diagnostics, if only their header, are listed
+    manifest = (out / "manifest.txt").read_text()
+    assert "file.0.name = decay_diagnostics.csv\n" in manifest
+    assert "decay_summary.txt" not in manifest
 
 
 def test_selftest_subcommand_all_pass(capsys):

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from vpice import cli
+from vpice import cli, stability
 from vpice.dynamics import ForcingInputs, RunSinks, StepperConfig, step
 from vpice.grid import FieldSet, Grid
 from vpice.operators import (
@@ -330,6 +330,73 @@ def test_unsplit_blocks_join_the_split_parts(group):
     assert whole == [up + q for up, q in zip(parts[::2], parts[1::2])]
 
 
+def projector_blocks(op, grid):
+    """Reference for ``symmetry_blocks`` before deflation: per character,
+    the unit vectors of one unknown per orbit projected by sum_g conj(chi(g))
+    g, normalized into the sparse orthonormal basis Q, then Q^H M Q, cut
+    into its (u, p) and q parts when M is turned."""
+    matrix, keep, _ = stability._reduced(op, grid)
+    n = grid.n_nodes
+    rotated = stability._rotated(matrix, keep, n)
+    if rotated is not None:
+        matrix = rotated
+    group = symmetry_blocks(op, grid)[0]
+    names, characters = next(entry[1:] for entry in stability._GROUPS
+                             if entry[0] == group)
+    size = matrix.shape[0]
+    columns = np.arange(size)
+    elements = [(columns, np.ones(size), ())]
+    for position, name in enumerate(names):
+        index, sign = stability._symmetry(grid, keep, name)
+        power = elements
+        for _ in range(3 if name == "r" else 1):
+            power = [(index[member], s * sign[member], word + (position,))
+                     for member, s, word in power]
+            elements = elements + power
+    blocks = []
+    for character, _, _ in characters:
+        used = [element for element in elements
+                if all(position < len(character) for position in element[2])]
+        members = [member for member, _, _ in used]
+        orbit_first = np.min(members, axis=0) == columns
+        data = np.concatenate(
+            [s * np.conj(np.prod([character[p] for p in word]))
+             for _, s, word in used])
+        basis = sp.csc_matrix(
+            (data, (np.concatenate(members), np.tile(columns, len(used)))),
+            shape=(size, size))[:, orbit_first]
+        norms = np.sqrt(np.asarray(abs(basis).power(2).sum(axis=0))).ravel()
+        nonzero = norms > 0.0
+        basis = basis[:, nonzero] @ sp.diags(1.0 / norms[nonzero])
+        block = (basis.conj().T @ matrix @ basis).tocsr()
+        if rotated is None:
+            blocks.append(block)
+        else:
+            q = columns[orbit_first][nonzero] >= size - n
+            blocks += [block[~q][:, ~q], block[q][:, q]]
+    return blocks
+
+
+@pytest.mark.parametrize("a_star", [0.8, 0.0])
+@pytest.mark.parametrize("d_a", [PARAMS.d_h, 0.5 * PARAMS.d_h],
+                         ids=["d_a=d_h", "d_a=d_h/2"])
+@pytest.mark.parametrize("group", SPLIT_CASES)
+def test_blocks_match_the_projector_reference(group, d_a, a_star,
+                                              monkeypatch):
+    # each block is read off the representatives' rows of M; D4's (+,-)
+    # block, of the mirrors' subgroup, is normalized by that subgroup's order
+    g, op = split_case(group, d_a, a_star)
+    monkeypatch.setattr(stability, "_deflate", lambda block, coords: block)
+    monkeypatch.setattr(stability, "_reflect", lambda block, coords: block)
+    blocks = symmetry_blocks(op, g)[1]
+    expected = projector_blocks(op, g)
+    assert len(blocks) == len(expected)
+    for block, reference in zip(blocks, expected):
+        assert block.matrix.shape == reference.shape
+        assert (abs(block.matrix - reference).max()
+                <= 1e-14 * abs(reference).max())
+
+
 def test_d4_blocks_without_the_diffusion_split():
     g, op = split_case("D4", 0.5 * PARAMS.d_h, 0.8)
     assert spectrum(op, g).block_sizes == ((40, 1), (32, 1), (32, 1), (24, 1),
@@ -349,6 +416,25 @@ def test_diffusion_split_needs_the_q_rows_decoupled():
     matrix[row, col] *= 1.5
     op = SparseOperator(matrix.tocsr(), op.dirichlet_mask)
     assert {block.fields for block in symmetry_blocks(op, g)[1]} == {"u h a"}
+
+
+def test_diffusion_split_needs_a_symmetric_diffusion_block():
+    # a skew 3-cycle on both diffusion blocks keeps (h, h) == (a, a), the q
+    # rows' decoupling and the constant kernel (its row and column sums
+    # vanish), but not D == D^T, which makes every q part Hermitian
+    g = Grid(9, 9)
+    op = assemble_A0(EQ, g, PARAMS)
+    n = g.n_nodes
+    nodes = np.flatnonzero(g.interior_mask())[[0, 1, 9]]
+    weight = 0.5 * abs(op.matrix[2 * n:3 * n, 2 * n:3 * n]).max()
+    rows, cols = nodes[[0, 1, 2, 1, 2, 0]], nodes[[1, 2, 0, 0, 1, 2]]
+    signs = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    cycle = sp.coo_matrix((weight * signs, (rows, cols)), shape=(n, n))
+    skew = sp.block_diag([sp.csr_matrix((2 * n, 2 * n)), cycle, cycle])
+    op = SparseOperator((op.matrix + skew).tocsr(), op.dirichlet_mask)
+    assert {block.fields for block in symmetry_blocks(op, g)[1]} == {"u h a"}
+    assert sorted_mismatch(spectrum(op, g).eigenvalues,
+                           unblocked_eigenvalues(op)) <= 1e-12
 
 
 def test_spectrum_budget():
