@@ -38,7 +38,8 @@ def print_blocks(params, label):
           + (" and the (p, q) diffusion split" if split else " only"))
     for block in blocks:
         count = block.copies * (1 + block.conjugate)
-        print(f"    {block.fields:5s} block of {block.matrix.shape[0]:3d}"
+        size = block.matrix.shape[0] - block.kernel.shape[1]  # as solved
+        print(f"    {block.fields:5s} block of {size:3d}"
               + (f", counted {count}x" if count > 1 else ""))
 
 

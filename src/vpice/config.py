@@ -4,8 +4,9 @@ Grammar: one ``key = value`` assignment per line; ``#`` starts a comment;
 keys are dot-scoped (rheology.e, grid.nx, ...); values are integers,
 decimals (optional exponent), strings or booleans (true/false).  Unknown
 keys, type mismatches and range violations are reported with their line
-number.  Missing keys take the documented defaults, so the empty file is a
-valid configuration and the result is independent of assignment order.
+number, and so is a key assigned twice.  Missing keys take the documented
+defaults, so the empty file is a valid configuration and the result is
+independent of assignment order.
 A solver key ``<section>.<field name, lower-cased>`` takes its type, default
 and range from that field of the section's dataclass (SECTIONS), and a
 section's values are in range when it can be built from them.
@@ -186,6 +187,9 @@ def parse_config(text: str) -> RunConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}", line_number)
+        if key in lines:
+            raise ConfigError(f"{key} is assigned again, first at line "
+                              f"{lines[key]}", line_number)
         values[key] = _parse_value(key, raw, line_number)
         lines[key] = line_number
     config = RunConfig(values)

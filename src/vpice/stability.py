@@ -27,14 +27,14 @@ The exact commutation lets it read each block off the rows of A0 at one
 unknown per orbit, without forming the symmetry-adapted basis.
 With d_h == d_a the field q = (a* h - h* a) / r, r = hypot(h*, a*), is a
 pure diffusion, q' = -d Lap_N q: the h* div u and a* div u terms cancel.
-A0 is then block triangular in (u, p, q), p = (h* h + a* a) / r, and
-``symmetry_blocks`` turns each node's (h, a) pair into (p, q) and cuts
-every block into its (u, p) part and its q part, which is Hermitian
-because the diffusion block is symmetric.  The exact constant-(h, a)
-kernel is deflated there, and ``spectrum`` finds the gap by one dense
-eigensolve per block, ``eigvalsh`` for the q parts.
-``semisimplicity_proxy`` certifies,
-in O(nnz), that the constant vectors are both the right and the left
+A0 is then block triangular in (u, p | q), p = (h* h + a* a) / r, and
+``symmetry_blocks`` splits only the (u, p) operator; each character's q
+part, Hermitian because the diffusion block is symmetric, is the p-rows
+and p-columns slice of its (u, p) block.  ``spectrum`` deflates the exact
+constant-(h, a) kernel from the dense copy of each block by Householder
+reflections and finds the gap by one dense eigensolve per block,
+``eigvalsh`` for the q parts.  ``semisimplicity_proxy`` certifies, in
+O(nnz), that the constant vectors are both the right and the left
 kernel, so the zero eigenvalue is semisimple.
 """
 
@@ -186,11 +186,13 @@ def check_dense_budget(size: int) -> None:
 
 
 def _symmetry(grid: Grid, keep: np.ndarray, name: str):
-    """Signed permutation of a grid symmetry on the kept unknowns of the
-    (u1, u2, h, a) stack: the x-mirror "x" (i -> nx-1-i, u1 -> -u1), the
-    y-mirror "y" (j -> ny-1-j, u2 -> -u2), their product the half turn
-    "xy", the diagonal reflection "d" ((i, j) -> (j, i), u1 <-> u2) or the
-    quarter turn "r" ((i, j) -> (j, nx-1-i), u1 -> -u2, u2 -> u1).  Returns
+    """Signed permutation of a grid symmetry on the kept unknowns of a
+    stack of u1, u2 and len(keep) // N - 2 scalar fields, (u1, u2, h, a)
+    or the (u1, u2, p) of ``_rotated``: the x-mirror "x" (i -> nx-1-i, u1
+    -> -u1), the y-mirror "y" (j -> ny-1-j, u2 -> -u2), their product the
+    half turn "xy", the diagonal reflection "d" ((i, j) -> (j, i), u1 <->
+    u2) or the quarter turn "r" ((i, j) -> (j, nx-1-i), u1 -> -u2, u2 ->
+    u1).  Returns
     (index, sign), the map e_k -> sign[k] e_index[k], or None when the grid
     is not square for "d" and "r" or the map sends a kept unknown to a
     dropped one."""
@@ -207,7 +209,7 @@ def _symmetry(grid: Grid, keep: np.ndarray, name: str):
         "r": (j, nx - 1 - i, ((1, -1.0), (0, 1.0))),
     }[name]
     nodes = j_to * nx + i_to
-    fields = velocity + ((2, 1.0), (3, 1.0))
+    fields = velocity + tuple((field, 1.0) for field in range(2, len(keep) // n))
     index = np.concatenate([field * n + nodes for field, _ in fields])
     sign = np.repeat([s for _, s in fields], n)
     if not np.array_equal(keep[index], keep):
@@ -235,22 +237,25 @@ def _commutes(matrix, index, sign) -> bool:
 
 
 def _rotated(matrix, keep: np.ndarray, n: int):
-    """The reduced M with each node's (h, a) pair turned to (p, q) = (c h +
-    s a, s h - c a), (c, s) = (h*, a*) / r, r = hypot(h*, a*), or None.
+    """The (u, p) operator of the reduced M, p = c h + s a, (c, s) = (h*,
+    a*) / r, r = hypot(h*, a*), or None.
 
     When M's (h, h) and (a, a) blocks are equal entry for entry, say D,
-    and its (h, a) and (a, h) blocks hold no entries, the turn keeps D in
-    the (p, p) and (q, q) blocks, exactly, and leaves the (p, q) and (q, p)
-    blocks empty.  D must also equal D^T entry for entry, so that every q
-    part of ``symmetry_blocks`` is Hermitian for ``spectrum``'s
-    ``eigvalsh``.  The h and a rows' div parts are h* div and a* div, so
-    their largest entries give (c, s), and the q rows' div part s h* div -
-    c a* div cancels to rounding: q' = -D q is a pure diffusion.  Returns
-    None, and nothing is split, unless all of this holds and the q rows'
-    entries outside the q columns are at most machine eps x max|M|, which
-    is within the backward error of a dense eigensolve of M.  The turn
-    is symmetric and orthogonal, so the result is similar to M, on the
-    same unknowns: p and q in the place of h and a."""
+    and its (h, a) and (a, h) blocks hold no entries, turning each node's
+    (h, a) pair to (p, q) = (c h + s a, s h - c a) keeps D in the (p, p)
+    and (q, q) blocks, exactly, and leaves the (p, q) and (q, p) blocks
+    empty.  D must also equal D^T entry for entry, so that every q part of
+    ``symmetry_blocks`` is Hermitian for ``spectrum``'s ``eigvalsh``.  The
+    h and a rows' div parts are h* div and a* div, so their largest
+    entries give (c, s), and the q rows' div part s h* div - c a* div
+    cancels to rounding: q' = -D q is a pure diffusion.  Returns None, and
+    nothing is split, unless all of this holds and the q rows' entries
+    outside the q columns are at most machine eps x max|M|, which is
+    within the backward error of a dense eigensolve of M.  The turn is
+    symmetric and orthogonal, so the turned M is similar to M and block
+    triangular in (u, p | q): its spectrum is that of the returned
+    [[M_uu, c M_uh + s M_ua], [c h_div + s a_div, D]] together with D's.
+    Neither the q rows nor the (u, q) columns are built."""
     velocity = int(np.sum(keep[:2 * n]))
     u, h, a = (slice(0, velocity), slice(velocity, velocity + n),
                slice(velocity + n, None))
@@ -266,40 +271,29 @@ def _rotated(matrix, keep: np.ndarray, n: int):
     q_div = s * h_div - c * a_div
     if abs(q_div).max() > np.finfo(float).eps * abs(matrix).max():
         return None
-    return sp.bmat(
-        [[matrix[u, u], c * matrix[u, h] + s * matrix[u, a],
-          s * matrix[u, h] - c * matrix[u, a]],
-         [c * h_div + s * a_div, diffusion, None],
-         [q_div, None, diffusion]], format="csr")
+    return sp.bmat([[matrix[u, u], c * matrix[u, h] + s * matrix[u, a]],
+                    [c * h_div + s * a_div, diffusion]], format="csr")
 
 
-def _deflate(block, coords: np.ndarray):
-    """B restricted to its invariant subspace coords^T x = 0 (coords^T B = 0
-    puts the range of B in it), in the sparse basis e_i - W[:, i] e_pivots
-    with one pivot per column of ``coords``: B[others, others] -
-    B[others, pivots] W.  Its spectrum is B's less one zero per column.  The
-    basis is oblique, so a symmetric B gives a nonsymmetric result, solved
-    by ``eigvals``; ``_reflect`` deflates a symmetric B and keeps it so."""
-    pivots = np.argmax(np.abs(coords), axis=0)
-    others = np.setdiff1d(np.arange(block.shape[0]), pivots)
-    weights = sp.csr_matrix(np.linalg.solve(coords[pivots].T, coords[others].T))
-    return block[others][:, others] - block[others][:, pivots] @ weights
-
-
-def _reflect(block, coords: np.ndarray):
-    """A real symmetric B with B w = 0, w = ``coords``, restricted to the
-    complement of w: the Householder reflection H = I - beta u u^T, u =
-    w / ||w|| + sign(w_0) e_0, maps w to a multiple of e_0, so H B H has
-    its first row and column zero to rounding, and its trailing block,
-    returned, is symmetric like B (H is orthogonal) with B's spectrum less
-    one zero."""
-    u = coords / np.linalg.norm(coords)
-    u[0] += math.copysign(1.0, u[0])
-    beta = 2.0 / (u @ u)
-    dense = block.toarray()
-    dense -= np.outer(beta * u, u @ dense)  # H B
-    dense -= np.outer(dense @ u, beta * u)  # (H B) H
-    return sp.csr_matrix(dense[1:, 1:])
+def _reflect(dense: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """A real B restricted to the complement of its left kernel W =
+    ``kernel`` (W^T B = 0, W orthonormal), one Householder reflection per
+    column w of W: H = I - beta u u^T, u = w / ||w|| + sign(w_0) e_0, maps
+    w to a multiple of e_0, so the first row of H B H, a multiple of w^T B
+    H, is zero and H B H is block lower triangular.  Its trailing block
+    has B's spectrum less one zero, and the next column of H W, whose
+    first entry vanishes because W is orthonormal, is a left null vector
+    of it.  H is orthogonal, so a symmetric B stays symmetric.  Works in
+    place on ``dense`` and returns a view of it."""
+    while kernel.shape[1]:
+        u = kernel[:, 0] / np.linalg.norm(kernel[:, 0])
+        u[0] += math.copysign(1.0, u[0])
+        beta = 2.0 / (u @ u)
+        dense -= np.outer(beta * u, u @ dense)  # H B
+        dense -= np.outer(dense @ u, beta * u)  # (H B) H
+        kernel = kernel - np.outer(beta * u, u @ kernel)  # H W
+        dense, kernel = dense[1:, 1:], kernel[1:, 1:]
+    return dense
 
 
 # The exact symmetry groups, largest first: name, generators (see
@@ -329,51 +323,59 @@ class SymmetryBlock:
     """One block Q^H M Q of ``symmetry_blocks``, Q an orthonormal basis of
     one character's unknowns: its eigenvalues count ``copies`` times in the
     spectrum of M, and when ``conjugate`` is set so do their complex
-    conjugates.  A "q" block is Hermitian."""
+    conjugates.  A "q" block is Hermitian.  ``kernel`` holds Q^H K, the
+    coordinates of ``kernel_basis`` K in the block's basis: a column per
+    kernel vector in the trivial character's blocks, none elsewhere.  The
+    columns are orthonormal, each is a left null vector of the block when
+    K is a left kernel of M, and their zero eigenvalues are in the block's
+    spectrum until ``spectrum`` deflates them."""
 
     matrix: sp.csr_matrix
     copies: int
     conjugate: bool
     fields: str  # the unknowns it acts on: "u h a", or "u p" or "q" once split
+    kernel: np.ndarray
 
 
 def symmetry_blocks(op: SparseOperator, grid: Grid) -> tuple:
     """The reduced operator split along its exact grid symmetries.
 
-    With the Dirichlet rows and columns dropped, M is turned to (u, p, q)
-    by ``_rotated`` where its q rows are a pure diffusion.  M is tested
-    against the signed permutations of ``_symmetry``, each entry by entry
-    (P M P^T - M has no nonzero entry), and the first group of ``_GROUPS``
-    whose generators all commute with M is kept: D4 (both mirrors and the
-    diagonal reflection, c_cor = 0 on a square grid with dx == dy), the
-    Klein four group of the two mirrors (c_cor = 0), C4 (the quarter
-    turn, square grids), C2 (the half turn) or the trivial group.  For
-    each character chi of a block, over the group G or the subgroup H the
-    character is of, the projected column v_b = sum_{g in H} conj(chi(g))
-    P_g e_{r_b} of every orbit b, r_b its smallest unknown, is either zero
-    or one column of an orthonormal basis Q, v_b / n_b with n_b = ||v_b||.
-    The exact commutation makes the projector (1/|H|) sum_g conj(chi(g))
-    P_g commute with M, so the block is read off the rows r_a of M:
-    (Q^H M Q)[a, b] = |H| (M v_b)[r_a] / (n_a n_b), one weighted sum per
-    entry of those rows (the projection-operator method).  The bases of
-    the blocks solved and of the blocks they stand for
-    (``SymmetryBlock.copies`` and ``conjugate``) are orthogonal to each
-    other and span the kept unknowns, so together the blocks' spectra are
-    the spectrum of M, except that the G-invariant ``kernel_basis`` K, in
-    the trivial character's block, is deflated there: M's zero
-    eigenvalues of K are left out.  A turned M has each block cut into its
-    (u, p) part and its q part, ``SymmetryBlock.fields`` "u p" and "q",
-    which drops the q rows' rounding-level coupling to u; constant p and
-    constant q, which span K, are deflated one per part: by ``_deflate``
-    from the (u, p) part and by the Householder reflection of
-    ``_reflect`` from the q part, which stays symmetric.  Otherwise each
-    block acts on "u h a".  Returns (group name, blocks).
+    With the Dirichlet rows and columns dropped, M is replaced by its (u,
+    p) operator of ``_rotated`` where its q rows are a pure diffusion.  M
+    is tested against the signed permutations of ``_symmetry``, each entry
+    by entry (P M P^T - M has no nonzero entry), and the first group of
+    ``_GROUPS`` whose generators all commute with M is kept: D4 (both
+    mirrors and the diagonal reflection, c_cor = 0 on a square grid with
+    dx == dy), the Klein four group of the two mirrors (c_cor = 0), C4
+    (the quarter turn, square grids), C2 (the half turn) or the trivial
+    group.  For each character chi of a block, over the group G or the
+    subgroup H the character is of, the projected column v_b = sum_{g in
+    H} conj(chi(g)) P_g e_{r_b} of every orbit b, r_b its smallest
+    unknown, is either zero or one column of an orthonormal basis Q, v_b /
+    n_b with n_b = ||v_b||.  The exact commutation makes the projector
+    (1/|H|) sum_g conj(chi(g)) P_g commute with M, so the block is read
+    off the rows r_a of M: (Q^H M Q)[a, b] = |H| (M v_b)[r_a] / (n_a n_b),
+    one weighted sum per entry of those rows (the projection-operator
+    method).  The bases of the blocks solved and of the blocks they stand
+    for (``SymmetryBlock.copies`` and ``conjugate``) are orthogonal to
+    each other and span the kept unknowns, so together the blocks' spectra
+    are the spectrum of M.  The G-invariant ``kernel_basis`` K lies in the
+    trivial character's block, whose ``SymmetryBlock.kernel`` holds it
+    for ``spectrum`` to deflate.  When M is turned, each character's (u,
+    p) block, ``SymmetryBlock.fields`` "u p", is followed by its q part,
+    "q": p and q are both plain scalar fields under every grid map, so the
+    q part, Q^H D Q, is the trailing p-rows and p-columns slice of the (u,
+    p) block.  K is then constant p in the (u, p) block and constant q in
+    the q part.  Otherwise each block acts on "u h a".  Returns (group
+    name, blocks).
     """
     matrix, keep, kernel = _reduced(op, grid)
     n = grid.n_nodes
     rotated = _rotated(matrix, keep, n)
     if rotated is not None:
-        matrix = rotated
+        # the turned constant h is constant p, the (u, p) operator's kernel
+        matrix, keep = rotated, keep[:3 * n]
+        kernel = kernel[:matrix.shape[0], :1]
     maps = {}
 
     def exact(name):
@@ -419,37 +421,30 @@ def symmetry_blocks(op: SparseOperator, grid: Grid) -> tuple:
         # each weighted by coeff and summed into its orbit's column
         rows = matrix[reps]
         row = np.repeat(np.arange(len(reps)), np.diff(rows.indptr))
-        column = place[rep[rows.indices]]  # -1 in a zero column
-        scale = len(used) / norms[reps]
+        column = place[rep[rows.indices]]
+        inside = column >= 0  # -1 in a zero column
+        a, b, k = row[inside], column[inside], rows.indices[inside]
+        # one factor per entry of M: coeff and the norms applied one by one
+        # can overflow an entry near the float limit where the block entry
+        # does not
+        weight = coeff[k] * (len(used) / norms[reps[a]]) / norms[reps[b]]
+        block = sp.csr_matrix((rows.data[inside] * weight, (a, b)),
+                              shape=(len(reps),) * 2)
+        coords = np.zeros((len(reps), 0))  # K is orthogonal to this basis
+        if not i:  # the first character is the trivial one
+            # K in the block's basis: v_b^T K / n_b
+            coords = np.stack(
+                [np.bincount(rep, coeff * constant, size)[reps]
+                 for constant in kernel.T], axis=1) / norms[reps, None]
         if rotated is None:
-            parts = [(0, len(reps), slice(None), "u h a")]
+            blocks.append(SymmetryBlock(block, copies, conjugate, "u h a",
+                                        coords))
         else:
-            # q is the last n unknowns, so its orbits' reps come last; the
-            # constant p and q, the two columns of K, are one per part
+            # p is the last n unknowns, so its orbits' reps come last
             cut = int(np.searchsorted(reps, size - n))
-            parts = [(0, cut, slice(0, 1), "u p"),
-                     (cut, len(reps), slice(1, 2), "q")]
-        for start, stop, kernel_columns, fields in parts:
-            entries = slice(rows.indptr[start], rows.indptr[stop])
-            inside = (column[entries] >= start) & (column[entries] < stop)
-            a, b = row[entries][inside], column[entries][inside]
-            k = rows.indices[entries][inside]
-            # one factor per entry of M: coeff and the norms applied one
-            # by one can overflow an entry near the float limit where the
-            # block entry does not
-            weight = coeff[k] * scale[a] / norms[reps[b]]
-            part = sp.csr_matrix(
-                (rows.data[entries][inside] * weight, (a - start, b - start)),
-                shape=(stop - start,) * 2)
-            if not i:  # the first character is the trivial one
-                # K in the block's basis: v_b^T K / n_b
-                coords = np.stack(
-                    [np.bincount(rep, coeff * constant, size)[reps[start:stop]]
-                     for constant in kernel[:, kernel_columns].T],
-                    axis=1) / norms[reps[start:stop], None]
-                part = (_reflect(part, coords[:, 0]) if fields == "q"
-                        else _deflate(part, coords))
-            blocks.append(SymmetryBlock(part, copies, conjugate, fields))
+            blocks += [SymmetryBlock(block, copies, conjugate, "u p", coords),
+                       SymmetryBlock(block[cut:, cut:], copies, conjugate,
+                                     "q", coords[cut:])]
     return group, blocks
 
 
@@ -462,21 +457,23 @@ def spectrum(op: SparseOperator, grid: Grid) -> SpectrumReport:
     anything is built.  kernel_dim is the column count of ``kernel_basis``
     K, whose exact zeros lead ``eigenvalues``; the others, from one dense
     eigensolve per ``symmetry_blocks`` block, each counted as the block
-    says, set the spectral gap (their smallest real part).  A "q" block,
-    Hermitian, is solved by ``eigvalsh``, so its pure-diffusion modes come
-    out exactly real; every other block by ``eigvals``.  The deflation of
-    K is exact when K is a left kernel, which ``semisimplicity_proxy``
-    certifies.
+    says, set the spectral gap (their smallest real part).  K is deflated
+    from the dense copy of each block that holds it by the Householder
+    reflections of ``_reflect``, which need K to be a left kernel, as
+    ``semisimplicity_proxy`` certifies.  A "q" block, Hermitian and still
+    symmetric once deflated, is solved by ``eigvalsh``, so its
+    pure-diffusion modes come out exactly real; every other block by
+    ``eigvals``.
     """
     check_dense_budget(dense_unknowns(grid))
     kernel_dim = kernel_basis(grid).shape[1]
     group, blocks = symmetry_blocks(op, grid)
     parts, sizes = [], []
     for block in blocks:
+        dense = _reflect(block.matrix.toarray(), block.kernel)
         # a q part is Hermitian: D == D^T, and Q is orthonormal
         solve = sla.eigvalsh if block.fields == "q" else sla.eigvals
-        values = solve(block.matrix.toarray(), overwrite_a=True,
-                       check_finite=False)
+        values = solve(dense, overwrite_a=True, check_finite=False)
         copies = ([values, values.conj()] if block.conjugate
                   else [values]) * block.copies
         parts += copies
@@ -676,7 +673,9 @@ def decay_experiment(eq: Equilibrium, perturbation_scale: float, grid: Grid,
     window (the first 40% of the trajectory is discarded as transient), and
     compares with the spectral gap of the independently assembled
     linearization.  ``sinks`` receive the trajectory as ``run`` streams it.
-    A zero ``perturbation_scale`` raises InvalidStateError before the run.
+    A zero ``perturbation_scale`` raises InvalidStateError, and a grid whose
+    ``dense_unknowns`` exceed DENSE_EIG_BUDGET BudgetExceededError, before
+    the run.
     DecayFitError is raised before it for a perturbation lost to rounding,
     and after it when a norm in the fit window is within FIT_FLOOR_FACTOR
     times the rounding floor of the equilibrium (the fit would take its
@@ -687,6 +686,7 @@ def decay_experiment(eq: Equilibrium, perturbation_scale: float, grid: Grid,
     if perturbation_scale == 0.0:
         raise InvalidStateError("decay needs a nonzero perturbation_scale: "
                                 "the equilibrium itself has no rate to fit")
+    check_dense_budget(dense_unknowns(grid))
     v0 = perturbed_equilibrium(eq, grid, perturbation_scale).validate(params)
     rest = eq.state(grid)
     if np.array_equal(v0.h, rest.h) and np.array_equal(v0.a, rest.a):

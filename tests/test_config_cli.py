@@ -44,6 +44,14 @@ experiment.n_samples = 25
 """
 
 
+def scaled_config(body):
+    """SCALED_SNIPPET then ``body``, less the snippet's lines for the keys
+    ``body`` assigns: a config assigns each key once."""
+    keys = {line.split("=")[0].strip() for line in body.splitlines()}
+    return "".join(line + "\n" for line in SCALED_SNIPPET.splitlines()
+                   if line.split("=")[0].strip() not in keys) + body
+
+
 def write_config(tmp_path, body, name="run.cfg"):
     path = tmp_path / name
     path.write_text(body)
@@ -336,14 +344,22 @@ def test_dispatch_usage_errors(tmp_path, capsys):
 
 
 def test_dispatch_config_error_exit_2(tmp_path, capsys):
-    for body in ("grid.nx = 2\n", "grid.nx = 9\nstepper.omega = 0.5\n",
-                 "grid.nx = 9\nstepper.scheme = picard\n"):
+    for body, message in (
+            ("grid.nx = 2\n", "line 1: "),
+            ("grid.nx = 9\nstepper.omega = 0.5\n",
+             "line 2: unknown key 'stepper.omega'"),
+            # a repeated key, in either order: the last one does not win
+            ("grid.nx = 9\ngrid.nx = 11\n",
+             "line 2: grid.nx is assigned again, first at line 1"),
+            ("grid.nx = 11\n# comment\ngrid.nx = 9\n",
+             "line 3: grid.nx is assigned again, first at line 1"),
+            ("grid.nx = 9\nstepper.scheme = picard\n",
+             "line 2: unknown key 'stepper.scheme'")):
         path = write_config(tmp_path, body)
         assert dispatch(["spectrum", path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("vpice: config error: line ")
+        assert err.startswith("vpice: config error: " + message)
         assert err.count("\n") == 1
-    assert "unknown key 'stepper.scheme'" in err
 
 
 @pytest.mark.parametrize("kind", ["not utf-8", "directory"])
@@ -529,12 +545,13 @@ FUZZ_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "1e-308")
 def test_fuzzed_key_exits_cleanly(key, command, raw, tmp_path, capfd,
                                   monkeypatch):
     monkeypatch.chdir(tmp_path)  # a fuzzed output_dir is a relative path
-    # 25 steps: enough rows for the decay fit
-    path = write_config(tmp_path, f"grid.nx = 5\ngrid.ny = 5\n"
-                                  f"stepper.t_end = 0.1\n"
-                                  f"experiment.n_samples = 5\n"
-                                  f"experiment.output_dir = {tmp_path / 'out'}\n"
-                                  f"{key} = {raw}\n")
+    # 25 steps: enough rows for the decay fit; the fuzzed key takes the
+    # place of its base assignment, as a key is assigned once
+    values = {"grid.nx": 5, "grid.ny": 5, "stepper.t_end": 0.1,
+              "experiment.n_samples": 5,
+              "experiment.output_dir": tmp_path / "out", key: raw}
+    path = write_config(tmp_path, "".join(f"{name} = {value}\n"
+                                          for name, value in values.items()))
     assert dispatch_cleanly([command, path], capfd)[0] in (0, 1, 2)
 
 
@@ -605,10 +622,10 @@ def test_ls_check_degenerate_symbol_exit_1_without_traceback(
 
 def test_decay_subcommand(tmp_path, capsys):
     out = tmp_path / "decay"
-    body = (SCALED_SNIPPET
-            + f"experiment.output_dir = {out}\n"
-            + "grid.nx = 11\ngrid.ny = 11\n"
-            + "stepper.dt = 0.005\nstepper.t_end = 0.25\n")
+    body = scaled_config(
+        f"experiment.output_dir = {out}\n"
+        + "grid.nx = 11\ngrid.ny = 11\n"
+        + "stepper.dt = 0.005\nstepper.t_end = 0.25\n")
     path = write_config(tmp_path, body)
     assert dispatch(["decay", path]) == 0
     capsys.readouterr()
@@ -622,9 +639,9 @@ def test_decay_subcommand_exit_1_when_rate_misses_gap(tmp_path, capsys):
     # steps of dt = 0.1 damp the slowest mode too weakly: the fitted rate
     # misses the spectral gap by about 26%, beyond the 20% bound
     out = tmp_path / "decay"
-    body = (SCALED_SNIPPET
-            + f"experiment.output_dir = {out}\n"
-            + "stepper.dt = 0.1\nstepper.t_end = 3.0\n")
+    body = scaled_config(
+        f"experiment.output_dir = {out}\n"
+        + "stepper.dt = 0.1\nstepper.t_end = 3.0\n")
     path = write_config(tmp_path, body)
     assert dispatch(["decay", path]) == 1
     capsys.readouterr()
@@ -644,10 +661,10 @@ def test_decay_subcommand_exit_1_when_rate_misses_gap(tmp_path, capsys):
 def test_decay_without_a_perturbation_fails_without_a_summary(
         scale, code, message, tmp_path, capfd):
     out = tmp_path / "decay"
-    body = (SCALED_SNIPPET
-            + f"experiment.output_dir = {out}\n"
-            + "stepper.t_end = 0.25\n"
-            + f"experiment.perturbation_scale = {scale}\n")
+    body = scaled_config(
+        f"experiment.output_dir = {out}\n"
+        + "stepper.t_end = 0.25\n"
+        + f"experiment.perturbation_scale = {scale}\n")
     exit_code, _, lines = dispatch_cleanly(["decay", write_config(tmp_path, body)],
                                            capfd)
     assert exit_code == code
@@ -658,6 +675,24 @@ def test_decay_without_a_perturbation_fails_without_a_summary(
     manifest = (out / "manifest.txt").read_text()
     assert "file.0.name = decay_diagnostics.csv\n" in manifest
     assert "decay_summary.txt" not in manifest
+
+
+def test_decay_budget_exit_2_before_the_run(tmp_path, capfd):
+    # 51^2 has 10004 dense unknowns: the gap the fit is checked against
+    # cannot be computed, so no step is taken
+    out = tmp_path / "decay"
+    body = scaled_config(
+        f"experiment.output_dir = {out}\n"
+        + "grid.nx = 51\ngrid.ny = 51\n"
+        + "stepper.dt = 0.01\nstepper.t_end = 0.2\n")
+    exit_code, _, lines = dispatch_cleanly(["decay", write_config(tmp_path, body)],
+                                           capfd)
+    assert exit_code == 2
+    assert len(lines) == 1 and lines[0].startswith("vpice: ")
+    assert "dense eigensolve budget 10000" in lines[0]
+    assert (out / "decay_diagnostics.csv").read_text().splitlines() == [
+        "time,kinetic_energy,mean_h,mean_a,max_u,perturbation_norm"]
+    assert not (out / "decay_summary.txt").exists()
 
 
 def test_selftest_subcommand_all_pass(capsys):
@@ -691,10 +726,10 @@ def test_selftest_failing_suite_exit_1_without_traceback(capsys, monkeypatch):
 
 def test_simulate_subcommand_with_snapshots_and_ppm(tmp_path, capsys):
     out = tmp_path / "sim"
-    body = (SCALED_SNIPPET
-            + f"experiment.output_dir = {out}\n"
-            + "experiment.snapshot_every = 2\n"
-            + "experiment.emit_ppm = true\n")
+    body = scaled_config(
+        f"experiment.output_dir = {out}\n"
+        + "experiment.snapshot_every = 2\n"
+        + "experiment.emit_ppm = true\n")
     path = write_config(tmp_path, body)
     assert dispatch(["simulate", path]) == 0
     capsys.readouterr()

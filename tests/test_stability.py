@@ -193,9 +193,9 @@ def test_spectrum_cli_si_defaults_keep_the_exact_kernel(nx, ny, lx, tmp_path,
 
 def split_size(blocks):
     """Unknowns the blocks stand for, each counted as often as its
-    eigenvalues are."""
+    eigenvalues are, less the kernel columns ``spectrum`` deflates."""
     return sum(block.matrix.shape[0] * block.copies * (1 + block.conjugate)
-               for block in blocks)
+               - block.kernel.shape[1] for block in blocks)
 
 
 @pytest.mark.parametrize("g", MIRROR_GRIDS, ids=str)
@@ -213,7 +213,8 @@ def test_mirror_blocks_use_every_exact_symmetry(g):
         group, blocks = symmetry_blocks(
             assemble_A0(EQ, g, PARAMS.with_(c_cor=c_cor)), g)
         assert (group, len(blocks)) == (expected, n_blocks)
-        # the trivial character's block leaves out the 2 kernel unknowns
+        # the trivial character's blocks hold the 2 kernel unknowns, which
+        # spectrum deflates
         assert split_size(blocks) == dense_unknowns(g) - 2
 
 
@@ -331,15 +332,16 @@ def test_unsplit_blocks_join_the_split_parts(group):
 
 
 def projector_blocks(op, grid):
-    """Reference for ``symmetry_blocks`` before deflation: per character,
-    the unit vectors of one unknown per orbit projected by sum_g conj(chi(g))
-    g, normalized into the sparse orthonormal basis Q, then Q^H M Q, cut
-    into its (u, p) and q parts when M is turned."""
+    """Reference for ``symmetry_blocks``: per character, the unit vectors
+    of one unknown per orbit projected by sum_g conj(chi(g)) g, normalized
+    into the sparse orthonormal basis Q, then Q^H M Q; when M is turned to
+    its (u, p) operator, followed by its q part, cut from its p rows and
+    columns."""
     matrix, keep, _ = stability._reduced(op, grid)
     n = grid.n_nodes
     rotated = stability._rotated(matrix, keep, n)
     if rotated is not None:
-        matrix = rotated
+        matrix, keep = rotated, keep[:3 * n]
     group = symmetry_blocks(op, grid)[0]
     names, characters = next(entry[1:] for entry in stability._GROUPS
                              if entry[0] == group)
@@ -372,8 +374,8 @@ def projector_blocks(op, grid):
         if rotated is None:
             blocks.append(block)
         else:
-            q = columns[orbit_first][nonzero] >= size - n
-            blocks += [block[~q][:, ~q], block[q][:, q]]
+            p = columns[orbit_first][nonzero] >= size - n
+            blocks += [block, block[p][:, p]]
     return blocks
 
 
@@ -381,13 +383,10 @@ def projector_blocks(op, grid):
 @pytest.mark.parametrize("d_a", [PARAMS.d_h, 0.5 * PARAMS.d_h],
                          ids=["d_a=d_h", "d_a=d_h/2"])
 @pytest.mark.parametrize("group", SPLIT_CASES)
-def test_blocks_match_the_projector_reference(group, d_a, a_star,
-                                              monkeypatch):
+def test_blocks_match_the_projector_reference(group, d_a, a_star):
     # each block is read off the representatives' rows of M; D4's (+,-)
     # block, of the mirrors' subgroup, is normalized by that subgroup's order
     g, op = split_case(group, d_a, a_star)
-    monkeypatch.setattr(stability, "_deflate", lambda block, coords: block)
-    monkeypatch.setattr(stability, "_reflect", lambda block, coords: block)
     blocks = symmetry_blocks(op, g)[1]
     expected = projector_blocks(op, g)
     assert len(blocks) == len(expected)
@@ -395,6 +394,27 @@ def test_blocks_match_the_projector_reference(group, d_a, a_star,
         assert block.matrix.shape == reference.shape
         assert (abs(block.matrix - reference).max()
                 <= 1e-14 * abs(reference).max())
+
+
+@pytest.mark.parametrize("d_a", [PARAMS.d_h, 0.5 * PARAMS.d_h],
+                         ids=["d_a=d_h", "d_a=d_h/2"])
+@pytest.mark.parametrize("group", SPLIT_CASES)
+def test_block_kernels_are_null_vectors(group, d_a):
+    # the trivial character's blocks carry K in their basis: orthonormal
+    # columns, two in all, each a left null vector of its block, which is
+    # what spectrum's Householder deflation needs, and a right one on an
+    # intact A0 (the "trivial" case breaks the right kernel)
+    g, op = split_case(group, d_a, 0.8)
+    blocks = symmetry_blocks(op, g)[1]
+    assert sum(block.kernel.shape[1] for block in blocks) == 2
+    for block in blocks:
+        kernel, bound = block.kernel, 1e-12 * abs(block.matrix).max()
+        assert kernel.shape[0] == block.matrix.shape[0]
+        assert np.allclose(kernel.T @ kernel, np.eye(kernel.shape[1]),
+                           rtol=0.0, atol=1e-14)
+        assert np.max(abs(block.matrix.T @ kernel), initial=0.0) <= bound
+        if group != "trivial":
+            assert np.max(abs(block.matrix @ kernel), initial=0.0) <= bound
 
 
 def test_d4_blocks_without_the_diffusion_split():
