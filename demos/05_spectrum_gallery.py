@@ -31,16 +31,20 @@ print(f"symmetry group         : {rep.symmetry_group}, dense blocks "
 def print_blocks(params, label):
     """The dense blocks behind the spectrum and the structures that cut
     them: the grid symmetry group always, and with d_h == d_a the pure
-    diffusion of q = (a* h - h* a) / r."""
-    group, blocks = symmetry_blocks(assemble_A0(eq, grid, params), grid)
-    split = blocks[0].fields != "u h a"
+    diffusion of q = (a* h - h* a) / r, whose eigenvalues are d times the
+    closed-form Neumann ones."""
+    group, blocks, q_values = symmetry_blocks(assemble_A0(eq, grid, params),
+                                              grid)
+    split = len(q_values) > 0
     print(f"{label}: {group} symmetry"
           + (" and the (p, q) diffusion split" if split else " only"))
     for block in blocks:
         count = block.copies * (1 + block.conjugate)
         size = block.matrix.shape[0] - block.kernel.shape[1]  # as solved
-        print(f"    {block.fields:5s} block of {size:3d}"
+        print(f"    {'u p' if split else 'u h a':5s} block of {size:3d}"
               + (f", counted {count}x" if count > 1 else ""))
+    if split:
+        print(f"    q     eigenvalues {len(q_values):3d} in closed form")
 
 
 print_blocks(params, "d_h == d_a")

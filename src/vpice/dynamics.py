@@ -119,7 +119,8 @@ def compute_forcing(v: FieldSet, inputs: ForcingInputs,
     """
     if np.any(v.h < params.kappa):
         raise InvalidStateError(
-            f"thickness below kappa in forcing evaluation: min h = {v.h.min()!r}")
+            f"thickness below kappa in forcing evaluation: min h = "
+            f"{float(v.h.min())!r}")
     g = v.grid
     interior = g.interior_mask()
 

@@ -141,6 +141,24 @@ def diff_ops(grid: Grid) -> dict:
     }
 
 
+def neumann_mode(n: int, k: int = 1) -> np.ndarray:
+    """k-th discrete eigenvector of the reflected 1D Neumann stencil:
+    exactly mean-free for k > 0, so perturbing with it keeps the
+    mean-value equilibrium unchanged."""
+    return np.cos(k * np.pi * (np.arange(n) + 0.5) / n)
+
+
+def neumann_eigenvalues(grid: Grid) -> np.ndarray:
+    """Eigenvalues of ``diff_ops(grid)["neumann"]`` in closed form: the
+    DCT-II diagonalizes the reflected stencil, and mode (k, l), the outer
+    product neumann_mode(ny, l) x neumann_mode(nx, k) at flat index l nx +
+    k, has eigenvalue (4/dx^2) sin^2(k pi/2nx) + (4/dy^2) sin^2(l pi/2ny).
+    Entry 0, mode (0, 0), is the constants' exact 0."""
+    mu_x, mu_y = (4.0 / h**2 * np.sin(np.arange(n) * (np.pi / (2 * n))) ** 2
+                  for n, h in ((grid.nx, grid.dx), (grid.ny, grid.dy)))
+    return (mu_y[:, None] + mu_x).ravel()
+
+
 @dataclass
 class FieldSet:
     """Discrete state v = (u, h, a) on the nodes of a grid.
@@ -195,18 +213,18 @@ class FieldSet:
             if not np.all(np.isfinite(arr)):
                 raise InvalidStateError(f"{name} contains non-finite values")
         bnd = self.grid.boundary_mask()
-        if np.any(self.u1[bnd] != 0.0) or np.any(self.u2[bnd] != 0.0):
-            worst = max(np.max(np.abs(self.u1[bnd])), np.max(np.abs(self.u2[bnd])))
+        worst = float(max(np.abs(self.u1[bnd]).max(), np.abs(self.u2[bnd]).max()))
+        if worst != 0.0:
             raise InvalidStateError(
                 f"velocity must vanish on the boundary, max |u| there = {worst!r}")
         if np.any(self.h < params.kappa):
             raise InvalidStateError(
                 f"thickness fell below kappa = {params.kappa!r}: "
-                f"min h = {self.h.min()!r}")
+                f"min h = {float(self.h.min())!r}")
         if np.any(self.a < -STATE_SLACK) or np.any(self.a > 1.0 + STATE_SLACK):
             raise InvalidStateError(
-                f"compactness left [0, 1] beyond slack {STATE_SLACK!r}: "
-                f"range [{self.a.min()!r}, {self.a.max()!r}]")
+                f"compactness left [0, 1] beyond slack {STATE_SLACK!r}: range "
+                f"[{float(self.a.min())!r}, {float(self.a.max())!r}]")
         if np.all((self.a >= 0.0) & (self.a <= 1.0)):
             return self
         return replace(self, a=np.clip(self.a, 0.0, 1.0))

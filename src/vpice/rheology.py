@@ -169,13 +169,14 @@ def pressure(h, a, params: RheologyParams):
     # comparison, so a NaN entry hides no bad one, and the initial values
     # admit an empty array
     if np.fmin.reduce(h, axis=None, initial=np.inf) < 0.0:
-        raise InvalidStateError(f"thickness must be >= 0, min was {h.min()!r}")
+        raise InvalidStateError(
+            f"thickness must be >= 0, min was {float(h.min())!r}")
     if (np.fmin.reduce(a, axis=None, initial=np.inf) < -STATE_SLACK
             or np.fmax.reduce(a, axis=None, initial=-np.inf)
             > 1.0 + STATE_SLACK):
         raise InvalidStateError(
-            "compactness left [0, 1] beyond slack "
-            f"{STATE_SLACK!r}: range [{a.min()!r}, {a.max()!r}]")
+            f"compactness left [0, 1] beyond slack {STATE_SLACK!r}: range "
+            f"[{float(a.min())!r}, {float(a.max())!r}]")
     a = a.clip(0.0, 1.0)
     out = params.p_star * h * np.exp(-params.c * (1.0 - a))
     return out[()] if out.ndim == 0 else out

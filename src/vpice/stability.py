@@ -28,14 +28,14 @@ unknown per orbit, without forming the symmetry-adapted basis.
 With d_h == d_a the field q = (a* h - h* a) / r, r = hypot(h*, a*), is a
 pure diffusion, q' = -d Lap_N q: the h* div u and a* div u terms cancel.
 A0 is then block triangular in (u, p | q), p = (h* h + a* a) / r, and
-``symmetry_blocks`` splits only the (u, p) operator; each character's q
-part, Hermitian because the diffusion block is symmetric, is the p-rows
-and p-columns slice of its (u, p) block.  ``spectrum`` deflates the exact
-constant-(h, a) kernel from the dense copy of each block by Householder
-reflections and finds the gap by one dense eigensolve per block,
-``eigvalsh`` for the q parts.  ``semisimplicity_proxy`` certifies, in
-O(nnz), that the constant vectors are both the right and the left
-kernel, so the zero eigenvalue is semisimple.
+``symmetry_blocks`` splits only the (u, p) operator; the q eigenvalues
+are d times ``grid.neumann_eigenvalues``, in closed form.  ``spectrum``
+deflates the exact constant-(h, a) kernel from the dense copy of each
+block by Householder reflections and finds the gap by one dense
+``eigvals`` per block, with the q values appended.
+``semisimplicity_proxy`` certifies, in O(nnz), that the constant vectors
+are both the right and the left kernel, so the zero eigenvalue is
+semisimple.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .dynamics import (
     run,
     transport,
 )
-from .grid import FieldSet, Grid, diff_ops
+from .grid import FieldSet, Grid, diff_ops, neumann_eigenvalues, neumann_mode
 from .operators import (
     SparseOperator,
     assemble_hibler,
@@ -236,43 +236,47 @@ def _commutes(matrix, index, sign) -> bool:
     return (perm @ matrix - matrix @ perm).count_nonzero() == 0
 
 
-def _rotated(matrix, keep: np.ndarray, n: int):
+def _rotated(matrix, keep: np.ndarray, grid: Grid):
     """The (u, p) operator of the reduced M, p = c h + s a, (c, s) = (h*,
-    a*) / r, r = hypot(h*, a*), or None.
+    a*) / r, r = hypot(h*, a*), and the diffusivity d of q, or None.
 
     When M's (h, h) and (a, a) blocks are equal entry for entry, say D,
     and its (h, a) and (a, h) blocks hold no entries, turning each node's
     (h, a) pair to (p, q) = (c h + s a, s h - c a) keeps D in the (p, p)
     and (q, q) blocks, exactly, and leaves the (p, q) and (q, p) blocks
-    empty.  D must also equal D^T entry for entry, so that every q part of
-    ``symmetry_blocks`` is Hermitian for ``spectrum``'s ``eigvalsh``.  The
-    h and a rows' div parts are h* div and a* div, so their largest
-    entries give (c, s), and the q rows' div part s h* div - c a* div
-    cancels to rounding: q' = -D q is a pure diffusion.  Returns None, and
-    nothing is split, unless all of this holds and the q rows' entries
-    outside the q columns are at most machine eps x max|M|, which is
-    within the backward error of a dense eigensolve of M.  The turn is
-    symmetric and orthogonal, so the turned M is similar to M and block
-    triangular in (u, p | q): its spectrum is that of the returned
-    [[M_uu, c M_uh + s M_ua], [c h_div + s a_div, D]] together with D's.
-    Neither the q rows nor the (u, q) columns are built."""
+    empty.  The h and a rows' div parts are h* div and a* div, so their
+    largest entries give (c, s), and the q rows' div part s h* div - c a*
+    div cancels to rounding.  D must also be d Lap_N, Lap_N =
+    ``diff_ops(grid)["neumann"]`` and d = D[0, 0] / Lap_N[0, 0], so that
+    q' = -d Lap_N q is a pure diffusion with the eigenvalues d
+    ``neumann_eigenvalues``.  Returns None, and nothing is split, unless
+    all of this holds and every entry of the q rows' div part and of D -
+    d Lap_N is at most machine eps x max|M|, which is within the backward
+    error of a dense eigensolve of M; d itself need not round-trip.  The
+    turn is symmetric and orthogonal, so the turned M is similar to M and
+    block triangular in (u, p | q): its spectrum is that of the returned
+    [[M_uu, c M_uh + s M_ua], [c h_div + s a_div, D]] together with d
+    Lap_N's.  Neither the q rows nor the (u, q) columns are built."""
+    n = grid.n_nodes
     velocity = int(np.sum(keep[:2 * n]))
     u, h, a = (slice(0, velocity), slice(velocity, velocity + n),
                slice(velocity + n, None))
     diffusion = matrix[h, h]
     if (not keep[2 * n:].all() or (diffusion != matrix[a, a]).nnz
-            or (diffusion != diffusion.T).nnz
             or matrix[h, a].count_nonzero() or matrix[a, h].count_nonzero()):
         return None
+    laplacian = diff_ops(grid)["neumann"]
+    d = float(diffusion[0, 0] / laplacian[0, 0])
     h_div, a_div = matrix[h, u], matrix[a, u]
     x, y = abs(h_div).max(), abs(a_div).max()
     r = math.hypot(x, y)
     c, s = (x / r, y / r) if r else (1.0, 0.0)  # no div part: any turn
-    q_div = s * h_div - c * a_div
-    if abs(q_div).max() > np.finfo(float).eps * abs(matrix).max():
+    bound = np.finfo(float).eps * abs(matrix).max()
+    if (abs(s * h_div - c * a_div).max() > bound
+            or abs(diffusion - d * laplacian).max() > bound):
         return None
     return sp.bmat([[matrix[u, u], c * matrix[u, h] + s * matrix[u, a]],
-                    [c * h_div + s * a_div, diffusion]], format="csr")
+                    [c * h_div + s * a_div, diffusion]], format="csr"), d
 
 
 def _reflect(dense: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -283,8 +287,7 @@ def _reflect(dense: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     H, is zero and H B H is block lower triangular.  Its trailing block
     has B's spectrum less one zero, and the next column of H W, whose
     first entry vanishes because W is orthonormal, is a left null vector
-    of it.  H is orthogonal, so a symmetric B stays symmetric.  Works in
-    place on ``dense`` and returns a view of it."""
+    of it.  Works in place on ``dense`` and returns a view of it."""
     while kernel.shape[1]:
         u = kernel[:, 0] / np.linalg.norm(kernel[:, 0])
         u[0] += math.copysign(1.0, u[0])
@@ -323,17 +326,16 @@ class SymmetryBlock:
     """One block Q^H M Q of ``symmetry_blocks``, Q an orthonormal basis of
     one character's unknowns: its eigenvalues count ``copies`` times in the
     spectrum of M, and when ``conjugate`` is set so do their complex
-    conjugates.  A "q" block is Hermitian.  ``kernel`` holds Q^H K, the
-    coordinates of ``kernel_basis`` K in the block's basis: a column per
-    kernel vector in the trivial character's blocks, none elsewhere.  The
-    columns are orthonormal, each is a left null vector of the block when
-    K is a left kernel of M, and their zero eigenvalues are in the block's
-    spectrum until ``spectrum`` deflates them."""
+    conjugates.  ``kernel`` holds Q^H K, the coordinates of
+    ``kernel_basis`` K in the block's basis: a column per kernel vector in
+    the trivial character's block, none elsewhere.  The columns are
+    orthonormal, each is a left null vector of the block when K is a left
+    kernel of M, and their zero eigenvalues are in the block's spectrum
+    until ``spectrum`` deflates them."""
 
     matrix: sp.csr_matrix
     copies: int
     conjugate: bool
-    fields: str  # the unknowns it acts on: "u h a", or "u p" or "q" once split
     kernel: np.ndarray
 
 
@@ -361,28 +363,27 @@ def symmetry_blocks(op: SparseOperator, grid: Grid) -> tuple:
     each other and span the kept unknowns, so together the blocks' spectra
     are the spectrum of M.  The G-invariant ``kernel_basis`` K lies in the
     trivial character's block, whose ``SymmetryBlock.kernel`` holds it
-    for ``spectrum`` to deflate.  When M is turned, each character's (u,
-    p) block, ``SymmetryBlock.fields`` "u p", is followed by its q part,
-    "q": p and q are both plain scalar fields under every grid map, so the
-    q part, Q^H D Q, is the trailing p-rows and p-columns slice of the (u,
-    p) block.  K is then constant p in the (u, p) block and constant q in
-    the q part.  Otherwise each block acts on "u h a".  Returns (group
-    name, blocks).
+    for ``spectrum`` to deflate.  When M is turned, every block acts on
+    (u, p), K is constant p there, and the q eigenvalues d
+    ``neumann_eigenvalues`` come in closed form, less mode (0, 0), the
+    constant q of K; otherwise every block acts on (u, h, a) and no q
+    value is returned.  Returns (group name, blocks, q eigenvalues).
     """
     matrix, keep, kernel = _reduced(op, grid)
-    n = grid.n_nodes
-    rotated = _rotated(matrix, keep, n)
+    rotated = _rotated(matrix, keep, grid)
+    q_values = np.zeros(0)
     if rotated is not None:
+        matrix, d = rotated
+        keep = keep[:3 * grid.n_nodes]
         # the turned constant h is constant p, the (u, p) operator's kernel
-        matrix, keep = rotated, keep[:3 * n]
         kernel = kernel[:matrix.shape[0], :1]
+        q_values = d * neumann_eigenvalues(grid)[1:]
     maps = {}
 
     def exact(name):
         if name not in maps:
             found = _symmetry(grid, keep, name)
-            exact = found is not None and _commutes(matrix, *found)
-            maps[name] = found if exact else None
+            maps[name] = found if found and _commutes(matrix, *found) else None
         return maps[name] is not None
 
     group, names, characters = next(
@@ -436,16 +437,8 @@ def symmetry_blocks(op: SparseOperator, grid: Grid) -> tuple:
             coords = np.stack(
                 [np.bincount(rep, coeff * constant, size)[reps]
                  for constant in kernel.T], axis=1) / norms[reps, None]
-        if rotated is None:
-            blocks.append(SymmetryBlock(block, copies, conjugate, "u h a",
-                                        coords))
-        else:
-            # p is the last n unknowns, so its orbits' reps come last
-            cut = int(np.searchsorted(reps, size - n))
-            blocks += [SymmetryBlock(block, copies, conjugate, "u p", coords),
-                       SymmetryBlock(block[cut:, cut:], copies, conjugate,
-                                     "q", coords[cut:])]
-    return group, blocks
+        blocks.append(SymmetryBlock(block, copies, conjugate, coords))
+    return group, blocks, q_values
 
 
 def spectrum(op: SparseOperator, grid: Grid) -> SpectrumReport:
@@ -456,29 +449,26 @@ def spectrum(op: SparseOperator, grid: Grid) -> SpectrumReport:
     DENSE_EIG_BUDGET ``dense_unknowns`` raise BudgetExceededError, before
     anything is built.  kernel_dim is the column count of ``kernel_basis``
     K, whose exact zeros lead ``eigenvalues``; the others, from one dense
-    eigensolve per ``symmetry_blocks`` block, each counted as the block
-    says, set the spectral gap (their smallest real part).  K is deflated
-    from the dense copy of each block that holds it by the Householder
-    reflections of ``_reflect``, which need K to be a left kernel, as
-    ``semisimplicity_proxy`` certifies.  A "q" block, Hermitian and still
-    symmetric once deflated, is solved by ``eigvalsh``, so its
-    pure-diffusion modes come out exactly real; every other block by
-    ``eigvals``.
+    ``eigvals`` per ``symmetry_blocks`` block, each counted as the block
+    says, and the closed-form q eigenvalues appended after them, set the
+    spectral gap (their smallest real part).  K is deflated from the dense
+    copy of each block that holds it by the Householder reflections of
+    ``_reflect``, which need K to be a left kernel, as
+    ``semisimplicity_proxy`` certifies.  ``block_sizes`` lists the dense
+    blocks only.
     """
     check_dense_budget(dense_unknowns(grid))
     kernel_dim = kernel_basis(grid).shape[1]
-    group, blocks = symmetry_blocks(op, grid)
+    group, blocks, q_values = symmetry_blocks(op, grid)
     parts, sizes = [], []
     for block in blocks:
         dense = _reflect(block.matrix.toarray(), block.kernel)
-        # a q part is Hermitian: D == D^T, and Q is orthonormal
-        solve = sla.eigvalsh if block.fields == "q" else sla.eigvals
-        values = solve(dense, overwrite_a=True, check_finite=False)
+        values = sla.eigvals(dense, overwrite_a=True, check_finite=False)
         copies = ([values, values.conj()] if block.conjugate
                   else [values]) * block.copies
         parts += copies
         sizes.append((len(values), len(copies)))
-    rest = np.concatenate(parts)
+    rest = np.concatenate(parts + [q_values])
     eigenvalues = np.concatenate([np.zeros(kernel_dim, complex), rest])
     return SpectrumReport(eigenvalues, kernel_dim, float(np.min(rest.real)),
                           float(np.max(np.abs(eigenvalues))),
@@ -644,22 +634,11 @@ class DecayResult:
     trajectory: RunResult
 
 
-def neumann_mode(n: int, k: int = 1) -> np.ndarray:
-    """k-th discrete eigenvector of the reflected 1D Neumann stencil.
-
-    Exactly mean-free on the node set, so perturbing with it keeps the
-    mean-value equilibrium unchanged.
-    """
-    return np.cos(k * np.pi * (np.arange(n) + 0.5) / n)
-
-
 def perturbed_equilibrium(eq: Equilibrium, grid: Grid, scale: float) -> FieldSet:
     """Equilibrium plus mean-free thickness/compactness perturbations."""
     v = eq.state(grid)
-    v.h += scale * eq.h_star * np.broadcast_to(neumann_mode(grid.nx),
-                                               (grid.ny, grid.nx))
-    v.a += scale * eq.a_star * np.broadcast_to(neumann_mode(grid.ny)[:, None],
-                                               (grid.ny, grid.nx))
+    v.h += scale * eq.h_star * neumann_mode(grid.nx)  # varies along x
+    v.a += scale * eq.a_star * neumann_mode(grid.ny)[:, None]  # along y
     return v
 
 

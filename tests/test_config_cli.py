@@ -463,12 +463,12 @@ def test_spectrum_subcommand_outputs(tmp_path, capsys):
         "kernel_restriction_norm", "symmetry_group", "block_sizes"]
     summary = dict(summary)
     assert summary["kernel_dim"] == "2"
-    # D4 at c_cor = 0 on a square grid; the 2-D irrep's blocks count twice;
-    # with d_h == d_a each character gives a (u, p) block and a q block
+    # D4 at c_cor = 0 on a square grid; the 2-D irrep's block counts twice;
+    # with d_h == d_a each character gives a (u, p) block, and the n - 1
+    # nonzero q eigenvalues are in closed form
     assert summary["symmetry_group"] == "D4"
-    assert summary["block_sizes"] == "26 14 22 10 22 10 18 6 45x2 20x2"
-    assert 26 + 14 + 22 + 10 + 22 + 10 + 18 + 6 + 2 * (45 + 20) == (
-        interior_unknowns - 2)
+    assert summary["block_sizes"] == "26 22 22 18 45x2"
+    assert 26 + 22 + 22 + 18 + 2 * 45 + (n - 1) == interior_unknowns - 2
     manifest = (out / "manifest.txt").read_text()
     assert "file.0.name = spectrum.csv" in manifest
     assert "config.grid.nx = 9" in manifest

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from vpice.grid import FieldSet, Grid, strain_rate_field
+from vpice.grid import (
+    FieldSet,
+    Grid,
+    neumann_eigenvalues,
+    neumann_mode,
+    strain_rate_field,
+)
 from vpice.io_formats import export_coo
 from vpice.operators import (
     LinearSolveError,
@@ -36,6 +42,20 @@ def test_grid_invariants():
     assert g.dy == pytest.approx(0.5)
     with pytest.raises(InvalidStateError):
         Grid(2, 5)
+
+
+def test_state_errors_print_plain_floats():
+    # one-line messages show 0.05, not np.float64(0.05)
+    params = scaled_params()
+    g = Grid(5, 5)
+    thin = FieldSet.constant(g, 0.5 * params.kappa, 0.5)
+    with pytest.raises(InvalidStateError,
+                       match=rf"min h = {0.5 * params.kappa!r}$"):
+        thin.validate(params)
+    moving = FieldSet.constant(g, 1.0, 0.5)
+    moving.u2[0, 2] = -0.25
+    with pytest.raises(InvalidStateError, match=r"max \|u\| there = 0\.25$"):
+        moving.validate(params)
 
 
 def test_strain_rate_zero_velocity():
@@ -124,6 +144,26 @@ def test_neumann_kernel_is_constants_only():
     w = np.linalg.eigvalsh(op.matrix.toarray())
     assert abs(w[0]) <= 1e-10
     assert w[1] > 1e-2  # simple zero eigenvalue, gap to the rest
+
+
+@pytest.mark.parametrize("g", [Grid(9, 7, ly=1.3), Grid(17, 17),
+                               Grid(13, 9, lx=2.0)], ids=str)
+def test_neumann_eigenvalues_in_closed_form(g):
+    # the DCT-II diagonalizes the reflected stencil: the closed form is its
+    # spectrum, constants first, and mode (k, l) is the outer product of
+    # the 1D cosine modes
+    matrix = assemble_neumann_laplacian(g, 1.0).matrix
+    mu = neumann_eigenvalues(g)
+    assert mu.shape == (g.n_nodes,) and mu[0] == 0.0
+    largest = np.max(mu)
+    assert (np.max(np.abs(np.sort(mu) - np.linalg.eigvalsh(matrix.toarray())))
+            <= 1e-14 * largest)
+    for l in range(g.ny):
+        for k in range(g.nx):
+            mode = np.kron(neumann_mode(g.ny, l), neumann_mode(g.nx, k))
+            residual = matrix @ mode - mu[l * g.nx + k] * mode
+            assert (np.linalg.norm(residual)
+                    <= 1e-14 * largest * np.linalg.norm(mode))
 
 
 def test_neumann_interior_consistency_order():

@@ -104,7 +104,9 @@ def test_forcing_tilt_term():
 def test_forcing_rejects_thin_ice():
     g = Grid(9, 9)
     v = FieldSet.constant(g, 0.5 * PARAMS.kappa, 0.5)
-    with pytest.raises(InvalidStateError):
+    # the one-line message prints a plain float, not np.float64(...)
+    with pytest.raises(InvalidStateError,
+                       match=rf"min h = {0.5 * PARAMS.kappa!r}$"):
         compute_forcing(v, ForcingInputs(), PARAMS)
 
 

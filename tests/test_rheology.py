@@ -170,17 +170,14 @@ def test_pressure_rejects_bad_states():
 
 @pytest.mark.parametrize("h, a, message", [
     ([1.0, -0.1, 2.0], [0.5, 0.5, 0.5],
-     f"thickness must be >= 0, min was {np.float64(-0.1)!r}"),
+     "thickness must be >= 0, min was -0.1"),
     ([1.0, 1.0, 1.0], [0.5, 1.5, 0.5],
-     "compactness left [0, 1] beyond slack 1e-10: "
-     f"range [{np.float64(0.5)!r}, {np.float64(1.5)!r}]"),
+     "compactness left [0, 1] beyond slack 1e-10: range [0.5, 1.5]"),
     ([1.0, 1.0, 1.0], [0.5, -1e-6, 0.5],
-     "compactness left [0, 1] beyond slack 1e-10: "
-     f"range [{np.float64(-1e-6)!r}, {np.float64(0.5)!r}]"),
+     "compactness left [0, 1] beyond slack 1e-10: range [-1e-06, 0.5]"),
     # a NaN entry does not hide a bad one
     ([1.0, 1.0], [np.nan, 1.5],
-     "compactness left [0, 1] beyond slack 1e-10: "
-     f"range [{np.float64(np.nan)!r}, {np.float64(np.nan)!r}]"),
+     "compactness left [0, 1] beyond slack 1e-10: range [nan, nan]"),
 ])
 def test_pressure_rejects_one_bad_entry_in_an_array(h, a, message):
     # the array path, which assembly takes

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from vpice import cli, stability
 from vpice.dynamics import ForcingInputs, RunSinks, StepperConfig, step
-from vpice.grid import FieldSet, Grid
+from vpice.grid import FieldSet, Grid, diff_ops, neumann_eigenvalues
 from vpice.operators import (
     SparseOperator,
     assemble_coupled,
@@ -191,11 +191,13 @@ def test_spectrum_cli_si_defaults_keep_the_exact_kernel(nx, ny, lx, tmp_path,
     assert summary["symmetry_group"] == ("C4" if nx == ny else "C2")
 
 
-def split_size(blocks):
+def split_size(blocks, q_values):
     """Unknowns the blocks stand for, each counted as often as its
-    eigenvalues are, less the kernel columns ``spectrum`` deflates."""
-    return sum(block.matrix.shape[0] * block.copies * (1 + block.conjugate)
-               - block.kernel.shape[1] for block in blocks)
+    eigenvalues are, less the kernel columns ``spectrum`` deflates, plus
+    the closed-form q eigenvalues."""
+    return len(q_values) + sum(
+        block.matrix.shape[0] * block.copies * (1 + block.conjugate)
+        - block.kernel.shape[1] for block in blocks)
 
 
 @pytest.mark.parametrize("g", MIRROR_GRIDS, ids=str)
@@ -203,32 +205,34 @@ def test_mirror_blocks_use_every_exact_symmetry(g):
     # both mirrors commute with A0 at c_cor = 0, only the half turn with
     # rotation; on a square grid with dx == dy also the diagonal reflection
     # (D4), resp. the quarter turn (C4); an assembly that breaks bitwise
-    # symmetry fails here.  With d_h == d_a each character's block is split
-    # into its (u, p) and q parts, so there are twice as many blocks as
-    # characters
+    # symmetry fails here.  With d_h == d_a each character's block is its
+    # (u, p) part, and the N - 1 nonzero q eigenvalues come in closed form
     square = g.nx == g.ny and g.dx == g.dy
-    groups = (((0.0, "D4", 10), (0.5, "C4", 6)) if square
-              else ((0.0, "Klein", 8), (0.5, "C2", 4)))
+    groups = (((0.0, "D4", 5), (0.5, "C4", 3)) if square
+              else ((0.0, "Klein", 4), (0.5, "C2", 2)))
     for c_cor, expected, n_blocks in groups:
-        group, blocks = symmetry_blocks(
+        group, blocks, q_values = symmetry_blocks(
             assemble_A0(EQ, g, PARAMS.with_(c_cor=c_cor)), g)
         assert (group, len(blocks)) == (expected, n_blocks)
-        # the trivial character's blocks hold the 2 kernel unknowns, which
-        # spectrum deflates
-        assert split_size(blocks) == dense_unknowns(g) - 2
+        assert len(q_values) == g.n_nodes - 1
+        # the trivial character's block holds the constant p, which
+        # spectrum deflates; the constant q is the mode left out
+        assert split_size(blocks, q_values) == dense_unknowns(g) - 2
 
 
 def test_symmetry_blocks_at_21():
-    # each character's (u, p) block, then its q block: D4's 220, 200, 200,
-    # 180 and 401x2 and C4's 400, 400 and 401x2 before the diffusion split
+    # each character's (u, p) block: D4's 220, 200, 200, 180 and 401x2 and
+    # C4's 400, 400 and 401x2 before the diffusion split, each less its q
+    # part (65, 55, 55, 45 and 110x2; 110, 110 and 110x2), whose 440
+    # nonzero eigenvalues are in closed form
     g = Grid(21, 21)
-    for c_cor, expected in ((0.0, ((155, 1), (65, 1), (145, 1), (55, 1),
-                                   (145, 1), (55, 1), (135, 1), (45, 1),
-                                   (291, 2), (110, 2))),
-                            (0.5, ((290, 1), (110, 1), (290, 1), (110, 1),
-                                   (291, 2), (110, 2)))):
+    for c_cor, expected in ((0.0, ((155, 1), (145, 1), (145, 1), (135, 1),
+                                   (291, 2))),
+                            (0.5, ((290, 1), (290, 1), (291, 2)))):
         report = spectrum(assemble_A0(EQ, g, PARAMS.with_(c_cor=c_cor)), g)
         assert report.block_sizes == expected
+        assert len(report.eigenvalues) == 2 + sum(
+            size * copies for size, copies in expected) + g.n_nodes - 1
 
 
 @pytest.mark.parametrize("g", [Grid(21, 21), Grid(10, 10)], ids=str)
@@ -237,10 +241,10 @@ def test_quarter_turn_conjugate_blocks(g):
     # stands for is its conjugate: the spectrum is closed under conjugation
     # bit for bit
     op = assemble_A0(EQ, g, PARAMS.with_(c_cor=0.5))
-    group, blocks = symmetry_blocks(op, g)
+    group, blocks, _ = symmetry_blocks(op, g)
     assert group == "C4"
-    assert [block.conjugate for block in blocks] == [False] * 4 + [True] * 2
-    assert all(np.iscomplexobj(block.matrix.data) for block in blocks[4:])
+    assert [block.conjugate for block in blocks] == [False] * 2 + [True]
+    assert np.iscomplexobj(blocks[2].matrix.data)
     eigenvalues = spectrum(op, g).eigenvalues
     assert np.array_equal(np.sort_complex(eigenvalues),
                           np.sort_complex(eigenvalues.conj()))
@@ -260,23 +264,24 @@ def test_mirror_blocks_fall_back_when_symmetry_breaks():
     # an interior u1 row reading h breaks every symmetry
     g = Grid(9, 9)
     op = broken_kernel(assemble_A0(EQ, g, PARAMS), g, "right")
-    group, blocks = symmetry_blocks(op, g)
+    group, blocks, q_values = symmetry_blocks(op, g)
     # the extra entry leaves the q rows alone: the diffusion split stays
-    assert (group, len(blocks)) == ("trivial", 2)
-    assert split_size(blocks) == dense_unknowns(g) - 2
+    assert (group, len(blocks), len(q_values)) == ("trivial", 1, g.n_nodes - 1)
+    assert split_size(blocks, q_values) == dense_unknowns(g) - 2
     assert sorted_mismatch(spectrum(op, g).eigenvalues,
                            unblocked_eigenvalues(op)) <= 1e-12
 
 
-@pytest.mark.parametrize("c_cor, expected", [(0.0, ("Klein", 8)),
-                                             (0.5, ("C2", 4))])
+@pytest.mark.parametrize("c_cor, expected", [(0.0, ("Klein", 4)),
+                                             (0.5, ("C2", 2))])
 def test_symmetry_blocks_fall_back_when_u1_u2_swap_breaks(c_cor, expected):
     # only the diagonal reflection, resp. the quarter turn, is broken
     g = Grid(9, 9)
     op = drag_on_u1(assemble_A0(EQ, g, PARAMS.with_(c_cor=c_cor)), g)
-    group, blocks = symmetry_blocks(op, g)
+    group, blocks, q_values = symmetry_blocks(op, g)
     assert (group, len(blocks)) == expected
-    assert split_size(blocks) == dense_unknowns(g) - 2
+    assert len(q_values) == g.n_nodes - 1
+    assert split_size(blocks, q_values) == dense_unknowns(g) - 2
     assert sorted_mismatch(spectrum(op, g).eigenvalues,
                            unblocked_eigenvalues(op)) <= 1e-12
 
@@ -302,17 +307,23 @@ def split_case(group, d_a, a_star):
                          ids=["d_a=d_h", "d_a=d_h/2"])
 @pytest.mark.parametrize("group", SPLIT_CASES)
 def test_diffusion_split_exactly_when_d_h_equals_d_a(group, d_a, a_star):
-    # with d_h == d_a the q = (a* h - h* a) / r rows are a pure diffusion,
-    # so every character's block splits into its (u, p) and q parts
+    # with d_h == d_a the q = (a* h - h* a) / r rows are a pure diffusion:
+    # every character's block is its (u, p) part, and q's eigenvalues are
+    # d_h times the closed-form Neumann ones, the constant mode left out
     g, op = split_case(group, d_a, a_star)
-    found, blocks = symmetry_blocks(op, g)
+    found, blocks, q_values = symmetry_blocks(op, g)
     assert found == group
-    characters = SPLIT_CASES[group][2]
+    assert len(blocks) == SPLIT_CASES[group][2]
+    n = g.n_nodes
+    # (u, p) blocks are u plus one scalar field, (u, h, a) blocks two
+    assert sum(block.matrix.shape[0] * block.copies * (1 + block.conjugate)
+               for block in blocks) == dense_unknowns(g) - (
+        n if d_a == PARAMS.d_h else 0)
     if d_a == PARAMS.d_h:
-        assert [block.fields for block in blocks] == ["u p", "q"] * characters
+        assert np.array_equal(q_values, PARAMS.d_h * neumann_eigenvalues(g)[1:])
     else:
-        assert [block.fields for block in blocks] == ["u h a"] * characters
-    assert split_size(blocks) == dense_unknowns(g) - 2
+        assert len(q_values) == 0
+    assert split_size(blocks, q_values) == dense_unknowns(g) - 2
     eigenvalues = spectrum(op, g).eigenvalues
     assert sorted_mismatch(eigenvalues, unblocked_eigenvalues(op)) <= 1e-12
     if group == "C4":
@@ -323,25 +334,31 @@ def test_diffusion_split_exactly_when_d_h_equals_d_a(group, d_a, a_star):
 @pytest.mark.parametrize("group", SPLIT_CASES)
 def test_unsplit_blocks_join_the_split_parts(group):
     # at d_h != d_a the blocks are the symmetry blocks alone, each the size
-    # of the (u, p) and q parts it splits into at d_h == d_a
+    # of the (u, p) block it turns into at d_h == d_a plus that block's p
+    # unknowns, the size of the q part whose eigenvalues are in closed form
     g, op = split_case(group, 0.5 * PARAMS.d_h, 0.8)
     whole = [block.matrix.shape[0] for block in symmetry_blocks(op, g)[1]]
     g, op = split_case(group, PARAMS.d_h, 0.8)
-    parts = [block.matrix.shape[0] for block in symmetry_blocks(op, g)[1]]
-    assert whole == [up + q for up, q in zip(parts[::2], parts[1::2])]
+    blocks = symmetry_blocks(op, g)[1]
+    p_sizes = [int(np.sum(p)) for _, p in projector_blocks(op, g)]
+    assert whole == [block.matrix.shape[0] + p
+                     for block, p in zip(blocks, p_sizes)]
+    # the q parts together are the N scalar unknowns of q
+    assert sum(p * block.copies * (1 + block.conjugate)
+               for block, p in zip(blocks, p_sizes)) == g.n_nodes
 
 
 def projector_blocks(op, grid):
     """Reference for ``symmetry_blocks``: per character, the unit vectors
     of one unknown per orbit projected by sum_g conj(chi(g)) g, normalized
-    into the sparse orthonormal basis Q, then Q^H M Q; when M is turned to
-    its (u, p) operator, followed by its q part, cut from its p rows and
-    columns."""
+    into the sparse orthonormal basis Q, then Q^H M Q, each with the mask
+    of its basis columns on p when M is turned to its (u, p) operator (all
+    False otherwise)."""
     matrix, keep, _ = stability._reduced(op, grid)
     n = grid.n_nodes
-    rotated = stability._rotated(matrix, keep, n)
+    rotated = stability._rotated(matrix, keep, grid)
     if rotated is not None:
-        matrix, keep = rotated, keep[:3 * n]
+        matrix, keep = rotated[0], keep[:3 * n]
     group = symmetry_blocks(op, grid)[0]
     names, characters = next(entry[1:] for entry in stability._GROUPS
                              if entry[0] == group)
@@ -371,11 +388,8 @@ def projector_blocks(op, grid):
         nonzero = norms > 0.0
         basis = basis[:, nonzero] @ sp.diags(1.0 / norms[nonzero])
         block = (basis.conj().T @ matrix @ basis).tocsr()
-        if rotated is None:
-            blocks.append(block)
-        else:
-            p = columns[orbit_first][nonzero] >= size - n
-            blocks += [block, block[p][:, p]]
+        p = (columns[orbit_first][nonzero] >= size - n) & (rotated is not None)
+        blocks.append((block, p))
     return blocks
 
 
@@ -387,26 +401,40 @@ def test_blocks_match_the_projector_reference(group, d_a, a_star):
     # each block is read off the representatives' rows of M; D4's (+,-)
     # block, of the mirrors' subgroup, is normalized by that subgroup's order
     g, op = split_case(group, d_a, a_star)
-    blocks = symmetry_blocks(op, g)[1]
+    _, blocks, q_values = symmetry_blocks(op, g)
     expected = projector_blocks(op, g)
     assert len(blocks) == len(expected)
-    for block, reference in zip(blocks, expected):
+    q_parts = []
+    for block, (reference, p) in zip(blocks, expected):
         assert block.matrix.shape == reference.shape
         assert (abs(block.matrix - reference).max()
                 <= 1e-14 * abs(reference).max())
+        # each character's q part, Q^H D Q, is the p slice of its reference
+        values = np.linalg.eigvalsh(reference[p][:, p].toarray())
+        q_parts += [values] * block.copies * (1 + block.conjugate)
+    q_parts = np.sort(np.concatenate(q_parts))
+    if len(q_values):
+        # the closed form matches every q part but the constant mode
+        assert abs(q_parts[0]) <= 1e-13 * q_parts[-1]
+        assert (np.max(abs(np.sort(q_values) - q_parts[1:]))
+                <= 1e-13 * q_parts[-1])
+    else:
+        assert len(q_parts) == 0
 
 
 @pytest.mark.parametrize("d_a", [PARAMS.d_h, 0.5 * PARAMS.d_h],
                          ids=["d_a=d_h", "d_a=d_h/2"])
 @pytest.mark.parametrize("group", SPLIT_CASES)
 def test_block_kernels_are_null_vectors(group, d_a):
-    # the trivial character's blocks carry K in their basis: orthonormal
-    # columns, two in all, each a left null vector of its block, which is
-    # what spectrum's Householder deflation needs, and a right one on an
-    # intact A0 (the "trivial" case breaks the right kernel)
+    # the trivial character's block carries K in its basis: orthonormal
+    # columns, each a left null vector of its block, which is what
+    # spectrum's Householder deflation needs, and a right one on an intact
+    # A0 (the "trivial" case breaks the right kernel).  Two columns in all,
+    # or one, constant p, once the constant q is left out of the q values
     g, op = split_case(group, d_a, 0.8)
-    blocks = symmetry_blocks(op, g)[1]
-    assert sum(block.kernel.shape[1] for block in blocks) == 2
+    _, blocks, q_values = symmetry_blocks(op, g)
+    assert sum(block.kernel.shape[1] for block in blocks) == (
+        1 if len(q_values) else 2)
     for block in blocks:
         kernel, bound = block.kernel, 1e-12 * abs(block.matrix).max()
         assert kernel.shape[0] == block.matrix.shape[0]
@@ -435,26 +463,86 @@ def test_diffusion_split_needs_the_q_rows_decoupled():
     assert col < 2 * n
     matrix[row, col] *= 1.5
     op = SparseOperator(matrix.tocsr(), op.dirichlet_mask)
-    assert {block.fields for block in symmetry_blocks(op, g)[1]} == {"u h a"}
+    assert len(symmetry_blocks(op, g)[2]) == 0
+
+
+def on_both_diffusion_blocks(op, grid, rows, cols, signs):
+    """A0 plus the same entries on its (h, h) and (a, a) blocks: signs x
+    max|D| / 2 at (rows, cols) of the three interior nodes 0, 1 and 9."""
+    n = grid.n_nodes
+    nodes = np.flatnonzero(grid.interior_mask())[[0, 1, 9]]
+    weight = 0.5 * abs(op.matrix[2 * n:3 * n, 2 * n:3 * n]).max()
+    extra = sp.coo_matrix((weight * np.asarray(signs),
+                           (nodes[rows], nodes[cols])), shape=(n, n))
+    both = sp.block_diag([sp.csr_matrix((2 * n, 2 * n)), extra, extra])
+    return SparseOperator((op.matrix + both).tocsr(), op.dirichlet_mask)
 
 
 def test_diffusion_split_needs_a_symmetric_diffusion_block():
     # a skew 3-cycle on both diffusion blocks keeps (h, h) == (a, a), the q
     # rows' decoupling and the constant kernel (its row and column sums
-    # vanish), but not D == D^T, which makes every q part Hermitian
+    # vanish), but not D == d Lap_N, whose q eigenvalues are in closed form
     g = Grid(9, 9)
-    op = assemble_A0(EQ, g, PARAMS)
-    n = g.n_nodes
-    nodes = np.flatnonzero(g.interior_mask())[[0, 1, 9]]
-    weight = 0.5 * abs(op.matrix[2 * n:3 * n, 2 * n:3 * n]).max()
-    rows, cols = nodes[[0, 1, 2, 1, 2, 0]], nodes[[1, 2, 0, 0, 1, 2]]
-    signs = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-    cycle = sp.coo_matrix((weight * signs, (rows, cols)), shape=(n, n))
-    skew = sp.block_diag([sp.csr_matrix((2 * n, 2 * n)), cycle, cycle])
-    op = SparseOperator((op.matrix + skew).tocsr(), op.dirichlet_mask)
-    assert {block.fields for block in symmetry_blocks(op, g)[1]} == {"u h a"}
+    op = on_both_diffusion_blocks(
+        assemble_A0(EQ, g, PARAMS), g, [0, 1, 2, 1, 2, 0], [1, 2, 0, 0, 1, 2],
+        [1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    assert len(symmetry_blocks(op, g)[2]) == 0
     assert sorted_mismatch(spectrum(op, g).eigenvalues,
                            unblocked_eigenvalues(op)) <= 1e-12
+
+
+def test_diffusion_split_needs_the_neumann_laplacian():
+    # the graph Laplacian of a triangle on both diffusion blocks keeps
+    # (h, h) == (a, a), D == D^T, the constant kernel (zero row sums) and
+    # the decoupled q rows, which D == D^T alone took for a split, but D is
+    # no longer d Lap_N, so the closed form does not hold and nothing is
+    # split
+    g = Grid(9, 9)
+    op = on_both_diffusion_blocks(
+        assemble_A0(EQ, g, PARAMS), g,
+        [0, 1, 2, 0, 1, 1, 2, 2, 0], [0, 1, 2, 1, 0, 2, 1, 0, 2],
+        [2.0, 2.0, 2.0, -1.0, -1.0, -1.0, -1.0, -1.0, -1.0])
+    n = g.n_nodes
+    diffusion = op.matrix[2 * n:3 * n, 2 * n:3 * n]
+    assert (diffusion != op.matrix[3 * n:, 3 * n:]).nnz == 0
+    assert (diffusion != diffusion.T).nnz == 0
+    assert semisimplicity_proxy(op, g).certified
+    _, blocks, q_values = symmetry_blocks(op, g)
+    assert len(q_values) == 0
+    assert split_size(blocks, q_values) == dense_unknowns(g) - 2
+    assert sorted_mismatch(spectrum(op, g).eigenvalues,
+                           unblocked_eigenvalues(op)) <= 1e-12
+
+
+@pytest.mark.parametrize("c_cor", [0.0, 0.5])
+def test_diffusion_split_tolerates_a_rounded_diffusivity(c_cor):
+    # on 10 x 10, D[0, 0] / Lap_N[0, 0] = (0.1 x 162) / 162 rounds to
+    # 0.09999999999999999, not d_h = 0.1: D and d Lap_N differ in their
+    # last digits, far below eps max|M|, and the split still happens
+    g = Grid(10, 10)
+    params = PARAMS.with_(c_cor=c_cor, d_h=0.1, d_a=0.1)
+    op = assemble_A0(EQ, g, params)
+    laplacian = diff_ops(g)["neumann"]
+    n = g.n_nodes
+    velocity = int(np.sum(~op.dirichlet_mask[:2 * n]))
+    matrix = stability._reduced(op, g)[0]
+    d = matrix[velocity, velocity] / laplacian[0, 0]
+    assert d != params.d_h
+    _, blocks, q_values = symmetry_blocks(op, g)
+    assert np.array_equal(q_values, d * neumann_eigenvalues(g)[1:])
+    assert split_size(blocks, q_values) == dense_unknowns(g) - 2
+    assert sorted_mismatch(spectrum(op, g).eigenvalues,
+                           unblocked_eigenvalues(op)) <= 1e-12
+
+
+@pytest.mark.parametrize("params", [PARAMS, RheologyParams()],
+                         ids=["c0", "si"])
+def test_slowest_q_mode_sets_the_gap_bit_for_bit(params):
+    # where q's slowest mode is the slowest of A0, the gap is d_h times the
+    # smallest nonzero Neumann eigenvalue, bit for bit
+    g = Grid(17, 17)
+    gap = spectrum(assemble_A0(EQ, g, params), g).spectral_gap
+    assert gap == params.d_h * np.min(neumann_eigenvalues(g)[1:])
 
 
 def test_spectrum_budget():
@@ -762,6 +850,15 @@ def test_decay_zero_perturbation(scale, error, message):
         decay_experiment(EQ, scale, Grid(9, 9), PARAMS, cfg,
                          RunSinks(on_diagnostics=rows.append))
     assert rows == []
+
+
+def test_decay_state_error_prints_plain_floats():
+    # a* = 1 perturbed by a mean-free mode leaves [0, 1] beyond the slack;
+    # the one-line message names the range as plain floats
+    cfg = StepperConfig(dt=0.01, t_end=0.15)
+    with pytest.raises(InvalidStateError,
+                       match=r"range \[0\.999\d+, 1\.000\d+\]$"):
+        decay_experiment(Equilibrium(1.0, 1.0), 1e-3, Grid(9, 9), PARAMS, cfg)
 
 
 @pytest.mark.parametrize("scale", [1e-13, 1e-14, 1e-15])
