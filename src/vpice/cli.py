@@ -16,7 +16,9 @@ a package error (params.VpiceError) exits with its exit_code.
 Every subcommand that writes files puts them under experiment.output_dir and
 lists them, with the exact configuration echo, in manifest.txt, also when the
 run fails after writing some of them.  Identical
-configuration and seed produce byte-identical CSV output.
+configuration and seed produce byte-identical CSV output at a fixed BLAS
+thread count: spectrum at 33^2 and simulate past DIRECT_SOLVE_LIMIT
+write different bytes with 1 and 2 OpenBLAS threads.
 
 Optional flag for simulate and spectrum: --dump-matrix <path> exports the
 assembled operator as 'row col value' lines.
@@ -196,8 +198,8 @@ def cmd_simulate(cfg: RunConfig, dump_matrix=None) -> int:
     params = cfg.rheology_params()
     grid = cfg.grid()
     eq = cfg.equilibrium()
-    v0 = perturbed_equilibrium(
-        eq, grid, cfg["experiment.perturbation_scale"]).validate(params)
+    v0 = perturbed_equilibrium(eq, grid, cfg["experiment.perturbation_scale"],
+                               params)
     directory = _prepare_output(cfg)  # a dump may go into it
     if dump_matrix:
         export_coo(assemble_coupled(v0, grid, params), dump_matrix)

@@ -1,10 +1,14 @@
 """Forcing, thermodynamic sources and IMEX time integration.
 
 One backward-Euler step of the coupled system freezes the quasilinear
-coefficients at the current state and treats advection, drag, Coriolis,
-tilt and sources explicitly:
+coefficients at the current state and treats advection, drag, tilt and
+sources explicitly:
 
     (I + dt A(v_n)) v_{n+1} = v_n + dt F(v_n).
+
+The Coriolis rotation is a term of A (``operators.coupled_terms``), so it
+is implicit, as in EVP and JFNK sea-ice solvers: an explicit rotation
+multiplies an inertial oscillation by sqrt(1 + (c_cor dt)^2) per step.
 
 Advection of h and a is discretized in flux form with the divergence matrix
 that is the exact negative adjoint of the centered gradient, so nodal
@@ -110,12 +114,14 @@ def transport(v: FieldSet) -> tuple:
 
 def compute_forcing(v: FieldSet, inputs: ForcingInputs,
                     params: RheologyParams) -> tuple:
-    """Velocity-space forcing, zero on Dirichlet boundary rows.
+    """Explicit velocity-space forcing, zero on Dirichlet boundary rows.
 
     - advection of momentum, -(u . grad) u (``momentum_advection``),
-    - Coriolis rotation n x u = (-u2, u1),
     - surface tilt -g grad H,
     - quadratic atmospheric and oceanic drag with rotation matrices.
+
+    The Coriolis rotation is not here: it is implicit, in
+    ``operators.coupled_terms``.
     """
     if np.any(v.h < params.kappa):
         raise InvalidStateError(
@@ -127,9 +133,6 @@ def compute_forcing(v: FieldSet, inputs: ForcingInputs,
     adv1, adv2 = momentum_advection(v)
     f1 = -adv1.reshape(g.ny, g.nx)
     f2 = -adv2.reshape(g.ny, g.nx)
-
-    f1 += params.c_cor * v.u2  # -c_cor * (n x u), n x u = (-u2, u1)
-    f2 -= params.c_cor * v.u1
 
     tilt_x, tilt_y = _pair(inputs.h_tilt_grad, g)
     f1 -= params.g * tilt_x

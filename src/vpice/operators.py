@@ -33,12 +33,16 @@ quadratic form.
 
 The coupled operator is block upper triangular,
 
-    [ (1/(rho_ice h0)) A^H   c_h grad   c_a grad ]
-    [ 0                      -d_h Lap_N  0        ]
-    [ 0                      0          -d_a Lap_N ],
+    [ (1/(rho_ice h0)) A^H + c_cor R   c_h grad   c_a grad ]
+    [ 0                                -d_h Lap_N  0        ]
+    [ 0                                0          -d_a Lap_N ],
 
 with c_h = dP/dh / (2 rho_ice h0) and c_a = dP/da / (2 rho_ice h0) frozen
 nodewise; the rows of A^H are summed before 1/(rho_ice h0) weights them.
+R u = n x u = (-u2, u1) on the interior velocity rows is the Coriolis
+rotation: -c_cor in the (u1, u2) block, +c_cor in the (u2, u1) block.  It
+is defined here only, so the step treats it implicitly and the
+linearization A0 of ``stability`` holds the same rows.
 """
 
 from __future__ import annotations
@@ -281,7 +285,8 @@ def assemble_neumann_laplacian(grid: Grid, d: float) -> SparseOperator:
 
 
 def coupled_terms(v_frozen: FieldSet, grid: Grid, params: RheologyParams) -> list:
-    """Terms of the coupled operator frozen at v_frozen, in 4 x 4 blocks."""
+    """Terms of the coupled operator frozen at v_frozen, in 4 x 4 blocks,
+    the Coriolis rotation last."""
     interior = grid.interior_mask().ravel()
     hibler = _sum_terms(grid, (2, 2), _hibler_terms(v_frozen, grid, params))
     # weight 1 keeps the boundary identity rows of the velocity block
@@ -292,7 +297,10 @@ def coupled_terms(v_frozen: FieldSet, grid: Grid, params: RheologyParams) -> lis
             + _gradient_terms((dp_dh / scale).ravel() * interior, 2)
             + _gradient_terms((dp_da / scale).ravel() * interior, 3)
             + [("neumann", 2, 2, None, params.d_h),
-               ("neumann", 3, 3, None, params.d_a)])
+               ("neumann", 3, 3, None, params.d_a),
+               # c_cor (n x u) with n x u = (-u2, u1), interior rows only
+               ("id", 0, 1, interior, -params.c_cor),
+               ("id", 1, 0, interior, params.c_cor)])
 
 
 def assemble_coupled(v_frozen: FieldSet, grid: Grid, params: RheologyParams,

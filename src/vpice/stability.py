@@ -9,10 +9,13 @@ evolution v' + A0 v = 0 uses
              a* div(u) - d_a Lap_N a ],
 
 where A^H is the constant-coefficient velocity operator
--(P*/(2 sqrt(delta))) sum S_ij^kl d_k d_l u_j.  The constant-(h, a) vectors
-with u = 0 span the discrete kernel exactly; for delta small enough every
-other eigenvalue has positive real part, and unforced trajectories decay
-toward the mean-value equilibrium at a rate set by the spectral gap.
+-(P*/(2 sqrt(delta))) sum S_ij^kl d_k d_l u_j.  A0 is the step's operator
+``operators.coupled_terms`` at the equilibrium, Coriolis included, plus
+the h* div and a* div rows of the explicit transport.  The constant-(h,
+a) vectors with u = 0 span the discrete kernel exactly; for delta small
+enough every other eigenvalue has positive real part, and unforced
+trajectories decay toward the mean-value equilibrium at a rate set by the
+spectral gap.
 
 At a constant state on the uniform grid, A0 commutes exactly with the
 half turn, and at c_cor = 0 also with the signed x- and y-mirrors (u1,
@@ -68,7 +71,13 @@ from .operators import (
     gradient_coupling,  # unused here; perfbench/spans.py traces this binding
     velocity_boundary_mask,
 )
-from .params import InvalidStateError, RheologyParams, VpiceError, check_finite
+from .params import (
+    STATE_SLACK,
+    InvalidStateError,
+    RheologyParams,
+    VpiceError,
+    check_finite,
+)
 from .rheology import pressure, pressure_derivatives
 
 DENSE_EIG_BUDGET = 10_000
@@ -144,18 +153,14 @@ def weight_constants(eq: Equilibrium, params: RheologyParams) -> tuple:
 def assemble_A0(eq: Equilibrium, grid: Grid, params: RheologyParams) -> SparseOperator:
     """Linearized operator at the equilibrium (4N x 4N).
 
-    The quasilinear block operator frozen at (0, h*, a*) plus the rows it
-    lacks: h* div(u) and a* div(u) from linearizing the advective fluxes
-    (so A0 is not block triangular) and the Coriolis term +c_cor (n x u),
-    the linearization of the stepper's tendency -c_cor (n x u).  Settings
-    whose A0 has a non-finite entry raise InvalidStateError.
+    The step's operator, ``coupled_terms`` frozen at (0, h*, a*) with its
+    Coriolis rotation, plus the rows it lacks: h* div(u) and a* div(u)
+    from linearizing the explicit advective fluxes (so A0 is not block
+    triangular).  Settings whose A0 has a non-finite entry raise
+    InvalidStateError.
     """
     eq.validate(params)
-    interior = grid.interior_mask().ravel().astype(float)
-    # +c_cor (n x u) with n x u = (-u2, u1), interior rows only
     terms = coupled_terms(eq.state(grid).validate(params), grid, params) + [
-        ("id", 0, 1, interior, -params.c_cor),
-        ("id", 1, 0, interior, params.c_cor),
         ("div", 2, 0, None, eq.h_star), ("div", 3, 0, None, eq.a_star)]
     matrix = assemble_terms(grid, (4, 4), terms)
     if not np.all(np.isfinite(matrix.data)):
@@ -217,14 +222,19 @@ def _symmetry(grid: Grid, keep: np.ndarray, name: str):
     return (np.cumsum(keep) - 1)[index[keep]], sign[keep]
 
 
-def _reduced(op: SparseOperator, grid: Grid) -> tuple:
-    """A0 with its Dirichlet rows and columns dropped, the mask of the kept
-    unknowns and the kept rows of ``kernel_basis``.  Raises ValueError
-    unless op is 4N x 4N on this grid."""
+def _check_shape(op: SparseOperator, grid: Grid) -> None:
+    """Raise ValueError unless op is 4N x 4N on this grid."""
     if op.matrix.shape != (4 * grid.n_nodes,) * 2:
         raise ValueError(f"expected the 4N x 4N linearization A0 on a "
                          f"{grid.nx}x{grid.ny} grid, got shape "
                          f"{op.matrix.shape}")
+
+
+def _reduced(op: SparseOperator, grid: Grid) -> tuple:
+    """A0 with its Dirichlet rows and columns dropped, the mask of the kept
+    unknowns and the kept rows of ``kernel_basis``.  Raises ValueError
+    unless op is 4N x 4N on this grid."""
+    _check_shape(op, grid)
     keep = ~op.dirichlet_mask
     return op.matrix[keep][:, keep].tocsr(), keep, kernel_basis(grid)[keep]
 
@@ -458,7 +468,7 @@ def spectrum(op: SparseOperator, grid: Grid) -> SpectrumReport:
     blocks only.
     """
     check_dense_budget(dense_unknowns(grid))
-    kernel_dim = kernel_basis(grid).shape[1]
+    kernel_dim = 2  # the columns of kernel_basis: constant h, constant a
     group, blocks, q_values = symmetry_blocks(op, grid)
     parts, sizes = [], []
     for block in blocks:
@@ -504,15 +514,20 @@ def semisimplicity_proxy(op: SparseOperator, grid: Grid) -> SemisimplicityReport
     none exists, and the left kernel is what makes ``spectrum``'s
     deflation exact.  ``certified`` tests both residuals against
     KERNEL_CERT_RTOL times max|M_ij|, which is exact and at most ||M||_2.
+    M is not formed: K vanishes on the dropped unknowns, so M K and M^T K
+    are the kept rows of A0 K and A0^T K, and max|M_ij| is the largest
+    |entry| of A0 whose row and column are both kept.
     """
-    matrix, _, basis = _reduced(op, grid)
-    image = matrix @ basis
+    _check_shape(op, grid)
+    matrix, keep, kernel = op.matrix, ~op.dirichlet_mask, kernel_basis(grid)
+    basis, image = kernel[keep], (matrix @ kernel)[keep]
+    inside = np.repeat(keep, np.diff(matrix.indptr)) & keep[matrix.indices]
     return SemisimplicityReport(
         kernel_dim=basis.shape[1],
         right_residual=float(np.linalg.norm(image, 2)),
-        left_residual=float(np.linalg.norm(matrix.T @ basis, 2)),
+        left_residual=float(np.linalg.norm((matrix.T @ kernel)[keep], 2)),
         restriction_norm=float(np.linalg.norm(basis.T @ image, 2)),
-        operator_norm=float(abs(matrix).max()),
+        operator_norm=float(np.abs(matrix.data[inside]).max(initial=0.0)),
     )
 
 
@@ -634,12 +649,29 @@ class DecayResult:
     trajectory: RunResult
 
 
-def perturbed_equilibrium(eq: Equilibrium, grid: Grid, scale: float) -> FieldSet:
-    """Equilibrium plus mean-free thickness/compactness perturbations."""
+def perturbed_equilibrium(eq: Equilibrium, grid: Grid, scale: float,
+                          params: RheologyParams) -> FieldSet:
+    """The equilibrium plus mean-free perturbations, validated: scale h*
+    times a Neumann mode along x in h, scale a* times one along y in a.
+
+    An amplitude is shrunk only where its field would leave the admissible
+    set (h below kappa, a outside [0, 1] beyond STATE_SLACK), to the
+    largest size that keeps kappa <= h and 0 <= a <= 1, which is zero at
+    h* = kappa and at a* = 1.
+    """
+    eq.validate(params)
     v = eq.state(grid)
-    v.h += scale * eq.h_star * neumann_mode(grid.nx)  # varies along x
-    v.a += scale * eq.a_star * neumann_mode(grid.ny)[:, None]  # along y
-    return v
+    for values, star, mode, low, high, slack in (
+            (v.h, eq.h_star, neumann_mode(grid.nx), params.kappa, math.inf, 0.0),
+            (v.a, eq.a_star, neumann_mode(grid.ny)[:, None], 0.0, 1.0,
+             STATE_SLACK)):
+        field = star + scale * star * mode
+        if field.min() < low - slack or field.max() > high + slack:
+            room = min(star - low, high - star) / np.abs(mode).max()
+            # the clip takes back a rounding past the edge
+            field = np.clip(star + math.copysign(room, scale) * mode, low, high)
+        values[...] = field
+    return v.validate(params)
 
 
 def decay_experiment(eq: Equilibrium, perturbation_scale: float, grid: Grid,
@@ -666,12 +698,13 @@ def decay_experiment(eq: Equilibrium, perturbation_scale: float, grid: Grid,
         raise InvalidStateError("decay needs a nonzero perturbation_scale: "
                                 "the equilibrium itself has no rate to fit")
     check_dense_budget(dense_unknowns(grid))
-    v0 = perturbed_equilibrium(eq, grid, perturbation_scale).validate(params)
+    v0 = perturbed_equilibrium(eq, grid, perturbation_scale, params)
     rest = eq.state(grid)
     if np.array_equal(v0.h, rest.h) and np.array_equal(v0.a, rest.a):
         # the norm would fit the rounding of the mean-value equilibrium
         raise DecayFitError(f"perturbation_scale = {perturbation_scale!r} is "
-                            f"lost to rounding: the state is the equilibrium")
+                            f"lost to rounding or to the admissible set: the "
+                            f"state is the equilibrium")
     result = run(v0, ForcingInputs(), params, cfg, sinks)
 
     norms = result.perturbation_norm

@@ -239,7 +239,7 @@ def test_criterion_9_fixed_point_and_conservation():
     fixed_ok = worst_drift <= 1e-12
 
     from vpice.stability import perturbed_equilibrium
-    v = perturbed_equilibrium(EQ, g, 1e-2)
+    v = perturbed_equilibrium(EQ, g, 1e-2, params)
     total_h0, total_a0 = float(np.sum(v.h)), float(np.sum(v.a))
     for _ in range(1000):
         v = step(v, inputs, params, cfg)

@@ -5,6 +5,8 @@ import importlib
 import os
 import pkgutil
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -803,6 +805,52 @@ def test_dump_matrix_unwritable_path_exit_1_one_line(command, tmp_path,
     assert err.startswith("vpice: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_dump_matrix_without_a_path_exit_2_one_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path,
+                        SCALED_SNIPPET + f"experiment.output_dir = {out}\n")
+    assert dispatch(["simulate", path, "--dump-matrix"]) == 2
+    assert capsys.readouterr().err == "vpice: --dump-matrix needs a path\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, stream", [
+    (["--help"], 0, "stdout"), (["not-a-command"], 2, "stderr")])
+def test_python_m_vpice_runs_the_entry_point(argv, code, stream):
+    # __main__ -> cli.main -> sys.exit(dispatch(...)) in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(vpice.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "vpice", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code
+    if stream == "stdout":
+        assert done.stdout.startswith("Subcommand front end.")
+        assert done.stderr == ""
+    else:
+        assert done.stderr.startswith("vpice: unknown subcommand ")
+        assert done.stderr.count("\n") == 1 and done.stdout == ""
+
+
+@pytest.mark.parametrize("command, csv_name", [
+    ("simulate", "diagnostics.csv"), ("decay", "decay_diagnostics.csv")])
+@pytest.mark.parametrize("edge", ["equilibrium.a_star = 1.0",
+                                  "equilibrium.h_star = 0.1"])  # kappa
+def test_runs_at_an_edge_of_the_admissible_set_start(command, csv_name, edge,
+                                                     tmp_path, capfd):
+    # Equilibrium.validate accepts a* = 1 and h* = kappa; the field at its
+    # edge is left unperturbed, so the run starts from an admissible state
+    # with the other field perturbed.  Whether the steps stay admissible is
+    # the dynamics' matter: a failure then names its step
+    out = tmp_path / "out"
+    body = scaled_config(f"experiment.output_dir = {out}\n{edge}\n")
+    code, _, lines = dispatch_cleanly([command, write_config(tmp_path, body)],
+                                      capfd)
+    rows = (out / csv_name).read_text().splitlines()
+    first = dict(zip(rows[0].split(","), map(float, rows[1].split(","))))
+    assert first["time"] == 0.0 and first["perturbation_norm"] > 0.0
+    assert code == 0 or (code == 1 and lines[0].startswith("vpice: step "))
 
 
 def test_default_runconfig_usable_directly():

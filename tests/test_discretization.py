@@ -119,6 +119,22 @@ def test_fieldset_validation():
     assert drift.a[2, 2] == 1.0 + 1e-12  # the input is left as it was
 
 
+@pytest.mark.parametrize("name", ["u1", "u2", "h", "a"])
+def test_fieldset_rejects_wrong_shapes_and_non_finite_values(name):
+    g = Grid(5, 5)
+    p = scaled_params()
+    f = FieldSet.constant(g, 1.0, 0.5)
+    setattr(f, name, np.zeros((5, 4)))
+    with pytest.raises(InvalidStateError,
+                       match=rf"^{name} has shape \(5, 4\), want \(5, 5\)$"):
+        f.validate(p)
+    f = FieldSet.constant(g, 1.0, 0.5)
+    getattr(f, name)[2, 2] = np.nan
+    with pytest.raises(InvalidStateError,
+                       match=rf"^{name} contains non-finite values$"):
+        f.validate(p)
+
+
 # ---------------------------------------------------------------------------
 # Neumann Laplacian
 # ---------------------------------------------------------------------------
@@ -468,6 +484,16 @@ def test_solve_singular_incompatible_raises():
     rhs = np.ones(g.n_nodes)  # not orthogonal to the kernel of the adjoint
     with pytest.raises(LinearSolveError):
         solve_linear(op, rhs)
+
+
+def test_solve_zero_rhs_returns_zeros_without_a_factorization():
+    # the zero matrix would fail a factorization
+    from vpice.operators import SparseOperator
+    g = Grid(7, 7)
+    op = SparseOperator(sp.csr_matrix((g.n_nodes, g.n_nodes)),
+                        np.zeros(g.n_nodes, bool))
+    x = solve_linear(op, np.zeros(g.n_nodes))
+    assert np.array_equal(x, np.zeros(g.n_nodes))
 
 
 def test_solve_reports_dimension_mismatch():

@@ -14,6 +14,7 @@ from vpice.dynamics import (
     step,
 )
 from vpice.grid import FieldSet, Grid
+from vpice.operators import assemble_coupled
 from vpice.params import InvalidStateError, scaled_params
 
 
@@ -79,17 +80,30 @@ def test_forcing_wind_drag(theta):
     assert np.all(f1[~interior] == 0.0) and np.all(f2[~interior] == 0.0)
 
 
-def test_forcing_coriolis_orientation():
+def test_coriolis_orientation():
+    # rotation is part of the implicit operator A of I + dt A, not of the
+    # explicit forcing: (A(c) - A(0)) u = c (n x u) with n x u = (-u2, u1)
+    # on the interior velocity rows, so the tendency -A u turns u clockwise.
+    # Frozen at rest, the cross-velocity diagonal holds only the rotation,
+    # so the difference is exact
     g = Grid(9, 9)
-    params = scaled_params(c_cor=0.7)
-    v = equilibrium(g)
-    interior = g.interior_mask()
-    v.u1[interior] = 1.0  # u = (1, 0) in the interior
-    f1, f2 = compute_forcing(v, ForcingInputs(), params)
-    # -c_cor (n x u) with n x u = (-u2, u1) gives (0, -c_cor) plus advection 0
-    deep = np.zeros_like(interior)
-    deep[2:-2, 2:-2] = True
-    np.testing.assert_allclose(f2[deep], -0.7, rtol=1e-13)
+    n = g.n_nodes
+    with_cor, without = scaled_params(c_cor=0.7), scaled_params(c_cor=0.0)
+    frozen = perturbed(g)
+    rows = (assemble_coupled(frozen, g, with_cor).matrix
+            - assemble_coupled(frozen, g, without).matrix)
+    rng = np.random.default_rng(6)
+    inside = g.interior_mask().ravel()
+    u1, u2 = (np.where(inside, rng.normal(size=n), 0.0) for _ in range(2))
+    expected = np.concatenate([-0.7 * u2, 0.7 * u1, np.zeros(2 * n)])
+    assert np.array_equal(
+        rows @ np.concatenate([u1, u2, frozen.h.ravel(), frozen.a.ravel()]),
+        expected)
+    v = perturbed(g)
+    v.u1, v.u2 = u1.reshape(v.h.shape), u2.reshape(v.h.shape)
+    for f_with, f_without in zip(compute_forcing(v, ForcingInputs(), with_cor),
+                                 compute_forcing(v, ForcingInputs(), without)):
+        assert np.array_equal(f_with, f_without)
 
 
 def test_forcing_tilt_term():

@@ -111,9 +111,7 @@ def test_plan_assembly_is_the_coo_sum_bit_for_bit(grid, c_cor):
                        coo_sum(grid, (2, 1), [("dx", 0, 0, weight, 1.0),
                                               ("dy", 1, 0, weight, 1.0)]))
     eq = Equilibrium(1.0, 0.8)
-    interior = grid.interior_mask().ravel().astype(float)
     a0_terms = oracle_coupled_terms(eq.state(grid), grid, params) + [
-        ("id", 0, 1, interior, -c_cor), ("id", 1, 0, interior, c_cor),
         ("div", 2, 0, None, eq.h_star), ("div", 3, 0, None, eq.a_star)]
     assert_bitwise(assemble_A0(eq, grid, params).matrix,
                    coo_sum(grid, (4, 4), a0_terms))

@@ -8,8 +8,20 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from vpice import cli, stability
-from vpice.dynamics import ForcingInputs, RunSinks, StepperConfig, step
-from vpice.grid import FieldSet, Grid, diff_ops, neumann_eigenvalues
+from vpice.dynamics import (
+    ForcingInputs,
+    RunSinks,
+    StepError,
+    StepperConfig,
+    step,
+)
+from vpice.grid import (
+    FieldSet,
+    Grid,
+    diff_ops,
+    neumann_eigenvalues,
+    neumann_mode,
+)
 from vpice.operators import (
     SparseOperator,
     assemble_coupled,
@@ -88,6 +100,46 @@ def test_weight_constants():
         PARAMS.p_star * np.exp(-PARAMS.c * 0.2) / 2.0, rel=1e-13)
     assert c_a == pytest.approx(PARAMS.c * p_star / 1.6, rel=1e-13)
     assert weight_constants(Equilibrium(1.0, 0.0), PARAMS)[1] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The linearized step
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("c_cor", [0.0, 1.46e-4])
+@pytest.mark.parametrize("length", [1.0, 1e5, 1e6])
+def test_linearized_step_contracts_off_the_kernel(length, c_cor):
+    # the step (I + dt A) v' = v + dt F linearized at the equilibrium is
+    # G = (I + dt A_impl)^-1 (I - dt A_expl), A_expl = A0 - A_impl the
+    # explicit transport rows.  K is a right and a left eigenspace of G for
+    # the eigenvalue 1, so G's other eigenvalues are those of Q^T G Q, Q an
+    # orthonormal basis of K's complement.  With Coriolis explicit, the 1e6
+    # m domain gave 1.0014, 1.113 and 9.41 at c_cor = 1.46e-4
+    g = Grid(9, 9, lx=length, ly=length)
+    params = RheologyParams(c_cor=c_cor)
+    a0 = assemble_A0(EQ, g, params).matrix.toarray()
+    a_impl = assemble_coupled(EQ.state(g), g, params).matrix.toarray()
+    complement = sla.null_space(kernel_basis(g).T)
+    identity = np.eye(len(a0))
+    for dt in (600.0, 3600.0, 86400.0):
+        step_matrix = np.linalg.solve(identity + dt * a_impl,
+                                      identity - dt * (a0 - a_impl))
+        radius = np.max(np.abs(sla.eigvals(
+            complement.T @ step_matrix @ complement)))
+        assert radius <= 1.0, (dt, radius)
+
+
+def test_day_steps_on_a_large_domain_run(tmp_path, capsys):
+    # SI defaults on a 1000 km square, 60 daily steps: with Coriolis
+    # explicit, an inertial oscillation grew until a left [0, 1] at step 5
+    out = tmp_path / "out"
+    config = tmp_path / "day.cfg"
+    config.write_text("grid.nx = 9\ngrid.ny = 9\ngrid.lx = 1e6\ngrid.ly = 1e6\n"
+                      "stepper.dt = 86400\nstepper.t_end = 5184000\n"
+                      f"experiment.output_dir = {out}\n")
+    assert cli.dispatch(["simulate", str(config)]) == 0
+    capsys.readouterr()
+    assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 61
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +621,27 @@ def test_semisimplicity_proxy():
             assert report.certified
 
 
+def reduced_certificate(op, grid):
+    """Oracle: the certificate's figures from the reduced operator M and
+    the kept rows of K, as ``_reduced`` builds them."""
+    matrix, _, basis = stability._reduced(op, grid)
+    image = matrix @ basis
+    return (np.linalg.norm(image, 2), np.linalg.norm(matrix.T @ basis, 2),
+            np.linalg.norm(basis.T @ image, 2), abs(matrix).max())
+
+
+@pytest.mark.parametrize("g", [Grid(9, 9), Grid(13, 9, lx=2.0)], ids=str)
+def test_certificate_reads_the_reduced_operator_off_a0s_rows(g):
+    ops = [assemble_A0(EQ, g, params)
+           for params in (PARAMS, PARAMS.with_(c_cor=0.5), RheologyParams())]
+    ops += [broken_kernel(ops[0], g, side) for side in ("left", "right")]
+    for op in ops:
+        report = semisimplicity_proxy(op, g)
+        assert (report.right_residual, report.left_residual,
+                report.restriction_norm,
+                report.operator_norm) == reduced_certificate(op, g)
+
+
 @pytest.mark.parametrize("n", [11, 21])
 def test_certificate_operator_norm_is_max_abs_entry(n):
     g = Grid(n, n)
@@ -712,15 +785,13 @@ def test_a0_coriolis_rows_are_interior_rotation():
 @pytest.mark.parametrize("c_cor", [0.0, 0.5])
 @pytest.mark.parametrize("g", [Grid(9, 9), Grid(13, 9)], ids=str)
 def test_a0_equals_block_formula_bitwise(g, c_cor):
-    # A0 is the coupled operator at the equilibrium state plus the interior
-    # Coriolis rotation and the h* div, a* div rows, entry for entry
+    # A0 is the step's coupled operator at the equilibrium state, Coriolis
+    # rotation included, plus the h* div, a* div rows, entry for entry
     params = PARAMS.with_(c_cor=c_cor)
-    interior = sp.diags(g.interior_mask().ravel().astype(float))
     div = divergence_matrix(g)
     n = g.n_nodes
     extra = sp.bmat([
-        [sp.bmat([[None, -c_cor * interior], [c_cor * interior, None]]),
-         None],
+        [sp.csr_matrix((2 * n, 2 * n)), None],
         [sp.vstack([EQ.h_star * div, EQ.a_star * div]),
          sp.csr_matrix((2 * n, 2 * n))],
     ])
@@ -736,24 +807,18 @@ def test_a0_equals_block_formula_bitwise(g, c_cor):
 
 
 def test_a0_coriolis_is_linearization_of_stepper_tendency():
-    # v' = -A0 v must turn u the way the stepper's forcing does
-    from vpice.dynamics import ForcingInputs, compute_forcing
+    # v' = -A0 v must turn u the way the step does: A0's Coriolis rows are
+    # those of the step operator, bit for bit, also frozen at a state at
+    # rest with varying h and a
     g = Grid(9, 9)
-    n = g.n_nodes
     with_cor = PARAMS.with_(c_cor=0.5)
     rng = np.random.default_rng(21)
-    v = EQ.state(g)
-    interior = g.interior_mask()
-    v.u1[interior] = rng.normal(size=interior.sum())
-    v.u2[interior] = rng.normal(size=interior.sum())
-    tendency = [np.concatenate([f.ravel() for f in
-                                compute_forcing(v, ForcingInputs(), p)])
-                for p in (with_cor, PARAMS)]
-    rows = (assemble_A0(EQ, g, with_cor).matrix
-            - assemble_A0(EQ, g, PARAMS).matrix)[:2 * n, :2 * n]
-    u = np.concatenate([v.u1.ravel(), v.u2.ravel()])
-    np.testing.assert_allclose(rows @ u, -(tendency[0] - tendency[1]),
-                               rtol=0, atol=1e-12)
+    v = dirichlet_random_state(g, rng, scale=0.0)
+    rotation = [(new.matrix - old.matrix).toarray() for new, old in (
+        (assemble_A0(EQ, g, with_cor), assemble_A0(EQ, g, PARAMS)),
+        (assemble_coupled(v, g, with_cor), assemble_coupled(v, g, PARAMS)))]
+    assert np.count_nonzero(rotation[0]) == 2 * int(g.interior_mask().sum())
+    assert np.array_equal(rotation[0], rotation[1])
 
 
 def test_discrete_integration_by_parts():
@@ -796,7 +861,7 @@ def test_weighted_energy_margins_near_equilibrium():
     rng = np.random.default_rng(7)
     c_h, c_a = weight_constants(EQ, PARAMS)
     for scale in (1e-3, 1e-2):
-        v = perturbed_equilibrium(EQ, g, scale)
+        v = perturbed_equilibrium(EQ, g, scale, PARAMS)
         interior = g.interior_mask()
         v.u1[interior] = scale * rng.normal(size=interior.sum())
         v.u2[interior] = scale * rng.normal(size=interior.sum())
@@ -852,12 +917,43 @@ def test_decay_zero_perturbation(scale, error, message):
     assert rows == []
 
 
+@pytest.mark.parametrize("h_star, a_star, scale, shrunk", [
+    (1.0, 0.8, 1e-3, ""), (1.0, 0.0, 1e-3, ""),
+    (1.0, 1.0 - 5e-11, 1e-10, ""),  # a past 1 within STATE_SLACK: clamped
+    (1.0, 1.0, 1e-3, "a"), (0.1, 0.8, 1e-3, "h"), (0.1, 1.0, 1e-3, "ha"),
+    (1.0, 0.8, -0.3, "a"), (0.15, 0.8, 0.5, "ha"), (0.15, 0.8, -0.5, "ha"),
+])
+def test_perturbed_equilibrium_shrinks_only_what_would_leave(h_star, a_star,
+                                                            scale, shrunk):
+    g = Grid(9, 7)
+    eq = Equilibrium(h_star, a_star)
+    v = perturbed_equilibrium(eq, g, scale, PARAMS)
+    for name, star, mode, low, high in (
+            ("h", h_star, neumann_mode(g.nx), PARAMS.kappa, np.inf),
+            ("a", a_star, neumann_mode(g.ny)[:, None], 0.0, 1.0)):
+        values = getattr(v, name)
+        mode = np.broadcast_to(mode, values.shape)
+        if name not in shrunk:  # as before the shrinking: a start keeps its bytes
+            assert np.array_equal(values,
+                                  np.clip(star + scale * star * mode, low, high))
+            continue
+        # the same mode, shrunk until its extreme touches the edge; node 0
+        # holds the mode's largest entry
+        amplitude = (values.flat[0] - star) / mode.flat[0]
+        assert amplitude * scale >= 0.0 and abs(amplitude) < abs(scale * star)
+        np.testing.assert_allclose(values, star + amplitude * mode, rtol=0,
+                                   atol=4e-16)
+        assert low <= values.min() and values.max() <= high
+        assert min(values.min() - low, high - values.max()) <= 4e-16
+
+
 def test_decay_state_error_prints_plain_floats():
-    # a* = 1 perturbed by a mean-free mode leaves [0, 1] beyond the slack;
+    # at a* = 1 the run starts from an admissible state, a unperturbed, but
+    # the transport row a* div u pushes a past 1 + STATE_SLACK at step 2;
     # the one-line message names the range as plain floats
     cfg = StepperConfig(dt=0.01, t_end=0.15)
-    with pytest.raises(InvalidStateError,
-                       match=r"range \[0\.999\d+, 1\.000\d+\]$"):
+    with pytest.raises(StepError,
+                       match=r"^step 2 .* range \[0\.999\d+, 1\.000\d+\]$"):
         decay_experiment(Equilibrium(1.0, 1.0), 1e-3, Grid(9, 9), PARAMS, cfg)
 
 
