@@ -81,56 +81,60 @@ def _prepare_output(cfg: RunConfig) -> str:
     return directory
 
 
-def cmd_symbol(cfg: RunConfig) -> int:
+def _probe_report(cfg: RunConfig, name: str, title: str, header: tuple,
+                  probe: Callable) -> int:
+    """Write experiment.n_samples rows of a probe command to the CSV
+    ``name``, list it in the manifest and return exit 1 if a sample fails.
+    ``probe(index, rng, params)`` draws and checks one sample and returns
+    its row after the id, or None for no row, and whether it passes."""
     params = cfg.rheology_params()
     rng = np.random.default_rng(cfg["experiment.seed"])
     directory = _prepare_output(cfg)
-    path = os.path.join(directory, "symbol_report.csv")
+    path = os.path.join(directory, name)
     violated = False
-    with CsvWriter(path, ("id", "e11", "e12", "e22", "h", "a", "p",
-                          "min_eigenvalue", "coercivity_margin",
-                          "relative_margin")) as writer:
+    with CsvWriter(path, ("id",) + header) as writer:
         for index in range(cfg["experiment.n_samples"]):
-            eps, h, a, p = sample_state(rng, params,
-                                        cfg["equilibrium.h_star"])
-            report = ellipticity_report(eps, p, params, n_samples=8,
-                                        seed=int(rng.integers(1 << 31)))
-            writer((index, eps.e11, eps.e12, eps.e22, h, a, p,
-                    report.min_eigenvalue, report.min_coercivity_margin,
-                    report.relative_margin))
-            violated = violated or not report.passes
-    write_manifest(directory, [("symbol_report.csv", "csv")], cfg.echo())
-    print(f"symbol report: {path}")
+            row, passes = probe(index, rng, params)
+            if row is not None:
+                writer((index,) + row)
+            violated = violated or not passes
+    write_manifest(directory, [(name, "csv")], cfg.echo())
+    print(f"{title}: {path}")
     return 1 if violated else 0
+
+
+def cmd_symbol(cfg: RunConfig) -> int:
+    def probe(index, rng, params):
+        eps, h, a, p = sample_state(rng, params, cfg["equilibrium.h_star"])
+        report = ellipticity_report(eps, p, params, n_samples=8,
+                                    seed=int(rng.integers(1 << 31)))
+        return ((eps.e11, eps.e12, eps.e22, h, a, p, report.min_eigenvalue,
+                 report.min_coercivity_margin, report.relative_margin),
+                report.passes)
+
+    return _probe_report(cfg, "symbol_report.csv", "symbol report", (
+        "e11", "e12", "e22", "h", "a", "p", "min_eigenvalue",
+        "coercivity_margin", "relative_margin"), probe)
 
 
 def cmd_ls_check(cfg: RunConfig) -> int:
-    params = cfg.rheology_params()
-    rng = np.random.default_rng(cfg["experiment.seed"])
-    directory = _prepare_output(cfg)
-    path = os.path.join(directory, "ls_report.csv")
-    re_min = cfg["experiment.lambda_re_min"]
-    violated = False
-    with CsvWriter(path, ("id", "e11", "e12", "e22", "p", "theta",
-                          "lambda_re", "lambda_im", "n_stable", "n_unstable",
-                          "s_min", "s_max", "margin")) as writer:
-        for index in range(cfg["experiment.n_samples"]):
-            probe, theta = sample_ls_probe(rng, params, re_min,
-                                           cfg["equilibrium.h_star"])
-            try:
-                result = lopatinskii_shapiro_check(probe, params)
-            except RootBalanceError as exc:
-                print(f"probe {index}: {exc}", file=sys.stderr)
-                violated = True
-                continue
-            writer((index, probe.eps.e11, probe.eps.e12, probe.eps.e22,
-                    probe.p, theta, probe.lam.real, probe.lam.imag,
-                    len(result.stable_roots), len(result.unstable_roots),
-                    result.s_min, result.s_max, result.margin))
-            violated = violated or not result.passes
-    write_manifest(directory, [("ls_report.csv", "csv")], cfg.echo())
-    print(f"boundary-condition report: {path}")
-    return 1 if violated else 0
+    def probe(index, rng, params):
+        sample, theta = sample_ls_probe(rng, params,
+                                        cfg["experiment.lambda_re_min"],
+                                        cfg["equilibrium.h_star"])
+        try:
+            result = lopatinskii_shapiro_check(sample, params)
+        except RootBalanceError as exc:
+            print(f"probe {index}: {exc}", file=sys.stderr)
+            return None, False
+        return ((sample.eps.e11, sample.eps.e12, sample.eps.e22, sample.p,
+                 theta, sample.lam.real, sample.lam.imag,
+                 len(result.stable_roots), len(result.unstable_roots),
+                 result.s_min, result.s_max, result.margin), result.passes)
+
+    return _probe_report(cfg, "ls_report.csv", "boundary-condition report", (
+        "e11", "e12", "e22", "p", "theta", "lambda_re", "lambda_im",
+        "n_stable", "n_unstable", "s_min", "s_max", "margin"), probe)
 
 
 def cmd_spectrum(cfg: RunConfig, dump_matrix=None) -> int:

@@ -30,7 +30,8 @@ from .operators import (
     divergence_matrix,
     solve_linear,
 )
-from .params import InvalidStateError, RheologyParams, VpiceError, check_finite
+from .params import (InvalidStateError, RheologyParams, VpiceError,
+                     check_finite, check_thickness)
 
 MAX_STEPS = 10**6  # steps a run may take; t_end / dt beyond it is rejected
 
@@ -121,12 +122,10 @@ def compute_forcing(v: FieldSet, inputs: ForcingInputs,
     - quadratic atmospheric and oceanic drag with rotation matrices.
 
     The Coriolis rotation is not here: it is implicit, in
-    ``operators.coupled_terms``.
+    ``operators.coupled_terms``.  Thickness under kappa raises
+    InvalidStateError (``check_thickness``).
     """
-    if np.any(v.h < params.kappa):
-        raise InvalidStateError(
-            f"thickness below kappa in forcing evaluation: min h = "
-            f"{float(v.h.min())!r}")
+    check_thickness(v.h, params.kappa)
     g = v.grid
     interior = g.interior_mask()
 
@@ -197,12 +196,13 @@ def step(v_n: FieldSet, inputs: ForcingInputs, params: RheologyParams,
     The coefficients and the explicit terms are frozen at v_n.  Raises
     InvalidStateError when v_n (checked by the assembly) or the new state
     leaves the admissible set (thickness under kappa or compactness
-    outside [0, 1] beyond STATE_SLACK).
+    outside [0, 1] beyond STATE_SLACK), or I + dt A has a non-finite entry.
     """
     grid = v_n.grid
     op = assemble_coupled(v_n, grid, params, dt=cfg.dt)  # I + dt A(v_n)
+    # the Dirichlet rows of rhs are +0.0: v_n passed validation, and
+    # compute_forcing zeroes its boundary rows
     rhs = v_n.to_vector() + cfg.dt * _explicit_rhs(v_n, inputs, params)
-    rhs[op.dirichlet_mask] = 0.0
     vec = solve_linear(op, rhs)
     vec[op.dirichlet_mask] = 0.0  # impose the known boundary values exactly
     return FieldSet.from_vector(grid, vec).validate(params)
@@ -234,10 +234,7 @@ def diagnostics_row(v: FieldSet, t: float, params: RheologyParams,
     g = v.grid
     speed2 = v.u1**2 + v.u2**2
     kinetic = 0.5 * params.rho_ice * g.cell_area * float(np.sum(v.h * speed2))
-    du = np.concatenate([
-        (v.u1 - reference.u1).ravel(), (v.u2 - reference.u2).ravel(),
-        (v.h - reference.h).ravel(), (v.a - reference.a).ravel(),
-    ])
+    du = v.to_vector() - reference.to_vector()
     return {
         "time": t,
         "kinetic_energy": kinetic,

@@ -22,7 +22,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .params import STATE_SLACK, InvalidStateError, RheologyParams, check_finite
+from .params import (InvalidStateError, RheologyParams, check_compactness,
+                     check_finite, check_thickness)
 from .rheology import StrainRate
 
 
@@ -203,6 +204,8 @@ class FieldSet:
     def validate(self, params: RheologyParams) -> "FieldSet":
         """Check invariants; raise InvalidStateError if one fails.
 
+        The thickness floor and the compactness range are
+        ``params.check_thickness`` and ``params.check_compactness``.
         Returns self, or a copy with a clamped into [0, 1]; self is unchanged.
         """
         shape = (self.grid.ny, self.grid.nx)
@@ -217,14 +220,8 @@ class FieldSet:
         if worst != 0.0:
             raise InvalidStateError(
                 f"velocity must vanish on the boundary, max |u| there = {worst!r}")
-        if np.any(self.h < params.kappa):
-            raise InvalidStateError(
-                f"thickness fell below kappa = {params.kappa!r}: "
-                f"min h = {float(self.h.min())!r}")
-        if np.any(self.a < -STATE_SLACK) or np.any(self.a > 1.0 + STATE_SLACK):
-            raise InvalidStateError(
-                f"compactness left [0, 1] beyond slack {STATE_SLACK!r}: range "
-                f"[{float(self.a.min())!r}, {float(self.a.max())!r}]")
+        check_thickness(self.h, params.kappa)
+        check_compactness(self.a)
         if np.all((self.a >= 0.0) & (self.a <= 1.0)):
             return self
         return replace(self, a=np.clip(self.a, 0.0, 1.0))

@@ -5,7 +5,8 @@ of the (u1, u2, h, a) layout, assembled by ``assemble_terms``.  The index
 work of a sum (its sorted, duplicate-merged pattern) is planned once per
 grid and term layout; each assembly only computes values, adds them on that
 pattern and drops exact zeros, so the matrices equal a plain COO -> CSR sum
-bit for bit.
+bit for bit.  A non-finite value raises InvalidStateError there, whichever
+operator is assembled.
 
 Linear solves (``solve_linear``) factor up to DIRECT_SOLVE_LIMIT unknowns
 with ``splu`` and beyond run ``_gmres``, scipy's restarted Jacobi-GMRES
@@ -59,7 +60,7 @@ from scipy.linalg import blas, lapack
 from scipy.sparse._sparsetools import csr_matvec
 
 from .grid import FieldSet, Grid, diff_ops, strain_rate_field
-from .params import RheologyParams, VpiceError
+from .params import InvalidStateError, RheologyParams, VpiceError
 from .rheology import (
     coefficient_tensor,
     delta_reg,
@@ -131,7 +132,11 @@ class _Plan:
         return at.astype(np.int32)
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        """CSR matrix of union values, exact zeros dropped."""
+        """CSR matrix of union values, exact zeros dropped.  Every assembled
+        operator passes here: a non-finite value raises InvalidStateError."""
+        if not np.isfinite(data).all():
+            raise InvalidStateError(
+                "the assembled operator has non-finite entries at these settings")
         keep = data != 0.0
         dropped = np.flatnonzero(~keep)
         indptr = self.indptr - np.searchsorted(dropped, self.indptr).astype(np.int32)
@@ -381,11 +386,13 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
     recently used patterns, with up to MAX_REFINEMENTS refinement sweeps;
     beyond, ``_gmres`` on the CSR matrix with Jacobi preconditioning.
     Raises LinearSolveError on breakdown or non-convergence, reporting the
-    achieved residual.
+    achieved residual, and before either path on a non-finite rhs.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (op.dim,):
         raise ValueError(f"rhs has shape {rhs.shape}, operator dim {op.dim}")
+    if not np.isfinite(rhs).all():
+        raise LinearSolveError("the right-hand side has non-finite entries")
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)

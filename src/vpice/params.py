@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 STATE_SLACK = 1e-10  # drift of a outside [0, 1] that is clamped, not rejected
 
 
@@ -28,6 +30,27 @@ class InvalidStateError(VpiceError, ValueError):
     """A state (h, a) or parameter set left its admissible range."""
 
     exit_code = 2
+
+
+def check_compactness(a) -> None:
+    """Raise InvalidStateError when a compactness value lies outside [0, 1]
+    by more than STATE_SLACK.  One reduction per bound; fmin/fmax skip NaN,
+    which fails every comparison, so a NaN entry hides no bad one, and the
+    initial values admit an empty array."""
+    if (np.fmin.reduce(a, axis=None, initial=np.inf) < -STATE_SLACK
+            or np.fmax.reduce(a, axis=None, initial=-np.inf)
+            > 1.0 + STATE_SLACK):
+        raise InvalidStateError(
+            f"compactness left [0, 1] beyond slack {STATE_SLACK!r}: range "
+            f"[{float(a.min())!r}, {float(a.max())!r}]")
+
+
+def check_thickness(h, kappa: float) -> None:
+    """Raise InvalidStateError when a thickness value of a state lies below
+    kappa, the open-water threshold; no slack."""
+    if np.fmin.reduce(h, axis=None, initial=np.inf) < kappa:
+        raise InvalidStateError(f"thickness fell below kappa = {kappa!r}: "
+                                f"min h = {float(h.min())!r}")
 
 
 def check_finite(obj) -> None:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .params import STATE_SLACK, InvalidStateError, RheologyParams
+from .params import InvalidStateError, RheologyParams, check_compactness
 
 FD_REL_STEP = 1e-6  # central-difference step of strain_derivative_gap, relative
 
@@ -161,22 +161,15 @@ def pressure(h, a, params: RheologyParams):
 
     h must be nonnegative and a must lie in [0, 1]; values of a within
     STATE_SLACK outside that interval are clamped (floating-point drift),
-    larger excursions raise InvalidStateError.
+    larger excursions raise InvalidStateError (``check_compactness``).
     """
     h = np.asarray(h, dtype=float)
     a = np.asarray(a, dtype=float)
-    # one reduction per bound; fmin/fmax skip NaN, which fails every
-    # comparison, so a NaN entry hides no bad one, and the initial values
-    # admit an empty array
+    # fmin skips NaN, as in check_compactness
     if np.fmin.reduce(h, axis=None, initial=np.inf) < 0.0:
         raise InvalidStateError(
             f"thickness must be >= 0, min was {float(h.min())!r}")
-    if (np.fmin.reduce(a, axis=None, initial=np.inf) < -STATE_SLACK
-            or np.fmax.reduce(a, axis=None, initial=-np.inf)
-            > 1.0 + STATE_SLACK):
-        raise InvalidStateError(
-            f"compactness left [0, 1] beyond slack {STATE_SLACK!r}: range "
-            f"[{float(a.min())!r}, {float(a.max())!r}]")
+    check_compactness(a)
     a = a.clip(0.0, 1.0)
     out = params.p_star * h * np.exp(-params.c * (1.0 - a))
     return out[()] if out.ndim == 0 else out

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from vpice.io_formats import (
     write_manifest,
     write_snapshot,
 )
+from vpice.operators import LinearSolveError, SparseOperator, solve_linear
 from vpice.params import InvalidStateError, RheologyParams, VpiceError
 from vpice.stability import Equilibrium
 from vpice.symbols import RootBalanceError
@@ -412,17 +414,27 @@ def test_failing_step_exit_1_one_line(tmp_path, capsys):
     assert "file.0.name = diagnostics.csv\n" in manifest
 
 
-def test_factorization_failure_names_no_residual(tmp_path, capsys):
-    # I + dt A overflows at dt = 1e308 and its LU is singular: the solve
-    # computed no residual, so the message names none
+def test_factorization_failure_names_no_residual():
+    # equal rows give SuperLU an exact zero pivot in a finite operator: the
+    # solve computed no residual, so the message names none
+    op = SparseOperator(sp.csr_matrix(np.ones((2, 2))), np.zeros(2, bool))
+    with pytest.raises(LinearSolveError) as info:
+        solve_linear(op, np.array([1.0, 2.0]))
+    message = str(info.value)
+    assert message.startswith("sparse factorization failed")
+    assert "residual" not in message and "nan" not in message
+
+
+def test_overflowed_step_matrix_exit_1_one_line(tmp_path, capsys):
+    # I + dt A overflows at dt = 1e308: the assembly rejects it, before any
+    # solve
     path = write_config(tmp_path, "grid.nx = 5\ngrid.ny = 5\n"
                                   "stepper.dt = 1e308\nstepper.t_end = 1e308\n"
                                   f"experiment.output_dir = {tmp_path}\n")
     assert dispatch(["simulate", path]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("vpice: step 1 ") and err.count("\n") == 1
-    assert "sparse factorization failed" in err
-    assert "residual" not in err and "nan" not in err
+    assert capsys.readouterr().err == (
+        "vpice: step 1 at t = 1e+308 failed: the assembled operator has "
+        "non-finite entries at these settings\n")
 
 
 def test_lscheck_negative_lambda_config_exit_2(tmp_path, capsys):

@@ -13,6 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from vpice import operators, scaled_params
+from vpice.dynamics import ForcingInputs, StepperConfig, step
 from vpice.grid import FieldSet, Grid, diff_ops
 from vpice.operators import (
     KRYLOV_MAX_CYCLES,
@@ -32,6 +33,7 @@ from vpice.operators import (
     gradient_coupling,
     solve_linear,
 )
+from vpice.params import InvalidStateError
 from vpice.stability import Equilibrium, assemble_A0
 
 
@@ -233,6 +235,67 @@ def test_singular_matrix_on_a_cached_pattern_raises(splu_specs):
         solve_linear(lap, rhs)
     assert splu_specs == [None, "NATURAL"]
     assert len(operators._ORDERINGS) == 1
+
+
+# ---------------------------------------------------------------------------
+# Non-finite operators and right-hand sides
+# ---------------------------------------------------------------------------
+
+NON_FINITE_OPERATOR = ("^the assembled operator has non-finite entries at "
+                       "these settings$")
+
+
+OVERFLOW = scaled_params(p_star=1e308)  # P / (2 sqrt(delta)) overflows
+
+
+# one check where term values become a CSR matrix serves every assembly
+@pytest.mark.parametrize("assemble", [
+    lambda state, grid: assemble_hibler(state, grid, OVERFLOW),
+    lambda state, grid: gradient_coupling(grid, np.full(grid.n_nodes, np.inf)),
+    lambda state, grid: assemble_coupled(state, grid, OVERFLOW),
+    lambda state, grid: assemble_coupled(state, grid, scaled_params(),
+                                         dt=1e308),
+    lambda state, grid: assemble_A0(Equilibrium(1.0, 0.8), grid, OVERFLOW),
+], ids=["velocity block", "gradient coupling", "A", "I + dt A", "A0"])
+def test_every_assembly_rejects_a_non_finite_operator(assemble):
+    grid = Grid(9, 9)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            InvalidStateError, match=NON_FINITE_OPERATOR):
+        assemble(states(grid)["moving"], grid)
+
+
+def refuse_gmres(monkeypatch, limit):
+    """Solve directly up to ``limit`` unknowns, with ``_gmres`` refusing to
+    run beyond it."""
+    def refuse(*args):
+        raise AssertionError("_gmres was entered")
+
+    monkeypatch.setattr(operators, "DIRECT_SOLVE_LIMIT", limit)
+    monkeypatch.setattr(operators, "_gmres", refuse)
+
+
+def test_overflowed_step_matrix_fails_before_the_krylov_path(monkeypatch):
+    refuse_gmres(monkeypatch, 0)
+    grid = Grid(9, 9)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            InvalidStateError, match=NON_FINITE_OPERATOR):
+        step(states(grid)["moving"], ForcingInputs(),
+             OVERFLOW, StepperConfig(dt=0.04, t_end=0.04))
+
+
+@pytest.mark.parametrize("limit", [operators.DIRECT_SOLVE_LIMIT, 0],
+                         ids=["direct", "krylov"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_rhs_fails_before_either_path(limit, bad, monkeypatch):
+    refuse_gmres(monkeypatch, limit)
+    grid = Grid(9, 9)
+    op = assemble_coupled(states(grid)["moving"], grid, scaled_params(),
+                          dt=0.04)
+    rhs = np.ones(op.dim)
+    rhs[2 * grid.n_nodes + 40] = bad
+    with pytest.raises(LinearSolveError,
+                       match="^the right-hand side has non-finite entries$"):
+        solve_linear(op, rhs)
 
 
 # ---------------------------------------------------------------------------
