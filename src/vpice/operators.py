@@ -2,11 +2,12 @@
 
 Every operator is a sum of terms weight[row] * (factor * stencil) in blocks
 of the (u1, u2, h, a) layout, assembled by ``assemble_terms``.  The index
-work of a sum (its sorted, duplicate-merged pattern) is planned once per
-grid and term layout; each assembly only computes values, adds them on that
-pattern and drops exact zeros, so the matrices equal a plain COO -> CSR sum
-bit for bit.  A non-finite value raises InvalidStateError there, whichever
-operator is assembled.
+work of a sum (its sorted, duplicate-merged pattern and the pattern entry
+of every term entry) is planned once per grid and term layout; each
+assembly only computes the pointwise weights, adds each term onto that
+pattern in one sparse-kernel pass and drops exact zeros, so the matrices
+equal a plain COO -> CSR sum bit for bit.  A non-finite value raises
+InvalidStateError there, whichever operator is assembled.
 
 Linear solves (``solve_linear``) factor up to DIRECT_SOLVE_LIMIT unknowns
 with ``splu`` and beyond run ``_gmres``, scipy's restarted Jacobi-GMRES
@@ -48,6 +49,7 @@ linearization A0 of ``stability`` holds the same rows.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -57,7 +59,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .grid import FieldSet, Grid, diff_ops, strain_rate_field
 from .params import InvalidStateError, RheologyParams, VpiceError
@@ -106,22 +108,38 @@ class _Sum(NamedTuple):
     plan: "_Plan"
     data: np.ndarray
 
+    @property
+    def shape(self) -> tuple:
+        return self.plan.shape
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.plan.indptr
+
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """Index work of one term layout on one grid, done once.
 
-    The union pattern (indptr, indices) is the sorted, duplicate-merged CSR
-    pattern of every term.  Term values are laid out in one buffer, term
-    after term from ``offsets``, and ``position`` gives the union entry of
-    each value.
+    ``pattern`` holds the sorted, duplicate-merged CSR pattern of every term
+    (``_pattern``); ``positions[t]`` gives the pattern entry of each entry of
+    term t, in its stencil's CSR order.
     """
 
-    shape: tuple
-    indptr: np.ndarray
-    indices: np.ndarray
-    offsets: tuple
-    position: np.ndarray
+    pattern: sp.csr_matrix
+    positions: tuple
+
+    @property
+    def shape(self) -> tuple:
+        return self.pattern.shape
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.pattern.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.pattern.indices
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -133,15 +151,35 @@ class _Plan:
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """CSR matrix of union values, exact zeros dropped.  Every assembled
-        operator passes here: a non-finite value raises InvalidStateError."""
+        operator passes here: a non-finite value raises InvalidStateError.
+        The matrix owns its arrays: the pattern's are copied."""
         if not np.isfinite(data).all():
             raise InvalidStateError(
                 "the assembled operator has non-finite entries at these settings")
-        keep = data != 0.0
-        dropped = np.flatnonzero(~keep)
-        indptr = self.indptr - np.searchsorted(dropped, self.indptr).astype(np.int32)
-        return sp.csr_matrix((data[keep], self.indices[keep], indptr),
-                             shape=self.shape)
+        matrix = _on_pattern(self.pattern, data, self.indices.copy(),
+                             self.indptr.copy())
+        matrix.eliminate_zeros()
+        return matrix
+
+
+def _pattern(cls, indices: np.ndarray, indptr: np.ndarray, shape: tuple):
+    """A sparse matrix of class ``cls`` that holds only a pattern, which must
+    be sorted and duplicate-free; its values are a zero-stride placeholder."""
+    pattern = cls((np.broadcast_to(0.0, len(indices)), indices, indptr),
+                  shape=shape)
+    if not pattern.has_canonical_format:  # checked once, copied with it
+        raise ValueError("a pattern must be sorted and duplicate-free")
+    return pattern
+
+
+def _on_pattern(pattern, data: np.ndarray, indices: np.ndarray,
+                indptr: np.ndarray):
+    """``pattern``'s class, shape and format on ``data`` and the pattern's
+    arrays, or copies of them: a shallow copy, where the constructor would
+    check again, every step, arrays that the plan made consistent."""
+    matrix = copy.copy(pattern)
+    matrix.data, matrix.indices, matrix.indptr = data, indices, indptr
+    return matrix
 
 
 def _row_of_entry(indptr: np.ndarray) -> np.ndarray:
@@ -159,7 +197,7 @@ def _plan(grid: Grid, blocks: tuple, layout: tuple) -> _Plan:
         s = diff_ops(grid)[stencil] if isinstance(stencil, str) else stencil
         rows.append(_row_of_entry(s.indptr) + block_row * n)
         cols.append(s.indices + block_col * n)
-    offsets = tuple(np.cumsum([0] + [len(c) for c in cols]).tolist())
+    offsets = np.cumsum([0] + [len(c) for c in cols])
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     order = np.lexsort((cols, rows))
     rows, cols = rows[order], cols[order]
@@ -169,7 +207,8 @@ def _plan(grid: Grid, blocks: tuple, layout: tuple) -> _Plan:
     position[order] = np.cumsum(new) - 1
     indptr = np.zeros(shape[0] + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows[new], minlength=shape[0]), out=indptr[1:])
-    return _Plan(shape, indptr, cols[new], offsets, position)
+    return _Plan(_pattern(sp.csr_matrix, cols[new], indptr, shape), tuple(
+        position[start:stop] for start, stop in zip(offsets, offsets[1:])))
 
 
 def _sum_terms(grid: Grid, blocks: tuple, terms) -> _Sum:
@@ -179,28 +218,32 @@ def _sum_terms(grid: Grid, blocks: tuple, terms) -> _Sum:
     block_row, block_col, weight, factor): a ``diff_ops`` key or a nested
     ``_Sum``, the block of its first entry, an array over the stencil's rows
     (None for no weight) and a scalar.  The index work is cached per grid
-    and layout; a call only computes values and adds the ones that share an
-    entry, in term order.  The callers here let at most two nonzero terms
+    and layout; a call adds each entry's value (data * factor) *
+    weight[row] into its union entry, term after term, so the terms of an
+    entry add in term order.  The callers here let at most two nonzero terms
     meet in an entry, so the sums are those of a COO -> CSR conversion, bit
     for bit, whatever its order of summation.
     """
+    ops = diff_ops(grid)
     # int(): a numpy integer block index would widen the int32 index arrays
     plan = _plan(grid, blocks, tuple(
         (s if isinstance(s, str) else s.plan, int(block_row), int(block_col))
         for s, block_row, block_col, _, _ in terms))
-    ops = diff_ops(grid)
-    values = np.empty(plan.offsets[-1])
-    for (s, _, _, weight, factor), start, stop in zip(terms, plan.offsets,
-                                                      plan.offsets[1:]):
-        indptr, data = ((ops[s].indptr, ops[s].data) if isinstance(s, str)
-                        else (s.plan.indptr, s.data))
-        part = values[start:stop]
-        np.multiply(data, factor, out=part)
-        if weight is not None:
-            part *= np.repeat(weight, np.diff(indptr))
-    # bincount adds in input order: for each entry, its terms in order
-    return _Sum(plan, np.bincount(plan.position, values,
-                                  minlength=len(plan.indices)))
+    total = np.zeros(len(plan.indices))
+    for (s, _, _, weight, factor), position in zip(terms, plan.positions):
+        s = ops[s] if isinstance(s, str) else s
+        rows = s.shape[0]
+        # x * 1.0 == x: a term without weight takes ones, and a unit factor
+        # is no product
+        weight = np.ones(rows) if weight is None else np.asarray(weight, dtype=float)
+        if weight.shape != (rows,):  # the kernel reads weight[r] unchecked
+            raise ValueError(f"a weight over {rows} stencil rows has shape "
+                             f"{weight.shape}")
+        # the term's entries as a CSC matrix whose column r is stencil row
+        # r: total[position[k]] += (data[k] * factor) * weight[r], k ascending
+        csc_matvec(len(total), rows, s.indptr, position,
+                   s.data if factor == 1.0 else s.data * factor, weight, total)
+    return _Sum(plan, total)
 
 
 def assemble_terms(grid: Grid, blocks: tuple, terms) -> sp.csr_matrix:
@@ -229,19 +272,21 @@ def _hibler_terms(v_frozen: FieldSet, grid: Grid, params: RheologyParams) -> lis
     interior = grid.interior_mask().ravel().astype(float)
     eps0 = strain_rate_field(v_frozen)
     p0 = pressure(v_frozen.h, v_frozen.a, params)
-    coeff = coefficient_tensor(eps0, p0, params).reshape(2, 2, 2, 2, -1) * interior
+    # the minus sign of the principal part rides on its weights: (d * -1) *
+    # a == d * -a exactly, so its terms need no factor
+    coeff = coefficient_tensor(eps0, p0, params).reshape(2, 2, 2, 2, -1) * -interior
 
     dreg = delta_reg(eps0, params)
-    dp_dx = np.gradient(p0, grid.dx, axis=1, edge_order=2)
-    dp_dy = np.gradient(p0, grid.dy, axis=0, edge_order=2)
+    dp_dy, dp_dx = np.gradient(p0, grid.dy, grid.dx, edge_order=2)
     g = [(-dp / (2.0 * dreg)).ravel() * interior for dp in (dp_dx, dp_dy)]
 
-    terms = [("id", i, i, 1.0 - interior, 1.0) for i in range(2)]
+    boundary = 1.0 - interior
+    terms = [("id", i, i, boundary, 1.0) for i in range(2)]
     for i in range(2):
         for j in range(2):
             c = coeff[i, j]
-            terms += [("dxx", i, j, c[0, 0], -1.0), ("dyy", i, j, c[1, 1], -1.0),
-                      ("dxy", i, j, c[0, 1] + c[1, 0], -1.0)]
+            terms += [("dxx", i, j, c[0, 0], 1.0), ("dyy", i, j, c[1, 1], 1.0),
+                      ("dxy", i, j, c[0, 1] + c[1, 0], 1.0)]
     # lower-order term -(1/(2 Delta_delta)) sum_k (d_k P) (S eps(u))_ik; the
     # coefficient of d_l u_j in (S eps(u))_ik is S_ij^kl
     s = s_tensor(params)
@@ -330,8 +375,7 @@ class _ColumnOrder(NamedTuple):
 
     perm_c: np.ndarray  # SuperLU's: A[:, q] z = b gives x = z[perm_c]
     gather: np.ndarray  # the CSR entry of each CSC entry of A[:, q]
-    indices: np.ndarray
-    indptr: np.ndarray
+    pattern: sp.csc_matrix  # of A[:, q], from ``_pattern``
 
     @classmethod
     def of(cls, matrix: sp.csr_matrix, perm_c: np.ndarray) -> "_ColumnOrder":
@@ -341,12 +385,15 @@ class _ColumnOrder(NamedTuple):
         gather = np.argsort(column, kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(column, minlength=n), out=indptr[1:])
-        return cls(perm_c, gather, _row_of_entry(matrix.indptr)[gather], indptr)
+        return cls(perm_c, gather, _pattern(
+            sp.csc_matrix, _row_of_entry(matrix.indptr)[gather], indptr,
+            matrix.shape))
 
     def solver(self, matrix: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
-        permuted = sp.csc_matrix((matrix.data[self.gather], self.indices,
-                                  self.indptr), shape=matrix.shape)
-        lu = spla.splu(permuted, permc_spec="NATURAL")
+        pattern = self.pattern
+        lu = spla.splu(_on_pattern(pattern, matrix.data[self.gather],
+                                   pattern.indices, pattern.indptr),
+                       permc_spec="NATURAL")
         return lambda b: lu.solve(b)[self.perm_c]
 
 
@@ -366,9 +413,12 @@ def _lu_solver(matrix: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
     to 3e-16 relative in ||x||).  Raises RuntimeError as ``splu`` does.
     """
     key = (matrix.shape, matrix.indptr.tobytes(), matrix.indices.tobytes())
-    order = _ORDERINGS.pop(key, None)
-    if order is not None:
-        _ORDERINGS[key] = order  # re-inserted: now the most recently used
+    # compared, not hashed: the held keys' hashes are cached, a new key's
+    # would cost a pass over its bytes every step
+    held = next((known for known in _ORDERINGS if known == key), None)
+    if held is not None:
+        order = _ORDERINGS.pop(held)
+        _ORDERINGS[held] = order  # re-inserted: now the most recently used
         return order.solver(matrix)
     lu = spla.splu(matrix.tocsc())
     # a copy: lu.perm_c is a view that would keep the factors alive

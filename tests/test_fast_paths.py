@@ -25,6 +25,7 @@ from vpice.operators import (
     _gmres,
     _hibler_terms,
     _lu_solver,
+    _sum_terms,
     assemble_coupled,
     assemble_hibler,
     assemble_neumann_laplacian,
@@ -34,6 +35,7 @@ from vpice.operators import (
     solve_linear,
 )
 from vpice.params import InvalidStateError
+from vpice.rheology import coefficient_tensor
 from vpice.stability import Equilibrium, assemble_A0
 
 
@@ -117,6 +119,46 @@ def test_plan_assembly_is_the_coo_sum_bit_for_bit(grid, c_cor):
         ("div", 2, 0, None, eq.h_star), ("div", 3, 0, None, eq.a_star)]
     assert_bitwise(assemble_A0(eq, grid, params).matrix,
                    coo_sum(grid, (4, 4), a0_terms))
+
+
+@pytest.mark.parametrize("c_cor", [0.0, 0.5])
+@pytest.mark.parametrize("name", ["rest", "moving"])
+def test_plan_assembly_is_the_coo_sum_bit_for_bit_at_the_krylov_size(name, c_cor):
+    # 73x73 is the smallest square grid past DIRECT_SOLVE_LIMIT: its
+    # velocity block adds 298 634 term entries onto 184 892 union entries
+    grid = Grid(73, 73)
+    params = scaled_params(delta=1e-6, c_cor=c_cor)
+    state = states(grid)[name]
+    coupled = coo_sum(grid, (4, 4), oracle_coupled_terms(state, grid, params))
+    assert_bitwise(assemble_coupled(state, grid, params, dt=0.004).matrix,
+                   sp.identity(coupled.shape[0], format="csr") + 0.004 * coupled)
+    eq = Equilibrium(1.0, 0.8)
+    a0_terms = oracle_coupled_terms(eq.state(grid), grid, params) + [
+        ("div", 2, 0, None, eq.h_star), ("div", 3, 0, None, eq.a_star)]
+    assert_bitwise(assemble_A0(eq, grid, params).matrix,
+                   coo_sum(grid, (4, 4), a0_terms))
+
+
+def test_assembled_operators_own_their_arrays():
+    # the plan's index arrays are shared by every assembly on a grid; no
+    # result may hand one out
+    grid, params = Grid(9, 11), scaled_params(delta=1e-6, c_cor=0.5)
+    state = states(grid)["moving"]
+    coupled = coo_sum(grid, (4, 4), oracle_coupled_terms(state, grid, params))
+    fresh = sp.identity(coupled.shape[0], format="csr") + 0.04 * coupled
+    first, second = (assemble_coupled(state, grid, params, dt=0.04).matrix
+                     for _ in range(2))
+    for name in ("data", "indices", "indptr"):
+        getattr(first, name)[:] = 7
+    assert_bitwise(second, fresh)
+    assert_bitwise(assemble_coupled(state, grid, params, dt=0.04).matrix, fresh)
+
+
+def test_a_weight_of_the_wrong_length_is_refused():
+    # the summation kernel reads weight[row] without a bounds check
+    grid = Grid(5, 5)
+    with pytest.raises(ValueError, match="weight over 25 stencil rows"):
+        _sum_terms(grid, (1, 1), [("dx", 0, 0, np.ones(24), 1.0)])
 
 
 def test_plan_is_built_once_per_grid_and_layout():
@@ -262,6 +304,28 @@ def test_every_assembly_rejects_a_non_finite_operator(assemble):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             InvalidStateError, match=NON_FINITE_OPERATOR):
         assemble(states(grid)["moving"], grid)
+
+
+@pytest.mark.parametrize("assemble", [
+    lambda state, grid, params: assemble_coupled(state, grid, params),
+    lambda state, grid, params: assemble_coupled(state, grid, params, dt=0.04),
+    lambda state, grid, params: assemble_hibler(state, grid, params),
+    lambda state, grid, params: assemble_A0(Equilibrium(1.0, 0.8), grid, params),
+], ids=["A", "I + dt A", "velocity block", "A0"])
+def test_an_overflowed_edge_coefficient_still_fails(assemble, monkeypatch):
+    # the interior weight zeroes the velocity rows of edge nodes, but inf * 0
+    # is NaN: an overflowed coefficient at an edge node must still reach an
+    # entry, here the d_xx row of node (i, j) = (4, 0)
+    def overflowed(*args):
+        coeff = coefficient_tensor(*args)
+        coeff[..., 0, 4] = np.inf
+        return coeff
+
+    monkeypatch.setattr(operators, "coefficient_tensor", overflowed)
+    grid = Grid(9, 9)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            InvalidStateError, match=NON_FINITE_OPERATOR):
+        assemble(states(grid)["moving"], grid, scaled_params())
 
 
 def refuse_gmres(monkeypatch, limit):
