@@ -48,7 +48,7 @@ from .io_formats import (
 from .operators import assemble_coupled
 from .params import VpiceError
 # pressure is unused here; perfbench/spans.py traces this binding
-from .rheology import pressure, sample_state
+from .rheology import pressure
 from .stability import (
     assemble_A0,
     check_dense_budget,
@@ -60,9 +60,10 @@ from .stability import (
     spectrum_passes,
 )
 from .symbols import (
-    RootBalanceError,
+    LSProbe,
     ellipticity_report,
     lopatinskii_shapiro_check,
+    sample_ellipticity_states,
     sample_ls_probe,
 )
 from .selftest import run_selftest
@@ -82,59 +83,62 @@ def _prepare_output(cfg: RunConfig) -> str:
 
 
 def _probe_report(cfg: RunConfig, name: str, title: str, header: tuple,
-                  probe: Callable) -> int:
+                  check: Callable) -> int:
     """Write experiment.n_samples rows of a probe command to the CSV
     ``name``, list it in the manifest and return exit 1 if a sample fails.
-    ``probe(index, rng, params)`` draws and checks one sample and returns
-    its row after the id, or None for no row, and whether it passes."""
+    ``check(rng, params, n)`` draws the n samples one at a time, checks them
+    in one call and returns the row columns after the id (arrays over the
+    samples, or values all rows share), whether each sample passes and
+    whether it has a row."""
     params = cfg.rheology_params()
     rng = np.random.default_rng(cfg["experiment.seed"])
+    n = cfg["experiment.n_samples"]
     directory = _prepare_output(cfg)
     path = os.path.join(directory, name)
-    violated = False
     with CsvWriter(path, ("id",) + header) as writer:
-        for index in range(cfg["experiment.n_samples"]):
-            row, passes = probe(index, rng, params)
-            if row is not None:
-                writer((index,) + row)
-            violated = violated or not passes
+        columns, passes, has_row = check(rng, params, n)
+        has_row, *columns = np.broadcast_arrays(has_row, np.arange(n),
+                                                *columns)
+        writer.write_columns(*(column[has_row].tolist() for column in columns))
     write_manifest(directory, [(name, "csv")], cfg.echo())
     print(f"{title}: {path}")
-    return 1 if violated else 0
+    return 0 if np.all(passes) else 1
 
 
 def cmd_symbol(cfg: RunConfig) -> int:
-    def probe(index, rng, params):
-        eps, h, a, p = sample_state(rng, params, cfg["equilibrium.h_star"])
-        report = ellipticity_report(eps, p, params, n_samples=8,
-                                    seed=int(rng.integers(1 << 31)))
+    def check(rng, params, n):
+        eps, h, a, p, seed = sample_ellipticity_states(
+            rng, params, n, cfg["equilibrium.h_star"])
+        report = ellipticity_report(eps, p, params, n_samples=8, seed=seed)
         return ((eps.e11, eps.e12, eps.e22, h, a, p, report.min_eigenvalue,
                  report.min_coercivity_margin, report.relative_margin),
-                report.passes)
+                report.passes, True)
 
     return _probe_report(cfg, "symbol_report.csv", "symbol report", (
         "e11", "e12", "e22", "h", "a", "p", "min_eigenvalue",
-        "coercivity_margin", "relative_margin"), probe)
+        "coercivity_margin", "relative_margin"), check)
 
 
 def cmd_ls_check(cfg: RunConfig) -> int:
-    def probe(index, rng, params):
-        sample, theta = sample_ls_probe(rng, params,
-                                        cfg["experiment.lambda_re_min"],
-                                        cfg["equilibrium.h_star"])
-        try:
-            result = lopatinskii_shapiro_check(sample, params)
-        except RootBalanceError as exc:
-            print(f"probe {index}: {exc}", file=sys.stderr)
-            return None, False
-        return ((sample.eps.e11, sample.eps.e12, sample.eps.e22, sample.p,
-                 theta, sample.lam.real, sample.lam.imag,
-                 len(result.stable_roots), len(result.unstable_roots),
-                 result.s_min, result.s_max, result.margin), result.passes)
+    def check(rng, params, n):
+        probes, theta = zip(*(
+            sample_ls_probe(rng, params, cfg["experiment.lambda_re_min"],
+                            cfg["equilibrium.h_star"]) for _ in range(n)))
+        probe = LSProbe.stack(probes)
+        result = lopatinskii_shapiro_check(probe, params)
+        has_row = np.equal(result.failure, None)
+        for index in np.flatnonzero(~has_row):
+            print(f"probe {index}: {result.failure[index]}", file=sys.stderr)
+        return ((probe.eps.e11, probe.eps.e12, probe.eps.e22, probe.p, theta,
+                 probe.lam.real, probe.lam.imag,
+                 np.shape(result.stable_roots)[-1],
+                 np.shape(result.unstable_roots)[-1],
+                 result.s_min, result.s_max, result.margin),
+                result.passes, has_row)
 
     return _probe_report(cfg, "ls_report.csv", "boundary-condition report", (
         "e11", "e12", "e22", "p", "theta", "lambda_re", "lambda_im",
-        "n_stable", "n_unstable", "s_min", "s_max", "margin"), probe)
+        "n_stable", "n_unstable", "s_min", "s_max", "margin"), check)
 
 
 def cmd_spectrum(cfg: RunConfig, dump_matrix=None) -> int:

@@ -234,8 +234,7 @@ def strain_rate_field(fields: FieldSet) -> StrainRate:
     second-order at boundary nodes.
     """
     g = fields.grid
-    du1_dx = np.gradient(fields.u1, g.dx, axis=1, edge_order=2)
-    du1_dy = np.gradient(fields.u1, g.dy, axis=0, edge_order=2)
-    du2_dx = np.gradient(fields.u2, g.dx, axis=1, edge_order=2)
-    du2_dy = np.gradient(fields.u2, g.dy, axis=0, edge_order=2)
+    # both components in one call: the same differences, element by element
+    (du1_dy, du2_dy), (du1_dx, du2_dx) = np.gradient(
+        np.stack([fields.u1, fields.u2]), g.dy, g.dx, axis=(1, 2), edge_order=2)
     return StrainRate(e11=du1_dx, e12=0.5 * (du1_dy + du2_dx), e22=du2_dy)

@@ -77,6 +77,12 @@ class StrainRate:
         """Dense (..., 2, 2) representation."""
         return _symmetric_matrix(self.e11, self.e12, self.e22)
 
+    @classmethod
+    def stack(cls, rates) -> "StrainRate":
+        """Scalar strain rates as one of (K,) entries, in their order."""
+        return cls(*(np.array([getattr(rate, name) for rate in rates],
+                              dtype=float) for name in ("e11", "e12", "e22")))
+
 
 @dataclass(frozen=True)
 class Stress2x2:
@@ -148,7 +154,10 @@ def delta_sq(eps: StrainRate, params: RheologyParams):
     Equals the quadratic form eps^T S eps; nonnegative.
     """
     q = 1.0 / params.e**2
-    return eps.eps_i**2 + q * (eps.eps_ii**2 + 4.0 * eps.eps_iii**2)
+    # squares as products: a scalar ** goes through libm pow, whose last bit
+    # differs from x * x, so a state and a stack of states would round apart
+    eps_i, eps_ii, eps_iii = eps.eps_i, eps.eps_ii, eps.eps_iii
+    return eps_i * eps_i + q * (eps_ii * eps_ii + 4.0 * (eps_iii * eps_iii))
 
 
 def delta_reg(eps: StrainRate, params: RheologyParams):
@@ -245,7 +254,7 @@ def coefficient_tensor(eps: StrainRate, p, params: RheologyParams) -> np.ndarray
     rank_one = np.einsum("ik...,jl...->ijkl...", se_mat, se_mat)
     s_full = s_tensor(params).reshape((2, 2, 2, 2) + (1,) * np.ndim(dreg))
     scale = np.asarray(p, dtype=float) / (2.0 * dreg)
-    return scale * (s_full - rank_one / dreg**2)
+    return scale * (s_full - rank_one / (dreg * dreg))
 
 
 def coercivity_lower_bound(eps: StrainRate, p, params: RheologyParams):
@@ -255,7 +264,7 @@ def coercivity_lower_bound(eps: StrainRate, p, params: RheologyParams):
     (P / (2 Delta_delta^3)) * delta * Delta^2(d).
     """
     dreg = delta_reg(eps, params)
-    return np.asarray(p, dtype=float) / (2.0 * dreg**3)
+    return np.asarray(p, dtype=float) / (2.0 * (dreg * dreg * dreg))
 
 
 def _stress_part_general(m: np.ndarray, p, params: RheologyParams) -> np.ndarray:

@@ -28,9 +28,11 @@ from .rheology import (
     stress_sigma_delta,
 )
 from .symbols import (
+    LSProbe,
     boundary_form_check,
     ellipticity_report,
     lopatinskii_shapiro_check,
+    sample_ellipticity_states,
     sample_ls_probe,
 )
 
@@ -92,16 +94,12 @@ def jacobian_suite(seed=1, n=25, params: RheologyParams | None = None):
 
 def ellipticity_suite():
     params = scaled_params()
-    rng = np.random.default_rng(2)
-    reports = []
-    for _ in range(10):
-        eps, _, _, p = sample_state(rng, params)
-        reports.append(ellipticity_report(eps, p, params, n_samples=20,
-                                          seed=int(rng.integers(1 << 31))))
-    worst_eig = min(r.min_eigenvalue for r in reports)
-    worst_margin = min(r.relative_margin for r in reports)
-    return (all(r.passes for r in reports),
-            f"min eigenvalue {worst_eig:.3e}, margin {worst_margin:.2e}")
+    eps, _, _, p, seed = sample_ellipticity_states(np.random.default_rng(2),
+                                                   params, 10)
+    report = ellipticity_report(eps, p, params, n_samples=20, seed=seed)
+    return (bool(np.all(report.passes)),
+            f"min eigenvalue {np.min(report.min_eigenvalue):.3e}, "
+            f"margin {np.min(report.relative_margin):.2e}")
 
 
 def boundary_form_suite():
@@ -113,12 +111,19 @@ def boundary_form_suite():
 
 
 def ls_suite(seed=4, n=100, params: RheologyParams | None = None):
+    """The first failed probe fails the suite with its RootBalanceError's
+    message."""
     params = params or scaled_params()
     rng = np.random.default_rng(seed)
-    results = [lopatinskii_shapiro_check(sample_ls_probe(rng, params)[0], params)
-               for _ in range(n)]
-    worst = min((r.s_min / max(r.s_max, 1e-300) for r in results), default=np.inf)
-    return all(r.passes for r in results), f"worst s_min/s_max {worst:.2e}"
+    result = lopatinskii_shapiro_check(
+        LSProbe.stack([sample_ls_probe(rng, params)[0] for _ in range(n)]),
+        params)
+    failed = [failure for failure in result.failure if failure is not None]
+    if failed:
+        return False, str(failed[0])
+    worst = np.min(result.s_min / np.maximum(result.s_max, 1e-300),
+                   initial=np.inf)
+    return bool(np.all(result.passes)), f"worst s_min/s_max {worst:.2e}"
 
 
 def operator_suite():

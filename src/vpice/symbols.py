@@ -25,6 +25,12 @@ One ordered complex Schur form of the companion linearization gives both
 the roots, on its diagonal, and the stable invariant subspace, spanned by
 its leading columns including generalized eigendirections, so multiple
 stable roots need no special case.
+
+``ellipticity_report`` and ``lopatinskii_shapiro_check`` take one state or
+a stack of K states with a leading sample axis, and one state is checked as
+a stack of one: entry k of a stack's report is, bit for bit, the report of
+state k alone.  Only each state's draws and each probe's ordered Schur form
+are computed one at a time.
 """
 
 from __future__ import annotations
@@ -60,7 +66,11 @@ class RootBalanceError(VpiceError):
 
 @dataclass(frozen=True)
 class LSProbe:
-    """One boundary-condition probe: orthonormal (xi, nu), Re lambda >= 0."""
+    """Boundary-condition probes: orthonormal (xi, nu), Re lambda >= 0.
+
+    One probe has xi, nu of shape (2,) and scalar lam, eps entries and p; a
+    stack of K probes (``stack``) puts a leading axis of length K on each.
+    """
 
     xi: np.ndarray
     nu: np.ndarray
@@ -68,28 +78,39 @@ class LSProbe:
     eps: StrainRate
     p: float
 
+    @classmethod
+    def stack(cls, probes) -> "LSProbe":
+        """The probes as one stack, in their order."""
+        return cls(np.array([probe.xi for probe in probes]),
+                   np.array([probe.nu for probe in probes]),
+                   np.array([probe.lam for probe in probes], dtype=complex),
+                   StrainRate.stack([probe.eps for probe in probes]),
+                   np.array([probe.p for probe in probes]))
+
     def validate(self):
-        xi = np.asarray(self.xi, dtype=float)
-        nu = np.asarray(self.nu, dtype=float)
-        if (abs(np.dot(xi, xi) - 1.0) > PROBE_TOL
-                or abs(np.dot(nu, nu) - 1.0) > PROBE_TOL):
+        xi = np.reshape(self.xi, (-1, 2)).astype(float)
+        nu = np.reshape(self.nu, (-1, 2)).astype(float)
+        if (np.any(np.abs(np.sum(xi * xi, axis=-1) - 1.0) > PROBE_TOL)
+                or np.any(np.abs(np.sum(nu * nu, axis=-1) - 1.0) > PROBE_TOL)):
             raise ValueError("probe directions must be unit vectors")
-        if abs(np.dot(xi, nu)) > PROBE_TOL:
+        if np.any(np.abs(np.sum(xi * nu, axis=-1)) > PROBE_TOL):
             raise ValueError("tangent and normal must be orthogonal")
 
 
 @dataclass(frozen=True)
 class EllipticityReport:
+    """One state's report, or a stack's: then each float is a (K,) array."""
+
     min_eigenvalue: float
     min_coercivity_margin: float  # min of form - bound
     relative_margin: float  # min_coercivity_margin / max(|bound|, 1e-300)
     max_hermitian_defect: float
-    n_samples: int
+    n_samples: int  # per state
 
     @property
     def passes(self) -> bool:
-        return (self.min_eigenvalue > 0.0
-                and self.relative_margin >= COERCIVITY_MARGIN_MIN)
+        return ((self.min_eigenvalue > 0.0)
+                & (self.relative_margin >= COERCIVITY_MARGIN_MIN))
 
 
 @dataclass(frozen=True)
@@ -107,10 +128,15 @@ class BoundaryFormReport:
 
 @dataclass(frozen=True)
 class LSResult:
+    """One probe's result, or a stack's: then each field has a leading axis
+    of length K.  A probe that fails holds its RootBalanceError in
+    ``failure`` and NaN everywhere else."""
+
     s_min: float
     s_max: float
     stable_roots: np.ndarray = field(repr=False)
     unstable_roots: np.ndarray = field(repr=False)
+    failure: RootBalanceError | None = None
 
     @property
     def margin(self) -> float:
@@ -151,27 +177,64 @@ def _draw_samples(rng, n_samples: int, n_vectors: int) -> tuple:
     return xi, normals[:, 0] + 1j * normals[:, 1]
 
 
+def _stack_of_states(eps: StrainRate, p) -> tuple:
+    """The shape of the states, () for one, and eps and p as (K,) stacks."""
+    values = np.broadcast_arrays(eps.e11, eps.e12, eps.e22, p)
+    e11, e12, e22, p = (np.asarray(x, dtype=float).reshape(-1) for x in values)
+    return values[0].shape, StrainRate(e11, e12, e22), p
+
+
+def _unstack(values: np.ndarray, shape: tuple):
+    """A (K, ...) result back in the shape of the states: a float, or a
+    trailing-axes array, for one state."""
+    return values.reshape(shape + values.shape[1:])[()]
+
+
+def sample_ellipticity_states(rng, params: RheologyParams, n: int,
+                              h_star: float = 1.0) -> tuple:
+    """n ``sample_state`` draws, each followed by the seed of its
+    ``ellipticity_report``: (eps, h, a, p, seed), each stacked over the n
+    states."""
+    draws = [sample_state(rng, params, h_star) + (int(rng.integers(1 << 31)),)
+             for _ in range(n)]
+    eps, h, a, p, seed = zip(*draws)
+    return (StrainRate.stack(eps),
+            *(np.array(column) for column in (h, a, p, seed)))
+
+
 def ellipticity_report(eps: StrainRate, p, params: RheologyParams,
-                       n_samples: int, seed: int = 0) -> EllipticityReport:
-    """Sample unit frequencies and unit complex vectors at one frozen state.
+                       n_samples: int, seed=0) -> EllipticityReport:
+    """Sample unit frequencies and unit complex vectors at frozen states.
 
     Checks that the symbol is real symmetric with positive eigenvalues and
     that the quadratic form clears the quantitative lower bound
-    (P / (2 Delta_delta^3)) delta / e^2.  Reductions use min/max only, so the
-    report is independent of evaluation order; a NaN sample makes it NaN.
+    (P / (2 Delta_delta^3)) delta / e^2.  A stack of states takes one seed
+    per state; each state draws its n_samples from its own
+    ``default_rng(seed)``.  Reductions use min/max only, so a report is
+    independent of evaluation order; a NaN sample makes it NaN.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    xi, (eta,) = _draw_samples(np.random.default_rng(seed), n_samples, 1)
+    shape, eps, p = _stack_of_states(eps, p)
+    draws = [_draw_samples(np.random.default_rng(state_seed), n_samples, 1)
+             for state_seed in np.broadcast_to(seed, shape).reshape(-1)]
+    # [state, sample, component]
+    xi = np.array([state_xi for state_xi, _ in draws])
+    eta = np.array([state_eta for _, (state_eta,) in draws])
     eta /= np.linalg.norm(eta, axis=-1, keepdims=True)
-    sym = symbol_polynomial(coefficient_tensor(eps, p, params), xi, xi)
+    # the state axis (K, 1) of a against the (K, n_samples) sample axes
+    sym = symbol_polynomial(coefficient_tensor(eps, p, params)[..., None],
+                            xi, xi)
     bound = coercivity_lower_bound(eps, p, params) * params.delta / params.e**2
-    forms = np.real(np.einsum("ni,nij,nj->n", eta.conj(), sym, eta))
-    min_margin = float((forms - bound).min())
+    forms = np.real(np.einsum("...i,...ij,...j->...", eta.conj(), sym, eta))
+    min_margin = (forms - bound[:, None]).min(axis=-1)
     return EllipticityReport(
-        float(np.linalg.eigvalsh(sym)[:, 0].min()), min_margin,
-        min_margin / max(abs(bound), 1e-300),
-        float(np.abs(sym - sym.swapaxes(-1, -2)).max()), n_samples)
+        _unstack(np.linalg.eigvalsh(sym)[..., 0].min(axis=-1), shape),
+        _unstack(min_margin, shape),
+        _unstack(min_margin / np.maximum(np.abs(bound), 1e-300), shape),
+        _unstack(np.abs(sym - sym.swapaxes(-1, -2)).max(axis=(-3, -2, -1)),
+                 shape),
+        n_samples)
 
 
 def boundary_form(a: np.ndarray, xi, nu, u, v):
@@ -206,29 +269,35 @@ def boundary_form_check(eps: StrainRate, p, params: RheologyParams,
                               n_samples, int(np.sum(conditional)))
 
 
-def _companion_matrix(a: np.ndarray, lam: complex, xi, nu) -> np.ndarray:
-    """First-order linearization of the half-line ODE.
+def _companion_matrix(a: np.ndarray, lam, xi, nu) -> tuple:
+    """First-order linearization of the half-line ODE, and where it fails.
 
     With w(y) = w0 exp(mu y) the ODE reads
     (C0 + mu C1 + mu^2 C2) w0 = 0 where C0 = lambda I + Q(xi, xi),
     C1 = i (Q(xi, nu) + Q(nu, xi)), C2 = -Q(nu, nu).  Q(nu, nu) is positive
-    definite for unit nu, so C2 is invertible; at states where it is not in
-    floating point, or the matrix is not finite, RootBalanceError.
+    definite for unit nu, so C2 is invertible; the mask returned with the
+    (..., 4, 4) matrices marks the probes where it is not in floating point,
+    and their matrices are NaN.  Batched like ``symbol_polynomial``.
     """
-    c0 = lam * np.eye(2) + symbol_polynomial(a, xi, xi)
+    c0 = np.asarray(lam)[..., None, None] * np.eye(2) + symbol_polynomial(
+        a, xi, xi)
     c1 = 1j * (symbol_polynomial(a, xi, nu) + symbol_polynomial(a, nu, xi))
     c2 = -symbol_polynomial(a, nu, nu)
+    singular = np.zeros(c2.shape[:-2], dtype=bool)
     try:
         c2_inv = np.linalg.inv(c2)
-    except np.linalg.LinAlgError as exc:
-        raise RootBalanceError("C2 = -Q(nu, nu) is singular") from exc
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 2] = m[1, 3] = 1.0
-    m[2:, :2] = -c2_inv @ c0
-    m[2:, 2:] = -c2_inv @ c1
-    if not np.isfinite(m).all():
-        raise RootBalanceError("companion matrix is not finite")
-    return m
+    except np.linalg.LinAlgError:  # some C2 is singular: find which
+        c2_inv = np.full_like(c2, np.nan)
+        for index in np.ndindex(singular.shape):
+            try:
+                c2_inv[index] = np.linalg.inv(c2[index])
+            except np.linalg.LinAlgError:
+                singular[index] = True
+    m = np.zeros(c0.shape[:-2] + (4, 4), dtype=complex)
+    m[..., 0, 2] = m[..., 1, 3] = 1.0
+    m[..., 2:, :2] = -c2_inv @ c0
+    m[..., 2:, 2:] = -c2_inv @ c1
+    return m, singular
 
 
 def sample_ls_probe(rng, params: RheologyParams, lambda_re_min: float = 0.0,
@@ -243,41 +312,67 @@ def sample_ls_probe(rng, params: RheologyParams, lambda_re_min: float = 0.0,
 
 
 def lopatinskii_shapiro_check(probe: LSProbe, params: RheologyParams) -> LSResult:
-    """Smallest singular value of the Dirichlet trace on the stable subspace.
+    """Smallest singular value of the Dirichlet trace on the stable subspace,
+    for one probe or a stack of them.
 
-    Raises RootBalanceError if Re lambda < 0 (hypothesis violated) or if the
-    four roots of det(lambda I + A_#(xi + i mu nu)) = 0 do not split cleanly
-    two/two across the imaginary axis (roots with |Re mu| <= SPLIT_TOL |mu|
-    count as a failed split, never as silently classified), or if LAPACK
-    finds no ordered Schur form.
+    A probe fails with a RootBalanceError, kept in its result's ``failure``
+    so that the other probes of a stack are still checked, if Re lambda < 0
+    (hypothesis violated), if C2 is singular or the companion matrix is not
+    finite, if LAPACK finds no ordered Schur form, or if the four roots of
+    det(lambda I + A_#(xi + i mu nu)) = 0 do not split cleanly two/two
+    across the imaginary axis (roots with |Re mu| <= SPLIT_TOL |mu| count as
+    a failed split, never as silently classified).
     """
     probe.validate()
-    if np.real(probe.lam) < 0.0:
-        raise RootBalanceError(
-            f"Re lambda must be >= 0, got lambda = {probe.lam!r}")
-    a = coefficient_tensor(probe.eps, probe.p, params)
-    m = _companion_matrix(a, complex(probe.lam), probe.xi, probe.nu)
-    # the roots on the diagonal, stable first; z's leading columns are an
-    # orthonormal basis of the stable invariant subspace.  The two LAPACK
+    shape, eps, p = _stack_of_states(probe.eps, probe.p)
+    lam = np.asarray(probe.lam, dtype=complex).reshape(-1)
+    m, singular = _companion_matrix(coefficient_tensor(eps, p, params), lam,
+                                    np.reshape(probe.xi, (-1, 2)),
+                                    np.reshape(probe.nu, (-1, 2)))
+    failure = np.full(lam.shape, None, dtype=object)
+
+    def fail(mask, message):
+        for k in np.flatnonzero(mask):
+            if failure[k] is None:
+                failure[k] = RootBalanceError(message(k))
+
+    fail(lam.real < 0.0, lambda k:
+         f"Re lambda must be >= 0, got lambda = {complex(lam[k])!r}")
+    fail(singular, lambda k: "C2 = -Q(nu, nu) is singular")
+    fail(~np.isfinite(m).all(axis=(-2, -1)),
+         lambda k: "companion matrix is not finite")
+    # the roots on the Schur diagonal, stable first; z's leading columns are
+    # an orthonormal basis of the stable invariant subspace.  The LAPACK
     # calls of sla.schur(m, output="complex", sort=...), without its input
-    # checks: m is finite, complex and 4x4, and is not read again.
-    lwork = int(sla.lapack.zgees(lambda x: None, m, lwork=-1)[-2][0].real)
-    t, _, _, z, _, info = sla.lapack.zgees(
-        lambda x: x.real < 0.0, m, lwork=lwork, overwrite_a=True, sort_t=1)
-    if info:
-        raise RootBalanceError(f"no ordered Schur form (zgees info {info})")
-    roots = t.diagonal()
-    mags = np.abs(roots)
-    on_axis = np.abs(roots.real) <= SPLIT_TOL * np.maximum(mags, 1e-300)
-    if on_axis.any():
-        raise RootBalanceError(
-            f"roots too close to the imaginary axis: {roots!r}")
-    stable = roots[roots.real < 0.0]
-    unstable = roots[roots.real > 0.0]
-    if len(stable) != 2 or len(unstable) != 2:
-        raise RootBalanceError(
-            f"stable/unstable split is {len(stable)}/{len(unstable)}, "
-            f"roots {roots!r}")
-    svals = np.linalg.svd(z[:2, :2], compute_uv=False)
-    return LSResult(float(svals[-1]), float(svals[0]),
-                    np.sort(stable), np.sort(unstable))
+    # checks (m is finite, complex and 4x4) and with one workspace query
+    roots = np.full(lam.shape + (4,), np.nan, dtype=complex)
+    trace = np.full(lam.shape + (2, 2), np.nan, dtype=complex)
+    lwork = int(sla.lapack.zgees(lambda x: None, np.eye(4, dtype=complex),
+                                 lwork=-1)[-2][0].real)
+    for k in np.flatnonzero(np.equal(failure, None)):
+        t, _, _, z, _, info = sla.lapack.zgees(
+            lambda x: x.real < 0.0, m[k], lwork=lwork, overwrite_a=True,
+            sort_t=1)
+        if info:
+            failure[k] = RootBalanceError(
+                f"no ordered Schur form (zgees info {info})")
+        else:
+            roots[k], trace[k] = t.diagonal(), z[:2, :2]
+    on_axis = np.abs(roots.real) <= SPLIT_TOL * np.maximum(np.abs(roots), 1e-300)
+    fail(on_axis.any(axis=-1),
+         lambda k: f"roots too close to the imaginary axis: {roots[k]!r}")
+    n_stable = np.sum(roots.real < 0.0, axis=-1)
+    n_unstable = np.sum(roots.real > 0.0, axis=-1)
+    fail((n_stable != 2) | (n_unstable != 2), lambda k:
+         f"stable/unstable split is {n_stable[k]}/{n_unstable[k]}, "
+         f"roots {roots[k]!r}")
+
+    ok = np.equal(failure, None)
+    # sorted by real part first: a 2/2 split puts the stable pair in front
+    roots = np.sort(roots, axis=-1)
+    roots[~ok] = np.nan
+    svals = np.full(lam.shape + (2,), np.nan)
+    svals[ok] = np.linalg.svd(trace[ok], compute_uv=False)
+    return LSResult(_unstack(svals[:, -1], shape), _unstack(svals[:, 0], shape),
+                    _unstack(roots[:, :2], shape), _unstack(roots[:, 2:], shape),
+                    _unstack(failure, shape))

@@ -92,7 +92,8 @@ def test_criterion_3_ellipticity():
 
 def test_criterion_4_lopatinskii_shapiro():
     t0 = time.time()
-    # lopatinskii_shapiro_check raises RootBalanceError on a bad 2/2 split
+    # a probe whose roots do not split 2/2 fails the suite with its
+    # RootBalanceError message
     ok, detail = ls_suite(seed=404, n=1000, params=scaled_params(delta=1e-6))
     report("criterion 4 (boundary condition, 10^3 probes)", ok,
            time.time() - t0, f"every probe split 2/2; {detail}")

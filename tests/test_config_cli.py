@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import vpice
 from vpice.cli import SUBCOMMANDS, dispatch
-from vpice.config import KEYS, ConfigError, RunConfig, parse_config
+from vpice.config import KEYS, ConfigError, RunConfig, load_config, parse_config
 from vpice.dynamics import MAX_STEPS, StepperConfig
 from vpice.grid import FieldSet, Grid
 from vpice.io_formats import (
@@ -610,13 +610,51 @@ def test_symbol_nan_row_exit_1(tmp_path, capsys):
 
 
 def test_ls_check_nan_s_min_exit_1(tmp_path, capsys, monkeypatch):
+    # one NaN s_min in the middle of the stack fails the command
     from vpice import cli
     original = cli.lopatinskii_shapiro_check
-    monkeypatch.setattr(cli, "lopatinskii_shapiro_check", lambda *args:
-                        dataclasses.replace(original(*args), s_min=np.nan))
+
+    def nan_middle(*args):
+        result = original(*args)
+        s_min = result.s_min.copy()
+        s_min[2] = np.nan
+        return dataclasses.replace(result, s_min=s_min)
+
+    monkeypatch.setattr(cli, "lopatinskii_shapiro_check", nan_middle)
     body = SCALED_SNIPPET + f"experiment.output_dir = {tmp_path / 'ls'}\n"
     assert dispatch(["ls-check", write_config(tmp_path, body)]) == 1
     capsys.readouterr()
+    rows = (tmp_path / "ls" / "ls_report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[10] == "nan" for row in rows[:4]] == [
+        False, False, True, False]
+
+
+def test_ls_check_failing_probes_keep_the_other_rows(tmp_path, capsys):
+    # Re lambda >= 1e308 overflows some probes' companion matrices: the
+    # probes are checked as one stack, and its report holds the rows and
+    # stderr lines of the probes checked one at a time
+    from vpice.symbols import lopatinskii_shapiro_check, sample_ls_probe
+    body = scaled_config("experiment.lambda_re_min = 1e308\n"
+                         f"experiment.output_dir = {tmp_path / 'ls'}\n")
+    path = write_config(tmp_path, body)
+    assert dispatch(["ls-check", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    cfg = load_config(path)
+    params = cfg.rheology_params()
+    rng = np.random.default_rng(cfg["experiment.seed"])
+    expected_err, kept, failed = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index in range(cfg["experiment.n_samples"]):
+            probe, _ = sample_ls_probe(rng, params, 1e308, 1.0)
+            result = lopatinskii_shapiro_check(probe, params)
+            (kept if result.failure is None else failed).append(index)
+            if result.failure is not None:
+                expected_err.append(f"probe {index}: {result.failure}")
+    rows = (tmp_path / "ls" / "ls_report.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == kept
+    assert err == expected_err
+    # a failed probe lies between two that keep their rows
+    assert any(kept[0] < index < kept[-1] for index in failed)
 
 
 @pytest.mark.parametrize("assignment", ["rheology.p_star = 1e-308",
@@ -725,10 +763,17 @@ def test_selftest_takes_no_config(tmp_path, capsys):
 
 
 def test_selftest_failing_suite_exit_1_without_traceback(capsys, monkeypatch):
-    def broken(probe, params):
-        raise RootBalanceError("injected root split failure")
+    from vpice import selftest
+    original = selftest.lopatinskii_shapiro_check
 
-    monkeypatch.setattr("vpice.selftest.lopatinskii_shapiro_check", broken)
+    def broken(probes, params):
+        # one probe in the middle of the stack fails to split its roots
+        result = original(probes, params)
+        failure = result.failure.copy()
+        failure[1] = RootBalanceError("injected root split failure")
+        return dataclasses.replace(result, failure=failure)
+
+    monkeypatch.setattr(selftest, "lopatinskii_shapiro_check", broken)
     assert dispatch(["selftest"]) == 1
     out, err = capsys.readouterr()
     lines = out.splitlines()

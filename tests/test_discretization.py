@@ -83,6 +83,24 @@ def test_strain_rate_shear_linear_field():
     np.testing.assert_allclose(eps.e12, 0.5, atol=1e-13)
 
 
+@pytest.mark.parametrize("nx, ny", [(17, 17), (9, 13), (73, 73)])
+def test_strain_rate_is_the_four_gradients_bitwise(nx, ny):
+    # one np.gradient call over both components and both axes takes the
+    # same differences as one call per component and axis
+    g = Grid(nx, ny, 1.0, 1.5)
+    rng = np.random.default_rng(nx * ny)
+    u1, u2 = rng.normal(size=(2, ny, nx))
+    eps = strain_rate_field(FieldSet(g, u1, u2, np.ones_like(u1),
+                                     np.ones_like(u1)))
+    du1_dx = np.gradient(u1, g.dx, axis=1, edge_order=2)
+    du1_dy = np.gradient(u1, g.dy, axis=0, edge_order=2)
+    du2_dx = np.gradient(u2, g.dx, axis=1, edge_order=2)
+    du2_dy = np.gradient(u2, g.dy, axis=0, edge_order=2)
+    np.testing.assert_array_equal(eps.e11, du1_dx)
+    np.testing.assert_array_equal(eps.e12, 0.5 * (du1_dy + du2_dx))
+    np.testing.assert_array_equal(eps.e22, du2_dy)
+
+
 def test_masked_linear_field_exact_away_from_boundary():
     g = Grid(17, 17)
     x, y = g.coords()

@@ -13,6 +13,7 @@ from vpice.rheology import (
     StrainRate,
     coefficient_tensor,
     coercivity_lower_bound,
+    delta_reg,
     pressure,
     sample_state,
 )
@@ -28,6 +29,8 @@ from vpice.symbols import (
     boundary_form_check,
     ellipticity_report,
     lopatinskii_shapiro_check,
+    sample_ellipticity_states,
+    sample_ls_probe,
     symbol_polynomial,
 )
 
@@ -139,12 +142,19 @@ def test_ellipticity_relative_margin_is_margin_over_bound():
                                           (np.nan, False)])
 def test_ellipticity_suite_applies_the_relative_margin(monkeypatch, relative,
                                                        ok):
-    # the pass rule reads the relative margin, whatever the absolute one
+    # the pass rule reads the relative margin, whatever the absolute one,
+    # of every state in the stack
     original = selftest.ellipticity_report
-    monkeypatch.setattr(selftest, "ellipticity_report", lambda *args, **kw:
-                        dataclasses.replace(original(*args, **kw),
-                                            min_coercivity_margin=1.0,
-                                            relative_margin=relative))
+
+    def one_state_off(*args, **kw):
+        report = original(*args, **kw)
+        absolute = report.min_coercivity_margin.copy()
+        margins = report.relative_margin.copy()
+        absolute[3], margins[3] = 1.0, relative
+        return dataclasses.replace(report, min_coercivity_margin=absolute,
+                                   relative_margin=margins)
+
+    monkeypatch.setattr(selftest, "ellipticity_report", one_state_off)
     passed, detail = selftest.ellipticity_suite()
     assert passed == ok
     assert detail.endswith(f"margin {relative:.2e}")
@@ -174,6 +184,43 @@ def test_ellipticity_report_equals_loop_over_single_samples():
                                                          rel=1e-14)
 
 
+def test_stacked_ellipticity_report_is_the_single_state_reports():
+    # a stack of seeded states gives, row for row and bit for bit, the
+    # reports of the single-state calls.  The rheology squares and cubes by
+    # multiplication, so a scalar call rounds as a stacked one; the stack
+    # holds states where libm's pow(x, 2), which a scalar x ** 2 calls,
+    # rounds apart from x * x
+    p = scaled_params()
+    n = 3000
+    eps, _, _, P, seed = sample_ellipticity_states(np.random.default_rng(41),
+                                                   p, n)
+    states = [StrainRate(float(eps.e11[k]), float(eps.e12[k]),
+                         float(eps.e22[k])) for k in range(n)]
+    tensors = coefficient_tensor(eps, P, p)
+    bounds = coercivity_lower_bound(eps, P, p)
+    for k, state in enumerate(states):
+        np.testing.assert_array_equal(
+            coefficient_tensor(state, float(P[k]), p), tensors[..., k])
+        assert coercivity_lower_bound(state, float(P[k]), p) == bounds[k]
+    squared = (eps.eps_i, eps.eps_ii, eps.eps_iii, delta_reg(eps, p))
+    pow_apart = [k for k in range(n)
+                 if any(float(np.float64(x[k]) ** 2) != x[k] * x[k]
+                        for x in squared)]
+    assert pow_apart
+    keep = sorted(set(range(12)) | set(pow_apart[:12]))
+    report = ellipticity_report(
+        StrainRate(eps.e11[keep], eps.e12[keep], eps.e22[keep]), P[keep], p,
+        n_samples=16, seed=seed[keep])
+    fields = ("min_eigenvalue", "min_coercivity_margin", "relative_margin",
+              "max_hermitian_defect")
+    for row, k in enumerate(keep):
+        single = ellipticity_report(states[k], float(P[k]), p, n_samples=16,
+                                    seed=int(seed[k]))
+        assert ([getattr(report, name)[row] for name in fields]
+                == [getattr(single, name) for name in fields])
+    assert report.n_samples == 16 and np.all(report.passes)
+
+
 @pytest.mark.parametrize("report, ok", [
     (EllipticityReport(1.0, 0.0, 0.0, 0.0, 1), True),
     (EllipticityReport(0.0, 0.0, 0.0, 0.0, 1), False),
@@ -199,9 +246,16 @@ def test_ls_result_margin():
 
 
 def test_ls_suite_fails_on_nan_s_min(monkeypatch):
+    # one NaN in the middle of the stack fails the suite
     original = selftest.lopatinskii_shapiro_check
-    monkeypatch.setattr(selftest, "lopatinskii_shapiro_check", lambda *args:
-                        dataclasses.replace(original(*args), s_min=np.nan))
+
+    def nan_middle(*args):
+        result = original(*args)
+        s_min = result.s_min.copy()
+        s_min[1] = np.nan
+        return dataclasses.replace(result, s_min=s_min)
+
+    monkeypatch.setattr(selftest, "lopatinskii_shapiro_check", nan_middle)
     passed, _ = selftest.ls_suite(n=3)
     assert not passed
 
@@ -312,10 +366,13 @@ def test_ls_constant_coefficients_axis_probe():
 
 
 def test_ls_rejects_negative_real_part():
+    # the probe fails with a RootBalanceError, kept in its result
     p = scaled_params()
     probe = probe_at(0.4, -1.0 + 0.0j, StrainRate(0.0, 0.0, 0.0), 1.0)
-    with pytest.raises(RootBalanceError):
-        lopatinskii_shapiro_check(probe, p)
+    result = lopatinskii_shapiro_check(probe, p)
+    assert isinstance(result.failure, RootBalanceError)
+    assert str(result.failure).startswith("Re lambda must be >= 0")
+    assert np.isnan(result.s_min) and not result.passes
 
 
 def test_ls_detects_roots_on_axis():
@@ -328,7 +385,9 @@ def test_ls_detects_roots_on_axis():
     from vpice.symbols import _companion_matrix
     a = coefficient_tensor(eps0, P, p)
     # mu = 0 root: det(lam I + A(xi)) = 0 at lam = -1.25 (or -0.25)
-    m = _companion_matrix(a, -0.25 + 0.0j, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    m, singular = _companion_matrix(a, -0.25 + 0.0j, np.array([1.0, 0.0]),
+                                    np.array([0.0, 1.0]))
+    assert not singular
     roots = np.linalg.eigvals(m)
     on_axis = np.abs(roots.real) <= 1e-9 * np.maximum(np.abs(roots), 1e-300)
     assert np.any(on_axis)
@@ -337,7 +396,7 @@ def test_ls_detects_roots_on_axis():
 def test_ls_check_is_the_ordered_schur_form_of_the_block_companion():
     # the reference: the companion matrix stacked from its blocks and
     # scipy's ordered complex Schur form; the check must match it bit for bit
-    from vpice.symbols import _companion_matrix, sample_ls_probe
+    from vpice.symbols import _companion_matrix
     p = scaled_params()
     rng = np.random.default_rng(21)
     for _ in range(100):
@@ -349,7 +408,9 @@ def test_ls_check_is_the_ordered_schur_form_of_the_block_companion():
         c2_inv = np.linalg.inv(-symbol_polynomial(a, nu, nu))
         m = np.vstack([np.hstack([np.zeros((2, 2)), np.eye(2)]),
                        np.hstack([-c2_inv @ c0, -c2_inv @ c1])]).astype(complex)
-        np.testing.assert_array_equal(_companion_matrix(a, lam, xi, nu), m)
+        got, singular = _companion_matrix(a, lam, xi, nu)
+        assert not singular
+        np.testing.assert_array_equal(got, m)
         t, z, _ = sla.schur(m, output="complex", sort=lambda x: x.real < 0.0)
         roots = np.diag(t)
         svals = np.linalg.svd(z[:2, :2], compute_uv=False)
@@ -359,6 +420,27 @@ def test_ls_check_is_the_ordered_schur_form_of_the_block_companion():
             result.stable_roots, np.sort_complex(roots[roots.real < 0.0]))
         np.testing.assert_array_equal(
             result.unstable_roots, np.sort_complex(roots[roots.real > 0.0]))
+
+
+def test_stacked_ls_check_is_the_single_probe_results():
+    # probes that fail in the middle of a stack keep their RootBalanceError
+    # and leave the other results as the probes give them alone
+    p = scaled_params()
+    rng = np.random.default_rng(43)
+    probes = [sample_ls_probe(rng, p)[0] for _ in range(9)]
+    probes[4] = dataclasses.replace(probes[4], lam=-1.0 + 0.5j)
+    probes[6] = dataclasses.replace(probes[6], p=0.0)  # C2 = 0
+    stacked = lopatinskii_shapiro_check(LSProbe.stack(probes), p)
+    for k, probe in enumerate(probes):
+        single = lopatinskii_shapiro_check(probe, p)
+        for name in ("s_min", "s_max", "stable_roots", "unstable_roots"):
+            np.testing.assert_array_equal(getattr(stacked, name)[k],
+                                          getattr(single, name))
+        assert str(stacked.failure[k]) == str(single.failure)
+    assert [k for k, failure in enumerate(stacked.failure)
+            if failure is not None] == [4, 6]
+    assert str(stacked.failure[6]) == "C2 = -Q(nu, nu) is singular"
+    assert list(stacked.passes) == [k not in (4, 6) for k in range(9)]
 
 
 def test_ls_degenerate_lambda_zero_allowed():
