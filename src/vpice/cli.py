@@ -60,11 +60,10 @@ from .stability import (
     spectrum_passes,
 )
 from .symbols import (
-    LSProbe,
     ellipticity_report,
     lopatinskii_shapiro_check,
     sample_ellipticity_states,
-    sample_ls_probe,
+    sample_ls_probes,
 )
 from .selftest import run_selftest
 
@@ -86,7 +85,7 @@ def _probe_report(cfg: RunConfig, name: str, title: str, header: tuple,
                   check: Callable) -> int:
     """Write experiment.n_samples rows of a probe command to the CSV
     ``name``, list it in the manifest and return exit 1 if a sample fails.
-    ``check(rng, params, n)`` draws the n samples one at a time, checks them
+    ``check(rng, params, n)`` draws the n samples as one stack, checks them
     in one call and returns the row columns after the id (arrays over the
     samples, or values all rows share), whether each sample passes and
     whether it has a row."""
@@ -121,10 +120,9 @@ def cmd_symbol(cfg: RunConfig) -> int:
 
 def cmd_ls_check(cfg: RunConfig) -> int:
     def check(rng, params, n):
-        probes, theta = zip(*(
-            sample_ls_probe(rng, params, cfg["experiment.lambda_re_min"],
-                            cfg["equilibrium.h_star"]) for _ in range(n)))
-        probe = LSProbe.stack(probes)
+        probe, theta = sample_ls_probes(rng, params, n,
+                                        cfg["experiment.lambda_re_min"],
+                                        cfg["equilibrium.h_star"])
         result = lopatinskii_shapiro_check(probe, params)
         has_row = np.equal(result.failure, None)
         for index in np.flatnonzero(~has_row):

@@ -77,12 +77,6 @@ class StrainRate:
         """Dense (..., 2, 2) representation."""
         return _symmetric_matrix(self.e11, self.e12, self.e22)
 
-    @classmethod
-    def stack(cls, rates) -> "StrainRate":
-        """Scalar strain rates as one of (K,) entries, in their order."""
-        return cls(*(np.array([getattr(rate, name) for rate in rates],
-                              dtype=float) for name in ("e11", "e12", "e22")))
-
 
 @dataclass(frozen=True)
 class Stress2x2:
@@ -202,6 +196,24 @@ def sample_state(rng, params: RheologyParams, h_star: float = 1.0, size=None):
     a = rng.uniform(0.0, 1.0, size)
     p = pressure(h, a, params)
     return eps, h, a, float(p) if size is None else p
+
+
+def sample_states(rng, params: RheologyParams, n: int, h_star: float, then):
+    """n ``sample_state`` draws in the stream order of n scalar calls, each
+    followed by the draws of ``then(rng)``: (eps, h, a, P, extra) with eps,
+    h, a and P stacked over the states, P from one ``pressure`` call, and
+    extra the list of the n ``then`` results."""
+    eps = np.empty((3, n))
+    h = np.empty(n)
+    a = np.empty(n)
+    extra = []
+    low, high = 0.5 * h_star, 2.0 * h_star
+    for k in range(n):
+        eps[:, k] = rng.normal(size=3)
+        h[k] = rng.uniform(low, high)
+        a[k] = rng.uniform(0.0, 1.0)
+        extra.append(then(rng))
+    return StrainRate(*eps), h, a, pressure(h, a, params), extra
 
 
 def viscosities(eps: StrainRate, p, params: RheologyParams):

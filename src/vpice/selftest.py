@@ -28,12 +28,11 @@ from .rheology import (
     stress_sigma_delta,
 )
 from .symbols import (
-    LSProbe,
     boundary_form_check,
     ellipticity_report,
     lopatinskii_shapiro_check,
     sample_ellipticity_states,
-    sample_ls_probe,
+    sample_ls_probes,
 )
 
 SYMMETRY_PERMS = ((1, 0, 3, 2), (2, 3, 0, 1), (2, 1, 0, 3),
@@ -114,10 +113,8 @@ def ls_suite(seed=4, n=100, params: RheologyParams | None = None):
     """The first failed probe fails the suite with its RootBalanceError's
     message."""
     params = params or scaled_params()
-    rng = np.random.default_rng(seed)
-    result = lopatinskii_shapiro_check(
-        LSProbe.stack([sample_ls_probe(rng, params)[0] for _ in range(n)]),
-        params)
+    probe, _ = sample_ls_probes(np.random.default_rng(seed), params, n)
+    result = lopatinskii_shapiro_check(probe, params)
     failed = [failure for failure in result.failure if failure is not None]
     if failed:
         return False, str(failed[0])

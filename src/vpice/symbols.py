@@ -29,8 +29,10 @@ stable roots need no special case.
 ``ellipticity_report`` and ``lopatinskii_shapiro_check`` take one state or
 a stack of K states with a leading sample axis, and one state is checked as
 a stack of one: entry k of a stack's report is, bit for bit, the report of
-state k alone.  Only each state's draws and each probe's ordered Schur form
-are computed one at a time.
+state k alone.  The samplers draw a whole stack in one loop of generator
+calls, in the stream order of one-at-a-time draws, and evaluate everything
+else once on the stack; only each probe's ordered Schur form is computed
+one at a time.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .rheology import (
     StrainRate,
     coefficient_tensor,
     coercivity_lower_bound,
-    sample_state,
+    sample_states,
 )
 
 PROBE_TOL = 1e-12  # unit length and orthogonality of an LSProbe's (xi, nu)
@@ -69,7 +71,7 @@ class LSProbe:
     """Boundary-condition probes: orthonormal (xi, nu), Re lambda >= 0.
 
     One probe has xi, nu of shape (2,) and scalar lam, eps entries and p; a
-    stack of K probes (``stack``) puts a leading axis of length K on each.
+    stack of K probes puts a leading axis of length K on each.
     """
 
     xi: np.ndarray
@@ -77,15 +79,6 @@ class LSProbe:
     lam: complex
     eps: StrainRate
     p: float
-
-    @classmethod
-    def stack(cls, probes) -> "LSProbe":
-        """The probes as one stack, in their order."""
-        return cls(np.array([probe.xi for probe in probes]),
-                   np.array([probe.nu for probe in probes]),
-                   np.array([probe.lam for probe in probes], dtype=complex),
-                   StrainRate.stack([probe.eps for probe in probes]),
-                   np.array([probe.p for probe in probes]))
 
     def validate(self):
         xi = np.reshape(self.xi, (-1, 2)).astype(float)
@@ -157,24 +150,33 @@ def symbol_polynomial(a: np.ndarray, left, right) -> np.ndarray:
     return np.einsum("ijkl...,...k,...l->...ij", a, left, right)
 
 
-def _draw_samples(rng, n_samples: int, n_vectors: int) -> tuple:
-    """Draws one sample at a time: theta on [0, 2 pi), then n_vectors complex
-    normal 2-vectors, each as its real and then its imaginary part.
-    Returns the unit frequencies xi = (cos theta, sin theta) (n, 2) and the
-    vectors (n_vectors, n, 2)."""
-    unit = np.empty(n_samples)
-    # [vector, real/imaginary, sample, component]: one sample's normals in
-    # the order drawn, and each vector's parts C-ordered for the sum below
-    normals = np.empty((n_vectors, 2, n_samples, 2))
-    for index in range(n_samples):
-        unit[index] = rng.random()
-        normals[:, :, index] = rng.normal(size=(n_vectors, 2, 2))
+def _draw_samples(seeds, n_samples: int, n_vectors: int) -> tuple:
+    """Draws each of the K states' samples from its own
+    ``default_rng(seed)``, one sample at a time: theta on [0, 2 pi), then
+    n_vectors complex normal 2-vectors, each as its real and then its
+    imaginary part.  Returns the unit frequencies xi = (cos theta, sin theta)
+    (K, n, 2) and the vectors (n_vectors, K, n, 2)."""
+    seeds = np.reshape(seeds, -1)
+    unit = np.empty((len(seeds), n_samples))
+    # [state, sample, vector, real/imaginary, component]: the normals in the
+    # order drawn.  standard_normal(out=) gives the doubles of
+    # normal(size=), 0 + 1 * z, but for an exact -0.0, which normal makes
+    # +0.0: one draw in about 2**53
+    normals = np.empty((len(seeds), n_samples, n_vectors, 2, 2))
+    for state, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for index in range(n_samples):
+            unit[state, index] = rng.random()
+            rng.standard_normal(out=normals[state, index])
     # rng.uniform(0, 2 pi) is 0 + 2 pi * rng.random(): the same draw and double
     theta = 2.0 * np.pi * unit
-    xi = np.empty((n_samples, 2))
-    xi[:, 0] = np.cos(theta)
-    xi[:, 1] = np.sin(theta)
-    return xi, normals[:, 0] + 1j * normals[:, 1]
+    xi = np.empty(unit.shape + (2,))
+    xi[..., 0] = np.cos(theta)
+    xi[..., 1] = np.sin(theta)
+    normals = normals.transpose(2, 3, 0, 1, 4)
+    # in C order: an einsum's summation order, and so its rounding, can
+    # follow the memory layout
+    return xi, np.ascontiguousarray(normals[:, 0] + 1j * normals[:, 1])
 
 
 def _stack_of_states(eps: StrainRate, p) -> tuple:
@@ -195,11 +197,9 @@ def sample_ellipticity_states(rng, params: RheologyParams, n: int,
     """n ``sample_state`` draws, each followed by the seed of its
     ``ellipticity_report``: (eps, h, a, p, seed), each stacked over the n
     states."""
-    draws = [sample_state(rng, params, h_star) + (int(rng.integers(1 << 31)),)
-             for _ in range(n)]
-    eps, h, a, p, seed = zip(*draws)
-    return (StrainRate.stack(eps),
-            *(np.array(column) for column in (h, a, p, seed)))
+    *state, seed = sample_states(rng, params, n, h_star,
+                                 lambda rng: rng.integers(1 << 31))
+    return (*state, np.array(seed, dtype=np.int64))
 
 
 def ellipticity_report(eps: StrainRate, p, params: RheologyParams,
@@ -216,11 +216,8 @@ def ellipticity_report(eps: StrainRate, p, params: RheologyParams,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     shape, eps, p = _stack_of_states(eps, p)
-    draws = [_draw_samples(np.random.default_rng(state_seed), n_samples, 1)
-             for state_seed in np.broadcast_to(seed, shape).reshape(-1)]
     # [state, sample, component]
-    xi = np.array([state_xi for state_xi, _ in draws])
-    eta = np.array([state_eta for _, (state_eta,) in draws])
+    xi, (eta,) = _draw_samples(np.broadcast_to(seed, shape), n_samples, 1)
     eta /= np.linalg.norm(eta, axis=-1, keepdims=True)
     # the state axis (K, 1) of a against the (K, n_samples) sample axes
     sym = symbol_polynomial(coefficient_tensor(eps, p, params)[..., None],
@@ -257,7 +254,7 @@ def boundary_form_check(eps: StrainRate, p, params: RheologyParams,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    xi, (u, v) = _draw_samples(np.random.default_rng(seed), n_samples, 2)
+    (xi,), ((u,), (v,)) = _draw_samples(seed, n_samples, 2)  # one state
     nu = np.stack([-xi[:, 1], xi[:, 0]], axis=-1)
     forms = boundary_form(coefficient_tensor(eps, p, params), xi, nu, u, v)
     # Im (u | v) with (u | v) = sum u conj(v)
@@ -300,15 +297,26 @@ def _companion_matrix(a: np.ndarray, lam, xi, nu) -> tuple:
     return m, singular
 
 
-def sample_ls_probe(rng, params: RheologyParams, lambda_re_min: float = 0.0,
-                    h_star: float = 1.0):
-    """Random probe at a ``sample_state`` draw, and its tangent angle theta."""
-    eps, _, _, p = sample_state(rng, params, h_star)
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    lam = complex(lambda_re_min + rng.uniform(0.0, 1.0),
-                  rng.uniform(-1.0, 1.0)) * 10 ** rng.uniform(-2, 2)
-    xi = np.array([np.cos(theta), np.sin(theta)])
-    return LSProbe(xi, np.array([-xi[1], xi[0]]), lam, eps, p), theta
+def _probe_draws(rng) -> tuple:
+    """A probe's draws after its state: theta, Re lambda, Im lambda and the
+    exponent of lambda's scale."""
+    return (rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, 1.0),
+            rng.uniform(-1.0, 1.0), rng.uniform(-2, 2))
+
+
+def sample_ls_probes(rng, params: RheologyParams, n: int,
+                     lambda_re_min: float = 0.0, h_star: float = 1.0):
+    """n random probes at ``sample_state`` draws, each followed by its
+    tangent angle theta and its lambda: (stack of the probes, theta)."""
+    eps, _, _, p, draws = sample_states(rng, params, n, h_star, _probe_draws)
+    theta = np.array([draw[0] for draw in draws])
+    # one Python float power per probe: it is libm pow, which numpy's
+    # array power rounds apart from
+    lam = np.array([complex(lambda_re_min + re, im) * 10 ** exponent
+                    for _, re, im, exponent in draws], dtype=complex)
+    xi = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    nu = np.stack([-xi[:, 1], xi[:, 0]], axis=-1)
+    return LSProbe(xi, nu, lam, eps, p), theta
 
 
 def lopatinskii_shapiro_check(probe: LSProbe, params: RheologyParams) -> LSResult:

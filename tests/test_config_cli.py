@@ -633,7 +633,9 @@ def test_ls_check_failing_probes_keep_the_other_rows(tmp_path, capsys):
     # Re lambda >= 1e308 overflows some probes' companion matrices: the
     # probes are checked as one stack, and its report holds the rows and
     # stderr lines of the probes checked one at a time
-    from vpice.symbols import lopatinskii_shapiro_check, sample_ls_probe
+    from vpice.rheology import StrainRate
+    from vpice.symbols import (LSProbe, lopatinskii_shapiro_check,
+                               sample_ls_probes)
     body = scaled_config("experiment.lambda_re_min = 1e308\n"
                          f"experiment.output_dir = {tmp_path / 'ls'}\n")
     path = write_config(tmp_path, body)
@@ -641,15 +643,20 @@ def test_ls_check_failing_probes_keep_the_other_rows(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     cfg = load_config(path)
     params = cfg.rheology_params()
-    rng = np.random.default_rng(cfg["experiment.seed"])
+    probes, _ = sample_ls_probes(np.random.default_rng(cfg["experiment.seed"]),
+                                 params, cfg["experiment.n_samples"], 1e308)
     expected_err, kept, failed = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for index in range(cfg["experiment.n_samples"]):
-            probe, _ = sample_ls_probe(rng, params, 1e308, 1.0)
-            result = lopatinskii_shapiro_check(probe, params)
-            (kept if result.failure is None else failed).append(index)
-            if result.failure is not None:
-                expected_err.append(f"probe {index}: {result.failure}")
+            one = slice(index, index + 1)
+            eps = probes.eps
+            probe = LSProbe(probes.xi[one], probes.nu[one], probes.lam[one],
+                            StrainRate(eps.e11[one], eps.e12[one],
+                                       eps.e22[one]), probes.p[one])
+            failure = lopatinskii_shapiro_check(probe, params).failure[0]
+            (kept if failure is None else failed).append(index)
+            if failure is not None:
+                expected_err.append(f"probe {index}: {failure}")
     rows = (tmp_path / "ls" / "ls_report.csv").read_text().splitlines()[1:]
     assert [int(row.split(",")[0]) for row in rows] == kept
     assert err == expected_err

@@ -25,12 +25,13 @@ from vpice.symbols import (
     LSProbe,
     LSResult,
     RootBalanceError,
+    _draw_samples,
     boundary_form,
     boundary_form_check,
     ellipticity_report,
     lopatinskii_shapiro_check,
     sample_ellipticity_states,
-    sample_ls_probe,
+    sample_ls_probes,
     symbol_polynomial,
 )
 
@@ -44,6 +45,15 @@ def probe_at(theta, lam, eps, p):
     xi = np.array([np.cos(theta), np.sin(theta)])
     nu = np.array([-np.sin(theta), np.cos(theta)])
     return LSProbe(xi=xi, nu=nu, lam=lam, eps=eps, p=p)
+
+
+def probe_of(probes, k):
+    """Probe k of a stack, as one probe."""
+    return LSProbe(probes.xi[k], probes.nu[k], complex(probes.lam[k]),
+                   StrainRate(float(probes.eps.e11[k]),
+                              float(probes.eps.e12[k]),
+                              float(probes.eps.e22[k])),
+                   float(probes.p[k]))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +408,9 @@ def test_ls_check_is_the_ordered_schur_form_of_the_block_companion():
     # scipy's ordered complex Schur form; the check must match it bit for bit
     from vpice.symbols import _companion_matrix
     p = scaled_params()
-    rng = np.random.default_rng(21)
-    for _ in range(100):
-        probe, _ = sample_ls_probe(rng, p, lambda_re_min=0.0)
+    probes, _ = sample_ls_probes(np.random.default_rng(21), p, 100)
+    for k in range(100):
+        probe = probe_of(probes, k)
         a = coefficient_tensor(probe.eps, probe.p, p)
         lam, xi, nu = complex(probe.lam), probe.xi, probe.nu
         c0 = lam * np.eye(2) + symbol_polynomial(a, xi, xi)
@@ -426,13 +436,12 @@ def test_stacked_ls_check_is_the_single_probe_results():
     # probes that fail in the middle of a stack keep their RootBalanceError
     # and leave the other results as the probes give them alone
     p = scaled_params()
-    rng = np.random.default_rng(43)
-    probes = [sample_ls_probe(rng, p)[0] for _ in range(9)]
-    probes[4] = dataclasses.replace(probes[4], lam=-1.0 + 0.5j)
-    probes[6] = dataclasses.replace(probes[6], p=0.0)  # C2 = 0
-    stacked = lopatinskii_shapiro_check(LSProbe.stack(probes), p)
-    for k, probe in enumerate(probes):
-        single = lopatinskii_shapiro_check(probe, p)
+    probes, _ = sample_ls_probes(np.random.default_rng(43), p, 9)
+    probes.lam[4] = -1.0 + 0.5j
+    probes.p[6] = 0.0  # C2 = 0
+    stacked = lopatinskii_shapiro_check(probes, p)
+    for k in range(9):
+        single = lopatinskii_shapiro_check(probe_of(probes, k), p)
         for name in ("s_min", "s_max", "stable_roots", "unstable_roots"):
             np.testing.assert_array_equal(getattr(stacked, name)[k],
                                           getattr(single, name))
@@ -495,3 +504,85 @@ def test_probe_validation():
     with pytest.raises(ValueError):
         LSProbe(xi=np.array([1.0, 0.0]), nu=np.array([1.0, 0.0]),
                 lam=1.0, eps=StrainRate(0, 0, 0), p=1.0).validate()
+
+
+# ---------------------------------------------------------------------------
+# Samplers: one stack, drawn in the stream order of one-at-a-time draws
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("h_star", [1.0, 2.5])
+def test_sample_ellipticity_states_is_the_one_at_a_time_draws(h_star):
+    # each state: sample_state, then its report seed
+    p = scaled_params()
+    rng, ref = np.random.default_rng(51), np.random.default_rng(51)
+    n = 300
+    eps, h, a, P, seed = sample_ellipticity_states(rng, p, n, h_star)
+    for k in range(n):
+        eps_k, h_k, a_k, p_k = sample_state(ref, p, h_star)
+        np.testing.assert_array_equal(
+            [eps.e11[k], eps.e12[k], eps.e22[k], h[k], a[k], P[k], seed[k]],
+            [eps_k.e11, eps_k.e12, eps_k.e22, h_k, a_k, p_k,
+             ref.integers(1 << 31)])
+    assert seed.dtype == np.int64
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("lambda_re_min, h_star",
+                         [(0.0, 1.0), (0.0, 2.5), (1e308, 1.0)])
+def test_sample_ls_probes_is_the_one_at_a_time_draws(lambda_re_min, h_star):
+    # each probe: sample_state, then theta and lambda from Python floats;
+    # the stack's array cos and sin round as the scalar calls do
+    p = scaled_params()
+    rng, ref = np.random.default_rng(53), np.random.default_rng(53)
+    n = 300
+    probes, theta = sample_ls_probes(rng, p, n, lambda_re_min, h_star)
+    for k in range(n):
+        eps, _, _, P = sample_state(ref, p, h_star)
+        theta_k = ref.uniform(0.0, 2.0 * np.pi)
+        lam = complex(lambda_re_min + ref.uniform(0.0, 1.0),
+                      ref.uniform(-1.0, 1.0)) * 10 ** ref.uniform(-2, 2)
+        xi = np.array([np.cos(theta_k), np.sin(theta_k)])
+        probe = probe_of(probes, k)
+        np.testing.assert_array_equal(
+            [probe.eps.e11, probe.eps.e12, probe.eps.e22, probe.p, theta[k]],
+            [eps.e11, eps.e12, eps.e22, P, theta_k])
+        np.testing.assert_array_equal(probe.lam, lam)
+        np.testing.assert_array_equal(probe.xi, xi)
+        np.testing.assert_array_equal(probe.nu, [-xi[1], xi[0]])
+    if lambda_re_min == 1e308:
+        assert np.isinf(probes.lam.real).any()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("params", [scaled_params(), RheologyParams()])
+def test_stacked_pressure_is_the_scalar_pressure(params):
+    # the samplers evaluate P once on the stack of sampled states
+    eps, h, a, P, _ = sample_ellipticity_states(np.random.default_rng(55),
+                                                params, 10_000)
+    np.testing.assert_array_equal(
+        P, [pressure(float(h[k]), float(a[k]), params)
+            for k in range(len(h))])
+
+
+@pytest.mark.parametrize("n_vectors", [1, 2])
+def test_draw_samples_over_seeds_is_the_single_seed_draws(n_vectors):
+    # one seed draws, per sample, rng.uniform(0, 2 pi) and then each
+    # vector's real and imaginary parts as normal(size=2) calls
+    seeds = np.random.default_rng(57).integers(1 << 31, size=12)
+    n_samples = 16
+    xi, vectors = _draw_samples(seeds, n_samples, n_vectors)
+    assert xi.shape == (12, n_samples, 2)
+    assert vectors.shape == (n_vectors, 12, n_samples, 2)
+    for k, seed in enumerate(seeds):
+        xi_k, vectors_k = _draw_samples(seed, n_samples, n_vectors)
+        np.testing.assert_array_equal(xi[k], xi_k[0])
+        np.testing.assert_array_equal(vectors[:, k], vectors_k[:, 0])
+        rng = np.random.default_rng(seed)
+        for index in range(n_samples):
+            theta = rng.uniform(0.0, 2.0 * np.pi)
+            np.testing.assert_array_equal(
+                xi[k, index], [np.cos(theta), np.sin(theta)])
+            for vector in range(n_vectors):
+                real, imag = rng.normal(size=2), rng.normal(size=2)
+                np.testing.assert_array_equal(vectors[vector, k, index],
+                                              real + 1j * imag)
