@@ -48,7 +48,7 @@ from .io_formats import (
 from .operators import assemble_coupled
 from .params import VpiceError
 # pressure is unused here; perfbench/spans.py traces this binding
-from .rheology import pressure
+from .rheology import pressure, sample_state
 from .stability import (
     assemble_A0,
     check_dense_budget,
@@ -62,7 +62,6 @@ from .stability import (
 from .symbols import (
     ellipticity_report,
     lopatinskii_shapiro_check,
-    sample_ellipticity_states,
     sample_ls_probes,
 )
 from .selftest import run_selftest
@@ -106,9 +105,9 @@ def _probe_report(cfg: RunConfig, name: str, title: str, header: tuple,
 
 def cmd_symbol(cfg: RunConfig) -> int:
     def check(rng, params, n):
-        eps, h, a, p, seed = sample_ellipticity_states(
-            rng, params, n, cfg["equilibrium.h_star"])
-        report = ellipticity_report(eps, p, params, n_samples=8, seed=seed)
+        eps, h, a, p = sample_state(rng, params, cfg["equilibrium.h_star"],
+                                    size=n)
+        report = ellipticity_report(eps, p, params, n_samples=8, seed=rng)
         return ((eps.e11, eps.e12, eps.e22, h, a, p, report.min_eigenvalue,
                  report.min_coercivity_margin, report.relative_margin),
                 report.passes, True)

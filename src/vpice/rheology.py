@@ -190,30 +190,13 @@ def pressure_derivatives(h, a, params: RheologyParams):
 def sample_state(rng, params: RheologyParams, h_star: float = 1.0, size=None):
     """Random (eps, h, a, P): normal eps, h uniform on [h*/2, 2 h*], a on [0, 1].
 
-    ``size=n`` draws n states as arrays: all of eps, then all h, then all a."""
+    ``size=n`` draws n states as arrays: all of eps, then all h, then all a,
+    and P is one ``pressure`` call on the stack."""
     eps = StrainRate(*rng.normal(size=3 if size is None else (3, size)))
     h = rng.uniform(0.5 * h_star, 2.0 * h_star, size)
     a = rng.uniform(0.0, 1.0, size)
     p = pressure(h, a, params)
     return eps, h, a, float(p) if size is None else p
-
-
-def sample_states(rng, params: RheologyParams, n: int, h_star: float, then):
-    """n ``sample_state`` draws in the stream order of n scalar calls, each
-    followed by the draws of ``then(rng)``: (eps, h, a, P, extra) with eps,
-    h, a and P stacked over the states, P from one ``pressure`` call, and
-    extra the list of the n ``then`` results."""
-    eps = np.empty((3, n))
-    h = np.empty(n)
-    a = np.empty(n)
-    extra = []
-    low, high = 0.5 * h_star, 2.0 * h_star
-    for k in range(n):
-        eps[:, k] = rng.normal(size=3)
-        h[k] = rng.uniform(low, high)
-        a[k] = rng.uniform(0.0, 1.0)
-        extra.append(then(rng))
-    return StrainRate(*eps), h, a, pressure(h, a, params), extra
 
 
 def viscosities(eps: StrainRate, p, params: RheologyParams):

@@ -31,7 +31,6 @@ from .symbols import (
     boundary_form_check,
     ellipticity_report,
     lopatinskii_shapiro_check,
-    sample_ellipticity_states,
     sample_ls_probes,
 )
 
@@ -93,9 +92,9 @@ def jacobian_suite(seed=1, n=25, params: RheologyParams | None = None):
 
 def ellipticity_suite():
     params = scaled_params()
-    eps, _, _, p, seed = sample_ellipticity_states(np.random.default_rng(2),
-                                                   params, 10)
-    report = ellipticity_report(eps, p, params, n_samples=20, seed=seed)
+    rng = np.random.default_rng(2)
+    eps, _, _, p = sample_state(rng, params, size=10)
+    report = ellipticity_report(eps, p, params, n_samples=20, seed=rng)
     return (bool(np.all(report.passes)),
             f"min eigenvalue {np.min(report.min_eigenvalue):.3e}, "
             f"margin {np.min(report.relative_margin):.2e}")
@@ -103,10 +102,11 @@ def ellipticity_suite():
 
 def boundary_form_suite():
     params = scaled_params()
-    eps, _, _, p = sample_state(np.random.default_rng(3), params)
-    report = boundary_form_check(eps, p, params, n_samples=2000, seed=3)
-    return report.passes, (f"min {report.min_form:.2e}, conditional min "
-                           f"{report.min_conditional_form:.2e}")
+    rng = np.random.default_rng(3)
+    eps, _, _, p = sample_state(rng, params)
+    report = boundary_form_check(eps, p, params, n_samples=2000, seed=rng)
+    return bool(report.passes), (f"min {report.min_form:.2e}, conditional "
+                                 f"min {report.min_conditional_form:.2e}")
 
 
 def ls_suite(seed=4, n=100, params: RheologyParams | None = None):

@@ -26,13 +26,15 @@ the roots, on its diagonal, and the stable invariant subspace, spanned by
 its leading columns including generalized eigendirections, so multiple
 stable roots need no special case.
 
-``ellipticity_report`` and ``lopatinskii_shapiro_check`` take one state or
-a stack of K states with a leading sample axis, and one state is checked as
-a stack of one: entry k of a stack's report is, bit for bit, the report of
-state k alone.  The samplers draw a whole stack in one loop of generator
-calls, in the stream order of one-at-a-time draws, and evaluate everything
-else once on the stack; only each probe's ordered Schur form is computed
-one at a time.
+``ellipticity_report``, ``boundary_form_check`` and
+``lopatinskii_shapiro_check`` take one state or a stack of K states with a
+leading sample axis, and one state is checked as a stack of one.  Rows do
+not interact: entry k of a stack's report depends only on state k and its
+own draws.  Every draw is an array call on one generator, which a
+command shares between its states (``rheology.sample_state(size=K)``) and
+then all of a report's frequencies and all of its vectors, or all of the
+probes' angles and lambdas.  Everything else is evaluated once on the
+stack; only each probe's ordered Schur form is computed one at a time.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .rheology import (
     StrainRate,
     coefficient_tensor,
     coercivity_lower_bound,
-    sample_states,
+    sample_state,
 )
 
 PROBE_TOL = 1e-12  # unit length and orthogonality of an LSProbe's (xi, nu)
@@ -108,15 +110,18 @@ class EllipticityReport:
 
 @dataclass(frozen=True)
 class BoundaryFormReport:
+    """One state's report, or a stack's: then every field but n_samples is
+    a (K,) array."""
+
     min_form: float
-    min_conditional_form: float
-    n_samples: int
+    min_conditional_form: float  # inf when no sample is conditional
+    n_samples: int  # per state
     n_conditional: int
 
     @property
     def passes(self) -> bool:
-        return (self.min_form >= BOUNDARY_FORM_MIN
-                and self.min_conditional_form > 0.0)
+        return ((self.min_form >= BOUNDARY_FORM_MIN)
+                & (self.min_conditional_form > 0.0))
 
 
 @dataclass(frozen=True)
@@ -150,33 +155,16 @@ def symbol_polynomial(a: np.ndarray, left, right) -> np.ndarray:
     return np.einsum("ijkl...,...k,...l->...ij", a, left, right)
 
 
-def _draw_samples(seeds, n_samples: int, n_vectors: int) -> tuple:
-    """Draws each of the K states' samples from its own
-    ``default_rng(seed)``, one sample at a time: theta on [0, 2 pi), then
-    n_vectors complex normal 2-vectors, each as its real and then its
-    imaginary part.  Returns the unit frequencies xi = (cos theta, sin theta)
-    (K, n, 2) and the vectors (n_vectors, K, n, 2)."""
-    seeds = np.reshape(seeds, -1)
-    unit = np.empty((len(seeds), n_samples))
-    # [state, sample, vector, real/imaginary, component]: the normals in the
-    # order drawn.  standard_normal(out=) gives the doubles of
-    # normal(size=), 0 + 1 * z, but for an exact -0.0, which normal makes
-    # +0.0: one draw in about 2**53
-    normals = np.empty((len(seeds), n_samples, n_vectors, 2, 2))
-    for state, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        for index in range(n_samples):
-            unit[state, index] = rng.random()
-            rng.standard_normal(out=normals[state, index])
-    # rng.uniform(0, 2 pi) is 0 + 2 pi * rng.random(): the same draw and double
-    theta = 2.0 * np.pi * unit
-    xi = np.empty(unit.shape + (2,))
-    xi[..., 0] = np.cos(theta)
-    xi[..., 1] = np.sin(theta)
-    normals = normals.transpose(2, 3, 0, 1, 4)
-    # in C order: an einsum's summation order, and so its rounding, can
-    # follow the memory layout
-    return xi, np.ascontiguousarray(normals[:, 0] + 1j * normals[:, 1])
+def _draw_samples(rng, shape: tuple, n_samples: int, n_vectors: int) -> tuple:
+    """n_samples draws for each state of a stack of the given shape: all
+    angles theta on [0, 2 pi), then all n_vectors complex normal 2-vectors,
+    real parts before imaginary parts.  Returns the unit frequencies
+    xi = (cos theta, sin theta) (*shape, n, 2) and the vectors
+    (n_vectors, *shape, n, 2)."""
+    theta = 2.0 * np.pi * rng.random(shape + (n_samples,))
+    normals = rng.standard_normal((n_vectors, 2) + shape + (n_samples, 2))
+    xi = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    return xi, normals[:, 0] + 1j * normals[:, 1]
 
 
 def _stack_of_states(eps: StrainRate, p) -> tuple:
@@ -192,32 +180,24 @@ def _unstack(values: np.ndarray, shape: tuple):
     return values.reshape(shape + values.shape[1:])[()]
 
 
-def sample_ellipticity_states(rng, params: RheologyParams, n: int,
-                              h_star: float = 1.0) -> tuple:
-    """n ``sample_state`` draws, each followed by the seed of its
-    ``ellipticity_report``: (eps, h, a, p, seed), each stacked over the n
-    states."""
-    *state, seed = sample_states(rng, params, n, h_star,
-                                 lambda rng: rng.integers(1 << 31))
-    return (*state, np.array(seed, dtype=np.int64))
-
-
 def ellipticity_report(eps: StrainRate, p, params: RheologyParams,
                        n_samples: int, seed=0) -> EllipticityReport:
     """Sample unit frequencies and unit complex vectors at frozen states.
 
     Checks that the symbol is real symmetric with positive eigenvalues and
     that the quadratic form clears the quantitative lower bound
-    (P / (2 Delta_delta^3)) delta / e^2.  A stack of states takes one seed
-    per state; each state draws its n_samples from its own
-    ``default_rng(seed)``.  Reductions use min/max only, so a report is
-    independent of evaluation order; a NaN sample makes it NaN.
+    (P / (2 Delta_delta^3)) delta / e^2.  ``seed`` is an int or the
+    Generator to draw from (``np.random.default_rng`` passes one through);
+    it draws n_samples for every state of the stack.  Reductions use
+    min/max only, so a report is independent of evaluation order; a NaN
+    sample makes it NaN.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     shape, eps, p = _stack_of_states(eps, p)
     # [state, sample, component]
-    xi, (eta,) = _draw_samples(np.broadcast_to(seed, shape), n_samples, 1)
+    xi, (eta,) = _draw_samples(np.random.default_rng(seed), p.shape,
+                               n_samples, 1)
     eta /= np.linalg.norm(eta, axis=-1, keepdims=True)
     # the state axis (K, 1) of a against the (K, n_samples) sample axes
     sym = symbol_polynomial(coefficient_tensor(eps, p, params)[..., None],
@@ -246,24 +226,30 @@ def boundary_form(a: np.ndarray, xi, nu, u, v):
 
 
 def boundary_form_check(eps: StrainRate, p, params: RheologyParams,
-                        n_samples: int, seed: int = 0) -> BoundaryFormReport:
-    """Worst-case margins of the boundary form over random samples.
+                        n_samples: int, seed=0) -> BoundaryFormReport:
+    """Worst-case margins of the boundary form over random samples, for one
+    state or a stack of them; ``seed`` as in ``ellipticity_report``.
 
     The form must be >= 0 always and strictly positive whenever
     |Im (u | v)| > IM_THRESHOLD |u| |v|.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    (xi,), ((u,), (v,)) = _draw_samples(seed, n_samples, 2)  # one state
-    nu = np.stack([-xi[:, 1], xi[:, 0]], axis=-1)
-    forms = boundary_form(coefficient_tensor(eps, p, params), xi, nu, u, v)
+    shape, eps, p = _stack_of_states(eps, p)
+    # [state, sample, component]
+    xi, (u, v) = _draw_samples(np.random.default_rng(seed), p.shape,
+                               n_samples, 2)
+    nu = np.stack([-xi[..., 1], xi[..., 0]], axis=-1)
+    forms = boundary_form(coefficient_tensor(eps, p, params)[..., None],
+                          xi, nu, u, v)
     # Im (u | v) with (u | v) = sum u conj(v)
     im_uv = np.abs(np.imag(np.sum(u * v.conj(), axis=-1)))
     conditional = im_uv > (IM_THRESHOLD * np.linalg.norm(u, axis=-1)
                            * np.linalg.norm(v, axis=-1))
-    return BoundaryFormReport(float(np.min(forms, initial=np.inf)),
-                              float(np.min(forms[conditional], initial=np.inf)),
-                              n_samples, int(np.sum(conditional)))
+    return BoundaryFormReport(
+        _unstack(forms.min(axis=-1), shape),
+        _unstack(np.where(conditional, forms, np.inf).min(axis=-1), shape),
+        n_samples, _unstack(conditional.sum(axis=-1), shape))
 
 
 def _companion_matrix(a: np.ndarray, lam, xi, nu) -> tuple:
@@ -297,23 +283,17 @@ def _companion_matrix(a: np.ndarray, lam, xi, nu) -> tuple:
     return m, singular
 
 
-def _probe_draws(rng) -> tuple:
-    """A probe's draws after its state: theta, Re lambda, Im lambda and the
-    exponent of lambda's scale."""
-    return (rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, 1.0),
-            rng.uniform(-1.0, 1.0), rng.uniform(-2, 2))
-
-
 def sample_ls_probes(rng, params: RheologyParams, n: int,
                      lambda_re_min: float = 0.0, h_star: float = 1.0):
-    """n random probes at ``sample_state`` draws, each followed by its
-    tangent angle theta and its lambda: (stack of the probes, theta)."""
-    eps, _, _, p, draws = sample_states(rng, params, n, h_star, _probe_draws)
-    theta = np.array([draw[0] for draw in draws])
-    # one Python float power per probe: it is libm pow, which numpy's
-    # array power rounds apart from
-    lam = np.array([complex(lambda_re_min + re, im) * 10 ** exponent
-                    for _, re, im, exponent in draws], dtype=complex)
+    """n random probes at ``sample_state(size=n)`` states, then all tangent
+    angles theta, all Re lambda, Im lambda and exponents of lambda's scale:
+    (stack of the probes, theta)."""
+    eps, _, _, p = sample_state(rng, params, h_star, size=n)
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    re, im = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    scale = 10.0 ** rng.uniform(-2, 2, n)
+    with np.errstate(over="ignore"):  # an infinite lambda fails its probe
+        lam = (lambda_re_min + re + 1j * im) * scale
     xi = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     nu = np.stack([-xi[:, 1], xi[:, 0]], axis=-1)
     return LSProbe(xi, nu, lam, eps, p), theta

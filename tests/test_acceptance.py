@@ -32,12 +32,7 @@ from vpice.stability import (
     spectrum,
     spectrum_passes,
 )
-from vpice.symbols import (
-    IM_THRESHOLD,
-    BoundaryFormReport,
-    boundary_form,
-    symbol_polynomial,
-)
+from vpice.symbols import boundary_form_check, symbol_polynomial
 
 EQ = Equilibrium(1.0, 0.8)
 
@@ -105,23 +100,14 @@ def test_criterion_5_boundary_form():
     rng = np.random.default_rng(505)
     n = 10_000
     eps, _, _, p = sample_state(rng, params, size=n)
-    tensor = coefficient_tensor(eps, p, params)
-    theta = rng.uniform(0.0, 2.0 * np.pi, n)
-    xi = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    nu = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
-    u = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    forms = boundary_form(tensor, xi, nu, u, v)
-    im_uv = np.abs(np.imag(np.einsum("ni,ni->n", u, v.conj())))
-    conditional = im_uv > (IM_THRESHOLD * np.linalg.norm(u, axis=1)
-                           * np.linalg.norm(v, axis=1))
-    rep = BoundaryFormReport(float(np.min(forms)),
-                             float(np.min(forms[conditional])), n,
-                             int(np.sum(conditional)))
-    report("criterion 5 (boundary form, 10^4 samples)", rep.passes,
-           time.time() - t0,
-           f"min form {rep.min_form:.2e}; conditional min "
-           f"{rep.min_conditional_form:.2e} over {rep.n_conditional} samples")
+    # one sample per state
+    rep = boundary_form_check(eps, p, params, n_samples=1, seed=rng)
+    n_conditional = int(np.sum(rep.n_conditional))
+    report("criterion 5 (boundary form, 10^4 samples)",
+           bool(np.all(rep.passes)) and n_conditional > 0, time.time() - t0,
+           f"min form {np.min(rep.min_form):.2e}; conditional min "
+           f"{np.min(rep.min_conditional_form):.2e} over {n_conditional} "
+           f"samples")
 
 
 def test_criterion_6_operator_convergence():

@@ -488,7 +488,10 @@ def test_spectrum_subcommand_outputs(tmp_path, capsys):
     assert "config.grid.nx = 9" in manifest
 
 
-PROBE_LINE = re.compile(r"probe \d+: ")  # ls-check's line per failed probe
+PROBE_LINE = re.compile(r"probe \d+: ")
+# ice strength past the float range at every drawn state: p* h with h >= 2
+P_INF_EVERYWHERE = ("rheology.p_star = 1e308\nrheology.c = 1e-300\n"
+                    "equilibrium.h_star = 4")  # ls-check's line per failed probe
 
 
 def dispatch_cleanly(argv, capfd):
@@ -529,7 +532,9 @@ def dispatch_cleanly(argv, capfd):
     ("simulate", "rheology.d_a = 1e308", 1, True),
     # overflow in the pointwise checks: a report row, or probe lines
     ("symbol", "rheology.delta = 1e308", 0, False),
-    ("symbol", "rheology.p_star = 1e308", 1, False),
+    # P = 1e308 h = inf at every state: h >= 2 and exp(-c (1 - a)) = 1
+    pytest.param("symbol", P_INF_EVERYWHERE, 1, False,
+                 id="symbol-rheology.p_star = 1e308-1-False"),
     ("ls-check", "experiment.lambda_re_min = 1e308", 1, False),
 ])
 def test_extreme_finite_settings_exit_with_one_line(command, assignment, code,
@@ -597,12 +602,30 @@ def test_ls_check_subcommand(tmp_path, capsys):
         assert cells[8] == "2" and cells[9] == "2"
 
 
+@pytest.mark.parametrize("base", ["scaled", "si"])
+def test_probe_commands_pass_over_seeds(base, tmp_path, capsys):
+    # the pass rate across seeds: every sample of 50 seeds passes, on the
+    # desk-scale set and on the SI defaults
+    out = tmp_path / "out"
+    for seed in range(50):
+        body = (f"experiment.seed = {seed}\nexperiment.n_samples = 100\n"
+                f"experiment.output_dir = {out}\n")
+        path = write_config(tmp_path, scaled_config(body)
+                            if base == "scaled" else body)
+        for command, report in (("symbol", "symbol_report.csv"),
+                                ("ls-check", "ls_report.csv")):
+            assert dispatch([command, path]) == 0, (command, seed)
+            rows = (out / report).read_text().splitlines()[1:]
+            assert len(rows) == 100, (command, seed)
+    capsys.readouterr()
+
+
 def test_symbol_nan_row_exit_1(tmp_path, capsys):
     # P = 1e308 h exp(...) overflows: the report rows hold inf and NaN
     out = tmp_path / "symbol"
     path = write_config(tmp_path, "grid.nx = 5\ngrid.ny = 5\n"
                                   "experiment.n_samples = 5\n"
-                                  "rheology.p_star = 1e308\n"
+                                  f"{P_INF_EVERYWHERE}\n"
                                   f"experiment.output_dir = {out}\n")
     assert dispatch(["symbol", path]) == 1
     capsys.readouterr()

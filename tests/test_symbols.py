@@ -25,12 +25,10 @@ from vpice.symbols import (
     LSProbe,
     LSResult,
     RootBalanceError,
-    _draw_samples,
     boundary_form,
     boundary_form_check,
     ellipticity_report,
     lopatinskii_shapiro_check,
-    sample_ellipticity_states,
     sample_ls_probes,
     symbol_polynomial,
 )
@@ -171,17 +169,18 @@ def test_ellipticity_suite_applies_the_relative_margin(monkeypatch, relative,
 
 
 def test_ellipticity_report_equals_loop_over_single_samples():
-    # the same draws, one sample at a time: theta, then the complex vector
+    # the same draws, all angles and then all real and imaginary parts,
+    # evaluated one sample at a time
     p = scaled_params()
     eps, P = StrainRate(0.3, -0.2, 0.1), 1.3
     report = ellipticity_report(eps, P, p, n_samples=50, seed=9)
     rng = np.random.default_rng(9)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, 50)
+    real, imag = rng.standard_normal((2, 50, 2))
     a = coefficient_tensor(eps, P, p)
     eigs, forms, defects = [], [], []
-    for _ in range(50):
-        theta = rng.uniform(0.0, 2.0 * np.pi)
+    for theta, eta in zip(thetas, real + 1j * imag):
         xi = np.array([np.cos(theta), np.sin(theta)])
-        eta = rng.normal(size=2) + 1j * rng.normal(size=2)
         eta /= np.linalg.norm(eta)
         sym = symbol_polynomial(a, xi, xi)
         eigs.append(np.linalg.eigvalsh(sym)[0])
@@ -194,41 +193,64 @@ def test_ellipticity_report_equals_loop_over_single_samples():
                                                          rel=1e-14)
 
 
-def test_stacked_ellipticity_report_is_the_single_state_reports():
-    # a stack of seeded states gives, row for row and bit for bit, the
-    # reports of the single-state calls.  The rheology squares and cubes by
-    # multiplication, so a scalar call rounds as a stacked one; the stack
-    # holds states where libm's pow(x, 2), which a scalar x ** 2 calls,
-    # rounds apart from x * x
+def test_stacked_rheology_is_the_single_state_rheology():
+    # the rheology squares and cubes by multiplication, so a scalar call
+    # rounds as a stacked one; the stack holds states where libm's
+    # pow(x, 2), which a scalar x ** 2 calls, rounds apart from x * x
     p = scaled_params()
     n = 3000
-    eps, _, _, P, seed = sample_ellipticity_states(np.random.default_rng(41),
-                                                   p, n)
-    states = [StrainRate(float(eps.e11[k]), float(eps.e12[k]),
-                         float(eps.e22[k])) for k in range(n)]
+    eps, _, _, P = sample_state(np.random.default_rng(41), p, size=n)
     tensors = coefficient_tensor(eps, P, p)
     bounds = coercivity_lower_bound(eps, P, p)
-    for k, state in enumerate(states):
+    for k in range(n):
+        state = StrainRate(float(eps.e11[k]), float(eps.e12[k]),
+                           float(eps.e22[k]))
         np.testing.assert_array_equal(
             coefficient_tensor(state, float(P[k]), p), tensors[..., k])
         assert coercivity_lower_bound(state, float(P[k]), p) == bounds[k]
     squared = (eps.eps_i, eps.eps_ii, eps.eps_iii, delta_reg(eps, p))
-    pow_apart = [k for k in range(n)
-                 if any(float(np.float64(x[k]) ** 2) != x[k] * x[k]
-                        for x in squared)]
-    assert pow_apart
-    keep = sorted(set(range(12)) | set(pow_apart[:12]))
-    report = ellipticity_report(
-        StrainRate(eps.e11[keep], eps.e12[keep], eps.e22[keep]), P[keep], p,
-        n_samples=16, seed=seed[keep])
-    fields = ("min_eigenvalue", "min_coercivity_margin", "relative_margin",
-              "max_hermitian_defect")
-    for row, k in enumerate(keep):
-        single = ellipticity_report(states[k], float(P[k]), p, n_samples=16,
-                                    seed=int(seed[k]))
-        assert ([getattr(report, name)[row] for name in fields]
-                == [getattr(single, name) for name in fields])
-    assert report.n_samples == 16 and np.all(report.passes)
+    assert any(float(np.float64(x[k]) ** 2) != x[k] * x[k]
+               for k in range(n) for x in squared)
+
+
+@pytest.mark.parametrize("check, fields", [
+    (ellipticity_report, ("min_eigenvalue", "min_coercivity_margin",
+                          "relative_margin", "max_hermitian_defect")),
+    (boundary_form_check, ("min_form", "min_conditional_form",
+                           "n_conditional")),
+])
+def test_stacked_report_rows_do_not_interact(check, fields):
+    # with the same seed, a state changed in the middle of a stack moves
+    # its own row and leaves every other row as it was, bit for bit
+    p = scaled_params()
+    n, k = 40, 17
+    eps, _, _, P = sample_state(np.random.default_rng(45), p, size=n)
+    before = check(eps, P, p, n_samples=16, seed=7)
+    e11, P = eps.e11.copy(), P.copy()
+    e11[k], P[k] = 3.0 * e11[k], 0.5 * P[k]
+    after = check(StrainRate(e11, eps.e12, eps.e22), P, p, n_samples=16,
+                  seed=7)
+    others = np.arange(n) != k
+    for name in fields:
+        np.testing.assert_array_equal(getattr(after, name)[others],
+                                      getattr(before, name)[others])
+    assert getattr(after, fields[0])[k] != getattr(before, fields[0])[k]
+    assert after.n_samples == 16 and np.all(before.passes & after.passes)
+
+
+def test_one_state_is_a_stack_of_one():
+    # a single state and the stack holding only it draw and report alike
+    p = scaled_params()
+    eps, P = StrainRate(0.3, -0.2, 0.1), 1.3
+    stack = StrainRate(np.array([0.3]), np.array([-0.2]), np.array([0.1]))
+    for check in (ellipticity_report, boundary_form_check):
+        single = check(eps, P, p, n_samples=32, seed=5)
+        stacked = check(stack, np.array([P]), p, n_samples=32, seed=5)
+        assert stacked.n_samples == single.n_samples == 32
+        for name, value in dataclasses.asdict(single).items():
+            if name != "n_samples":
+                assert np.shape(value) == ()
+                np.testing.assert_array_equal(getattr(stacked, name), [value])
 
 
 @pytest.mark.parametrize("report, ok", [
@@ -307,18 +329,19 @@ def test_boundary_form_real_parallel_vectors_can_vanish():
 
 
 def test_boundary_form_check_equals_loop_over_single_samples():
+    # the same draws, all angles and then the real and imaginary parts of
+    # all u and then of all v, evaluated one sample at a time
     p = scaled_params()
     eps, P = StrainRate(0.4, -0.1, 0.2), 1.3
     report = boundary_form_check(eps, P, p, n_samples=300, seed=11)
     rng = np.random.default_rng(11)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, 300)
+    (u_re, u_im), (v_re, v_im) = rng.standard_normal((2, 2, 300, 2))
     a = coefficient_tensor(eps, P, p)
     forms, conditional = [], []
-    for _ in range(300):
-        theta = rng.uniform(0.0, 2.0 * np.pi)
+    for theta, u, v in zip(thetas, u_re + 1j * u_im, v_re + 1j * v_im):
         xi = np.array([np.cos(theta), np.sin(theta)])
         nu = np.array([-np.sin(theta), np.cos(theta)])
-        u = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
         forms.append(boundary_form(a, xi, nu, u, v))
         if (abs(np.imag(np.vdot(v, u)))
                 > IM_THRESHOLD * np.linalg.norm(u) * np.linalg.norm(v)):
@@ -507,82 +530,40 @@ def test_probe_validation():
 
 
 # ---------------------------------------------------------------------------
-# Samplers: one stack, drawn in the stream order of one-at-a-time draws
+# Samplers: array draws from the command's generator
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("h_star", [1.0, 2.5])
-def test_sample_ellipticity_states_is_the_one_at_a_time_draws(h_star):
-    # each state: sample_state, then its report seed
-    p = scaled_params()
-    rng, ref = np.random.default_rng(51), np.random.default_rng(51)
-    n = 300
-    eps, h, a, P, seed = sample_ellipticity_states(rng, p, n, h_star)
-    for k in range(n):
-        eps_k, h_k, a_k, p_k = sample_state(ref, p, h_star)
-        np.testing.assert_array_equal(
-            [eps.e11[k], eps.e12[k], eps.e22[k], h[k], a[k], P[k], seed[k]],
-            [eps_k.e11, eps_k.e12, eps_k.e22, h_k, a_k, p_k,
-             ref.integers(1 << 31)])
-    assert seed.dtype == np.int64
-    assert rng.bit_generator.state == ref.bit_generator.state
-
 
 @pytest.mark.parametrize("lambda_re_min, h_star",
                          [(0.0, 1.0), (0.0, 2.5), (1e308, 1.0)])
-def test_sample_ls_probes_is_the_one_at_a_time_draws(lambda_re_min, h_star):
-    # each probe: sample_state, then theta and lambda from Python floats;
-    # the stack's array cos and sin round as the scalar calls do
+def test_sample_ls_probes_are_valid_probes(lambda_re_min, h_star):
+    # every stack passes the probe validation, with Re lambda >= 0; lambda
+    # is (lambda_re_min + U(0, 1) + i U(-1, 1)) 10^U(-2, 2), so its real
+    # part is at least lambda_re_min / 100.  At 1e308 some lambdas overflow
+    # to inf, without a warning, and those probes fail their companion check
     p = scaled_params()
-    rng, ref = np.random.default_rng(53), np.random.default_rng(53)
-    n = 300
-    probes, theta = sample_ls_probes(rng, p, n, lambda_re_min, h_star)
-    for k in range(n):
-        eps, _, _, P = sample_state(ref, p, h_star)
-        theta_k = ref.uniform(0.0, 2.0 * np.pi)
-        lam = complex(lambda_re_min + ref.uniform(0.0, 1.0),
-                      ref.uniform(-1.0, 1.0)) * 10 ** ref.uniform(-2, 2)
-        xi = np.array([np.cos(theta_k), np.sin(theta_k)])
-        probe = probe_of(probes, k)
-        np.testing.assert_array_equal(
-            [probe.eps.e11, probe.eps.e12, probe.eps.e22, probe.p, theta[k]],
-            [eps.e11, eps.e12, eps.e22, P, theta_k])
-        np.testing.assert_array_equal(probe.lam, lam)
-        np.testing.assert_array_equal(probe.xi, xi)
-        np.testing.assert_array_equal(probe.nu, [-xi[1], xi[0]])
+    probes, theta = sample_ls_probes(np.random.default_rng(53), p, 300,
+                                     lambda_re_min, h_star)
+    probes.validate()
+    assert np.all(probes.lam.real >= 0.0)
+    assert np.all(probes.lam.real >= 0.0099 * lambda_re_min)
+    np.testing.assert_array_equal(probes.xi[:, 0], np.cos(theta))
+    np.testing.assert_array_equal(probes.nu, probes.xi[:, ::-1] * [-1, 1])
+    assert probes.p.shape == probes.lam.shape == theta.shape == (300,)
+    assert np.all(probes.p > 0.0)
     if lambda_re_min == 1e308:
-        assert np.isinf(probes.lam.real).any()
-    assert rng.bit_generator.state == ref.bit_generator.state
+        overflowed = np.isinf(probes.lam.real)
+        assert overflowed.any() and not overflowed.all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = lopatinskii_shapiro_check(probes, p)
+        assert {str(result.failure[k]) for k in np.flatnonzero(overflowed)
+                } == {"companion matrix is not finite"}
 
 
 @pytest.mark.parametrize("params", [scaled_params(), RheologyParams()])
 def test_stacked_pressure_is_the_scalar_pressure(params):
-    # the samplers evaluate P once on the stack of sampled states
-    eps, h, a, P, _ = sample_ellipticity_states(np.random.default_rng(55),
-                                                params, 10_000)
+    # the sampler evaluates P once on the stack of sampled states
+    eps, h, a, P = sample_state(np.random.default_rng(55), params,
+                                size=10_000)
     np.testing.assert_array_equal(
         P, [pressure(float(h[k]), float(a[k]), params)
             for k in range(len(h))])
-
-
-@pytest.mark.parametrize("n_vectors", [1, 2])
-def test_draw_samples_over_seeds_is_the_single_seed_draws(n_vectors):
-    # one seed draws, per sample, rng.uniform(0, 2 pi) and then each
-    # vector's real and imaginary parts as normal(size=2) calls
-    seeds = np.random.default_rng(57).integers(1 << 31, size=12)
-    n_samples = 16
-    xi, vectors = _draw_samples(seeds, n_samples, n_vectors)
-    assert xi.shape == (12, n_samples, 2)
-    assert vectors.shape == (n_vectors, 12, n_samples, 2)
-    for k, seed in enumerate(seeds):
-        xi_k, vectors_k = _draw_samples(seed, n_samples, n_vectors)
-        np.testing.assert_array_equal(xi[k], xi_k[0])
-        np.testing.assert_array_equal(vectors[:, k], vectors_k[:, 0])
-        rng = np.random.default_rng(seed)
-        for index in range(n_samples):
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            np.testing.assert_array_equal(
-                xi[k, index], [np.cos(theta), np.sin(theta)])
-            for vector in range(n_vectors):
-                real, imag = rng.normal(size=2), rng.normal(size=2)
-                np.testing.assert_array_equal(vectors[vector, k, index],
-                                              real + 1j * imag)
