@@ -31,10 +31,9 @@ for k in range(0, len(traj.times), 10):
     print(f"{traj.times[k]:8.3f} {traj.perturbation_norm[k]:18.6e} "
           f"{traj.kinetic_energy[k]:16.6e}")
 
-rel = abs(result.fitted_rate - result.predicted_gap) / result.predicted_gap
 print(f"\nfitted decay rate      : {result.fitted_rate:.4f}")
 print(f"linearization gap      : {result.predicted_gap:.4f}")
-print(f"relative disagreement  : {100 * rel:.2f}%")
+print(f"relative disagreement  : {100 * result.relative_gap_error:.2f}%")
 print(f"limit-state mismatch   : {result.limit_mismatch:.3e}")
 print(f"mean drifts (h, a)     : {result.mean_h_drift:.2e}, "
       f"{result.mean_a_drift:.2e}")

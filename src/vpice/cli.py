@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .dynamics import ForcingInputs, RunSinks, run
 from .io_formats import (
     CsvWriter,
@@ -53,6 +53,7 @@ from .stability import (
     assemble_A0,
     check_dense_budget,
     decay_experiment,
+    decay_passes,
     dense_unknowns,
     perturbed_equilibrium,
     semisimplicity_proxy,
@@ -65,8 +66,6 @@ from .symbols import (
     sample_ls_probes,
 )
 from .selftest import run_selftest
-
-DECAY_GAP_RTOL = 0.2  # fitted rate vs gap, the bound of acceptance criterion 10
 
 
 def _fail(message: str, code: int) -> int:
@@ -181,12 +180,10 @@ def cmd_decay(cfg: RunConfig) -> int:
                                       cfg.grid(), cfg.rheology_params(),
                                       cfg.stepper(),
                                       RunSinks(on_diagnostics=writer))
-        rel = (abs(result.fitted_rate - result.predicted_gap)
-               / max(result.predicted_gap, 1e-300))
         write_key_values(os.path.join(directory, "decay_summary.txt"), [
             ("fitted_rate", result.fitted_rate),
             ("predicted_gap", result.predicted_gap),
-            ("relative_gap_error", rel),
+            ("relative_gap_error", result.relative_gap_error),
             ("limit_mismatch", result.limit_mismatch),
             ("mean_h_drift", result.mean_h_drift),
             ("mean_a_drift", result.mean_a_drift),
@@ -196,7 +193,7 @@ def cmd_decay(cfg: RunConfig) -> int:
         write_manifest(directory, files, cfg.echo())
     print(f"decay: fitted rate {format_float(result.fitted_rate)}, "
           f"gap {format_float(result.predicted_gap)}")
-    return 1 if rel > DECAY_GAP_RTOL else 0
+    return 0 if decay_passes(result) else 1
 
 
 def cmd_simulate(cfg: RunConfig, dump_matrix=None) -> int:
@@ -294,14 +291,7 @@ def _dispatch(argv: list) -> int:
         return _fail(f"usage: vpice {name}", 2) if rest else command.run()
     if len(rest) != 1:
         return _fail(f"usage: vpice {name} <config>", 2)
-
-    try:
-        cfg = load_config(rest[0])
-    except FileNotFoundError:
-        return _fail(f"config file not found: {rest[0]}", 2)
-    except ConfigError as exc:
-        return _fail(f"config error: {exc}", 2)
-    return command.run(cfg, *args)
+    return command.run(load_config(rest[0]), *args)
 
 
 def main() -> None:

@@ -51,7 +51,9 @@ EXPERIMENT_KEYS = {
     "experiment.perturbation_scale": (float, 1e-3, 0.0),  # relative to h*, a*
     "experiment.output_dir": (str, "out", None),
     "experiment.snapshot_every": (int, 0, 0),  # steps; 0 = no snapshots
-    "experiment.lambda_re_min": (float, 0.0, 0.0),  # lower bound of Re lambda
+    # Re lambda of an ls-check probe is (lambda_re_min + U(0, 1)) 10^U(-2, 2),
+    # at least lambda_re_min / 100
+    "experiment.lambda_re_min": (float, 0.0, 0.0),
     "experiment.emit_ppm": (bool, False, None),  # PPM heatmaps per snapshot
 }
 
@@ -199,14 +201,24 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Read and parse a config file; a directory or a file that is not
-    UTF-8 text is a ConfigError."""
+    """Read and parse a config file.  Every error is a ConfigError with the
+    line the CLI prints: "config file not found: <path>", or "config error: "
+    then the path and why it cannot be read (an OSError, or not UTF-8) or
+    the parse error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
     except IsADirectoryError:
-        raise ConfigError(f"{path} is a directory, not a config file") from None
+        reason = "is a directory, not a config file"
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} is not UTF-8 text ({exc.reason} at byte "
-                          f"{exc.start})") from None
-    return parse_config(text)
+        reason = f"is not UTF-8 text ({exc.reason} at byte {exc.start})"
+    except OSError as exc:
+        reason = f"cannot be read: {exc.strerror}"
+    else:
+        try:
+            return parse_config(text)
+        except ConfigError as exc:
+            raise ConfigError(f"config error: {exc}") from None
+    raise ConfigError(f"config error: {path} {reason}")

@@ -1,10 +1,12 @@
 """Built-in invariant suites for the selftest subcommand.
 
 Each suite returns (passed, detail); SUITES names them.  The suites check
-the package's core contracts at small default sample counts (acceptance
-criteria 1, 2 and 4 pass their own): constitutive-law identities,
-ellipticity and boundary-condition margins, operator structure, and the
-equilibrium fixed point of the time stepper.
+the package's core contracts at small default sample counts: constitutive-law
+identities, ellipticity and boundary-condition margins, operator structure
+and coercivity, and the equilibrium fixed point of the time stepper.  The
+acceptance criteria evaluate the same rules at their own seeds and sizes
+(criteria 1, 2, 4 and 9 pass their own to a suite, 7 to
+``coercivity_check``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from . import stability
 from .dynamics import ForcingInputs, StepperConfig, step
-from .grid import FieldSet, Grid
+from .grid import FieldSet, Grid, strain_rate_field
 from .operators import assemble_hibler, assemble_neumann_laplacian
 from .params import RheologyParams, VpiceError, scaled_params
 from .rheology import (
@@ -22,6 +24,7 @@ from .rheology import (
     coercivity_lower_bound,
     delta_reg,
     delta_sq,
+    pressure,
     s_map,
     sample_state,
     strain_derivative_gap,
@@ -34,8 +37,11 @@ from .symbols import (
     sample_ls_probes,
 )
 
+# a_ij^kl = a_ji^lk = a_kl^ij = a_kj^il = a_il^kj = a_lk^ji
 SYMMETRY_PERMS = ((1, 0, 3, 2), (2, 3, 0, 1), (2, 1, 0, 3),
                   (0, 3, 2, 1), (3, 2, 1, 0))
+DISCRETE_COERCIVITY_MIN = -1e-9  # relative margin of coercivity_check
+FIXED_POINT_DRIFT_MAX = 1e-12  # per-step drift of stepper_suite
 
 
 def rheology_suite(seed=0, n=2000, params: RheologyParams | None = None):
@@ -97,6 +103,7 @@ def ellipticity_suite():
     report = ellipticity_report(eps, p, params, n_samples=20, seed=rng)
     return (bool(np.all(report.passes)),
             f"min eigenvalue {np.min(report.min_eigenvalue):.3e}, "
+            f"defect {np.max(report.relative_defect):.2e}, "
             f"margin {np.min(report.relative_margin):.2e}")
 
 
@@ -123,6 +130,30 @@ def ls_suite(seed=4, n=100, params: RheologyParams | None = None):
     return bool(np.all(result.passes)), f"worst s_min/s_max {worst:.2e}"
 
 
+def coercivity_check(grid: Grid, params: RheologyParams, seed, n):
+    """Discrete coercivity of the velocity block A of ``assemble_hibler`` at
+    the constant state (1, 0.8): for n random fields u, zero on the
+    boundary, the form q = |cell| (u | A u) clears the bound
+    (P / (2 sqrt delta)) (2 / e^2) |cell| sum |eps(u)|^2 over the interior
+    to a relative margin (q - bound) / |q| >= DISCRETE_COERCIVITY_MIN.
+    Returns (passed, worst relative margin)."""
+    p_const = float(pressure(1.0, 0.8, params))
+    c = (p_const / (2.0 * np.sqrt(params.delta))) * (2.0 / params.e**2)
+    op = assemble_hibler(FieldSet.constant(grid, 1.0, 0.8), grid, params)
+    interior = grid.interior_mask()
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for _ in range(n):
+        u = np.zeros((2, grid.ny, grid.nx))  # u1 then u2: the vector's order
+        u[:, interior] = rng.normal(size=(2, interior.sum()))
+        quad = grid.cell_area * float(u.ravel() @ (op.matrix @ u.ravel()))
+        eps = strain_rate_field(FieldSet(grid, *u, *np.ones_like(u)))
+        strain2 = grid.cell_area * float(np.sum(
+            (eps.e11**2 + 2 * eps.e12**2 + eps.e22**2)[interior]))
+        worst = min(worst, (quad - c * strain2) / abs(quad))
+    return worst >= DISCRETE_COERCIVITY_MIN, worst
+
+
 def operator_suite():
     params = scaled_params(delta=1e-4)
     grid = Grid(17, 17)
@@ -130,29 +161,25 @@ def operator_suite():
     sym = abs(lap.matrix - lap.matrix.T).max()
     const = np.abs(lap.matrix @ np.ones(grid.n_nodes)).max()
     scale = params.d_h / grid.dx**2
-    state = FieldSet.constant(grid, 1.0, 0.8)
-    hib = assemble_hibler(state, grid, params)
-    rng = np.random.default_rng(5)
-    interior = grid.interior_mask()
-    u1 = np.zeros((grid.ny, grid.nx))
-    u2 = np.zeros((grid.ny, grid.nx))
-    u1[interior] = rng.normal(size=interior.sum())
-    u2[interior] = rng.normal(size=interior.sum())
-    vec = np.concatenate([u1.ravel(), u2.ravel()])
-    quad = float(vec @ (hib.matrix @ vec))
-    ok = sym == 0.0 and const <= 1e-12 * scale and quad > 0.0
+    coercive, margin = coercivity_check(grid, params, seed=5, n=1)
+    ok = sym == 0.0 and const <= 1e-12 * scale and coercive
     return ok, (f"laplacian asym {sym:.1e}, kernel residual {const:.2e}, "
-                f"velocity form {quad:.3e}")
+                f"coercivity margin {margin:.3e}")
 
 
-def stepper_suite():
-    params = scaled_params(delta=1e-4)
-    grid = Grid(11, 11)
+def stepper_suite(n=1, params: RheologyParams | None = None,
+                  grid: Grid | None = None, cfg: StepperConfig | None = None):
+    """n unforced steps from the constant state (1, 0.8) each move it by at
+    most FIXED_POINT_DRIFT_MAX."""
+    params = params or scaled_params(delta=1e-4)
+    grid = grid or Grid(11, 11)
+    cfg = cfg or StepperConfig(dt=0.01, t_end=0.1)
     v = FieldSet.constant(grid, 1.0, 0.8)
-    cfg = StepperConfig(dt=0.01, t_end=0.1)
-    out = step(v, ForcingInputs(), params, cfg)
-    drift = np.max(np.abs(out.to_vector() - v.to_vector()))
-    return drift <= 1e-12, f"per-step drift {drift:.2e}"
+    drift = 0.0
+    for _ in range(n):
+        v, before = step(v, ForcingInputs(), params, cfg), v
+        drift = max(drift, np.max(np.abs(v.to_vector() - before.to_vector())))
+    return drift <= FIXED_POINT_DRIFT_MAX, f"per-step drift {drift:.2e}"
 
 
 def spectrum_suite():

@@ -87,6 +87,7 @@ MIN_FIT_SAMPLES = 10  # norms decay_experiment needs in its fit window
 # 9^2 the norm stalls at about 3x the floor
 FIT_FLOOR_FACTOR = 100
 KERNEL_CERT_RTOL = 1e-12  # kernel residuals, relative to max|A0_ij|, that pass
+DECAY_GAP_RTOL = 0.2  # DecayResult.relative_gap_error that passes
 
 
 class BudgetExceededError(VpiceError):
@@ -537,6 +538,12 @@ def spectrum_passes(report: SpectrumReport, proxy: SemisimplicityReport) -> bool
             and proxy.certified)
 
 
+def decay_passes(result: "DecayResult") -> bool:
+    """The pass rule of ``vpice decay``: the fitted rate is within
+    DECAY_GAP_RTOL of the spectral gap; NaN fails."""
+    return result.relative_gap_error <= DECAY_GAP_RTOL
+
+
 def energy_identity_residual(op: SparseOperator, v: FieldSet, eq: Equilibrium,
                              params: RheologyParams) -> dict:
     """Termwise regrouping of the quadratic form of A0 against direct assembly.
@@ -643,6 +650,11 @@ class DecayResult:
     mean_h_drift: float
     mean_a_drift: float
     trajectory: RunResult
+
+    @property
+    def relative_gap_error(self) -> float:
+        return (abs(self.fitted_rate - self.predicted_gap)
+                / max(self.predicted_gap, 1e-300))
 
 
 def perturbed_equilibrium(eq: Equilibrium, grid: Grid, scale: float,

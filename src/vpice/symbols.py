@@ -57,10 +57,12 @@ IM_THRESHOLD = 1e-6  # |Im (u | v)| / (|u| |v|) beyond which the form is > 0
 SPLIT_TOL = 1e-9  # roots with |Re mu| <= SPLIT_TOL |mu| fail the 2/2 split
 # Each report's ``passes`` property is its pass rule; NaN fails every one.
 LS_MIN_RATIO = 1e-8  # an LS probe passes when s_min / s_max > LS_MIN_RATIO
-# an ellipticity sample passes when its symbol eigenvalues are positive and
-# its relative coercivity margin (EllipticityReport.relative_margin) is
-# >= COERCIVITY_MARGIN_MIN
+# an ellipticity sample passes when its symbol eigenvalues are positive, its
+# relative coercivity margin (EllipticityReport.relative_margin) is
+# >= COERCIVITY_MARGIN_MIN and its symbol is symmetric: the relative defect
+# (EllipticityReport.relative_defect) is <= SYMMETRY_DEFECT_MAX
 COERCIVITY_MARGIN_MIN = -1e-10
+SYMMETRY_DEFECT_MAX = 1e-12
 BOUNDARY_FORM_MIN = -1e-10  # rounding allowance of the form's ">= 0"
 
 
@@ -99,13 +101,14 @@ class EllipticityReport:
     min_eigenvalue: float
     min_coercivity_margin: float  # min of form - bound
     relative_margin: float  # min_coercivity_margin / max(|bound|, 1e-300)
-    max_hermitian_defect: float
+    relative_defect: float  # max |A - A^T| / max(max |A|, 1e-300)
     n_samples: int  # per state
 
     @property
     def passes(self) -> bool:
         return ((self.min_eigenvalue > 0.0)
-                & (self.relative_margin >= COERCIVITY_MARGIN_MIN))
+                & (self.relative_margin >= COERCIVITY_MARGIN_MIN)
+                & (self.relative_defect <= SYMMETRY_DEFECT_MAX))
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,8 @@ def ellipticity_report(eps: StrainRate, p, params: RheologyParams,
                        n_samples: int, seed=0) -> EllipticityReport:
     """Sample unit frequencies and unit complex vectors at frozen states.
 
-    Checks that the symbol is real symmetric with positive eigenvalues and
+    Checks that the symbol is real symmetric, to SYMMETRY_DEFECT_MAX of its
+    largest entry over the state's samples, with positive eigenvalues and
     that the quadratic form clears the quantitative lower bound
     (P / (2 Delta_delta^3)) delta / e^2.  ``seed`` is an int or the
     Generator to draw from (``np.random.default_rng`` passes one through);
@@ -205,12 +209,13 @@ def ellipticity_report(eps: StrainRate, p, params: RheologyParams,
     bound = coercivity_lower_bound(eps, p, params) * params.delta / params.e**2
     forms = np.real(np.einsum("...i,...ij,...j->...", eta.conj(), sym, eta))
     min_margin = (forms - bound[:, None]).min(axis=-1)
+    defect = np.abs(sym - sym.swapaxes(-1, -2)).max(axis=(-3, -2, -1))
+    size = np.abs(sym).max(axis=(-3, -2, -1))
     return EllipticityReport(
         _unstack(np.linalg.eigvalsh(sym)[..., 0].min(axis=-1), shape),
         _unstack(min_margin, shape),
         _unstack(min_margin / np.maximum(np.abs(bound), 1e-300), shape),
-        _unstack(np.abs(sym - sym.swapaxes(-1, -2)).max(axis=(-3, -2, -1)),
-                 shape),
+        _unstack(defect / np.maximum(size, 1e-300), shape),
         n_samples)
 
 
@@ -287,7 +292,8 @@ def sample_ls_probes(rng, params: RheologyParams, n: int,
                      lambda_re_min: float = 0.0, h_star: float = 1.0):
     """n random probes at ``sample_state(size=n)`` states, then all tangent
     angles theta, all Re lambda, Im lambda and exponents of lambda's scale:
-    (stack of the probes, theta)."""
+    (stack of the probes, theta).  lambda = (lambda_re_min + U(0, 1)
+    + i U(-1, 1)) 10^U(-2, 2), so Re lambda >= lambda_re_min / 100."""
     eps, _, _, p = sample_state(rng, params, h_star, size=n)
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     re, im = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)

@@ -28,7 +28,7 @@ from vpice.io_formats import (
 )
 from vpice.operators import LinearSolveError, SparseOperator, solve_linear
 from vpice.params import InvalidStateError, RheologyParams, VpiceError
-from vpice.stability import Equilibrium
+from vpice.stability import DECAY_GAP_RTOL, Equilibrium
 from vpice.symbols import RootBalanceError
 
 
@@ -343,8 +343,11 @@ def test_dispatch_usage_errors(tmp_path, capsys):
     assert dispatch([]) == 2
     assert dispatch(["not-a-command"]) == 2
     assert dispatch(["spectrum"]) == 2
-    assert dispatch(["spectrum", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
+    missing = tmp_path / "missing.cfg"
+    assert dispatch(["spectrum", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"vpice: config file not found: {missing}\n"
 
 
 def test_dispatch_config_error_exit_2(tmp_path, capsys):
@@ -366,16 +369,26 @@ def test_dispatch_config_error_exit_2(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("kind", ["not utf-8", "directory"])
+UNREADABLE_REASONS = {"not utf-8": "is not UTF-8 text",
+                      "directory": "is a directory",
+                      "under a regular file": "cannot be read: Not a directory"}
+
+
+@pytest.mark.parametrize("kind", UNREADABLE_REASONS)
 def test_unreadable_config_exit_2_one_line(tmp_path, capsys, kind):
     path = tmp_path / "run.cfg"
     if kind == "directory":
         path.mkdir()
+    elif kind == "under a regular file":
+        # open() raises NotADirectoryError, an OSError like any other
+        (tmp_path / "plain").write_text("")
+        path = tmp_path / "plain" / "run.cfg"
     else:
         path.write_bytes(b"\xff\xfe\x00grid.nx = 9\n")
     assert dispatch(["simulate", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"vpice: config error: {path} is ")
+    assert err.startswith(
+        f"vpice: config error: {path} {UNREADABLE_REASONS[kind]}")
     assert err.count("\n") == 1
     assert "Traceback" not in err
 
@@ -729,7 +742,7 @@ def test_decay_subcommand_exit_1_when_rate_misses_gap(tmp_path, capsys):
     capsys.readouterr()
     summary = dict(line.split(" = ") for line in
                    (out / "decay_summary.txt").read_text().splitlines())
-    assert float(summary["relative_gap_error"]) > 0.2
+    assert float(summary["relative_gap_error"]) > DECAY_GAP_RTOL
 
 
 @pytest.mark.parametrize("scale, code, message", [
@@ -782,6 +795,49 @@ def test_selftest_subcommand_all_pass(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 8
     assert all(line.startswith("[PASS] ") for line in lines)
+
+
+def test_asymmetric_symbol_fails_symbol_and_selftest(tmp_path, capsys,
+                                                     monkeypatch):
+    # a_12^kl off by 1e-6 of itself leaves the eigenvalues, which eigvalsh
+    # reads off the lower triangle, and the coercivity margins passing:
+    # the symmetry bound of the pass rule fails the command and the suite
+    from vpice import selftest, symbols
+    original = symbols.coefficient_tensor
+
+    def asymmetric(*args):
+        a = original(*args).copy()
+        a[0, 1] *= 1.0 + 1e-6
+        return a
+
+    monkeypatch.setattr(symbols, "coefficient_tensor", asymmetric)
+    path = write_config(tmp_path, scaled_config(
+        f"experiment.output_dir = {tmp_path / 'out'}\n"))
+    assert dispatch(["symbol", path]) == 1
+    capsys.readouterr()
+    rows = (tmp_path / "out" / "symbol_report.csv").read_text().splitlines()
+    for row in rows[1:]:
+        cells = row.split(",")
+        assert float(cells[7]) > 0.0 and float(cells[9]) > 0.0  # eig, margin
+    passed, detail = selftest.ellipticity_suite()
+    defect = detail.split("defect ")[1].split(",")[0]
+    assert not passed and float(defect) > 1e-8
+
+
+def test_operator_suite_fails_below_the_coercivity_bound(monkeypatch):
+    # the velocity form stays positive at 1e-3 of the operator, but it
+    # misses the discrete coercivity bound
+    from vpice import selftest
+    original = selftest.assemble_hibler
+
+    def weak(*args):
+        op = original(*args)
+        return dataclasses.replace(op, matrix=1e-3 * op.matrix)
+
+    monkeypatch.setattr(selftest, "assemble_hibler", weak)
+    passed, detail = selftest.operator_suite()
+    assert not passed
+    assert float(detail.split("coercivity margin ")[-1]) < -1.0
 
 
 def test_selftest_takes_no_config(tmp_path, capsys):

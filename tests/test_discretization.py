@@ -23,6 +23,7 @@ from vpice.operators import (
 )
 from vpice.params import InvalidStateError, scaled_params
 from vpice.rheology import pressure
+from vpice.selftest import coercivity_check
 
 
 def fit_orders(errors, spacings):
@@ -323,25 +324,8 @@ def test_hibler_variable_coefficients_match_stress_divergence():
 
 
 def test_hibler_quadratic_form_dominates_strain_norm():
-    params = scaled_params(delta=1e-4)
-    g = Grid(33, 33)
-    h_star, a_star = 1.0, 0.8
-    p_const = pressure(h_star, a_star, params)
-    bound_const = (p_const / (2 * np.sqrt(params.delta))) * (2.0 / params.e**2)
-    op = assemble_hibler(constant_state(g, h_star, a_star), g, params)
-    interior = g.interior_mask()
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        u1 = np.zeros((g.ny, g.nx))
-        u2 = np.zeros((g.ny, g.nx))
-        u1[interior] = rng.normal(size=interior.sum())
-        u2[interior] = rng.normal(size=interior.sum())
-        vec = np.concatenate([u1.ravel(), u2.ravel()])
-        quad = g.cell_area * vec @ (op.matrix @ vec)
-        eps = strain_rate_field(FieldSet(g, u1, u2, np.ones_like(u1), np.ones_like(u1)))
-        strain2 = g.cell_area * np.sum(
-            (eps.e11**2 + 2 * eps.e12**2 + eps.e22**2)[interior])
-        assert quad >= bound_const * strain2 - 1e-9 * abs(quad)
+    assert coercivity_check(Grid(33, 33), scaled_params(delta=1e-4), seed=12,
+                            n=100)[0]
 
 
 def test_hibler_rejects_thin_ice():

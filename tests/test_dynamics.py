@@ -16,6 +16,7 @@ from vpice.dynamics import (
 from vpice.grid import FieldSet, Grid
 from vpice.operators import assemble_coupled
 from vpice.params import InvalidStateError, scaled_params
+from vpice.selftest import stepper_suite
 
 
 PARAMS = scaled_params(delta=1e-4)
@@ -180,19 +181,13 @@ def test_sources_positive_f0_drives_compactness():
 # ---------------------------------------------------------------------------
 
 def test_equilibrium_is_fixed_point():
-    g = Grid(11, 11)
-    cfg = StepperConfig(dt=0.01, t_end=0.1)
-    v = equilibrium(g)
-    out = step(v, ForcingInputs(), PARAMS, cfg)
-    assert np.max(np.abs(out.to_vector() - v.to_vector())) <= 1e-12
+    assert stepper_suite(params=PARAMS, grid=Grid(11, 11),
+                         cfg=StepperConfig(dt=0.01, t_end=0.1))[0]
 
 
 def test_equilibrium_fixed_point_at_larger_step():
-    g = Grid(9, 9)
-    v = equilibrium(g)
-    cfg = StepperConfig(dt=0.02, t_end=0.1)
-    out = step(v, ForcingInputs(), PARAMS, cfg)
-    assert np.max(np.abs(out.to_vector() - v.to_vector())) <= 1e-12
+    assert stepper_suite(params=PARAMS, grid=Grid(9, 9),
+                         cfg=StepperConfig(dt=0.02, t_end=0.1))[0]
 
 
 def test_totals_conserved_without_growth():

@@ -8,7 +8,6 @@ from vpice.rheology import (
     StrainRate,
     Stress2x2,
     coefficient_tensor,
-    coercivity_lower_bound,
     delta_reg,
     delta_sq,
     pressure,
@@ -20,6 +19,7 @@ from vpice.rheology import (
     viscosities,
     yield_diagnostics,
 )
+from vpice.selftest import jacobian_suite, rheology_suite
 
 
 def s4_oracle(e):
@@ -238,39 +238,17 @@ def test_stress_on_yield_curve_in_plastic_limit():
     assert abs(sig.s22) < 1e-8
 
 
+# The identities below are rheology_suite's rules, and the stress-jacobian
+# gap is jacobian_suite's: each test runs the suite at its own seed and size.
+
 def test_stress_dual_formulas_agree():
     # 2 eta eps + (zeta - eta) tr eps I - P/2 I  vs  (P/2) S eps / Delta_delta - P/2 I
-    p = scaled_params()
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        eps = random_strain(rng)
-        h = rng.uniform(0.5, 2.0)
-        a = rng.uniform(0.0, 1.0)
-        sig = stress_sigma_delta(eps, h, a, p)
-        P = pressure(h, a, p)
-        se = s_map(eps, p)
-        dreg = delta_reg(eps, p)
-        alt11 = 0.5 * P * se.s11 / dreg - 0.5 * P
-        alt12 = 0.5 * P * se.s12 / dreg
-        alt22 = 0.5 * P * se.s22 / dreg - 0.5 * P
-        scale = max(abs(alt11), abs(alt12), abs(alt22), 1e-300)
-        assert abs(sig.s11 - alt11) <= 1e-12 * scale
-        assert abs(sig.s12 - alt12) <= 1e-12 * scale
-        assert abs(sig.s22 - alt22) <= 1e-12 * scale
+    assert rheology_suite(seed=17, n=200, params=scaled_params())[0]
 
 
 # ---------------------------------------------------------------------------
 # Coefficient tensor
 # ---------------------------------------------------------------------------
-
-SYMMETRY_PERMS = {
-    "a_ji^lk": (1, 0, 3, 2),
-    "a_kl^ij": (2, 3, 0, 1),
-    "a_kj^il": (2, 1, 0, 3),
-    "a_il^kj": (0, 3, 2, 1),
-    "a_lk^ji": (3, 2, 1, 0),
-}
-
 
 def test_coefficient_tensor_at_rest_is_scaled_s():
     p = RheologyParams(delta=1e-4)
@@ -280,29 +258,12 @@ def test_coefficient_tensor_at_rest_is_scaled_s():
 
 
 def test_coefficient_tensor_symmetries():
-    p = scaled_params()
-    rng = np.random.default_rng(23)
-    for _ in range(300):
-        eps = random_strain(rng)
-        P = pressure(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0), p)
-        a = coefficient_tensor(eps, P, p)
-        scale = np.max(np.abs(a))
-        for perm in SYMMETRY_PERMS.values():
-            assert np.max(np.abs(a - np.transpose(a, perm))) <= 1e-12 * scale
+    # the five index symmetries of selftest.SYMMETRY_PERMS
+    assert rheology_suite(seed=23, n=300, params=scaled_params())[0]
 
 
 def test_coefficient_tensor_coercivity():
-    p = scaled_params()
-    rng = np.random.default_rng(29)
-    for _ in range(300):
-        eps = random_strain(rng)
-        P = pressure(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0), p)
-        a = coefficient_tensor(eps, P, p)
-        d = rng.normal(size=(2, 2))
-        quad = np.einsum("ijkl,ik,jl->", a, d, d)
-        bound = (coercivity_lower_bound(eps, P, p) * p.delta
-                 * delta_sq(StrainRate.from_matrix(d), p))
-        assert quad >= bound - 1e-10
+    assert rheology_suite(seed=29, n=300, params=scaled_params())[0]
 
 
 def test_cauchy_schwarz_bound():
@@ -338,14 +299,7 @@ def test_strain_derivative_gap_at_rest():
 
 
 def test_strain_derivative_gap_random():
-    p = scaled_params(delta=1e-4)
-    rng = np.random.default_rng(37)
-    for _ in range(10):
-        eps = random_strain(rng)
-        P = pressure(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0), p)
-        a = coefficient_tensor(eps, P, p)
-        gap = strain_derivative_gap(eps, P, p)
-        assert gap <= 1e-6 * np.max(np.abs(a))
+    assert jacobian_suite(seed=37, n=10, params=scaled_params(delta=1e-4))[0]
 
 
 # ---------------------------------------------------------------------------
