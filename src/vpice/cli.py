@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config
 from .dynamics import ForcingInputs, RunSinks, run
 from .io_formats import (
     CsvWriter,
@@ -291,7 +291,14 @@ def _dispatch(argv: list) -> int:
         return _fail(f"usage: vpice {name}", 2) if rest else command.run()
     if len(rest) != 1:
         return _fail(f"usage: vpice {name} <config>", 2)
-    return command.run(load_config(rest[0]), *args)
+
+    try:
+        cfg = load_config(rest[0])
+    except FileNotFoundError:
+        return _fail(f"config file not found: {rest[0]}", 2)
+    except ConfigError as exc:
+        return _fail(f"config error: {exc}", 2)
+    return command.run(cfg, *args)
 
 
 def main() -> None:

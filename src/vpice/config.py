@@ -201,24 +201,19 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Read and parse a config file.  Every error is a ConfigError with the
-    line the CLI prints: "config file not found: <path>", or "config error: "
-    then the path and why it cannot be read (an OSError, or not UTF-8) or
-    the parse error."""
+    """Read and parse a config file.  A missing file raises
+    FileNotFoundError; any other file that cannot be read (an OSError, or
+    not UTF-8 text) is a ConfigError that names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise
     except IsADirectoryError:
-        reason = "is a directory, not a config file"
+        raise ConfigError(f"{path} is a directory, not a config file") from None
     except UnicodeDecodeError as exc:
-        reason = f"is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        raise ConfigError(f"{path} is not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from None
     except OSError as exc:
-        reason = f"cannot be read: {exc.strerror}"
-    else:
-        try:
-            return parse_config(text)
-        except ConfigError as exc:
-            raise ConfigError(f"config error: {exc}") from None
-    raise ConfigError(f"config error: {path} {reason}")
+        raise ConfigError(f"{path} cannot be read: {exc.strerror}") from None
+    return parse_config(text)

@@ -129,6 +129,9 @@ def test_empty_value_reports_line(tmp_path, capfd):
     assert excinfo.value.line_number == 2
     assert "empty value" in str(excinfo.value)
     path = write_config(tmp_path, "experiment.output_dir =   # no directory\n")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert excinfo.value.line_number == 1
     exit_code, _, lines = dispatch_cleanly(["simulate", path], capfd)
     assert exit_code == 2
     assert lines == ["vpice: config error: line 1: key experiment.output_dir "

@@ -180,11 +180,7 @@ def test_sources_positive_f0_drives_compactness():
 # Stepping
 # ---------------------------------------------------------------------------
 
-def test_equilibrium_is_fixed_point():
-    assert stepper_suite(params=PARAMS, grid=Grid(11, 11),
-                         cfg=StepperConfig(dt=0.01, t_end=0.1))[0]
-
-
+# the default stepper_suite (11^2, dt = 0.01) runs in `vpice selftest`
 def test_equilibrium_fixed_point_at_larger_step():
     assert stepper_suite(params=PARAMS, grid=Grid(9, 9),
                          cfg=StepperConfig(dt=0.02, t_end=0.1))[0]

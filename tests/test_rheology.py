@@ -238,12 +238,15 @@ def test_stress_on_yield_curve_in_plastic_limit():
     assert abs(sig.s22) < 1e-8
 
 
-# The identities below are rheology_suite's rules, and the stress-jacobian
-# gap is jacobian_suite's: each test runs the suite at its own seed and size.
+# rheology_suite's rules: the dual stress formulas 2 eta eps + (zeta - eta)
+# tr eps I - P/2 I and (P/2) S eps / Delta_delta - P/2 I agree, the five
+# index symmetries of selftest.SYMMETRY_PERMS hold and the coefficient
+# tensor clears its coercivity bound; the stress-jacobian gap is
+# jacobian_suite's.  Each test runs its suite at its own seeds and sizes.
 
-def test_stress_dual_formulas_agree():
-    # 2 eta eps + (zeta - eta) tr eps I - P/2 I  vs  (P/2) S eps / Delta_delta - P/2 I
-    assert rheology_suite(seed=17, n=200, params=scaled_params())[0]
+@pytest.mark.parametrize("seed, n", [(17, 200), (23, 300), (29, 300)])
+def test_rheology_suite_rules(seed, n):
+    assert rheology_suite(seed=seed, n=n, params=scaled_params())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +258,6 @@ def test_coefficient_tensor_at_rest_is_scaled_s():
     a = coefficient_tensor(StrainRate(0.0, 0.0, 0.0), 2.0, p)
     expected = (2.0 / (2.0 * np.sqrt(p.delta))) * s_tensor(p)
     np.testing.assert_allclose(a, expected, rtol=1e-14)
-
-
-def test_coefficient_tensor_symmetries():
-    # the five index symmetries of selftest.SYMMETRY_PERMS
-    assert rheology_suite(seed=23, n=300, params=scaled_params())[0]
-
-
-def test_coefficient_tensor_coercivity():
-    assert rheology_suite(seed=29, n=300, params=scaled_params())[0]
 
 
 def test_cauchy_schwarz_bound():
