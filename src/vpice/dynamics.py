@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import FieldSet, Grid, diff_ops
+from .grid import FieldSet, Grid, _read_only, diff_ops, matvec, norm
 from .operators import (
     assemble_coupled,
     divergence_matrix,
@@ -91,25 +92,39 @@ class StepperConfig:
         return max(1, math.ceil(self.t_end / self.dt - 1e-12))
 
 
+@lru_cache(maxsize=32)
+def _zero_field(grid: Grid) -> np.ndarray:
+    """The (ny, nx) zero field of an input left out, read-only."""
+    return _read_only(np.zeros((grid.ny, grid.nx)))[0]
+
+
 def _pair(value, grid: Grid):
     if value is None:
-        shape = (grid.ny, grid.nx)
-        return np.zeros(shape), np.zeros(shape)
+        zero = _zero_field(grid)
+        return zero, zero
     return np.asarray(value[0], dtype=float), np.asarray(value[1], dtype=float)
+
+
+@lru_cache(maxsize=32)
+def _rotation(theta: float) -> tuple:
+    """(cos theta, sin theta) of a drag angle, a setting: once per angle."""
+    return np.cos(theta), np.sin(theta)
 
 
 def momentum_advection(v: FieldSet) -> tuple:
     """(u . grad) u by centered differences, as flat (adv1, adv2)."""
     ops = diff_ops(v.grid)
     u1, u2 = v.u1.ravel(), v.u2.ravel()
-    return tuple(u1 * (ops["dx"] @ w) + u2 * (ops["dy"] @ w) for w in (u1, u2))
+    return tuple(u1 * matvec(ops["dx"], w) + u2 * matvec(ops["dy"], w)
+                 for w in (u1, u2))
 
 
 def transport(v: FieldSet) -> tuple:
     """Flux-form transport (div(u h), div(u a)) by the divergence matrix,
     as flat arrays."""
     div = divergence_matrix(v.grid)
-    return tuple(div @ np.concatenate([(v.u1 * f).ravel(), (v.u2 * f).ravel()])
+    return tuple(matvec(div, np.concatenate([(v.u1 * f).ravel(),
+                                              (v.u2 * f).ravel()]))
                  for f in (v.h, v.a))
 
 
@@ -127,7 +142,6 @@ def compute_forcing(v: FieldSet, inputs: ForcingInputs,
     """
     check_thickness(v.h, params.kappa)
     g = v.grid
-    interior = g.interior_mask()
 
     adv1, adv2 = momentum_advection(v)
     f1 = -adv1.reshape(g.ny, g.nx)
@@ -146,12 +160,13 @@ def compute_forcing(v: FieldSet, inputs: ForcingInputs,
             ((oce1 - v.u1, oce2 - v.u2), params.rho_ocean, params.C_ocean,
              params.theta_ocean)):
         drag = rho * c_drag / params.rho_ice / v.h * np.hypot(w1, w2)
-        c, s = np.cos(theta), np.sin(theta)
+        c, s = _rotation(theta)
         f1 += drag * (c * w1 - s * w2)
         f2 += drag * (s * w1 + c * w2)
 
-    f1[~interior] = 0.0
-    f2[~interior] = 0.0
+    boundary = g.boundary_mask()
+    f1[boundary] = 0.0
+    f2[boundary] = 0.0
     return f1, f2
 
 
@@ -164,9 +179,10 @@ def source_terms(v: FieldSet, inputs: ForcingInputs,
     (a / (2h)) S_h when S_h < 0; the boundary cases f(0) = 0 and S_h = 0
     contribute zero (the continuous extension of the branch values).
     """
-    shape = (v.grid.ny, v.grid.nx)
     if inputs.f_growth is None:
-        return np.zeros(shape), np.zeros(shape)
+        zero = _zero_field(v.grid)
+        return zero, zero
+    shape = (v.grid.ny, v.grid.nx)
     f = inputs.f_growth
     f0 = float(f(0.0))
     covered = v.a > 0.0
@@ -232,16 +248,17 @@ class RunResult:
 def diagnostics_row(v: FieldSet, t: float, params: RheologyParams,
                     reference: FieldSet) -> dict:
     g = v.grid
-    speed2 = v.u1**2 + v.u2**2
-    kinetic = 0.5 * params.rho_ice * g.cell_area * float(np.sum(v.h * speed2))
-    du = v.to_vector() - reference.to_vector()
+    area = g.cell_area
+    speed2 = v.u1 * v.u1 + v.u2 * v.u2
+    du = v.to_vector()
+    du -= reference.to_vector()
     return {
         "time": t,
-        "kinetic_energy": kinetic,
-        "mean_h": float(np.mean(v.h)),
-        "mean_a": float(np.mean(v.a)),
-        "max_u": float(np.sqrt(np.max(speed2))),
-        "perturbation_norm": float(np.sqrt(g.cell_area) * np.linalg.norm(du)),
+        "kinetic_energy": 0.5 * params.rho_ice * area * float((v.h * speed2).sum()),
+        "mean_h": float(v.h.mean()),
+        "mean_a": float(v.a.mean()),
+        "max_u": math.sqrt(speed2.max()),
+        "perturbation_norm": math.sqrt(area) * norm(du),
     }
 
 

@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .params import (InvalidStateError, RheologyParams, check_compactness,
                      check_finite, check_thickness)
@@ -48,6 +49,13 @@ class Grid:
                 raise InvalidStateError(
                     f"grid spacing {name} = {h!r} must have 1/{name}^2 "
                     f"positive and finite")
+        # the grid keys every per-grid cache a step reads: hash it once,
+        # as the generated __hash__ would
+        object.__setattr__(self, "_hash",
+                           hash((self.nx, self.ny, self.lx, self.ly)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dx(self) -> float:
@@ -72,13 +80,31 @@ class Grid:
         return np.meshgrid(x, y)
 
     def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros((self.ny, self.nx), dtype=bool)
-        mask[0, :] = mask[-1, :] = True
-        mask[:, 0] = mask[:, -1] = True
-        return mask
+        """(ny, nx) mask of the boundary nodes, built once per grid and
+        read-only (``_masks``)."""
+        return _masks(self)[0]
 
     def interior_mask(self) -> np.ndarray:
-        return ~self.boundary_mask()
+        """(ny, nx) mask of the interior nodes, built once per grid and
+        read-only (``_masks``)."""
+        return _masks(self)[1]
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, each made read-only: every step shares them, so a caller
+    that writes into one raises instead of corrupting the next step."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=32)
+def _masks(grid: Grid) -> tuple:
+    """The boundary and interior masks of a grid, read-only."""
+    boundary = np.zeros((grid.ny, grid.nx), dtype=bool)
+    boundary[0, :] = boundary[-1, :] = True
+    boundary[:, 0] = boundary[:, -1] = True
+    return _read_only(boundary, ~boundary)
 
 
 def _d1_interior(n: int, h: float) -> sp.csr_matrix:
@@ -140,6 +166,24 @@ def diff_ops(grid: Grid) -> dict:
         "div": sp.hstack([-d_x.T, -d_y.T], format="csr"),
         "id": sp.identity(grid.n_nodes, format="csr"),
     }
+
+
+def matvec(matrix: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``matrix @ x`` for a CSR matrix and a float vector, bit for bit: the
+    same ``csr_matvec`` kernel into a zeroed float result, without the
+    operator dispatch around it, which costs more than the product on a
+    grid field."""
+    out = np.zeros(matrix.shape[0])
+    csr_matvec(matrix.shape[0], matrix.shape[1], matrix.indptr,
+               matrix.indices, matrix.data, x, out)
+    return out
+
+
+def norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a real float vector, bit for bit: the square
+    root of ``x.dot(x)``, which is what it computes, without its
+    dispatch."""
+    return math.sqrt(x.dot(x))
 
 
 def neumann_mode(n: int, k: int = 1) -> np.ndarray:
@@ -209,32 +253,66 @@ class FieldSet:
         Returns self, or a copy with a clamped into [0, 1]; self is unchanged.
         """
         shape = (self.grid.ny, self.grid.nx)
-        for name in ("u1", "u2", "h", "a"):
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise InvalidStateError(f"{name} has shape {arr.shape}, want {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidStateError(f"{name} contains non-finite values")
+        fields = [self.u1, self.u2, self.h, self.a]
+        # one finite check over the four fields; a fault is named field by
+        # field, shape before values, as the fields come
+        if (any(arr.shape != shape for arr in fields)
+                or not np.isfinite(fields).all()):
+            for name, arr in zip(("u1", "u2", "h", "a"), fields):
+                if arr.shape != shape:
+                    raise InvalidStateError(
+                        f"{name} has shape {arr.shape}, want {shape}")
+                if not np.isfinite(arr).all():
+                    raise InvalidStateError(f"{name} contains non-finite values")
         bnd = self.grid.boundary_mask()
-        worst = float(max(np.abs(self.u1[bnd]).max(), np.abs(self.u2[bnd]).max()))
-        if worst != 0.0:
+        u1, u2 = self.u1[bnd], self.u2[bnd]
+        if u1.any() or u2.any():  # -0.0 counts as 0.0, as in |u| != 0
+            worst = float(max(np.abs(u1).max(), np.abs(u2).max()))
             raise InvalidStateError(
                 f"velocity must vanish on the boundary, max |u| there = {worst!r}")
         check_thickness(self.h, params.kappa)
         check_compactness(self.a)
-        if np.all((self.a >= 0.0) & (self.a <= 1.0)):
+        if self.a.min() >= 0.0 and self.a.max() <= 1.0:  # a is finite here
             return self
         return replace(self, a=np.clip(self.a, 0.0, 1.0))
+
+
+def gradient(f: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Derivative of f along ``axis`` at spacing h: centered differences
+    inside, one-sided second-order differences at both ends.
+
+    ``np.gradient(f, h, axis=axis, edge_order=2)`` bit for bit: the same
+    products, quotients and sums in the same order, on the same slices.
+    What it leaves out is np.gradient's set-up (argument and dtype
+    handling, slice tuples built per call), which costs more than the
+    differences on a grid field.  f is a float array with at least three
+    points along ``axis``; an axis f lacks raises IndexError.
+    """
+    lead = (slice(None),) * range(f.ndim)[axis]
+    first, last = lead + (0,), lead + (-1,)
+    out = np.empty_like(f)
+    out[lead + (slice(1, -1),)] = (
+        f[lead + (slice(2, None),)] - f[lead + (slice(None, -2),)]) / (2.0 * h)
+    out[first] = ((-1.5 / h) * f[first] + (2.0 / h) * f[lead + (1,)]
+                  + (-0.5 / h) * f[lead + (2,)])
+    out[last] = ((0.5 / h) * f[lead + (-3,)] + (-2.0 / h) * f[lead + (-2,)]
+                 + (1.5 / h) * f[last])
+    return out
 
 
 def strain_rate_field(fields: FieldSet) -> StrainRate:
     """Symmetric velocity gradient on all nodes.
 
     Centered second-order differences in the interior, one-sided
-    second-order at boundary nodes.
+    second-order at boundary nodes: ``gradient`` along x and along y of the
+    stacked (u1, u2).  That kernel equals ``np.gradient(..., edge_order=2)``
+    bit for bit because it does numpy's floating-point operations, in
+    numpy's order, on the same slices; only the set-up is left out.  A step
+    computes this field once, when ``operators.coupled_terms`` freezes the
+    coefficients at v_n.
     """
     g = fields.grid
-    # both components in one call: the same differences, element by element
-    (du1_dy, du2_dy), (du1_dx, du2_dx) = np.gradient(
-        np.stack([fields.u1, fields.u2]), g.dy, g.dx, axis=(1, 2), edge_order=2)
+    u = np.stack([fields.u1, fields.u2])
+    du1_dx, du2_dx = gradient(u, g.dx, -1)
+    du1_dy, du2_dy = gradient(u, g.dy, -2)
     return StrainRate(e11=du1_dx, e12=0.5 * (du1_dy + du2_dx), e22=du2_dy)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from contextlib import AbstractContextManager
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,15 +73,20 @@ def write_key_values(path, items) -> None:
             fh.write(f"{key} = {value}\n")
 
 
+@lru_cache(maxsize=32)
+def _grid_header(grid: Grid) -> bytes:
+    """The 'nx ny lx ly ' part of a snapshot header, once per grid."""
+    return " ".join([str(grid.nx), str(grid.ny), format_float(grid.lx),
+                     format_float(grid.ly), ""]).encode("ascii")
+
+
 def write_snapshot(path, fields: FieldSet, t: float) -> None:
     """Header line 'nx ny lx ly t', then u1, u2, h, a as little-endian f64."""
-    g = fields.grid
-    header = " ".join([str(g.nx), str(g.ny), format_float(g.lx),
-                       format_float(g.ly), format_float(t)])
     with open(path, "wb") as fh:
-        fh.write((header + "\n").encode("ascii"))
+        fh.write(_grid_header(fields.grid) + (format_float(t) + "\n").encode("ascii"))
         for arr in (fields.u1, fields.u2, fields.h, fields.a):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            # the array's own buffer when it is already C-ordered "<f8"
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def read_snapshot(path):

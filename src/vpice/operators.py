@@ -61,7 +61,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
-from .grid import FieldSet, Grid, diff_ops, strain_rate_field
+from .grid import (FieldSet, Grid, _read_only, diff_ops, gradient, matvec,
+                   norm, strain_rate_field)
 from .params import InvalidStateError, RheologyParams, VpiceError
 from .rheology import (
     coefficient_tensor,
@@ -123,11 +124,14 @@ class _Plan:
 
     ``pattern`` holds the sorted, duplicate-merged CSR pattern of every term
     (``_pattern``); ``positions[t]`` gives the pattern entry of each entry of
-    term t, in its stencil's CSR order.
+    term t, in its stencil's CSR order, and ``stencils[t]`` the (rows,
+    indptr, data) of term t's ``diff_ops`` stencil, or None for a nested
+    sum, whose data come with each call.
     """
 
     pattern: sp.csr_matrix
     positions: tuple
+    stencils: tuple
 
     @property
     def shape(self) -> tuple:
@@ -192,11 +196,15 @@ def _plan(grid: Grid, blocks: tuple, layout: tuple) -> _Plan:
     stencil is a ``diff_ops`` key or the plan of a nested sum."""
     n = grid.n_nodes
     shape = (blocks[0] * n, blocks[1] * n)
+    ops = diff_ops(grid)
+    stencils = tuple((ops[s].shape[0], ops[s].indptr, ops[s].data)
+                     if isinstance(s, str) else None for s, _, _ in layout)
     rows, cols = [], []
     for stencil, block_row, block_col in layout:
-        s = diff_ops(grid)[stencil] if isinstance(stencil, str) else stencil
-        rows.append(_row_of_entry(s.indptr) + block_row * n)
-        cols.append(s.indices + block_col * n)
+        s = ops[stencil] if isinstance(stencil, str) else stencil
+        # int(): a numpy integer block index would widen the int32 arrays
+        rows.append(_row_of_entry(s.indptr) + int(block_row) * n)
+        cols.append(s.indices + int(block_col) * n)
     offsets = np.cumsum([0] + [len(c) for c in cols])
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     order = np.lexsort((cols, rows))
@@ -208,7 +216,8 @@ def _plan(grid: Grid, blocks: tuple, layout: tuple) -> _Plan:
     indptr = np.zeros(shape[0] + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows[new], minlength=shape[0]), out=indptr[1:])
     return _Plan(_pattern(sp.csr_matrix, cols[new], indptr, shape), tuple(
-        position[start:stop] for start, stop in zip(offsets, offsets[1:])))
+        position[start:stop] for start, stop in zip(offsets, offsets[1:])),
+        stencils)
 
 
 def _sum_terms(grid: Grid, blocks: tuple, terms) -> _Sum:
@@ -224,15 +233,13 @@ def _sum_terms(grid: Grid, blocks: tuple, terms) -> _Sum:
     meet in an entry, so the sums are those of a COO -> CSR conversion, bit
     for bit, whatever its order of summation.
     """
-    ops = diff_ops(grid)
-    # int(): a numpy integer block index would widen the int32 index arrays
-    plan = _plan(grid, blocks, tuple(
-        (s if isinstance(s, str) else s.plan, int(block_row), int(block_col))
-        for s, block_row, block_col, _, _ in terms))
+    plan = _plan(grid, blocks, tuple([
+        (s if isinstance(s, str) else s.plan, block_row, block_col)
+        for s, block_row, block_col, _, _ in terms]))
     total = np.zeros(len(plan.indices))
-    for (s, _, _, weight, factor), position in zip(terms, plan.positions):
-        s = ops[s] if isinstance(s, str) else s
-        rows = s.shape[0]
+    for (s, _, _, weight, factor), position, stencil in zip(
+            terms, plan.positions, plan.stencils):
+        rows, indptr, data = stencil or (len(s.indptr) - 1, s.indptr, s.data)
         # x * 1.0 == x: a term without weight takes ones, and a unit factor
         # is no product
         weight = np.ones(rows) if weight is None else np.asarray(weight, dtype=float)
@@ -241,8 +248,8 @@ def _sum_terms(grid: Grid, blocks: tuple, terms) -> _Sum:
                              f"{weight.shape}")
         # the term's entries as a CSC matrix whose column r is stencil row
         # r: total[position[k]] += (data[k] * factor) * weight[r], k ascending
-        csc_matvec(len(total), rows, s.indptr, position,
-                   s.data if factor == 1.0 else s.data * factor, weight, total)
+        csc_matvec(len(total), rows, indptr, position,
+                   data if factor == 1.0 else data * factor, weight, total)
     return _Sum(plan, total)
 
 
@@ -252,46 +259,76 @@ def assemble_terms(grid: Grid, blocks: tuple, terms) -> sp.csr_matrix:
     return total.plan.matrix(total.data)
 
 
+@lru_cache(maxsize=32)
 def velocity_boundary_mask(grid: Grid, n_blocks: int) -> np.ndarray:
-    """Dirichlet rows of an operator whose first two blocks are (u1, u2)."""
+    """Dirichlet rows of an operator whose first two blocks are (u1, u2);
+    built once per grid and block count, read-only, and shared by every
+    ``SparseOperator`` of that shape."""
     bnd = grid.boundary_mask().ravel()
-    return np.concatenate([bnd, bnd, np.zeros((n_blocks - 2) * grid.n_nodes, bool)])
+    return _read_only(np.concatenate(
+        [bnd, bnd, np.zeros((n_blocks - 2) * grid.n_nodes, bool)]))[0]
+
+
+class _NodeWeights(NamedTuple):
+    """Flat 0/1 node weights of a grid, built once per grid, read-only."""
+
+    interior: np.ndarray  # 1 at interior nodes, 0 on the boundary
+    boundary: np.ndarray  # 1 - interior: the Dirichlet identity rows
+    negative_interior: np.ndarray  # -interior: the principal part's sign
+
+
+@lru_cache(maxsize=32)
+def _node_weights(grid: Grid) -> _NodeWeights:
+    interior = grid.interior_mask().ravel().astype(float)
+    return _NodeWeights(*_read_only(interior, 1.0 - interior, -interior))
+
+
+@lru_cache(maxsize=32)
+def _lower_order_terms(params: RheologyParams) -> tuple:
+    """(stencil, i, j, k, S_ij^kl) for each nonzero S_ij^kl, in the order
+    of ``np.nonzero``: the coefficient of d_l u_j in (S eps(u))_ik, d_l the
+    stencil.  Built once per parameter set."""
+    s = s_tensor(params)
+    return tuple((("dx", "dy")[l], int(i), int(j), int(k), s[i, j, k, l])
+                 for i, j, k, l in zip(*np.nonzero(s)))
 
 
 def _gradient_terms(weight: np.ndarray, block_col: int) -> list:
     return [("dx", 0, block_col, weight, 1.0), ("dy", 1, block_col, weight, 1.0)]
 
 
-def _hibler_terms(v_frozen: FieldSet, grid: Grid, params: RheologyParams) -> list:
-    """Terms of the velocity operator, identity rows on the full boundary.
+def _hibler_terms(v_frozen: FieldSet, grid: Grid, params: RheologyParams,
+                  p0: np.ndarray) -> list:
+    """Terms of the velocity operator frozen at v_frozen, whose ice strength
+    ``pressure(v_frozen.h, v_frozen.a, params)`` is p0; identity rows on the
+    full boundary.
 
-    The one-dimensional difference factories leave rows at nodes that are
-    interior along their own axis only; zero weights there keep the
-    Dirichlet rows clean.
+    The strain rate, Delta_delta and the coefficient tensor are computed
+    once here.  The one-dimensional difference factories leave rows at
+    nodes that are interior along their own axis only; zero weights there
+    keep the Dirichlet rows clean.
     """
-    interior = grid.interior_mask().ravel().astype(float)
+    weights = _node_weights(grid)
     eps0 = strain_rate_field(v_frozen)
-    p0 = pressure(v_frozen.h, v_frozen.a, params)
+    dreg = delta_reg(eps0, params)
     # the minus sign of the principal part rides on its weights: (d * -1) *
     # a == d * -a exactly, so its terms need no factor
-    coeff = coefficient_tensor(eps0, p0, params).reshape(2, 2, 2, 2, -1) * -interior
+    coeff = (coefficient_tensor(eps0, p0, params, dreg)
+             .reshape(2, 2, 2, 2, -1) * weights.negative_interior)
+    mixed = coeff[:, :, 0, 1] + coeff[:, :, 1, 0]
+    two_dreg = 2.0 * dreg
+    g = [(-gradient(p0, h, axis) / two_dreg).ravel() * weights.interior
+         for h, axis in ((grid.dx, -1), (grid.dy, -2))]
 
-    dreg = delta_reg(eps0, params)
-    dp_dy, dp_dx = np.gradient(p0, grid.dy, grid.dx, edge_order=2)
-    g = [(-dp / (2.0 * dreg)).ravel() * interior for dp in (dp_dx, dp_dy)]
-
-    boundary = 1.0 - interior
-    terms = [("id", i, i, boundary, 1.0) for i in range(2)]
+    terms = [("id", i, i, weights.boundary, 1.0) for i in range(2)]
     for i in range(2):
         for j in range(2):
             c = coeff[i, j]
             terms += [("dxx", i, j, c[0, 0], 1.0), ("dyy", i, j, c[1, 1], 1.0),
-                      ("dxy", i, j, c[0, 1] + c[1, 0], 1.0)]
-    # lower-order term -(1/(2 Delta_delta)) sum_k (d_k P) (S eps(u))_ik; the
-    # coefficient of d_l u_j in (S eps(u))_ik is S_ij^kl
-    s = s_tensor(params)
-    return terms + [(("dx", "dy")[l], i, j, g[k], s[i, j, k, l])
-                    for i, j, k, l in zip(*np.nonzero(s))]
+                      ("dxy", i, j, mixed[i, j], 1.0)]
+    # lower-order term -(1/(2 Delta_delta)) sum_k (d_k P) (S eps(u))_ik
+    return terms + [(stencil, i, j, g[k], factor)
+                    for stencil, i, j, k, factor in _lower_order_terms(params)]
 
 
 def assemble_hibler(v_frozen: FieldSet, grid: Grid,
@@ -301,8 +338,9 @@ def assemble_hibler(v_frozen: FieldSet, grid: Grid,
     Boundary rows are identity rows (homogeneous Dirichlet).
     """
     v_frozen = v_frozen.validate(params)
+    p0 = pressure(v_frozen.h, v_frozen.a, params)
     return SparseOperator(
-        assemble_terms(grid, (2, 2), _hibler_terms(v_frozen, grid, params)),
+        assemble_terms(grid, (2, 2), _hibler_terms(v_frozen, grid, params, p0)),
         velocity_boundary_mask(grid, 2))
 
 
@@ -312,7 +350,7 @@ def gradient_coupling(grid: Grid, coeff: np.ndarray) -> sp.csr_matrix:
     Rows vanish on the full boundary, matching the Dirichlet row replacement
     of the velocity block.
     """
-    weight = np.asarray(coeff).ravel() * grid.interior_mask().ravel()
+    weight = np.asarray(coeff).ravel() * _node_weights(grid).interior
     return assemble_terms(grid, (2, 1), _gradient_terms(weight, 0))
 
 
@@ -336,14 +374,30 @@ def assemble_neumann_laplacian(grid: Grid, d: float) -> SparseOperator:
 
 def coupled_terms(v_frozen: FieldSet, grid: Grid, params: RheologyParams) -> list:
     """Terms of the coupled operator frozen at v_frozen, in 4 x 4 blocks,
-    the Coriolis rotation last."""
-    interior = grid.interior_mask().ravel()
-    hibler = _sum_terms(grid, (2, 2), _hibler_terms(v_frozen, grid, params))
+    the Coriolis rotation last.
+
+    Each frozen-state field is computed once per call, so once per step:
+    P by one ``pressure`` call, which the velocity block and dP/dh, dP/da
+    share; eps(u) by ``strain_rate_field``, Delta_delta by one
+    ``delta_reg`` call that ``coefficient_tensor`` reuses, and dP/dx,
+    dP/dy by ``grid.gradient`` in ``_hibler_terms``.  ``grid.gradient`` is
+    ``np.gradient(..., edge_order=2)`` bit for bit, the same operations in
+    the same order, so the terms are those of the np.gradient formula.
+    What depends on the grid or the parameters alone is kept, read-only:
+    the node weights (``_node_weights``), the lower-order terms of S
+    (``_lower_order_terms``) and the Dirichlet mask
+    (``velocity_boundary_mask``).
+    """
+    interior = _node_weights(grid).interior
+    h, a = v_frozen.h, v_frozen.a
+    p0 = pressure(h, a, params)
+    hibler = _sum_terms(grid, (2, 2), _hibler_terms(v_frozen, grid, params, p0))
     # weight 1 keeps the boundary identity rows of the velocity block
-    inv_mass = np.where(interior, 1.0 / (params.rho_ice * v_frozen.h.ravel()), 1.0)
-    dp_dh, dp_da = pressure_derivatives(v_frozen.h, v_frozen.a, params)
-    scale = 2.0 * params.rho_ice * v_frozen.h
-    return ([(hibler, 0, 0, np.tile(inv_mass, 2), 1.0)]
+    inv_mass = np.where(grid.interior_mask().ravel(),
+                        1.0 / (params.rho_ice * h.ravel()), 1.0)
+    dp_dh, dp_da = pressure_derivatives(h, a, params, p=p0)
+    scale = 2.0 * params.rho_ice * h
+    return ([(hibler, 0, 0, np.concatenate([inv_mass, inv_mass]), 1.0)]
             + _gradient_terms((dp_dh / scale).ravel() * interior, 2)
             + _gradient_terms((dp_da / scale).ravel() * interior, 3)
             + [("neumann", 2, 2, None, params.d_h),
@@ -399,6 +453,37 @@ class _ColumnOrder(NamedTuple):
 
 _MAX_ORDERINGS = 8  # a run sees two patterns per grid: at rest and moving
 _ORDERINGS: dict = {}  # CSR pattern -> _ColumnOrder, least recently used first
+# glibc mallopt parameters and the values _keep_freed_memory sets: blocks
+# under 32 MB (glibc's largest mmap threshold) come from the heap, and up to
+# 64 MB of freed memory at its top stay there
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+@lru_cache(maxsize=None)
+def _keep_freed_memory() -> bool:
+    """Let the C allocator keep the memory that SuperLU frees, once per
+    process; True where it could (glibc's ``mallopt``).
+
+    Each factorization mallocs its working arrays and frees them when it
+    is done.  With glibc's default, dynamic thresholds those blocks were
+    mapped afresh and unmapped, or trimmed off the top of the heap, every
+    time, so each step page-faulted its factorization's memory back in:
+    about 350 minor faults (1.4 MB) and 0.5 ms of a 7 ms 17² step.  With
+    both thresholds fixed, a freed block stays in the heap and the next
+    factorization reuses it.  This changes where memory comes from, not a
+    value: the factors, and so the solutions, are bit for bit the same.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
 
 
 def _lu_solver(matrix: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
@@ -410,8 +495,11 @@ def _lu_solver(matrix: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
     gives the COLAMD solutions bit for bit except where a pivot ties the
     diagonal: ``diag_pivot_thresh`` = 1 prefers the diagonal, which the
     permutation moves (seen on grids with at most 4 nodes along a side, up
-    to 3e-16 relative in ||x||).  Raises RuntimeError as ``splu`` does.
+    to 3e-16 relative in ||x||).  The first call lets the C allocator keep
+    the memory factorizations free (``_keep_freed_memory``).  Raises
+    RuntimeError as ``splu`` does.
     """
+    _keep_freed_memory()
     key = (matrix.shape, matrix.indptr.tobytes(), matrix.indices.tobytes())
     # compared, not hashed: the held keys' hashes are cached, a new key's
     # would cost a pass over its bytes every step
@@ -443,7 +531,7 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"rhs has shape {rhs.shape}, operator dim {op.dim}")
     if not np.isfinite(rhs).all():
         raise LinearSolveError("the right-hand side has non-finite entries")
-    rhs_norm = np.linalg.norm(rhs)
+    rhs_norm = norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
 
@@ -459,15 +547,17 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
         x = solve(rhs)
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise LinearSolveError("factorization produced non-finite values")
-    residual = rhs - matrix @ x
+    residual = rhs - matvec(matrix, x)
+    residual_norm = norm(residual)
     for _ in range(MAX_REFINEMENTS):
-        if np.linalg.norm(residual) <= SOLVE_RTOL * rhs_norm:
+        if residual_norm <= SOLVE_RTOL * rhs_norm:
             break
         x = x + solve(residual)
-        residual = rhs - matrix @ x
-    achieved = np.linalg.norm(residual) / rhs_norm
+        residual = rhs - matvec(matrix, x)
+        residual_norm = norm(residual)
+    achieved = residual_norm / rhs_norm
     if not achieved <= SOLVE_RTOL:
         raise LinearSolveError("direct solve did not reach tolerance", achieved)
     return x

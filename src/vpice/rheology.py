@@ -22,12 +22,14 @@ S is written out only in ``s_tensor`` (its 4x4 form) and ``s_map``; a general
 
 Every function broadcasts over numpy arrays, so a StrainRate whose entries
 are (ny, nx) fields is processed nodewise in one call.  All functions are
-pure; no global state.
+pure; the only state is ``s_tensor``'s read-only result, kept per
+parameter set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -108,12 +110,14 @@ class YieldDiagnostics(NamedTuple):
     ellipse_residual: object
 
 
+@lru_cache(maxsize=32)
 def s_tensor(params: RheologyParams) -> np.ndarray:
     """The map S as a (2, 2, 2, 2) array, indexed S[i, j, k, l] = S_ij^kl.
 
     Contractions pair (i, k) against (j, l):
     Delta^2(eps) = sum eps_ik S_ij^kl eps_jl and
-    (S eps)_ik = sum_jl S_ij^kl eps_jl.
+    (S eps)_ik = sum_jl S_ij^kl eps_jl.  Built once per parameter set,
+    C-contiguous and read-only.
     """
     q = 1.0 / params.e**2
     # 4x4 form in (11, 12, 21, 22) vector order, rows (i,k), cols (j,l)
@@ -123,7 +127,9 @@ def s_tensor(params: RheologyParams) -> np.ndarray:
         [0.0, q, q, 0.0],
         [1.0 - q, 0.0, 0.0, 1.0 + q],
     ])
-    return s4.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+    s = np.ascontiguousarray(s4.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3))
+    s.flags.writeable = False
+    return s
 
 
 def s_map(eps: StrainRate, params: RheologyParams) -> Stress2x2:
@@ -178,10 +184,14 @@ def pressure(h, a, params: RheologyParams):
     return out[()] if out.ndim == 0 else out
 
 
-def pressure_derivatives(h, a, params: RheologyParams):
-    """Partials (dP/dh, dP/da) = (p* exp(-c(1-a)), c P); no singularity at h = 0."""
-    p = pressure(h, a, params)
-    a = np.clip(np.asarray(a, dtype=float), 0.0, 1.0)
+def pressure_derivatives(h, a, params: RheologyParams, p=None):
+    """Partials (dP/dh, dP/da) = (p* exp(-c(1-a)), c P); no singularity at h = 0.
+
+    ``p`` is ``pressure(h, a, params)`` when the caller holds it (the step
+    computes P once per state); it is computed here otherwise."""
+    if p is None:
+        p = pressure(h, a, params)
+    a = np.asarray(a, dtype=float).clip(0.0, 1.0)
     dp_dh = params.p_star * np.exp(-params.c * (1.0 - a))
     dp_da = params.c * p
     return dp_dh[()] if dp_dh.ndim == 0 else dp_dh, dp_da
@@ -227,7 +237,8 @@ def stress_sigma_delta(eps: StrainRate, h, a, params: RheologyParams) -> Stress2
     )
 
 
-def coefficient_tensor(eps: StrainRate, p, params: RheologyParams) -> np.ndarray:
+def coefficient_tensor(eps: StrainRate, p, params: RheologyParams,
+                       dreg=None) -> np.ndarray:
     """Quasilinear coefficients a_ij^kl of the principal part.
 
     a_ij^kl = (P / (2 Delta_delta)) (S_ij^kl
@@ -237,19 +248,26 @@ def coefficient_tensor(eps: StrainRate, p, params: RheologyParams) -> np.ndarray
     for array input.  Satisfies the six index symmetries
     a_ij^kl = a_ji^lk = a_kl^ij = a_kj^il = a_il^kj = a_lk^ji and the
     coercivity sum a_ij^kl d_ik d_jl >= (P / (2 Delta_delta^3)) delta
-    Delta^2(d) for every real 2x2 d.
+    Delta^2(d) for every real 2x2 d.  ``dreg`` is ``delta_reg(eps,
+    params)`` when the caller holds it (the step computes Delta_delta once
+    per state); it is computed here otherwise.
     """
-    dreg = delta_reg(eps, params)
+    if dreg is None:
+        dreg = delta_reg(eps, params)
     se = s_map(eps, params)
-    # (S eps) in the (i, k) slot of the contraction, contiguous for a fast einsum
+    # (S eps) in the (i, k) slot of the contraction
     se_mat = np.empty((2, 2) + np.shape(dreg))
     se_mat[0, 0] = se.s11
     se_mat[0, 1] = se_mat[1, 0] = se.s12
     se_mat[1, 1] = se.s22
-    rank_one = np.einsum("ik...,jl...->ijkl...", se_mat, se_mat)
+    # rank_one[i, j, k, l] = se[i, k] se[j, l], one product per entry; then
+    # S - rank_one / Delta_delta^2 in its place
+    bracket = se_mat[:, None, :, None] * se_mat[None, :, None, :]
+    bracket /= dreg * dreg
     s_full = s_tensor(params).reshape((2, 2, 2, 2) + (1,) * np.ndim(dreg))
+    np.subtract(s_full, bracket, out=bracket)
     scale = np.asarray(p, dtype=float) / (2.0 * dreg)
-    return scale * (s_full - rank_one / (dreg * dreg))
+    return scale * bracket
 
 
 def coercivity_lower_bound(eps: StrainRate, p, params: RheologyParams):

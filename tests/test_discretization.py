@@ -7,6 +7,9 @@ import scipy.sparse as sp
 from vpice.grid import (
     FieldSet,
     Grid,
+    diff_ops,
+    gradient,
+    matvec,
     neumann_eigenvalues,
     neumann_mode,
     strain_rate_field,
@@ -84,22 +87,53 @@ def test_strain_rate_shear_linear_field():
     np.testing.assert_allclose(eps.e12, 0.5, atol=1e-13)
 
 
-@pytest.mark.parametrize("nx, ny", [(17, 17), (9, 13), (73, 73)])
-def test_strain_rate_is_the_four_gradients_bitwise(nx, ny):
-    # one np.gradient call over both components and both axes takes the
-    # same differences as one call per component and axis
-    g = Grid(nx, ny, 1.0, 1.5)
-    rng = np.random.default_rng(nx * ny)
-    u1, u2 = rng.normal(size=(2, ny, nx))
+KERNEL_GRIDS = [Grid(3, 3), Grid(17, 17), Grid(9, 15, lx=2.0), Grid(73, 73)]
+
+
+@pytest.mark.parametrize("g", KERNEL_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+def test_gradient_kernel_is_np_gradient_bit_for_bit(g):
+    # the reference is numpy's own edge_order=2 gradient, on one field and
+    # on stacks of two and three, along both grid axes, with the spacings
+    # of the grid and values spread over many binades
+    rng = np.random.default_rng(g.nx * g.ny)
+    for shape in ((g.ny, g.nx), (2, g.ny, g.nx), (3, g.ny, g.nx)):
+        f = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+        for h, axis in ((g.dx, -1), (g.dy, -2), (0.3, -1), (1e-3, -2)):
+            expected = np.gradient(f, h, axis=axis, edge_order=2)
+            got = gradient(f, h, axis)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+            # a non-negative axis names the same one
+            assert gradient(f, h, axis % f.ndim).tobytes() == got.tobytes()
+    with pytest.raises(IndexError):
+        gradient(f, g.dx, 3)
+
+
+@pytest.mark.parametrize("g", KERNEL_GRIDS + [Grid(9, 13, 1.0, 1.5)],
+                         ids=lambda g: f"{g.nx}x{g.ny}")
+def test_strain_rate_is_the_np_gradient_formula_bit_for_bit(g):
+    # the formula strain_rate_field replaced: np.gradient per component and
+    # axis, e12 the half sum of the cross derivatives
+    rng = np.random.default_rng(g.nx * g.ny)
+    u1, u2 = rng.normal(size=(2, g.ny, g.nx))
     eps = strain_rate_field(FieldSet(g, u1, u2, np.ones_like(u1),
                                      np.ones_like(u1)))
     du1_dx = np.gradient(u1, g.dx, axis=1, edge_order=2)
     du1_dy = np.gradient(u1, g.dy, axis=0, edge_order=2)
     du2_dx = np.gradient(u2, g.dx, axis=1, edge_order=2)
     du2_dy = np.gradient(u2, g.dy, axis=0, edge_order=2)
-    np.testing.assert_array_equal(eps.e11, du1_dx)
-    np.testing.assert_array_equal(eps.e12, 0.5 * (du1_dy + du2_dx))
-    np.testing.assert_array_equal(eps.e22, du2_dy)
+    assert eps.e11.tobytes() == du1_dx.tobytes()
+    assert eps.e12.tobytes() == (0.5 * (du1_dy + du2_dx)).tobytes()
+    assert eps.e22.tobytes() == du2_dy.tobytes()
+
+
+@pytest.mark.parametrize("g", KERNEL_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+def test_matvec_is_the_scipy_product_bit_for_bit(g):
+    rng = np.random.default_rng(g.nx)
+    for matrix in (diff_ops(g)["dx"], diff_ops(g)["div"],
+                   assemble_neumann_laplacian(g, 0.7).matrix):
+        x = rng.normal(size=matrix.shape[1])
+        assert matvec(matrix, x).tobytes() == (matrix @ x).tobytes()
 
 
 def test_masked_linear_field_exact_away_from_boundary():

@@ -7,12 +7,15 @@ direct solve path does not move; the GMRES kernel must take scipy's steps,
 so its iteration counts equal ``scipy.sparse.linalg.gmres``'s.
 """
 
+import platform
+import resource
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from vpice import operators, scaled_params
+from vpice import dynamics, grid as grid_module, operators, rheology, scaled_params
 from vpice.dynamics import ForcingInputs, StepperConfig, step
 from vpice.grid import FieldSet, Grid, diff_ops
 from vpice.operators import (
@@ -35,7 +38,7 @@ from vpice.operators import (
     solve_linear,
 )
 from vpice.params import InvalidStateError
-from vpice.rheology import coefficient_tensor
+from vpice.rheology import coefficient_tensor, pressure
 from vpice.stability import Equilibrium, assemble_A0
 
 
@@ -62,9 +65,13 @@ def coo_sum(grid, blocks, terms):
     return matrix
 
 
+def hibler_terms(state, grid, params):
+    return _hibler_terms(state, grid, params, pressure(state.h, state.a, params))
+
+
 def oracle_coupled_terms(state, grid, params):
     # the velocity block is summed on its own before inv_mass weights it
-    hibler = coo_sum(grid, (2, 2), _hibler_terms(state, grid, params))
+    hibler = coo_sum(grid, (2, 2), hibler_terms(state, grid, params))
     (_, _, _, inv_mass, factor), *rest = coupled_terms(state, grid, params)
     return [(hibler, 0, 0, inv_mass, factor)] + rest
 
@@ -103,7 +110,7 @@ def test_plan_assembly_is_the_coo_sum_bit_for_bit(grid, c_cor):
     params = scaled_params(delta=1e-6, c_cor=c_cor)
     for state in states(grid).values():
         assert_bitwise(assemble_hibler(state, grid, params).matrix,
-                       coo_sum(grid, (2, 2), _hibler_terms(state, grid, params)))
+                       coo_sum(grid, (2, 2), hibler_terms(state, grid, params)))
         coupled = coo_sum(grid, (4, 4), oracle_coupled_terms(state, grid, params))
         assert_bitwise(assemble_coupled(state, grid, params).matrix, coupled)
         for dt in (0.004, 0.04, 1e9):
@@ -172,6 +179,46 @@ def test_plan_is_built_once_per_grid_and_layout():
     after = _plan.cache_info()
     assert after.misses == before.misses
     assert after.hits == before.hits + 2  # the velocity block and the sum
+
+
+# grid-only and params-only constants a step reads instead of rebuilding
+STEP_CONSTANTS = (grid_module._masks, operators._node_weights,
+                  operators.velocity_boundary_mask, operators._lower_order_terms,
+                  rheology.s_tensor, dynamics._zero_field, dynamics._rotation)
+
+
+def test_step_constants_are_built_once_per_grid_and_params():
+    cfg = StepperConfig(dt=0.01, t_end=0.01)
+    step(states(Grid(7, 9))["moving"], ForcingInputs(), scaled_params(), cfg)
+    before = [constant.cache_info() for constant in STEP_CONSTANTS]
+    # equal grid and parameters, new objects: every constant is found
+    step(states(Grid(7, 9))["moving"], ForcingInputs(), scaled_params(), cfg)
+    for constant, old in zip(STEP_CONSTANTS, before):
+        new = constant.cache_info()
+        assert new.misses == old.misses, constant.__name__
+        assert new.hits > old.hits, constant.__name__
+
+
+def test_step_constants_are_read_only():
+    # a caller that writes into a shared mask, weight or zero field raises
+    # instead of corrupting the next step
+    grid, params = Grid(7, 9), scaled_params()
+    state = states(grid)["moving"]
+    cfg = StepperConfig(dt=0.01, t_end=0.01)
+    expected = step(state, ForcingInputs(), params, cfg).to_vector()
+    op = assemble_coupled(state, grid, params, dt=0.01)
+    shared = [grid.boundary_mask(), grid.interior_mask(), op.dirichlet_mask,
+              *operators._node_weights(grid), rheology.s_tensor(params),
+              dynamics._zero_field(grid)]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = not array.flat[0]
+        with pytest.raises(ValueError, match="read-only"):
+            array.ravel()[-1] = 0.5  # a view of a constant is read-only too
+    assert isinstance(operators._lower_order_terms(params), tuple)
+    assert op.dirichlet_mask is assemble_coupled(state, grid, params).dirichlet_mask
+    assert same_bits(step(state, ForcingInputs(), params, cfg).to_vector(),
+                     expected)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +310,24 @@ def test_at_most_8_patterns_are_held_the_least_recently_used_dropped(splu_specs)
     _lu_solver(matrices[6])  # dropped: ordered again
     assert colamd_runs(splu_specs) == 10
     assert len(operators._ORDERINGS) == 8
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="mallopt is glibc's")
+def test_factorizations_reuse_the_memory_they_free():
+    # a 17^2 factorization mallocs about 1.4 MB; with glibc's own thresholds
+    # each one faulted about 350 fresh pages in, with the memory kept none
+    grid = Grid(17, 17)
+    op = assemble_coupled(states(grid)["moving"], grid,
+                          scaled_params(delta=1e-6), dt=0.004)
+    rhs = states(grid)["moving"].to_vector()
+    for _ in range(3):  # the ordering, then the heap, warm
+        solve_linear(op, rhs)
+    assert operators._keep_freed_memory()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        solve_linear(op, rhs)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
 
 
 def test_singular_matrix_on_a_cached_pattern_raises(splu_specs):

@@ -392,7 +392,8 @@ def test_unsplit_blocks_join_the_split_parts(group):
     whole = [block.matrix.shape[0] for block in symmetry_blocks(op, g)[1]]
     g, op = split_case(group, PARAMS.d_h, 0.8)
     blocks = symmetry_blocks(op, g)[1]
-    p_sizes = [int(np.sum(p)) for _, p in projector_blocks(op, g)]
+    p_sizes = [int(np.sum(p))
+               for _, p in projector_blocks(op, g, Equilibrium(1.0, 0.8))]
     assert whole == [block.matrix.shape[0] + p
                      for block, p in zip(blocks, p_sizes)]
     # the q parts together are the N scalar unknowns of q
@@ -400,47 +401,85 @@ def test_unsplit_blocks_join_the_split_parts(group):
                for block, p in zip(blocks, p_sizes)) == g.n_nodes
 
 
-def projector_blocks(op, grid):
-    """Reference for ``symmetry_blocks``: per character, the unit vectors
-    of one unknown per orbit projected by sum_g conj(chi(g)) g, normalized
-    into the sparse orthonormal basis Q, then Q^H M Q, each with the mask
-    of its basis columns on p when M is turned to its (u, p) operator (all
-    False otherwise)."""
-    matrix, keep, _ = stability._reduced(op, grid)
+def signed_permutation(grid, n_fields, name):
+    """Dense matrix of a grid symmetry on the unknowns of (u1, u2) and
+    n_fields - 2 scalar fields: node (i, j) goes to its image under the
+    x-mirror "x", the y-mirror "y", the half turn "xy", the diagonal
+    reflection "d" or the quarter turn "r", a scalar field is carried
+    along, and a velocity is carried and turned by the linear part of the
+    node map."""
+    nx, ny, n = grid.nx, grid.ny, grid.n_nodes
+    node_map = {"x": lambda i, j: (nx - 1 - i, j),
+                "y": lambda i, j: (i, ny - 1 - j),
+                "xy": lambda i, j: (nx - 1 - i, ny - 1 - j),
+                "d": lambda i, j: (j, i),
+                "r": lambda i, j: (j, nx - 1 - i)}[name]
+    origin = np.array(node_map(0, 0))
+    # columns: the images of the unit steps along i and along j
+    linear = np.column_stack([np.array(node_map(1, 0)) - origin,
+                              np.array(node_map(0, 1)) - origin])
+    perm = np.zeros((n_fields * n, n_fields * n))
+    for k in range(n):
+        j, i = divmod(k, nx)
+        i_to, j_to = node_map(i, j)
+        to = j_to * nx + i_to
+        perm[np.ix_([to, n + to], [k, n + k])] = linear
+        for field in range(2, n_fields):
+            perm[field * n + to, field * n + k] = 1.0
+    return perm
+
+
+def projector_blocks(op, grid, eq):
+    """Reference for ``symmetry_blocks``, dense and from the definitions:
+    A0 with its Dirichlet rows and columns dropped, turned to its (u, p)
+    operator, p = c h + s a with (c, s) = (h*, a*) / |(h*, a*)|, when
+    ``symmetry_blocks`` splits off q; then per character, the unit vectors
+    of one unknown per orbit projected by sum_g conj(chi(g)) P_g, g over
+    the group of ``signed_permutation`` matrices, normalized into the
+    orthonormal basis Q, and Q^H M Q, each with the mask of its basis
+    columns on p when M is turned (all False otherwise)."""
     n = grid.n_nodes
-    rotated = stability._rotated(matrix, keep, grid)
-    if rotated is not None:
-        matrix, keep = rotated[0], keep[:3 * n]
-    group = symmetry_blocks(op, grid)[0]
+    keep = ~op.dirichlet_mask
+    matrix = op.matrix.toarray()[np.ix_(keep, keep)]
+    group, _, q_values = symmetry_blocks(op, grid)
+    turned = len(q_values) > 0
+    n_fields = 4
+    if turned:
+        velocity = int(np.sum(keep[:2 * n]))
+        r = np.hypot(eq.h_star, eq.a_star)
+        c, s = eq.h_star / r, eq.a_star / r
+        h, a = slice(velocity, velocity + n), slice(velocity + n, None)
+        turn = np.eye(matrix.shape[0])  # symmetric and orthogonal
+        turn[h, h], turn[h, a] = c * np.eye(n), s * np.eye(n)
+        turn[a, h], turn[a, a] = s * np.eye(n), -c * np.eye(n)
+        matrix = (turn @ matrix @ turn)[:velocity + n, :velocity + n]
+        n_fields, keep = 3, keep[:3 * n]
     names, characters = next(entry[1:] for entry in stability._GROUPS
                              if entry[0] == group)
     size = matrix.shape[0]
     columns = np.arange(size)
-    elements = [(columns, np.ones(size), ())]
+    elements = [(np.eye(size), ())]
     for position, name in enumerate(names):
-        index, sign = stability._symmetry(grid, keep, name)
+        generator = signed_permutation(grid, n_fields, name)[np.ix_(keep, keep)]
         power = elements
         for _ in range(3 if name == "r" else 1):
-            power = [(index[member], s * sign[member], word + (position,))
-                     for member, s, word in power]
+            power = [(generator @ member, word + (position,))
+                     for member, word in power]
             elements = elements + power
     blocks = []
     for character, _, _ in characters:
         used = [element for element in elements
-                if all(position < len(character) for position in element[2])]
-        members = [member for member, _, _ in used]
-        orbit_first = np.min(members, axis=0) == columns
-        data = np.concatenate(
-            [s * np.conj(np.prod([character[p] for p in word]))
-             for _, s, word in used])
-        basis = sp.csc_matrix(
-            (data, (np.concatenate(members), np.tile(columns, len(used)))),
-            shape=(size, size))[:, orbit_first]
-        norms = np.sqrt(np.asarray(abs(basis).power(2).sum(axis=0))).ravel()
+                if all(position < len(character) for position in element[1])]
+        images = [np.argmax(abs(member), axis=0) for member, _ in used]
+        orbit_first = np.min(images, axis=0) == columns
+        projector = sum(np.conj(np.prod([character[p] for p in word])) * member
+                        for member, word in used)
+        basis = projector[:, orbit_first]
+        norms = np.linalg.norm(basis, axis=0)
         nonzero = norms > 0.0
-        basis = basis[:, nonzero] @ sp.diags(1.0 / norms[nonzero])
-        block = (basis.conj().T @ matrix @ basis).tocsr()
-        p = (columns[orbit_first][nonzero] >= size - n) & (rotated is not None)
+        basis = basis[:, nonzero] / norms[nonzero]
+        block = basis.conj().T @ matrix @ basis
+        p = (columns[orbit_first][nonzero] >= size - n) & turned
         blocks.append((block, p))
     return blocks
 
@@ -454,7 +493,7 @@ def test_blocks_match_the_projector_reference(group, d_a, a_star):
     # block, of the mirrors' subgroup, is normalized by that subgroup's order
     g, op = split_case(group, d_a, a_star)
     _, blocks, q_values = symmetry_blocks(op, g)
-    expected = projector_blocks(op, g)
+    expected = projector_blocks(op, g, Equilibrium(1.0, a_star))
     assert len(blocks) == len(expected)
     q_parts = []
     for block, (reference, p) in zip(blocks, expected):
@@ -462,7 +501,7 @@ def test_blocks_match_the_projector_reference(group, d_a, a_star):
         assert (abs(block.matrix - reference).max()
                 <= 1e-14 * abs(reference).max())
         # each character's q part, Q^H D Q, is the p slice of its reference
-        values = np.linalg.eigvalsh(reference[p][:, p].toarray())
+        values = np.linalg.eigvalsh(reference[np.ix_(p, p)])
         q_parts += [values] * block.copies * (1 + block.conjugate)
     q_parts = np.sort(np.concatenate(q_parts))
     if len(q_values):
