@@ -14,18 +14,21 @@ Advection of h and a is discretized in flux form with the divergence matrix
 that is the exact negative adjoint of the centered gradient, so nodal
 totals of h and a are conserved to rounding whenever the growth function
 vanishes.
+
+A forcing input left out adds no term: no tilt, wind drag or source, and a
+current of 0.0.  That equals zero fields bit for bit, signed zeros
+included, except where ``compute_forcing`` says.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import FieldSet, Grid, _read_only, diff_ops, matvec, norm
+from .grid import FieldSet, diff_ops
 from .operators import (
     assemble_coupled,
     divergence_matrix,
@@ -49,7 +52,8 @@ class StepError(VpiceError):
 
 @dataclass(frozen=True)
 class ForcingInputs:
-    """Prescribed external fields; None means identically zero.
+    """Prescribed external fields; None adds no term, equal bit for bit to
+    a zero field.
 
     u_atm, u_ocean : surface wind / current, pairs of (ny, nx) arrays.
     h_tilt_grad    : sea-surface tilt gradient, pair of (ny, nx) arrays.
@@ -92,39 +96,22 @@ class StepperConfig:
         return max(1, math.ceil(self.t_end / self.dt - 1e-12))
 
 
-@lru_cache(maxsize=32)
-def _zero_field(grid: Grid) -> np.ndarray:
-    """The (ny, nx) zero field of an input left out, read-only."""
-    return _read_only(np.zeros((grid.ny, grid.nx)))[0]
-
-
-def _pair(value, grid: Grid):
-    if value is None:
-        zero = _zero_field(grid)
-        return zero, zero
+def _pair(value) -> tuple:
     return np.asarray(value[0], dtype=float), np.asarray(value[1], dtype=float)
-
-
-@lru_cache(maxsize=32)
-def _rotation(theta: float) -> tuple:
-    """(cos theta, sin theta) of a drag angle, a setting: once per angle."""
-    return np.cos(theta), np.sin(theta)
 
 
 def momentum_advection(v: FieldSet) -> tuple:
     """(u . grad) u by centered differences, as flat (adv1, adv2)."""
     ops = diff_ops(v.grid)
     u1, u2 = v.u1.ravel(), v.u2.ravel()
-    return tuple(u1 * matvec(ops["dx"], w) + u2 * matvec(ops["dy"], w)
-                 for w in (u1, u2))
+    return tuple(u1 * (ops["dx"] @ w) + u2 * (ops["dy"] @ w) for w in (u1, u2))
 
 
 def transport(v: FieldSet) -> tuple:
     """Flux-form transport (div(u h), div(u a)) by the divergence matrix,
     as flat arrays."""
     div = divergence_matrix(v.grid)
-    return tuple(matvec(div, np.concatenate([(v.u1 * f).ravel(),
-                                              (v.u2 * f).ravel()]))
+    return tuple(div @ np.concatenate([(v.u1 * f).ravel(), (v.u2 * f).ravel()])
                  for f in (v.h, v.a))
 
 
@@ -135,6 +122,12 @@ def compute_forcing(v: FieldSet, inputs: ForcingInputs,
     - advection of momentum, -(u . grad) u (``momentum_advection``),
     - surface tilt -g grad H,
     - quadratic atmospheric and oceanic drag with rotation matrices.
+
+    An input left out adds no term; a current left out is 0.0, and 0.0 - u
+    is zeros - u bit for bit.  A zero tilt subtracts +0.0, a no-op; a zero
+    wind adds +-0.0, which can only turn -0.0 into +0.0, and the ocean drag
+    added next hides that unless it is -0.0 itself.  At a node at rest it
+    is when cos theta_ocean < 0: there an entry is -0.0, not +0.0.
 
     The Coriolis rotation is not here: it is implicit, in
     ``operators.coupled_terms``.  Thickness under kappa raises
@@ -147,20 +140,21 @@ def compute_forcing(v: FieldSet, inputs: ForcingInputs,
     f1 = -adv1.reshape(g.ny, g.nx)
     f2 = -adv2.reshape(g.ny, g.nx)
 
-    tilt_x, tilt_y = _pair(inputs.h_tilt_grad, g)
-    f1 -= params.g * tilt_x
-    f2 -= params.g * tilt_y
+    if inputs.h_tilt_grad is not None:
+        tilt_x, tilt_y = _pair(inputs.h_tilt_grad)
+        f1 -= params.g * tilt_x
+        f2 -= params.g * tilt_y
 
     # quadratic drag (rho C / rho_ice) / h |w| R(theta) w by the wind and
     # by the current relative to the ice
-    oce1, oce2 = _pair(inputs.u_ocean, g)
-    for (w1, w2), rho, c_drag, theta in (
-            (_pair(inputs.u_atm, g), params.rho_atm, params.C_atm,
-             params.theta_atm),
-            ((oce1 - v.u1, oce2 - v.u2), params.rho_ocean, params.C_ocean,
-             params.theta_ocean)):
+    oce1, oce2 = (0.0, 0.0) if inputs.u_ocean is None else _pair(inputs.u_ocean)
+    drags = [] if inputs.u_atm is None else [
+        (_pair(inputs.u_atm), params.rho_atm, params.C_atm, params.theta_atm)]
+    drags.append(((oce1 - v.u1, oce2 - v.u2), params.rho_ocean,
+                  params.C_ocean, params.theta_ocean))
+    for (w1, w2), rho, c_drag, theta in drags:
         drag = rho * c_drag / params.rho_ice / v.h * np.hypot(w1, w2)
-        c, s = _rotation(theta)
+        c, s = np.cos(theta), np.sin(theta)
         f1 += drag * (c * w1 - s * w2)
         f2 += drag * (s * w1 + c * w2)
 
@@ -179,10 +173,9 @@ def source_terms(v: FieldSet, inputs: ForcingInputs,
     (a / (2h)) S_h when S_h < 0; the boundary cases f(0) = 0 and S_h = 0
     contribute zero (the continuous extension of the branch values).
     """
-    if inputs.f_growth is None:
-        zero = _zero_field(v.grid)
-        return zero, zero
     shape = (v.grid.ny, v.grid.nx)
+    if inputs.f_growth is None:
+        return np.zeros(shape), np.zeros(shape)
     f = inputs.f_growth
     f0 = float(f(0.0))
     covered = v.a > 0.0
@@ -199,10 +192,15 @@ def source_terms(v: FieldSet, inputs: ForcingInputs,
 def _explicit_rhs(v: FieldSet, inputs: ForcingInputs,
                   params: RheologyParams) -> np.ndarray:
     f1, f2 = compute_forcing(v, inputs, params)
-    s_h, s_a = source_terms(v, inputs, params)
     div_h, div_a = transport(v)
-    return np.concatenate([f1.ravel(), f2.ravel(), -div_h + s_h.ravel(),
-                           -div_a + s_a.ravel()])
+    rhs_h, rhs_a = -div_h, -div_a
+    # no growth function adds no source: its +0.0 would only turn -0.0 into
+    # +0.0, which v_n + dt rhs hides unless v_n is -0.0 there
+    if inputs.f_growth is not None:
+        s_h, s_a = source_terms(v, inputs, params)
+        rhs_h += s_h.ravel()
+        rhs_a += s_a.ravel()
+    return np.concatenate([f1.ravel(), f2.ravel(), rhs_h, rhs_a])
 
 
 def step(v_n: FieldSet, inputs: ForcingInputs, params: RheologyParams,
@@ -258,7 +256,7 @@ def diagnostics_row(v: FieldSet, t: float, params: RheologyParams,
         "mean_h": float(v.h.mean()),
         "mean_a": float(v.a.mean()),
         "max_u": math.sqrt(speed2.max()),
-        "perturbation_norm": math.sqrt(area) * norm(du),
+        "perturbation_norm": math.sqrt(area) * float(np.linalg.norm(du)),
     }
 
 

@@ -21,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
 
 from .params import (InvalidStateError, RheologyParams, check_compactness,
                      check_finite, check_thickness)
@@ -49,13 +48,6 @@ class Grid:
                 raise InvalidStateError(
                     f"grid spacing {name} = {h!r} must have 1/{name}^2 "
                     f"positive and finite")
-        # the grid keys every per-grid cache a step reads: hash it once,
-        # as the generated __hash__ would
-        object.__setattr__(self, "_hash",
-                           hash((self.nx, self.ny, self.lx, self.ly)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def dx(self) -> float:
@@ -168,24 +160,6 @@ def diff_ops(grid: Grid) -> dict:
     }
 
 
-def matvec(matrix: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """``matrix @ x`` for a CSR matrix and a float vector, bit for bit: the
-    same ``csr_matvec`` kernel into a zeroed float result, without the
-    operator dispatch around it, which costs more than the product on a
-    grid field."""
-    out = np.zeros(matrix.shape[0])
-    csr_matvec(matrix.shape[0], matrix.shape[1], matrix.indptr,
-               matrix.indices, matrix.data, x, out)
-    return out
-
-
-def norm(x: np.ndarray) -> float:
-    """``np.linalg.norm`` of a real float vector, bit for bit: the square
-    root of ``x.dot(x)``, which is what it computes, without its
-    dispatch."""
-    return math.sqrt(x.dot(x))
-
-
 def neumann_mode(n: int, k: int = 1) -> np.ndarray:
     """k-th discrete eigenvector of the reflected 1D Neumann stencil:
     exactly mean-free for k > 0, so perturbing with it keeps the
@@ -253,17 +227,12 @@ class FieldSet:
         Returns self, or a copy with a clamped into [0, 1]; self is unchanged.
         """
         shape = (self.grid.ny, self.grid.nx)
-        fields = [self.u1, self.u2, self.h, self.a]
-        # one finite check over the four fields; a fault is named field by
-        # field, shape before values, as the fields come
-        if (any(arr.shape != shape for arr in fields)
-                or not np.isfinite(fields).all()):
-            for name, arr in zip(("u1", "u2", "h", "a"), fields):
-                if arr.shape != shape:
-                    raise InvalidStateError(
-                        f"{name} has shape {arr.shape}, want {shape}")
-                if not np.isfinite(arr).all():
-                    raise InvalidStateError(f"{name} contains non-finite values")
+        for name in ("u1", "u2", "h", "a"):
+            arr = getattr(self, name)
+            if arr.shape != shape:
+                raise InvalidStateError(f"{name} has shape {arr.shape}, want {shape}")
+            if not np.isfinite(arr).all():
+                raise InvalidStateError(f"{name} contains non-finite values")
         bnd = self.grid.boundary_mask()
         u1, u2 = self.u1[bnd], self.u2[bnd]
         if u1.any() or u2.any():  # -0.0 counts as 0.0, as in |u| != 0

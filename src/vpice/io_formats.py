@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 from contextlib import AbstractContextManager
-from functools import lru_cache
 
 import numpy as np
 
@@ -73,29 +72,31 @@ def write_key_values(path, items) -> None:
             fh.write(f"{key} = {value}\n")
 
 
-@lru_cache(maxsize=32)
-def _grid_header(grid: Grid) -> bytes:
-    """The 'nx ny lx ly ' part of a snapshot header, once per grid."""
-    return " ".join([str(grid.nx), str(grid.ny), format_float(grid.lx),
-                     format_float(grid.ly), ""]).encode("ascii")
-
-
 def write_snapshot(path, fields: FieldSet, t: float) -> None:
     """Header line 'nx ny lx ly t', then u1, u2, h, a as little-endian f64."""
+    g = fields.grid
+    header = " ".join([str(g.nx), str(g.ny), format_float(g.lx),
+                       format_float(g.ly), format_float(t)])
     with open(path, "wb") as fh:
-        fh.write(_grid_header(fields.grid) + (format_float(t) + "\n").encode("ascii"))
+        fh.write((header + "\n").encode("ascii"))
         for arr in (fields.u1, fields.u2, fields.h, fields.a):
             # the array's own buffer when it is already C-ordered "<f8"
             fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def read_snapshot(path):
-    """Inverse of write_snapshot; returns (FieldSet, t)."""
+    """Inverse of write_snapshot; returns (FieldSet, t).  A payload that is
+    not exactly the four nx x ny fields raises ValueError."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").split()
         nx, ny = int(header[0]), int(header[1])
         lx, ly, t = float(header[2]), float(header[3]), float(header[4])
-        raw = np.frombuffer(fh.read(4 * nx * ny * 8), dtype="<f8")
+        payload = fh.read()
+    expected = 4 * nx * ny * 8
+    if len(payload) != expected:
+        raise ValueError(f"snapshot {path}: a {nx}x{ny} grid needs {expected} "
+                         f"payload bytes, found {len(payload)}")
+    raw = np.frombuffer(payload, dtype="<f8")
     return FieldSet.from_vector(Grid(nx, ny, lx, ly), raw), t
 
 

@@ -61,8 +61,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
-from .grid import (FieldSet, Grid, _read_only, diff_ops, gradient, matvec,
-                   norm, strain_rate_field)
+from .grid import (FieldSet, Grid, _read_only, diff_ops, gradient,
+                   strain_rate_field)
 from .params import InvalidStateError, RheologyParams, VpiceError
 from .rheology import (
     coefficient_tensor,
@@ -124,14 +124,11 @@ class _Plan:
 
     ``pattern`` holds the sorted, duplicate-merged CSR pattern of every term
     (``_pattern``); ``positions[t]`` gives the pattern entry of each entry of
-    term t, in its stencil's CSR order, and ``stencils[t]`` the (rows,
-    indptr, data) of term t's ``diff_ops`` stencil, or None for a nested
-    sum, whose data come with each call.
+    term t, in its stencil's CSR order.
     """
 
     pattern: sp.csr_matrix
     positions: tuple
-    stencils: tuple
 
     @property
     def shape(self) -> tuple:
@@ -197,8 +194,6 @@ def _plan(grid: Grid, blocks: tuple, layout: tuple) -> _Plan:
     n = grid.n_nodes
     shape = (blocks[0] * n, blocks[1] * n)
     ops = diff_ops(grid)
-    stencils = tuple((ops[s].shape[0], ops[s].indptr, ops[s].data)
-                     if isinstance(s, str) else None for s, _, _ in layout)
     rows, cols = [], []
     for stencil, block_row, block_col in layout:
         s = ops[stencil] if isinstance(stencil, str) else stencil
@@ -216,8 +211,7 @@ def _plan(grid: Grid, blocks: tuple, layout: tuple) -> _Plan:
     indptr = np.zeros(shape[0] + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows[new], minlength=shape[0]), out=indptr[1:])
     return _Plan(_pattern(sp.csr_matrix, cols[new], indptr, shape), tuple(
-        position[start:stop] for start, stop in zip(offsets, offsets[1:])),
-        stencils)
+        position[start:stop] for start, stop in zip(offsets, offsets[1:])))
 
 
 def _sum_terms(grid: Grid, blocks: tuple, terms) -> _Sum:
@@ -236,10 +230,11 @@ def _sum_terms(grid: Grid, blocks: tuple, terms) -> _Sum:
     plan = _plan(grid, blocks, tuple([
         (s if isinstance(s, str) else s.plan, block_row, block_col)
         for s, block_row, block_col, _, _ in terms]))
+    ops = diff_ops(grid)
     total = np.zeros(len(plan.indices))
-    for (s, _, _, weight, factor), position, stencil in zip(
-            terms, plan.positions, plan.stencils):
-        rows, indptr, data = stencil or (len(s.indptr) - 1, s.indptr, s.data)
+    for (s, _, _, weight, factor), position in zip(terms, plan.positions):
+        s = ops[s] if isinstance(s, str) else s
+        rows = s.shape[0]
         # x * 1.0 == x: a term without weight takes ones, and a unit factor
         # is no product
         weight = np.ones(rows) if weight is None else np.asarray(weight, dtype=float)
@@ -248,8 +243,8 @@ def _sum_terms(grid: Grid, blocks: tuple, terms) -> _Sum:
                              f"{weight.shape}")
         # the term's entries as a CSC matrix whose column r is stencil row
         # r: total[position[k]] += (data[k] * factor) * weight[r], k ascending
-        csc_matvec(len(total), rows, indptr, position,
-                   data if factor == 1.0 else data * factor, weight, total)
+        csc_matvec(len(total), rows, s.indptr, position,
+                   s.data if factor == 1.0 else s.data * factor, weight, total)
     return _Sum(plan, total)
 
 
@@ -376,17 +371,9 @@ def coupled_terms(v_frozen: FieldSet, grid: Grid, params: RheologyParams) -> lis
     """Terms of the coupled operator frozen at v_frozen, in 4 x 4 blocks,
     the Coriolis rotation last.
 
-    Each frozen-state field is computed once per call, so once per step:
-    P by one ``pressure`` call, which the velocity block and dP/dh, dP/da
-    share; eps(u) by ``strain_rate_field``, Delta_delta by one
-    ``delta_reg`` call that ``coefficient_tensor`` reuses, and dP/dx,
-    dP/dy by ``grid.gradient`` in ``_hibler_terms``.  ``grid.gradient`` is
-    ``np.gradient(..., edge_order=2)`` bit for bit, the same operations in
-    the same order, so the terms are those of the np.gradient formula.
-    What depends on the grid or the parameters alone is kept, read-only:
-    the node weights (``_node_weights``), the lower-order terms of S
-    (``_lower_order_terms``) and the Dirichlet mask
-    (``velocity_boundary_mask``).
+    Each frozen-state field is computed once per step: P here, shared by
+    the velocity block and dP/dh, dP/da, and eps(u), Delta_delta and
+    dP/dx, dP/dy in ``_hibler_terms``.
     """
     interior = _node_weights(grid).interior
     h, a = v_frozen.h, v_frozen.a
@@ -531,7 +518,7 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"rhs has shape {rhs.shape}, operator dim {op.dim}")
     if not np.isfinite(rhs).all():
         raise LinearSolveError("the right-hand side has non-finite entries")
-    rhs_norm = norm(rhs)
+    rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
 
@@ -549,14 +536,14 @@ def solve_linear(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
     if not np.isfinite(x).all():
         raise LinearSolveError("factorization produced non-finite values")
-    residual = rhs - matvec(matrix, x)
-    residual_norm = norm(residual)
+    residual = rhs - matrix @ x
+    residual_norm = np.linalg.norm(residual)
     for _ in range(MAX_REFINEMENTS):
         if residual_norm <= SOLVE_RTOL * rhs_norm:
             break
         x = x + solve(residual)
-        residual = rhs - matvec(matrix, x)
-        residual_norm = norm(residual)
+        residual = rhs - matrix @ x
+        residual_norm = np.linalg.norm(residual)
     achieved = residual_norm / rhs_norm
     if not achieved <= SOLVE_RTOL:
         raise LinearSolveError("direct solve did not reach tolerance", achieved)

@@ -319,6 +319,22 @@ def test_snapshot_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.h, v.h)
 
 
+@pytest.mark.parametrize("change", [-8, 8], ids=["short", "trailing"])
+def test_snapshot_payload_length_is_checked(tmp_path, change):
+    # 5 x 5 nodes, four fields of f64: 800 payload bytes, neither fewer nor
+    # more
+    path = tmp_path / "snap.bin"
+    write_snapshot(path, FieldSet.constant(Grid(5, 5), 1.0, 0.5), t=0.0)
+    data = path.read_bytes()
+    path.write_bytes(data[:change] if change < 0 else data + bytes(change))
+    found = 800 + change
+    with pytest.raises(ValueError) as info:
+        read_snapshot(path)
+    message = str(info.value)
+    assert str(path) in message and "5x5" in message
+    assert "800" in message and str(found) in message
+
+
 # ---------------------------------------------------------------------------
 # Dispatch and exit codes
 # ---------------------------------------------------------------------------

@@ -7,9 +7,7 @@ import scipy.sparse as sp
 from vpice.grid import (
     FieldSet,
     Grid,
-    diff_ops,
     gradient,
-    matvec,
     neumann_eigenvalues,
     neumann_mode,
     strain_rate_field,
@@ -125,15 +123,6 @@ def test_strain_rate_is_the_np_gradient_formula_bit_for_bit(g):
     assert eps.e11.tobytes() == du1_dx.tobytes()
     assert eps.e12.tobytes() == (0.5 * (du1_dy + du2_dx)).tobytes()
     assert eps.e22.tobytes() == du2_dy.tobytes()
-
-
-@pytest.mark.parametrize("g", KERNEL_GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
-def test_matvec_is_the_scipy_product_bit_for_bit(g):
-    rng = np.random.default_rng(g.nx)
-    for matrix in (diff_ops(g)["dx"], diff_ops(g)["div"],
-                   assemble_neumann_laplacian(g, 0.7).matrix):
-        x = rng.normal(size=matrix.shape[1])
-        assert matvec(matrix, x).tobytes() == (matrix @ x).tobytes()
 
 
 def test_masked_linear_field_exact_away_from_boundary():

@@ -184,7 +184,7 @@ def test_plan_is_built_once_per_grid_and_layout():
 # grid-only and params-only constants a step reads instead of rebuilding
 STEP_CONSTANTS = (grid_module._masks, operators._node_weights,
                   operators.velocity_boundary_mask, operators._lower_order_terms,
-                  rheology.s_tensor, dynamics._zero_field, dynamics._rotation)
+                  rheology.s_tensor)
 
 
 def test_step_constants_are_built_once_per_grid_and_params():
@@ -200,16 +200,15 @@ def test_step_constants_are_built_once_per_grid_and_params():
 
 
 def test_step_constants_are_read_only():
-    # a caller that writes into a shared mask, weight or zero field raises
-    # instead of corrupting the next step
+    # a caller that writes into a shared mask or weight raises instead of
+    # corrupting the next step
     grid, params = Grid(7, 9), scaled_params()
     state = states(grid)["moving"]
     cfg = StepperConfig(dt=0.01, t_end=0.01)
     expected = step(state, ForcingInputs(), params, cfg).to_vector()
     op = assemble_coupled(state, grid, params, dt=0.01)
     shared = [grid.boundary_mask(), grid.interior_mask(), op.dirichlet_mask,
-              *operators._node_weights(grid), rheology.s_tensor(params),
-              dynamics._zero_field(grid)]
+              *operators._node_weights(grid), rheology.s_tensor(params)]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = not array.flat[0]
@@ -219,6 +218,66 @@ def test_step_constants_are_read_only():
     assert op.dirichlet_mask is assemble_coupled(state, grid, params).dirichlet_mask
     assert same_bits(step(state, ForcingInputs(), params, cfg).to_vector(),
                      expected)
+
+
+# ---------------------------------------------------------------------------
+# Forcing inputs left out
+# ---------------------------------------------------------------------------
+
+def zero_inputs(grid):
+    """Every forcing input given, as zero fields and zero growth."""
+    zero = np.zeros((grid.ny, grid.nx))
+    return ForcingInputs(u_atm=(zero, zero), u_ocean=(zero, zero),
+                         h_tilt_grad=(zero, zero), f_growth=lambda h: 0.0 * h)
+
+
+def forcing_and_step(state, inputs, params):
+    f1, f2 = dynamics.compute_forcing(state, inputs, params)
+    new = step(state, inputs, params, StepperConfig(dt=0.01, t_end=0.01))
+    return np.concatenate([f1.ravel(), f2.ravel()]), new.to_vector()
+
+
+@pytest.mark.parametrize("theta_ocean", [0.0, -0.7])
+@pytest.mark.parametrize("c_cor", [0.0, 0.5])
+@pytest.mark.parametrize("grid", GRIDS[1:], ids=lambda g: f"{g.nx}x{g.ny}")
+def test_inputs_left_out_add_no_term_bit_for_bit(grid, c_cor, theta_ocean):
+    # tobytes: a skipped term must not move a signed zero either
+    params = scaled_params(delta=1e-6, c_cor=c_cor, theta_ocean=theta_ocean)
+    for name, state in states(grid).items():
+        for got, expected in zip(forcing_and_step(state, ForcingInputs(), params),
+                                 forcing_and_step(state, zero_inputs(grid), params)):
+            assert got.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("grid", GRIDS[1:], ids=lambda g: f"{g.nx}x{g.ny}")
+def test_inputs_left_out_past_a_right_angle_move_only_a_resting_zero(grid):
+    # cos theta_ocean < 0: the ocean drag at a node at rest is -0.0, so the
+    # -0.0 of -(u . grad) u there stays without the zero wind's +0.0; the
+    # step, which adds it to u = +0.0, is unchanged
+    params = scaled_params(delta=1e-6, theta_ocean=2.5)
+    interior = grid.interior_mask().ravel()
+    for name, state in states(grid).items():
+        (force, new), (zero_force, zero_new) = (
+            forcing_and_step(state, inputs, params)
+            for inputs in (ForcingInputs(), zero_inputs(grid)))
+        assert new.tobytes() == zero_new.tobytes(), name
+        assert np.array_equal(force, zero_force), name
+        moved = np.signbit(force) != np.signbit(zero_force)
+        at_rest = (state.u1.ravel() == 0.0) & (state.u2.ravel() == 0.0)
+        expected = np.concatenate([interior & at_rest, np.zeros_like(interior)])
+        assert np.array_equal(moved, expected), name
+
+
+def test_a_wind_left_out_reads_no_wind_setting():
+    # rho_atm C_atm overflows to inf, and a zero wind would add inf * 0 =
+    # NaN; a wind left out adds nothing, so the step is the default one
+    grid = Grid(9, 9)
+    state = states(grid)["moving"]
+    cfg = StepperConfig(dt=0.01, t_end=0.01)
+    new = step(state, ForcingInputs(),
+               scaled_params(rho_atm=1e200, C_atm=1e200), cfg)
+    assert new.to_vector().tobytes() == step(
+        state, ForcingInputs(), scaled_params(), cfg).to_vector().tobytes()
 
 
 # ---------------------------------------------------------------------------
