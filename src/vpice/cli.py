@@ -14,8 +14,8 @@
 Exit codes: 0 success, 1 violated contract or margin, 2 usage/config error;
 a package error (params.VpiceError) exits with its exit_code.
 Every subcommand that writes files puts them under experiment.output_dir and
-lists them, with the exact configuration echo, in manifest.txt, also when the
-run fails after writing some of them.  Identical
+lists them in manifest.txt, in write order and by path relative to it, with
+every config value, on every exit once the directory exists.  Identical
 configuration and seed produce byte-identical CSV output at a fixed BLAS
 thread count: spectrum at 33^2 and simulate past DIRECT_SOLVE_LIMIT
 write different bytes with 1 and 2 OpenBLAS threads.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import sys
+from contextlib import AbstractContextManager
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -73,32 +74,49 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _prepare_output(cfg: RunConfig) -> str:
-    directory = cfg["experiment.output_dir"]
-    os.makedirs(directory, exist_ok=True)
-    return directory
+class _Output(AbstractContextManager):
+    """One command's output session: it creates experiment.output_dir,
+    lists each file once it is written, under its path relative to that
+    directory and in write order, and writes manifest.txt on every exit."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg, self.directory = cfg, cfg["experiment.output_dir"]
+        self.files = []  # (name, format)
+        os.makedirs(self.directory, exist_ok=True)
+
+    def write(self, name: str, fmt: str, writer: Callable, *args):
+        """``writer(path, *args)`` on the file ``name`` of the directory,
+        which is then listed; returns what the writer returns."""
+        result = writer(os.path.join(self.directory, name), *args)
+        self.files.append((name, fmt))
+        return result
+
+    def dump(self, op, path) -> None:
+        """Export ``op`` to the --dump-matrix ``path`` and list it."""
+        export_coo(op, path)
+        self.files.append((os.path.relpath(path, self.directory), "coo-text"))
+
+    def __exit__(self, *exc):
+        write_manifest(self.directory, self.files, self.cfg.values.items())
 
 
 def _probe_report(cfg: RunConfig, name: str, title: str, header: tuple,
                   check: Callable) -> int:
     """Write experiment.n_samples rows of a probe command to the CSV
-    ``name``, list it in the manifest and return exit 1 if a sample fails.
-    ``check(rng, params, n)`` draws the n samples as one stack, checks them
-    in one call and returns the row columns after the id (arrays over the
-    samples, or values all rows share), whether each sample passes and
-    whether it has a row."""
+    ``name`` and return exit 1 if a sample fails.  ``check(rng, params, n)``
+    draws the n samples as one stack, checks them in one call and returns
+    the row columns after the id (arrays over the samples, or values all
+    rows share), whether each sample passes and whether it has a row."""
     params = cfg.rheology_params()
     rng = np.random.default_rng(cfg["experiment.seed"])
     n = cfg["experiment.n_samples"]
-    directory = _prepare_output(cfg)
-    path = os.path.join(directory, name)
-    with CsvWriter(path, ("id",) + header) as writer:
+    with _Output(cfg) as out, out.write(name, "csv", CsvWriter,
+                                        ("id",) + header) as writer:
         columns, passes, has_row = check(rng, params, n)
         has_row, *columns = np.broadcast_arrays(has_row, np.arange(n),
                                                 *columns)
         writer.write_columns(*(column[has_row].tolist() for column in columns))
-    write_manifest(directory, [(name, "csv")], cfg.echo())
-    print(f"{title}: {path}")
+    print(f"{title}: {os.path.join(out.directory, name)}")
     return 0 if np.all(passes) else 1
 
 
@@ -140,47 +158,42 @@ def cmd_ls_check(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig, dump_matrix=None) -> int:
     grid = cfg.grid()
     check_dense_budget(dense_unknowns(grid))  # before any assembly or dump
-    directory = _prepare_output(cfg)  # a dump may go into it
-    op = assemble_A0(cfg.equilibrium(), grid, cfg.rheology_params())
-    report = spectrum(op, grid)
-    if dump_matrix:
-        export_coo(op, dump_matrix)
-    proxy = semisimplicity_proxy(op, grid)
-    csv_path = os.path.join(directory, "spectrum.csv")
-    write_eigenvalue_csv(csv_path, report.eigenvalues)
-    write_key_values(os.path.join(directory, "spectrum_summary.txt"), [
-        ("kernel_dim", report.kernel_dim),
-        ("spectral_gap", report.spectral_gap),
-        ("spectral_radius", report.spectral_radius),
-        ("kernel_right_residual", proxy.right_residual),
-        ("kernel_left_residual", proxy.left_residual),
-        ("kernel_restriction_norm", proxy.restriction_norm),
-        ("symmetry_group", report.symmetry_group),
-        # "401x2": one block of 401 whose eigenvalues count twice
-        ("block_sizes", " ".join(f"{size}x{copies}" if copies > 1 else str(size)
-                                 for size, copies in report.block_sizes)),
-    ])
-    files = [("spectrum.csv", "csv"), ("spectrum_summary.txt", "key-value")]
-    if dump_matrix:
-        files.append((os.path.basename(dump_matrix), "coo-text"))
-    write_manifest(directory, files, cfg.echo())
+    with _Output(cfg) as out:
+        op = assemble_A0(cfg.equilibrium(), grid, cfg.rheology_params())
+        report = spectrum(op, grid)
+        if dump_matrix:
+            out.dump(op, dump_matrix)
+        proxy = semisimplicity_proxy(op, grid)
+        out.write("spectrum.csv", "csv", write_eigenvalue_csv,
+                  report.eigenvalues)
+        out.write("spectrum_summary.txt", "key-value", write_key_values, [
+            ("kernel_dim", report.kernel_dim),
+            ("spectral_gap", report.spectral_gap),
+            ("spectral_radius", report.spectral_radius),
+            ("kernel_right_residual", proxy.right_residual),
+            ("kernel_left_residual", proxy.left_residual),
+            ("kernel_restriction_norm", proxy.restriction_norm),
+            ("symmetry_group", report.symmetry_group),
+            # "401x2": one block of 401 whose eigenvalues count twice
+            ("block_sizes", " ".join(
+                f"{size}x{copies}" if copies > 1 else str(size)
+                for size, copies in report.block_sizes)),
+        ])
     print(f"spectrum: kernel dim {report.kernel_dim}, "
           f"gap {format_float(report.spectral_gap)}")
     return 0 if spectrum_passes(report, proxy) else 1
 
 
 def cmd_decay(cfg: RunConfig) -> int:
-    directory = _prepare_output(cfg)
-    csv_path = os.path.join(directory, "decay_diagnostics.csv")
-    files = [("decay_diagnostics.csv", "csv")]
-    try:  # a failed fit still lists the diagnostics it streamed
-        with DiagnosticsCsvWriter(csv_path) as writer:
+    with _Output(cfg) as out:
+        with out.write("decay_diagnostics.csv", "csv",
+                       DiagnosticsCsvWriter) as writer:
             result = decay_experiment(cfg.equilibrium(),
                                       cfg["experiment.perturbation_scale"],
                                       cfg.grid(), cfg.rheology_params(),
                                       cfg.stepper(),
                                       RunSinks(on_diagnostics=writer))
-        write_key_values(os.path.join(directory, "decay_summary.txt"), [
+        out.write("decay_summary.txt", "key-value", write_key_values, [
             ("fitted_rate", result.fitted_rate),
             ("predicted_gap", result.predicted_gap),
             ("relative_gap_error", result.relative_gap_error),
@@ -188,9 +201,6 @@ def cmd_decay(cfg: RunConfig) -> int:
             ("mean_h_drift", result.mean_h_drift),
             ("mean_a_drift", result.mean_a_drift),
         ])
-        files.append(("decay_summary.txt", "key-value"))
-    finally:
-        write_manifest(directory, files, cfg.echo())
     print(f"decay: fitted rate {format_float(result.fitted_rate)}, "
           f"gap {format_float(result.predicted_gap)}")
     return 0 if decay_passes(result) else 1
@@ -202,34 +212,29 @@ def cmd_simulate(cfg: RunConfig, dump_matrix=None) -> int:
     eq = cfg.equilibrium()
     v0 = perturbed_equilibrium(eq, grid, cfg["experiment.perturbation_scale"],
                                params)
-    directory = _prepare_output(cfg)  # a dump may go into it
-    if dump_matrix:
-        export_coo(assemble_coupled(v0, grid, params), dump_matrix)
-    files = [("diagnostics.csv", "csv")]  # then snapshots, then the dump
+    with _Output(cfg) as out:
+        if dump_matrix:
+            out.dump(assemble_coupled(v0, grid, params), dump_matrix)
 
-    def on_snapshot(step_index, t, state):
-        name = f"snapshot_{step_index:06d}.bin"
-        write_snapshot(os.path.join(directory, name), state, t)
-        files.append((name, "snapshot-binary"))
-        if cfg["experiment.emit_ppm"]:
-            for field_name, field in (("u1", state.u1), ("u2", state.u2),
-                                      ("h", state.h), ("a", state.a)):
-                ppm = f"snapshot_{step_index:06d}_{field_name}.ppm"
-                write_ppm(os.path.join(directory, ppm), field)
-                files.append((ppm, "ppm-p6"))
-                files.append((ppm + ".scale.txt", "key-value"))
+        def on_snapshot(step_index, t, state):
+            name = f"snapshot_{step_index:06d}"
+            out.write(name + ".bin", "snapshot-binary", write_snapshot, state,
+                      t)
+            if cfg["experiment.emit_ppm"]:
+                for field_name, field in (("u1", state.u1), ("u2", state.u2),
+                                          ("h", state.h), ("a", state.a)):
+                    ppm = f"{name}_{field_name}.ppm"
+                    lo, hi = out.write(ppm, "ppm-p6", write_ppm, field)
+                    out.write(ppm + ".scale.txt", "key-value",
+                              write_key_values, [("min", lo), ("max", hi)])
 
-    csv_path = os.path.join(directory, "diagnostics.csv")
-    try:  # a failed step still lists what the run wrote before it
-        with DiagnosticsCsvWriter(csv_path) as writer:
+        with out.write("diagnostics.csv", "csv",
+                       DiagnosticsCsvWriter) as writer:
             sinks = RunSinks(on_diagnostics=writer, on_snapshot=on_snapshot,
                              snapshot_every=cfg["experiment.snapshot_every"])
             run(v0, ForcingInputs(), params, cfg.stepper(), sinks=sinks)
-    finally:
-        if dump_matrix:
-            files.append((os.path.basename(dump_matrix), "coo-text"))
-        write_manifest(directory, files, cfg.echo())
-    print(f"simulation diagnostics: {csv_path}")
+    print(f"simulation diagnostics: "
+          f"{os.path.join(out.directory, 'diagnostics.csv')}")
     return 0
 
 

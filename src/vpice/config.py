@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, fields
 
 from .dynamics import StepperConfig
 from .grid import Grid
-from .io_formats import format_float
 from .params import InvalidStateError, RheologyParams, VpiceError
 from .stability import Equilibrium
 
@@ -77,7 +76,7 @@ def _solver_keys():
             yield key, (types[f.name], FIELD_DEFAULTS.get(key, f.default))
 
 
-# name -> (python type, default), in echo order
+# name -> (python type, default), in manifest order
 KEYS = {**dict(_solver_keys()),
         **{key: spec[:2] for key, spec in EXPERIMENT_KEYS.items()}}
 DEFAULTS = {key: spec[1] for key, spec in KEYS.items()}
@@ -107,20 +106,6 @@ class RunConfig:
 
     def equilibrium(self) -> Equilibrium:
         return _build("equilibrium", self.values)
-
-    def echo(self) -> list:
-        """Deterministic (key, printed value) pairs for manifests."""
-        out = []
-        for key in KEYS:
-            value = self.values[key]
-            if isinstance(value, bool):
-                printed = "true" if value else "false"
-            elif isinstance(value, float):
-                printed = format_float(value)
-            else:
-                printed = str(value)
-            out.append((key, printed))
-        return out
 
 
 def _parse_value(key, raw, line_number):

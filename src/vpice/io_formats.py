@@ -25,8 +25,8 @@ def format_float(x: float) -> str:
 
 class CsvWriter(AbstractContextManager):
     """Streaming CSV: the header, then one line per row (a dict keyed by
-    column or a sequence of one value per column), each value printed as
-    format_float prints it (an int as itself); UTF-8, LF line ends."""
+    column), each value printed as format_float prints it (an int as
+    itself); UTF-8, LF line ends."""
 
     def __init__(self, path, columns):
         self.columns = tuple(columns)
@@ -35,10 +35,8 @@ class CsvWriter(AbstractContextManager):
         self._fh = open(path, "w", encoding="utf-8", newline="\n")
         self._fh.write(",".join(self.columns) + "\n")
 
-    def __call__(self, row) -> None:
-        if isinstance(row, dict):
-            row = [row[c] for c in self.columns]
-        self._fh.write(self._line.format(*row))
+    def __call__(self, row: dict) -> None:
+        self._fh.write(self._line.format(*[row[c] for c in self.columns]))
 
     def write_columns(self, *columns) -> None:
         """Equal-length columns, one value per row each, in one write."""
@@ -64,10 +62,13 @@ def write_eigenvalue_csv(path, eigenvalues) -> None:
 
 
 def write_key_values(path, items) -> None:
-    """Plain 'key = value' text, floats at 17 significant digits."""
+    """Plain 'key = value' text, floats at 17 significant digits and
+    booleans as true/false."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in items:
-            if isinstance(value, float):
+            if isinstance(value, bool):
+                value = "true" if value else "false"
+            elif isinstance(value, float):
                 value = format_float(value)
             fh.write(f"{key} = {value}\n")
 
@@ -85,13 +86,18 @@ def write_snapshot(path, fields: FieldSet, t: float) -> None:
 
 
 def read_snapshot(path):
-    """Inverse of write_snapshot; returns (FieldSet, t).  A payload that is
-    not exactly the four nx x ny fields raises ValueError."""
+    """Inverse of write_snapshot; returns (FieldSet, t).  A header that is
+    not 'nx ny lx ly t', or a payload that is not exactly the four nx x ny
+    fields, raises ValueError."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
-        nx, ny = int(header[0]), int(header[1])
-        lx, ly, t = float(header[2]), float(header[3]), float(header[4])
+        header = fh.readline().split()
         payload = fh.read()
+    try:  # int and float parse the ASCII bytes as they are
+        nx, ny = map(int, header[:2])
+        lx, ly, t = map(float, header[2:])
+    except ValueError:
+        raise ValueError(f"snapshot {path}: the header must be "
+                         f"'nx ny lx ly t'") from None
     expected = 4 * nx * ny * 8
     if len(payload) != expected:
         raise ValueError(f"snapshot {path}: a {nx}x{ny} grid needs {expected} "
@@ -100,8 +106,9 @@ def read_snapshot(path):
     return FieldSet.from_vector(Grid(nx, ny, lx, ly), raw), t
 
 
-def write_ppm(path, field: np.ndarray) -> None:
-    """Grayscale P6 heatmap spanning the field's range, plus a scale sidecar."""
+def write_ppm(path, field: np.ndarray) -> tuple:
+    """Grayscale P6 heatmap spanning the field's range; returns that range
+    (min, max), which the scale sidecar records."""
     field = np.asarray(field, dtype=float)
     lo = float(np.min(field))
     hi = float(np.max(field))
@@ -112,17 +119,18 @@ def write_ppm(path, field: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P6\n{nx} {ny}\n255\n".encode("ascii"))
         fh.write(rgb.tobytes())
-    write_key_values(f"{path}.scale.txt", [("min", lo), ("max", hi)])
+    return lo, hi
 
 
-def write_manifest(directory, files, config_echo) -> None:
-    """Manifest of emitted files (name, format) and the exact config echo."""
+def write_manifest(directory, files, config) -> None:
+    """Manifest of emitted files (name, format), then each (key, value) of
+    the configuration as write_key_values prints it."""
     path = os.path.join(directory, "manifest.txt")
     items = []
     for index, (name, fmt) in enumerate(files):
         items += [(f"file.{index}.name", name), (f"file.{index}.format", fmt)]
     write_key_values(path, items + [(f"config.{key}", value)
-                                    for key, value in config_echo])
+                                    for key, value in config])
 
 
 def export_coo(op, path) -> None:

@@ -47,6 +47,56 @@ def test_spectrum_job_call_contract(tmp_path, monkeypatch, capsys):
     assert proxy.restriction_norm <= 1e-10 * proxy.operator_norm
 
 
+def test_traced_cli_bindings_keep_their_call_counts(tmp_path, monkeypatch,
+                                                    capsys):
+    # the traced run counts each call through the vpice.cli binding that
+    # perfbench/spans.py patches: a call made through another binding, or
+    # one made twice, would skew the per-layer figures
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    from vpice import cli
+
+    counts = {}
+
+    def counting(attr, fn):
+        def wrapper(*args, **kwargs):
+            counts[attr] = counts.get(attr, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, attr, _ in spans.CALL_SITES:
+        if owner == "vpice.cli":
+            monkeypatch.setattr(cli, attr, counting(attr, getattr(cli, attr)))
+    out = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text("rheology.delta = 1e-6\nrheology.p_star = 1.0\n"
+                      "rheology.rho_ice = 1.0\nrheology.g = 1.0\n"
+                      "grid.nx = 11\ngrid.ny = 11\n"  # a decay fit that passes
+                      "stepper.dt = 0.005\nstepper.t_end = 0.25\n"
+                      "experiment.n_samples = 25\n"
+                      "experiment.snapshot_every = 20\n"
+                      f"experiment.output_dir = {out}\n")
+    per_command = {}
+    for command in ("simulate", "spectrum", "decay", "symbol", "ls-check"):
+        counts.clear()
+        assert cli.dispatch([command, str(config)]) == 0, command
+        per_command[command] = dict(counts)
+    capsys.readouterr()
+    snapshots = len(list(out.glob("snapshot_*.bin")))
+    assert snapshots == 3
+    # no command calls pressure through vpice.cli: the binding is kept
+    # only for the tracer until it traces by function (ROADMAP item 1b)
+    assert per_command == {
+        "simulate": {"write_snapshot": snapshots, "write_manifest": 1},
+        "spectrum": {"assemble_A0": 1, "spectrum": 1,
+                     "semisimplicity_proxy": 1, "write_eigenvalue_csv": 1,
+                     "write_manifest": 1},
+        "decay": {"write_manifest": 1},
+        "symbol": {"ellipticity_report": 1, "write_manifest": 1},
+        "ls-check": {"lopatinskii_shapiro_check": 1, "write_manifest": 1},
+    }
+
+
 @pytest.mark.parametrize("name", ["step-17", "step-73", "spectrum-21", "probes"])
 def test_benchmark_job_passes_its_gates(name, tmp_path, monkeypatch):
     # as perfbench/run.py sets up and runs a job: the recorded reference,

@@ -177,8 +177,27 @@ DEFAULT_ECHO = [
 ]
 
 
-def test_default_echo_is_golden():
-    assert RunConfig().echo() == DEFAULT_ECHO
+def manifest_items(out, prefix):
+    """The (key, value) pairs of ``out``/manifest.txt whose key starts with
+    ``prefix``, the prefix dropped, in file order."""
+    lines = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    return [(key[len(prefix):], value) for key, value in
+            (line.split(" = ", 1) for line in lines) if key.startswith(prefix)]
+
+
+def listed_names(out):
+    """The file names ``out``/manifest.txt lists, in order."""
+    return [value for key, value in manifest_items(out, "file.")
+            if key.endswith(".name")]
+
+
+def test_default_echo_is_golden(tmp_path, monkeypatch, capsys):
+    # the empty config: every key at its default, output_dir "out" included
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.cfg").write_text("")
+    assert dispatch(["symbol", "empty.cfg"]) == 0
+    capsys.readouterr()
+    assert manifest_items(tmp_path / "out", "config.") == DEFAULT_ECHO
     assert len(KEYS) == 31
 
 
@@ -268,9 +287,14 @@ def test_simulate_infinite_t_end_exit_2_one_line(tmp_path, capsys, t_end,
                    f"{float(t_end)!r} violates its range: {reason}\n")
 
 
-def test_echo_prints_17_digits():
-    cfg = parse_config("rheology.delta = 0.1")
-    echo = dict(cfg.echo())
+def test_echo_prints_17_digits(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, "rheology.delta = 0.1\n"
+                                  "experiment.n_samples = 1\n"
+                                  f"experiment.output_dir = {out}\n")
+    assert dispatch(["symbol", path]) == 0
+    capsys.readouterr()
+    echo = dict(manifest_items(out, "config."))
     assert echo["rheology.delta"] == "0.10000000000000001"
 
 
@@ -281,8 +305,8 @@ def test_echo_prints_17_digits():
 def test_csv_writer_format(tmp_path):
     path = tmp_path / "rows.csv"
     with CsvWriter(path, ("id", "x", "n")) as writer:
-        writer((0, 0.1, 2))  # a sequence in column order
-        writer({"n": 2, "x": 1.0 / 3.0, "id": 1})  # a dict by column
+        writer({"id": 0, "x": 0.1, "n": 2})
+        writer({"n": 2, "x": 1.0 / 3.0, "id": 1})  # in any key order
         writer.write_columns([2, 3], [-0.0, 1e300], [0, -7])
     assert path.read_bytes() == (b"id,x,n\n"
                                  b"0,0.10000000000000001,2\n"
@@ -292,13 +316,14 @@ def test_csv_writer_format(tmp_path):
 
 
 def test_manifest_layout(tmp_path):
-    echo = RunConfig().echo()
-    write_manifest(tmp_path, [("a.csv", "csv"), ("b.txt", "key-value")], echo)
+    write_manifest(tmp_path, [("a.csv", "csv"), ("b.txt", "key-value")],
+                   RunConfig().values.items())
     with open(tmp_path / "manifest.txt", encoding="utf-8", newline="") as fh:
         lines = fh.read().split("\n")
     assert lines[:4] == ["file.0.name = a.csv", "file.0.format = csv",
                          "file.1.name = b.txt", "file.1.format = key-value"]
-    assert lines[4:] == [f"config.{key} = {value}" for key, value in echo] + [""]
+    assert lines[4:] == [f"config.{key} = {value}"
+                         for key, value in DEFAULT_ECHO] + [""]
     assert "config.grid.nx = 17" in lines
     assert "config.experiment.emit_ppm = false" in lines
 
@@ -333,6 +358,17 @@ def test_snapshot_payload_length_is_checked(tmp_path, change):
     message = str(info.value)
     assert str(path) in message and "5x5" in message
     assert "800" in message and str(found) in message
+
+
+@pytest.mark.parametrize("header", [b"5 5 1\n", b"", b"five 5 1 1 0\n"],
+                         ids=["short", "empty", "not a number"])
+def test_snapshot_header_is_checked(tmp_path, header):
+    path = tmp_path / "snap.bin"
+    path.write_bytes(header)
+    with pytest.raises(ValueError) as info:
+        read_snapshot(path)
+    message = str(info.value)
+    assert str(path) in message and "'nx ny lx ly t'" in message
 
 
 # ---------------------------------------------------------------------------
@@ -967,6 +1003,51 @@ def test_dump_matrix_unwritable_path_exit_1_one_line(command, tmp_path,
     assert err.startswith("vpice: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "spectrum"])
+def test_dump_matrix_outside_the_output_directory(command, tmp_path, capsys):
+    # the dump is listed by its path relative to the output directory, in
+    # the order the files were written
+    out = tmp_path / "out"
+    dump = tmp_path / "elsewhere.coo"
+    path = write_config(tmp_path,
+                        SCALED_SNIPPET + f"experiment.output_dir = {out}\n")
+    assert dispatch([command, path, "--dump-matrix", str(dump)]) == 0
+    capsys.readouterr()
+    assert dump.is_file() and not (out / "elsewhere.coo").exists()
+    assert listed_names(out) == ["../elsewhere.coo"] + {
+        "simulate": ["diagnostics.csv"],
+        "spectrum": ["spectrum.csv", "spectrum_summary.txt"]}[command]
+
+
+@pytest.mark.parametrize("command, blocked, written", [
+    ("simulate", "snapshot_000000.bin", ["diagnostics.csv"]),
+    ("simulate", "snapshot_000000_u1.ppm.scale.txt",
+     ["diagnostics.csv", "snapshot_000000.bin", "snapshot_000000_u1.ppm"]),
+    ("spectrum", "spectrum_summary.txt", ["spectrum.csv"]),
+    ("decay", "decay_summary.txt", ["decay_diagnostics.csv"]),
+    ("symbol", "symbol_report.csv", []),
+    ("ls-check", "ls_report.csv", []),
+], ids=["simulate-snapshot", "simulate-ppm-scale", "spectrum", "decay",
+        "symbol", "ls-check"])
+def test_manifest_lists_exactly_the_files_written_before_a_failure(
+        command, blocked, written, tmp_path, capsys):
+    # a directory where the next file goes makes its write fail (OSError)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    body = scaled_config(f"experiment.output_dir = {out}\n"
+                         "experiment.snapshot_every = 2\n"
+                         "experiment.emit_ppm = true\n"
+                         "grid.nx = 11\ngrid.ny = 11\n"  # a fit that passes
+                         "stepper.dt = 0.005\nstepper.t_end = 0.25\n")
+    assert dispatch([command, write_config(tmp_path, body)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("vpice: ") and err.count("\n") == 1
+    assert listed_names(out) == written
+    assert sorted(written) == sorted(
+        entry.name for entry in out.iterdir()
+        if entry.is_file() and entry.name != "manifest.txt")
 
 
 def test_dump_matrix_without_a_path_exit_2_one_line(tmp_path, capsys):
