@@ -183,16 +183,19 @@ def stepper_suite(n=1, params: RheologyParams | None = None,
 
 
 def spectrum_suite():
-    """The ``vpice spectrum`` pass rule on 11^2."""
+    """The ``vpice spectrum`` pass rule and the energy split of A0 on
+    11^2."""
     params = scaled_params(delta=1e-6, c_cor=0.0)
     grid = Grid(11, 11)
-    op = stability.assemble_A0(stability.Equilibrium(1.0, 0.8), grid, params)
+    eq = stability.Equilibrium(1.0, 0.8)
+    op = stability.assemble_A0(eq, grid, params)
     report = stability.spectrum(op, grid)
     proxy = stability.semisimplicity_proxy(op, grid)
-    return stability.spectrum_passes(report, proxy), (
+    split, defect = stability.energy_split_check(op, eq, grid, params)
+    return stability.spectrum_passes(report, proxy) and split, (
         f"kernel dim {report.kernel_dim}, gap {report.spectral_gap:.4g}, "
         f"kernel residuals {proxy.right_residual:.2e} (right), "
-        f"{proxy.left_residual:.2e} (left)")
+        f"{proxy.left_residual:.2e} (left), energy split defect {defect:.2e}")
 
 
 SUITES = (("rheology-identities", rheology_suite),

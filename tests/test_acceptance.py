@@ -30,6 +30,7 @@ from vpice.stability import (
     assemble_A0,
     decay_experiment,
     decay_passes,
+    energy_split_check,
     perturbed_equilibrium,
     semisimplicity_proxy,
     spectrum,
@@ -171,13 +172,15 @@ def test_criterion_8_linearized_spectrum():
     op = assemble_A0(EQ, g, params)
     rep = spectrum(op, g)
     proxy = semisimplicity_proxy(op, g)
-    ok = (spectrum_passes(rep, proxy)
+    split, defect = energy_split_check(op, EQ, g, params)
+    ok = (spectrum_passes(rep, proxy) and split
           and proxy.restriction_norm <= 1e-10 * proxy.operator_norm)
     report("criterion 8 (linearized spectrum on 17^2)", ok, time.time() - t0,
            f"kernel dim {rep.kernel_dim}, gap {rep.spectral_gap:.4f}, "
            f"semi-simplicity residuals {proxy.right_residual:.2e} (right), "
            f"{proxy.left_residual:.2e} (left), "
-           f"restriction {proxy.restriction_norm:.2e}")
+           f"restriction {proxy.restriction_norm:.2e}, "
+           f"energy split defect {defect:.2e}")
 
 
 def test_criterion_9_fixed_point_and_conservation():

@@ -97,6 +97,44 @@ def test_traced_cli_bindings_keep_their_call_counts(tmp_path, monkeypatch,
     }
 
 
+def test_stability_operator_bindings_stay_uncalled(tmp_path, monkeypatch,
+                                                   capsys):
+    # vpice.stability imports these operators only for the tracer: the lab
+    # reaches them through assemble_A0, so a call through these bindings
+    # would be a second assembly path.  Tracing by function retires them
+    # (ROADMAP item 1b)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    from vpice import cli, selftest, stability
+
+    counts = {}
+
+    def counting(attr, fn):
+        def wrapper(*args, **kwargs):
+            counts[attr] = counts.get(attr, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    bindings = [attr for owner, attr, name in spans.CALL_SITES
+                if owner == "vpice.stability" and name.startswith("operators.")]
+    assert sorted(bindings) == ["assemble_hibler", "assemble_neumann_laplacian",
+                                "divergence_matrix", "gradient_coupling"]
+    for attr in bindings:
+        monkeypatch.setattr(stability, attr,
+                            counting(attr, getattr(stability, attr)))
+    config = tmp_path / "run.cfg"
+    config.write_text("rheology.delta = 1e-6\nrheology.p_star = 1.0\n"
+                      "rheology.rho_ice = 1.0\nrheology.g = 1.0\n"
+                      "grid.nx = 9\ngrid.ny = 9\n"
+                      "stepper.dt = 0.01\nstepper.t_end = 0.25\n"
+                      f"experiment.output_dir = {tmp_path / 'out'}\n")
+    for command in ("spectrum", "decay"):
+        assert cli.dispatch([command, str(config)]) == 0, command
+    assert selftest.run_selftest() == 0
+    capsys.readouterr()
+    assert counts == {}
+
+
 @pytest.mark.parametrize("name", ["step-17", "step-73", "spectrum-21", "probes"])
 def test_benchmark_job_passes_its_gates(name, tmp_path, monkeypatch):
     # as perfbench/run.py sets up and runs a job: the recorded reference,

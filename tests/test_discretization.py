@@ -407,9 +407,10 @@ def test_coupled_gradient_coupling_exact_on_linear_field():
 
 def test_coupled_equals_block_formula_bitwise():
     # the rows of A^H are summed before 1/(rho_ice h) weights them, so the
-    # coupled matrix is the block formula composed from the public pieces
+    # coupled matrix is the block formula composed from the public pieces;
+    # d_h != d_a, so each diffusion block is checked against its own d
     from vpice.rheology import pressure_derivatives
-    params = scaled_params(delta=1e-4, rho_ice=0.9)
+    params = scaled_params(delta=1e-4, rho_ice=0.9, d_a=0.5)
     g = Grid(13, 9)
     state = analytic_frozen_state(g)
     interior = np.tile(g.interior_mask().ravel().astype(float), 2)

@@ -31,6 +31,7 @@ from vpice.operators import (
 )
 from vpice.params import InvalidStateError, RheologyParams, scaled_params
 from vpice.stability import (
+    ENERGY_SPLIT_RTOL,
     KERNEL_CERT_RTOL,
     BudgetExceededError,
     DecayFitError,
@@ -39,7 +40,7 @@ from vpice.stability import (
     decay_experiment,
     delta_gap_sweep,
     dense_unknowns,
-    energy_identity_residual,
+    energy_split_check,
     kernel_basis,
     perturbed_equilibrium,
     semisimplicity_proxy,
@@ -47,7 +48,6 @@ from vpice.stability import (
     spectrum_passes,
     symmetry_blocks,
     weight_constants,
-    weighted_equilibrium_energy,
 )
 
 PARAMS = scaled_params(delta=1e-6, c_cor=0.0)
@@ -772,27 +772,74 @@ def test_delta_sweep_gap_positive_for_small_delta():
 # Energy identities
 # ---------------------------------------------------------------------------
 
-def test_energy_identity_kernel_vector_all_terms_vanish():
+SPLIT_GRIDS = [Grid(9, 9), Grid(13, 9), Grid(33, 33),
+               Grid(17, 17, lx=2.0, ly=2.0), Grid(17, 17, lx=1e5, ly=1e5)]
+SPLIT_PARAMS = {"scaled": PARAMS, "scaled-coriolis": PARAMS.with_(c_cor=0.5),
+                "scaled-delta-1e-2": PARAMS.with_(delta=1e-2),
+                "si": RheologyParams(delta=1e-6),
+                "si-delta-1e-3": RheologyParams(delta=1e-3)}
+SPLIT_EQUILIBRIA = [EQ, Equilibrium(0.1000001, 0.3), Equilibrium(3.7, 0.999),
+                    Equilibrium(1.3, 0.01)]
+
+
+def split_defect(eq, g, params):
+    passed, defect = energy_split_check(assemble_A0(eq, g, params), eq, g,
+                                        params)
+    assert passed == (defect <= ENERGY_SPLIT_RTOL)
+    return defect
+
+
+@pytest.mark.parametrize("params", SPLIT_PARAMS.values(), ids=SPLIT_PARAMS)
+@pytest.mark.parametrize("g", SPLIT_GRIDS, ids=str)
+def test_energy_split_holds(g, params):
+    # at most 1.8e-16 across these grids, parameters and equilibria
+    for eq in SPLIT_EQUILIBRIA:
+        assert split_defect(eq, g, params) <= ENERGY_SPLIT_RTOL, eq
+
+
+def test_energy_split_leaves_out_the_one_way_pair_at_a_star_zero():
     g = Grid(9, 9)
+    eq = Equilibrium(1.3, 0.0)
+    n = g.n_nodes
+    a0 = assemble_A0(eq, g, PARAMS).matrix.tocsr()
+    # the a row has no div part, while dP/da grad a stays in the u rows
+    assert a0[3 * n:, :2 * n].count_nonzero() == 0
+    assert a0[:2 * n, 3 * n:].count_nonzero() > 0
+    assert split_defect(eq, g, PARAMS) <= ENERGY_SPLIT_RTOL
+
+
+def test_energy_split_fails_with_a_wrong_weight(monkeypatch):
+    # C_h without its 1/2: the h row's div part no longer cancels
+    g = Grid(9, 9)
+    weights = stability.weight_constants
+
+    def doubled_c_h(eq, params):
+        c_h, c_a = weights(eq, params)
+        return 2.0 * c_h, c_a
+
+    monkeypatch.setattr(stability, "weight_constants", doubled_c_h)
+    assert split_defect(EQ, g, PARAMS) > 1e3 * ENERGY_SPLIT_RTOL
+
+
+@pytest.mark.parametrize("rows, columns", [("u", "h"), ("h", "u")])
+def test_energy_split_fails_for_one_broken_coupling_entry(rows, columns):
+    # one kept entry of the (u, h) or (h, u) block of A0 off by 1e-6
+    g = Grid(9, 9)
+    n = g.n_nodes
     op = assemble_A0(EQ, g, PARAMS)
-    v = FieldSet.constant(g, 1.0, 1.0)  # (0, const, const)
-    v.h[:] = 1.0
-    v.a[:] = 0.5
-    out = energy_identity_residual(op, v, EQ, PARAMS)
-    for value in out["terms"].values():
-        assert abs(value) <= 1e-12
-    assert abs(out["assembled"]) <= 1e-12
-
-
-def test_energy_identity_random_vectors():
-    g = Grid(11, 11)
-    for params in (PARAMS, PARAMS.with_(c_cor=0.5)):
-        op = assemble_A0(EQ, g, params)
-        rng = np.random.default_rng(21)
-        for _ in range(10):
-            v = dirichlet_random_state(g, rng)
-            out = energy_identity_residual(op, v, EQ, params)
-            assert out["mismatch"] <= 1e-10
+    matrix = op.matrix.tocsr(copy=True)
+    first = {"u": 0, "h": 2 * n}
+    row = first[rows] + n // 2  # the centre node
+    entries = np.arange(matrix.indptr[row], matrix.indptr[row + 1])
+    column = matrix.indices[entries]
+    entry = entries[(column >= first[columns])
+                    & (column < first[columns] + n)
+                    & ~op.dirichlet_mask[column]
+                    & (matrix.data[entries] != 0.0)][0]
+    matrix.data[entry] *= 1.0 + 1e-6
+    passed, defect = energy_split_check(
+        SparseOperator(matrix, op.dirichlet_mask), EQ, g, PARAMS)
+    assert not passed and defect > 1e3 * ENERGY_SPLIT_RTOL
 
 
 def test_callers_leave_a_drifted_state_unchanged():
@@ -803,7 +850,6 @@ def test_callers_leave_a_drifted_state_unchanged():
     before = v.to_vector()
     assemble_coupled(v, g, PARAMS)
     step(v, ForcingInputs(), PARAMS, StepperConfig(dt=0.01, t_end=0.01))
-    energy_identity_residual(assemble_A0(EQ, g, PARAMS), v, EQ, PARAMS)
     assert np.array_equal(v.to_vector(), before)
 
 
@@ -875,50 +921,6 @@ def test_discrete_integration_by_parts():
     lhs = (div @ u) @ h          # integral of div(u) h
     rhs = -(grad @ h) @ u        # integral of -u . grad h
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
-
-
-def test_weighted_energy_zero_at_equilibrium():
-    g = Grid(9, 9)
-    value, breakdown = weighted_equilibrium_energy(EQ.state(g), EQ, PARAMS)
-    assert abs(value) <= 1e-12
-    assert all(abs(term) <= 1e-12 for term in breakdown.values())
-
-
-def test_weighted_energy_zero_for_motionless_constants():
-    g = Grid(9, 9)
-    v = FieldSet.constant(g, 1.3, 0.4)  # constants differing from EQ
-    value, breakdown = weighted_equilibrium_energy(v, EQ, PARAMS)
-    assert abs(value) <= 1e-14
-    assert all(abs(t) <= 1e-14 for t in breakdown.values())
-
-
-def test_weighted_energy_margins_near_equilibrium():
-    # the proof bookkeeping: transport terms cancel against the matching
-    # part of the pressure-gradient term; remainders are bounded by the
-    # distance to the equilibrium
-    g = Grid(11, 11)
-    rng = np.random.default_rng(7)
-    c_h, c_a = weight_constants(EQ, PARAMS)
-    for scale in (1e-3, 1e-2):
-        v = perturbed_equilibrium(EQ, g, scale, PARAMS)
-        interior = g.interior_mask()
-        v.u1[interior] = scale * rng.normal(size=interior.sum())
-        v.u2[interior] = scale * rng.normal(size=interior.sum())
-        v.validate(PARAMS)
-        value, breakdown = weighted_equilibrium_energy(v, EQ, PARAMS)
-        assert value == pytest.approx(sum(breakdown.values()), rel=1e-12)
-        # coercive terms dominate: the viscous and diffusion entries are
-        # nonnegative, the remainder terms are O(r) relative to them
-        assert breakdown["viscous"] >= 0.0
-        assert breakdown["thickness_diffusion"] >= 0.0
-        assert breakdown["compactness_diffusion"] >= 0.0
-        coercive = (breakdown["viscous"] + breakdown["thickness_diffusion"]
-                    + breakdown["compactness_diffusion"])
-        remainder = (abs(breakdown["pressure_gradient"]
-                         + breakdown["thickness_transport"]
-                         + breakdown["compactness_transport"])
-                     + abs(breakdown["momentum_advection"]))
-        assert remainder <= 10.0 * scale * coercive + 1e-14
 
 
 def test_transport_cancels_weighted_gradient_exactly():
