@@ -55,7 +55,6 @@ from .stability import (
     check_dense_budget,
     decay_experiment,
     decay_passes,
-    dense_unknowns,
     perturbed_equilibrium,
     semisimplicity_proxy,
     spectrum,
@@ -157,7 +156,7 @@ def cmd_ls_check(cfg: RunConfig) -> int:
 
 def cmd_spectrum(cfg: RunConfig, dump_matrix=None) -> int:
     grid = cfg.grid()
-    check_dense_budget(dense_unknowns(grid))  # before any assembly or dump
+    check_dense_budget(grid)  # before any assembly or dump
     with _Output(cfg) as out:
         op = assemble_A0(cfg.equilibrium(), grid, cfg.rheology_params())
         report = spectrum(op, grid)

@@ -1,8 +1,8 @@
 """Forcing, thermodynamic sources and IMEX time integration.
 
 One backward-Euler step of the coupled system freezes the quasilinear
-coefficients at the current state and treats advection, drag, tilt and
-sources explicitly:
+coefficients at the current state and treats momentum advection, the
+ocean drag and the sources explicitly:
 
     (I + dt A(v_n)) v_{n+1} = v_n + dt F(v_n).
 
@@ -15,9 +15,7 @@ that is the exact negative adjoint of the centered gradient, so nodal
 totals of h and a are conserved to rounding whenever the growth function
 vanishes.
 
-A forcing input left out adds no term: no tilt, wind drag or source, and a
-current of 0.0.  That equals zero fields bit for bit, signed zeros
-included, except where ``compute_forcing`` says.
+A growth function left out adds no source, equal to f == 0 bit for bit.
 """
 
 from __future__ import annotations
@@ -52,18 +50,12 @@ class StepError(VpiceError):
 
 @dataclass(frozen=True)
 class ForcingInputs:
-    """Prescribed external fields; None adds no term, equal bit for bit to
-    a zero field.
+    """Prescribed thermodynamics.
 
-    u_atm, u_ocean : surface wind / current, pairs of (ny, nx) arrays.
-    h_tilt_grad    : sea-surface tilt gradient, pair of (ny, nx) arrays.
-    f_growth       : C^1 growth function of thickness, callable on arrays;
-                     None means no freezing or melting (f == 0).
+    f_growth : C^1 growth function of thickness, callable on arrays; None
+               means no freezing or melting (f == 0), bit for bit.
     """
 
-    u_atm: Optional[tuple] = None
-    u_ocean: Optional[tuple] = None
-    h_tilt_grad: Optional[tuple] = None
     f_growth: Optional[Callable] = None
 
 
@@ -96,10 +88,6 @@ class StepperConfig:
         return max(1, math.ceil(self.t_end / self.dt - 1e-12))
 
 
-def _pair(value) -> tuple:
-    return np.asarray(value[0], dtype=float), np.asarray(value[1], dtype=float)
-
-
 def momentum_advection(v: FieldSet) -> tuple:
     """(u . grad) u by centered differences, as flat (adv1, adv2)."""
     ops = diff_ops(v.grid)
@@ -115,19 +103,12 @@ def transport(v: FieldSet) -> tuple:
                  for f in (v.h, v.a))
 
 
-def compute_forcing(v: FieldSet, inputs: ForcingInputs,
-                    params: RheologyParams) -> tuple:
-    """Explicit velocity-space forcing, zero on Dirichlet boundary rows.
-
-    - advection of momentum, -(u . grad) u (``momentum_advection``),
-    - surface tilt -g grad H,
-    - quadratic atmospheric and oceanic drag with rotation matrices.
-
-    An input left out adds no term; a current left out is 0.0, and 0.0 - u
-    is zeros - u bit for bit.  A zero tilt subtracts +0.0, a no-op; a zero
-    wind adds +-0.0, which can only turn -0.0 into +0.0, and the ocean drag
-    added next hides that unless it is -0.0 itself.  At a node at rest it
-    is when cos theta_ocean < 0: there an entry is -0.0, not +0.0.
+def compute_forcing(v: FieldSet, params: RheologyParams) -> tuple:
+    """Explicit velocity-space forcing, zero on Dirichlet boundary rows:
+    -(u . grad) u (``momentum_advection``) plus the quadratic ocean drag
+    (rho_ocean C_ocean / rho_ice) / h |w| R(theta_ocean) w on w = 0.0 - u,
+    the ice velocity relative to an ocean at rest.  0.0 - u, not -u: at
+    u = +0.0 it is +0.0, where -u would be -0.0.
 
     The Coriolis rotation is not here: it is implicit, in
     ``operators.coupled_terms``.  Thickness under kappa raises
@@ -140,23 +121,12 @@ def compute_forcing(v: FieldSet, inputs: ForcingInputs,
     f1 = -adv1.reshape(g.ny, g.nx)
     f2 = -adv2.reshape(g.ny, g.nx)
 
-    if inputs.h_tilt_grad is not None:
-        tilt_x, tilt_y = _pair(inputs.h_tilt_grad)
-        f1 -= params.g * tilt_x
-        f2 -= params.g * tilt_y
-
-    # quadratic drag (rho C / rho_ice) / h |w| R(theta) w by the wind and
-    # by the current relative to the ice
-    oce1, oce2 = (0.0, 0.0) if inputs.u_ocean is None else _pair(inputs.u_ocean)
-    drags = [] if inputs.u_atm is None else [
-        (_pair(inputs.u_atm), params.rho_atm, params.C_atm, params.theta_atm)]
-    drags.append(((oce1 - v.u1, oce2 - v.u2), params.rho_ocean,
-                  params.C_ocean, params.theta_ocean))
-    for (w1, w2), rho, c_drag, theta in drags:
-        drag = rho * c_drag / params.rho_ice / v.h * np.hypot(w1, w2)
-        c, s = np.cos(theta), np.sin(theta)
-        f1 += drag * (c * w1 - s * w2)
-        f2 += drag * (s * w1 + c * w2)
+    w1, w2 = 0.0 - v.u1, 0.0 - v.u2
+    drag = (params.rho_ocean * params.C_ocean / params.rho_ice / v.h
+            * np.hypot(w1, w2))
+    c, s = np.cos(params.theta_ocean), np.sin(params.theta_ocean)
+    f1 += drag * (c * w1 - s * w2)
+    f2 += drag * (s * w1 + c * w2)
 
     boundary = g.boundary_mask()
     f1[boundary] = 0.0
@@ -191,7 +161,7 @@ def source_terms(v: FieldSet, inputs: ForcingInputs,
 
 def _explicit_rhs(v: FieldSet, inputs: ForcingInputs,
                   params: RheologyParams) -> np.ndarray:
-    f1, f2 = compute_forcing(v, inputs, params)
+    f1, f2 = compute_forcing(v, params)
     div_h, div_a = transport(v)
     rhs_h, rhs_a = -div_h, -div_a
     # no growth function adds no source: its +0.0 would only turn -0.0 into

@@ -7,6 +7,7 @@ runs produce byte-identical files and values round-trip exactly.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import AbstractContextManager
 
@@ -87,23 +88,29 @@ def write_snapshot(path, fields: FieldSet, t: float) -> None:
 
 def read_snapshot(path):
     """Inverse of write_snapshot; returns (FieldSet, t).  A header that is
-    not 'nx ny lx ly t', or a payload that is not exactly the four nx x ny
-    fields, raises ValueError."""
+    not 'nx ny lx ly t' of a valid grid and a finite t, or a payload that is
+    not exactly the four nx x ny fields, all finite, raises ValueError."""
     with open(path, "rb") as fh:
         header = fh.readline().split()
         payload = fh.read()
     try:  # int and float parse the ASCII bytes as they are
         nx, ny = map(int, header[:2])
         lx, ly, t = map(float, header[2:])
-    except ValueError:
+        grid = Grid(nx, ny, lx, ly)  # its InvalidStateError is a ValueError
+        if not math.isfinite(t):
+            raise ValueError(f"t = {t!r}")
+    except ValueError as exc:
         raise ValueError(f"snapshot {path}: the header must be "
-                         f"'nx ny lx ly t'") from None
+                         f"'nx ny lx ly t' ({exc})") from None
     expected = 4 * nx * ny * 8
     if len(payload) != expected:
         raise ValueError(f"snapshot {path}: a {nx}x{ny} grid needs {expected} "
                          f"payload bytes, found {len(payload)}")
     raw = np.frombuffer(payload, dtype="<f8")
-    return FieldSet.from_vector(Grid(nx, ny, lx, ly), raw), t
+    if not np.all(np.isfinite(raw)):
+        raise ValueError(f"snapshot {path}: the payload holds non-finite "
+                         f"values")
+    return FieldSet.from_vector(grid, raw), t
 
 
 def write_ppm(path, field: np.ndarray) -> tuple:

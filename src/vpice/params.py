@@ -64,7 +64,7 @@ def check_finite(obj) -> None:
 
 @dataclass(frozen=True)
 class RheologyParams:
-    """Constants of the rheology, drag forcing and balance laws.
+    """Constants of the rheology, ocean drag and balance laws.
 
     Attributes
     ----------
@@ -73,12 +73,14 @@ class RheologyParams:
     p_star : ice strength scale, N m^-2.
     c : strength decay rate with open-water fraction, dimensionless.
     kappa : thickness threshold below which a cell is open water, m.
-    rho_ice, rho_atm, rho_ocean : densities, kg m^-3.
-    C_atm, C_ocean : air and water drag coefficients, dimensionless.
-    theta_atm, theta_ocean : drag rotation angles, rad.
+    rho_ice, rho_ocean : ice and water densities, kg m^-3.
+    C_ocean : water drag coefficient, dimensionless.
+    theta_ocean : drag rotation angle, rad.
     c_cor : Coriolis parameter, s^-1.
-    g : gravity, m s^-2.
     d_h, d_a : thickness/compactness diffusivities, m^2 s^-1.
+    rho_atm, C_atm, theta_atm, g : air density, air drag coefficient, wind
+        turning angle and gravity; read by no code at all, accepted only
+        because the benchmark's configs still write their keys.
     """
 
     e: float = 2.0

@@ -180,9 +180,10 @@ def dense_unknowns(grid: Grid) -> int:
     return 4 * grid.n_nodes - 2 * int(np.sum(grid.boundary_mask()))
 
 
-def check_dense_budget(size: int) -> None:
-    """Raise BudgetExceededError when a dense eigensolve of ``size``
-    unknowns exceeds DENSE_EIG_BUDGET."""
+def check_dense_budget(grid: Grid) -> None:
+    """Raise BudgetExceededError when a dense eigensolve of A0 on ``grid``
+    (its ``dense_unknowns``) exceeds DENSE_EIG_BUDGET."""
+    size = dense_unknowns(grid)
     if size > DENSE_EIG_BUDGET:
         raise BudgetExceededError(
             f"{size} unknowns exceed the dense eigensolve budget "
@@ -466,7 +467,7 @@ def spectrum(op: SparseOperator, grid: Grid) -> SpectrumReport:
     ``semisimplicity_proxy`` certifies.  ``block_sizes`` lists the dense
     blocks only.
     """
-    check_dense_budget(dense_unknowns(grid))
+    check_dense_budget(grid)
     kernel_dim = 2  # the columns of kernel_basis: constant h, constant a
     group, blocks, q_values = symmetry_blocks(op, grid)
     parts, sizes = [], []
@@ -644,7 +645,7 @@ def decay_experiment(eq: Equilibrium, perturbation_scale: float, grid: Grid,
     if perturbation_scale == 0.0:
         raise InvalidStateError("decay needs a nonzero perturbation_scale: "
                                 "the equilibrium itself has no rate to fit")
-    check_dense_budget(dense_unknowns(grid))
+    check_dense_budget(grid)
     v0 = perturbed_equilibrium(eq, grid, perturbation_scale, params)
     rest = eq.state(grid)
     if np.array_equal(v0.h, rest.h) and np.array_equal(v0.a, rest.a):

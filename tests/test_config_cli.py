@@ -360,15 +360,30 @@ def test_snapshot_payload_length_is_checked(tmp_path, change):
     assert "800" in message and str(found) in message
 
 
-@pytest.mark.parametrize("header", [b"5 5 1\n", b"", b"five 5 1 1 0\n"],
-                         ids=["short", "empty", "not a number"])
+@pytest.mark.parametrize("header", [
+    b"5 5 1\n", b"", b"five 5 1 1 0\n", b"2 2 1 1 0\n", b"5 5 1 1 nan\n",
+    b"5 5 1 1 inf\n", b"5 5 0 1 0\n"], ids=[
+        "short", "empty", "not a number", "grid too small", "nan time",
+        "infinite time", "zero extent"])
 def test_snapshot_header_is_checked(tmp_path, header):
     path = tmp_path / "snap.bin"
     path.write_bytes(header)
     with pytest.raises(ValueError) as info:
         read_snapshot(path)
     message = str(info.value)
+    assert type(info.value) is ValueError
     assert str(path) in message and "'nx ny lx ly t'" in message
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_snapshot_payload_is_finite(tmp_path, value):
+    path = tmp_path / "snap.bin"
+    v = FieldSet.constant(Grid(5, 5), 1.0, 0.5)
+    v.h[2, 3] = value
+    write_snapshot(path, v, t=0.0)
+    with pytest.raises(ValueError) as info:
+        read_snapshot(path)
+    assert str(path) in str(info.value) and "non-finite" in str(info.value)
 
 
 # ---------------------------------------------------------------------------

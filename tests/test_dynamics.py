@@ -45,38 +45,28 @@ def perturbed(grid, h_star=1.0, a_star=0.8, scale=1e-3, seed=0):
 
 def test_forcing_all_zero():
     g = Grid(9, 9)
-    f1, f2 = compute_forcing(equilibrium(g), ForcingInputs(), PARAMS)
+    f1, f2 = compute_forcing(equilibrium(g), PARAMS)
     assert np.all(f1 == 0.0) and np.all(f2 == 0.0)
 
 
-def test_forcing_ocean_drag_plugin():
-    g = Grid(9, 9)
-    v = equilibrium(g, h_star=2.0)
-    const = (np.full((g.ny, g.nx), 0.3), np.full((g.ny, g.nx), -0.4))
-    inputs = ForcingInputs(u_ocean=const)
-    f1, f2 = compute_forcing(v, inputs, PARAMS)
-    c2 = PARAMS.rho_ocean * PARAMS.C_ocean / PARAMS.rho_ice
-    speed = 0.5
-    interior = g.interior_mask()
-    np.testing.assert_allclose(f1[interior], c2 / 2.0 * speed * 0.3, rtol=1e-13)
-    np.testing.assert_allclose(f2[interior], c2 / 2.0 * speed * (-0.4), rtol=1e-13)
-    assert np.all(f1[~interior] == 0.0)
-
-
 @pytest.mark.parametrize("theta", [0.0, 0.3])
-def test_forcing_wind_drag(theta):
-    # (rho_atm C_atm / rho_ice) / h |u_atm| R(theta) u_atm at rest on h = 2
+def test_forcing_ocean_drag_on_minus_u(theta):
+    # (rho_ocean C_ocean / rho_ice) / h |u| R(theta_ocean) (-u) on h = 2, at
+    # nodes two or more from the boundary, where the centered advection of
+    # a constant u vanishes
     g = Grid(9, 9)
-    params = scaled_params(delta=1e-4, theta_atm=theta)
-    wind = (np.full((g.ny, g.nx), 0.6), np.full((g.ny, g.nx), 0.8))
-    f1, f2 = compute_forcing(equilibrium(g, h_star=2.0),
-                             ForcingInputs(u_atm=wind), params)
-    c1 = params.rho_atm * params.C_atm / params.rho_ice
-    c, s = np.cos(theta), np.sin(theta)
+    params = scaled_params(delta=1e-4, theta_ocean=theta)
+    v = equilibrium(g, h_star=2.0)
     interior = g.interior_mask()
-    np.testing.assert_allclose(f1[interior], c1 / 2.0 * (0.6 * c - 0.8 * s),
+    v.u1[interior], v.u2[interior] = 0.3, -0.4
+    f1, f2 = compute_forcing(v, params)
+    c2 = params.rho_ocean * params.C_ocean / params.rho_ice
+    c, s = np.cos(theta), np.sin(theta)
+    inner = np.zeros_like(interior)
+    inner[2:-2, 2:-2] = True
+    np.testing.assert_allclose(f1[inner], c2 / 2.0 * 0.5 * (-0.3 * c - 0.4 * s),
                                rtol=1e-13)
-    np.testing.assert_allclose(f2[interior], c1 / 2.0 * (0.6 * s + 0.8 * c),
+    np.testing.assert_allclose(f2[inner], c2 / 2.0 * 0.5 * (-0.3 * s + 0.4 * c),
                                rtol=1e-13)
     assert np.all(f1[~interior] == 0.0) and np.all(f2[~interior] == 0.0)
 
@@ -102,18 +92,9 @@ def test_coriolis_orientation():
         expected)
     v = perturbed(g)
     v.u1, v.u2 = u1.reshape(v.h.shape), u2.reshape(v.h.shape)
-    for f_with, f_without in zip(compute_forcing(v, ForcingInputs(), with_cor),
-                                 compute_forcing(v, ForcingInputs(), without)):
+    for f_with, f_without in zip(compute_forcing(v, with_cor),
+                                 compute_forcing(v, without)):
         assert np.array_equal(f_with, f_without)
-
-
-def test_forcing_tilt_term():
-    g = Grid(9, 9)
-    tilt = (np.full((g.ny, g.nx), 0.01), np.full((g.ny, g.nx), -0.02))
-    f1, f2 = compute_forcing(equilibrium(g), ForcingInputs(h_tilt_grad=tilt), PARAMS)
-    interior = g.interior_mask()
-    np.testing.assert_allclose(f1[interior], -PARAMS.g * 0.01, rtol=1e-13)
-    np.testing.assert_allclose(f2[interior], PARAMS.g * 0.02, rtol=1e-13)
 
 
 def test_forcing_rejects_thin_ice():
@@ -122,7 +103,7 @@ def test_forcing_rejects_thin_ice():
     # the one-line message prints a plain float, not np.float64(...)
     with pytest.raises(InvalidStateError,
                        match=rf"min h = {0.5 * PARAMS.kappa!r}$"):
-        compute_forcing(v, ForcingInputs(), PARAMS)
+        compute_forcing(v, PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +193,15 @@ def test_kinetic_energy_nonincreasing_unforced():
 
 def test_first_order_temporal_self_convergence():
     g = Grid(9, 9)
-    const = (np.full((g.ny, g.nx), 0.05), np.full((g.ny, g.nx), 0.02))
-    inputs = ForcingInputs(u_ocean=const)
     t_end = 0.08
     v0 = equilibrium(g)
+    interior = g.interior_mask()
+    x, y = g.coords()
+    v0.u1[interior] = (1e-3 * np.sin(np.pi * x) * np.sin(np.pi * y))[interior]
 
     def final_state(dt):
         cfg = StepperConfig(dt=dt, t_end=t_end)
-        return run(v0, inputs, PARAMS, cfg).final_state.to_vector()
+        return run(v0, ForcingInputs(), PARAMS, cfg).final_state.to_vector()
 
     states = [final_state(t_end / n) for n in (8, 16, 32, 64)]
     # successive-difference self-convergence: ||v_dt - v_{dt/2}|| ~ C dt

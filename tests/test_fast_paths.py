@@ -15,7 +15,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from vpice import dynamics, grid as grid_module, operators, rheology, scaled_params
+from vpice import grid as grid_module, operators, rheology, scaled_params
 from vpice.dynamics import ForcingInputs, StepperConfig, step
 from vpice.grid import FieldSet, Grid, diff_ops
 from vpice.operators import (
@@ -224,17 +224,9 @@ def test_step_constants_are_read_only():
 # Forcing inputs left out
 # ---------------------------------------------------------------------------
 
-def zero_inputs(grid):
-    """Every forcing input given, as zero fields and zero growth."""
-    zero = np.zeros((grid.ny, grid.nx))
-    return ForcingInputs(u_atm=(zero, zero), u_ocean=(zero, zero),
-                         h_tilt_grad=(zero, zero), f_growth=lambda h: 0.0 * h)
-
-
-def forcing_and_step(state, inputs, params):
-    f1, f2 = dynamics.compute_forcing(state, inputs, params)
-    new = step(state, inputs, params, StepperConfig(dt=0.01, t_end=0.01))
-    return np.concatenate([f1.ravel(), f2.ravel()]), new.to_vector()
+def zero_inputs():
+    """The growth function given, as zero growth."""
+    return ForcingInputs(f_growth=lambda h: 0.0 * h)
 
 
 @pytest.mark.parametrize("theta_ocean", [0.0, -0.7])
@@ -243,34 +235,16 @@ def forcing_and_step(state, inputs, params):
 def test_inputs_left_out_add_no_term_bit_for_bit(grid, c_cor, theta_ocean):
     # tobytes: a skipped term must not move a signed zero either
     params = scaled_params(delta=1e-6, c_cor=c_cor, theta_ocean=theta_ocean)
+    cfg = StepperConfig(dt=0.01, t_end=0.01)
     for name, state in states(grid).items():
-        for got, expected in zip(forcing_and_step(state, ForcingInputs(), params),
-                                 forcing_and_step(state, zero_inputs(grid), params)):
-            assert got.tobytes() == expected.tobytes(), name
+        got, expected = (step(state, inputs, params, cfg).to_vector()
+                         for inputs in (ForcingInputs(), zero_inputs()))
+        assert got.tobytes() == expected.tobytes(), name
 
 
-@pytest.mark.parametrize("grid", GRIDS[1:], ids=lambda g: f"{g.nx}x{g.ny}")
-def test_inputs_left_out_past_a_right_angle_move_only_a_resting_zero(grid):
-    # cos theta_ocean < 0: the ocean drag at a node at rest is -0.0, so the
-    # -0.0 of -(u . grad) u there stays without the zero wind's +0.0; the
-    # step, which adds it to u = +0.0, is unchanged
-    params = scaled_params(delta=1e-6, theta_ocean=2.5)
-    interior = grid.interior_mask().ravel()
-    for name, state in states(grid).items():
-        (force, new), (zero_force, zero_new) = (
-            forcing_and_step(state, inputs, params)
-            for inputs in (ForcingInputs(), zero_inputs(grid)))
-        assert new.tobytes() == zero_new.tobytes(), name
-        assert np.array_equal(force, zero_force), name
-        moved = np.signbit(force) != np.signbit(zero_force)
-        at_rest = (state.u1.ravel() == 0.0) & (state.u2.ravel() == 0.0)
-        expected = np.concatenate([interior & at_rest, np.zeros_like(interior)])
-        assert np.array_equal(moved, expected), name
-
-
-def test_a_wind_left_out_reads_no_wind_setting():
-    # rho_atm C_atm overflows to inf, and a zero wind would add inf * 0 =
-    # NaN; a wind left out adds nothing, so the step is the default one
+def test_no_step_reads_the_wind_settings():
+    # rho_atm C_atm overflows to inf, which would turn any term that read it
+    # into inf or NaN; no step reads them, so the step is the default one
     grid = Grid(9, 9)
     state = states(grid)["moving"]
     cfg = StepperConfig(dt=0.01, t_end=0.01)
