@@ -1,60 +1,27 @@
 """Grid-refinement study of the assembled operators.
 
-Applies the constant-coefficient velocity operator and the Neumann
-diffusion blocks to manufactured smooth fields on a refinement ladder and
-prints the observed convergence orders (expected: 2).
+Runs ``vpice.selftest.convergence_check``, the rule of acceptance criterion
+6 and of the ``operator-structure`` selftest suite, on a longer refinement
+ladder: the constant-coefficient velocity operator and the Neumann
+diffusion blocks applied to manufactured smooth fields, their interior
+errors against the exact actions in the cell-weighted L2 norm, and the
+observed convergence orders (expected: 2).
 """
 
 import numpy as np
 
-from vpice.grid import FieldSet, Grid
-from vpice.operators import assemble_hibler, assemble_neumann_laplacian
+from vpice.grid import Grid
 from vpice.params import scaled_params
-from vpice.rheology import pressure
+from vpice.selftest import convergence_check
 
-params = scaled_params(delta=1e-2)
-h_star, a_star = 1.0, 0.8
-P = float(pressure(h_star, a_star, params))
-c = P / (2.0 * np.sqrt(params.delta))
-q = 1.0 / params.e**2
+sizes = (17, 33, 65, 129)
+_, errors, orders = convergence_check(sizes, scaled_params(delta=1e-2))
 
 print("manufactured fields: u = (sin(pi x) sin(2 pi y), sin(2 pi x) sin(pi y)),"
       "  f = cos(pi x) cos(2 pi y)\n")
 print(f"{'grid':>8} {'dx':>10} {'velocity-op error':>18} {'laplacian error':>16}")
+for n, ((err_u, _), (err_l, _)) in zip(sizes, errors):
+    print(f"{n:>4}x{n:<3} {Grid(n, n).dx:10.5f} {err_u:18.6e} {err_l:16.6e}")
 
-errors_u, errors_l, spacings = [], [], []
-for n in (17, 33, 65, 129):
-    g = Grid(n, n)
-    x, y = g.coords()
-    interior = g.interior_mask()
-
-    u1 = np.sin(np.pi * x) * np.sin(2 * np.pi * y)
-    u2 = np.sin(2 * np.pi * x) * np.sin(np.pi * y)
-    exact1 = -c * (-(1 + q) * np.pi**2 * u1 - 4 * q * np.pi**2 * u1
-                   + 2 * np.pi**2 * np.cos(2 * np.pi * x) * np.cos(np.pi * y))
-    exact2 = -c * (2 * np.pi**2 * np.cos(np.pi * x) * np.cos(2 * np.pi * y)
-                   - 4 * q * np.pi**2 * u2 - (1 + q) * np.pi**2 * u2)
-    op = assemble_hibler(FieldSet.constant(g, h_star, a_star), g, params)
-    got = op.matrix @ np.concatenate([u1.ravel(), u2.ravel()])
-    g1 = got[:g.n_nodes].reshape(g.ny, g.nx)
-    g2 = got[g.n_nodes:].reshape(g.ny, g.nx)
-    err_u = np.sqrt(g.cell_area * (np.sum((g1 - exact1)[interior]**2)
-                                   + np.sum((g2 - exact2)[interior]**2)))
-
-    f = np.cos(np.pi * x) * np.cos(2 * np.pi * y)
-    lap = assemble_neumann_laplacian(g, params.d_h)
-    exact = params.d_h * 5 * np.pi**2 * f
-    gotf = (lap.matrix @ f.ravel()).reshape(g.ny, g.nx)
-    err_l = np.sqrt(g.cell_area * np.sum((gotf - exact)[interior]**2))
-
-    errors_u.append(err_u)
-    errors_l.append(err_l)
-    spacings.append(g.dx)
-    print(f"{n:>4}x{n:<3} {g.dx:10.5f} {err_u:18.6e} {err_l:16.6e}")
-
-orders_u = np.log(np.array(errors_u[:-1]) / errors_u[1:]) / np.log(
-    np.array(spacings[:-1]) / np.array(spacings[1:]))
-orders_l = np.log(np.array(errors_l[:-1]) / errors_l[1:]) / np.log(
-    np.array(spacings[:-1]) / np.array(spacings[1:]))
-print(f"\nobserved orders, velocity operator: {np.round(orders_u, 3)}")
-print(f"observed orders, diffusion blocks:  {np.round(orders_l, 3)}")
+print(f"\nobserved orders, velocity operator: {np.round(orders[:, 0, 0], 3)}")
+print(f"observed orders, diffusion blocks:  {np.round(orders[:, 1, 0], 3)}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -136,13 +137,15 @@ def _neumann_1d(n: int, h: float) -> sp.csr_matrix:
 
 
 @lru_cache(maxsize=32)
-def diff_ops(grid: Grid) -> dict:
-    """Grid-only matrices, cached per grid.
+def diff_ops(grid: Grid) -> MappingProxyType:
+    """Grid-only matrices, cached per grid and read-only: every array of
+    every matrix, and the mapping itself.
 
     Keys: dx, dy (centered first), dxx, dyy (second), dxy (4-point cross,
     rows at full-interior nodes), neumann (symmetric reflected -Laplacian,
     kron sum of the 1D pieces), div (N x 2N, minus the transpose of the
-    (dx, dy) pair) and id (N x N identity).
+    (dx, dy) pair) and id (N x N identity).  Each is in canonical form
+    (sorted, duplicate-free), so no scipy call sorts one in place.
     """
     ix = sp.identity(grid.nx, format="csr")
     iy = sp.identity(grid.ny, format="csr")
@@ -151,13 +154,17 @@ def diff_ops(grid: Grid) -> dict:
     d_xx = sp.kron(iy, _d2_interior(grid.nx, grid.dx), format="csr")
     d_yy = sp.kron(_d2_interior(grid.ny, grid.dy), ix, format="csr")
     d_xy = (d_x @ d_y).tocsr()
-    return {
+    d_xy.sum_duplicates()  # the product's indices come unsorted
+    ops = {
         "dx": d_x, "dy": d_y, "dxx": d_xx, "dyy": d_yy, "dxy": d_xy,
         "neumann": sp.kronsum(_neumann_1d(grid.nx, grid.dx),
                               _neumann_1d(grid.ny, grid.dy), format="csr"),
         "div": sp.hstack([-d_x.T, -d_y.T], format="csr"),
         "id": sp.identity(grid.n_nodes, format="csr"),
     }
+    for matrix in ops.values():
+        _read_only(matrix.data, matrix.indices, matrix.indptr)
+    return MappingProxyType(ops)
 
 
 def neumann_mode(n: int, k: int = 1) -> np.ndarray:

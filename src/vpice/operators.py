@@ -351,7 +351,8 @@ def gradient_coupling(grid: Grid, coeff: np.ndarray) -> sp.csr_matrix:
 
 def divergence_matrix(grid: Grid) -> sp.csr_matrix:
     """(N x 2N) discrete divergence, the exact negative adjoint of the
-    centered gradient pair for fields vanishing on the boundary."""
+    centered gradient pair for fields vanishing on the boundary: the
+    cached, read-only ``diff_ops`` matrix."""
     return diff_ops(grid)["div"]
 
 

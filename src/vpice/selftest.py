@@ -5,8 +5,8 @@ the package's core contracts at small default sample counts: constitutive-law
 identities, ellipticity and boundary-condition margins, operator structure
 and coercivity, and the equilibrium fixed point of the time stepper.  The
 acceptance criteria evaluate the same rules at their own seeds and sizes
-(criteria 1, 2, 4 and 9 pass their own to a suite, 7 to
-``coercivity_check``).
+(criteria 1, 2, 4 and 9 pass their own to a suite, 6 to
+``convergence_check`` and 7 to ``coercivity_check``).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ SYMMETRY_PERMS = ((1, 0, 3, 2), (2, 3, 0, 1), (2, 1, 0, 3),
                   (0, 3, 2, 1), (3, 2, 1, 0))
 DISCRETE_COERCIVITY_MIN = -1e-9  # relative margin of coercivity_check
 FIXED_POINT_DRIFT_MAX = 1e-12  # per-step drift of stepper_suite
+CONVERGENCE_ORDER_TOL = 0.2  # |order - 2| that convergence_check passes
 
 
 def rheology_suite(seed=0, n=2000, params: RheologyParams | None = None):
@@ -154,6 +155,37 @@ def coercivity_check(grid: Grid, params: RheologyParams, seed, n):
     return worst >= DISCRETE_COERCIVITY_MIN, worst
 
 
+def convergence_check(sizes, params: RheologyParams):
+    """(passed, errors, orders): errors[k, o, m] is the interior error in norm
+    m (cell-weighted L2, max) on grid sizes[k]^2 of the velocity block at
+    (1, 0.8) on (sin pi x sin 2 pi y, sin 2 pi x sin pi y) (o = 0) or of the
+    worse diffusion block, d_h or d_a, on cos pi x cos 2 pi y (o = 1); every
+    order, grid k to k + 1, passes within CONVERGENCE_ORDER_TOL of 2."""
+    c = float(pressure(1.0, 0.8, params)) / (2.0 * np.sqrt(params.delta))
+    q = 1.0 / params.e**2
+    errors = []
+    for g in (Grid(n, n) for n in sizes):
+        x, y = (axis.ravel() for axis in g.coords())
+        u1 = np.sin(np.pi * x) * np.sin(2 * np.pi * y)
+        u2 = np.sin(2 * np.pi * x) * np.sin(np.pi * y)
+        f = np.cos(np.pi * x) * np.cos(2 * np.pi * y)
+        exact = (-c * (-(1 + q) * np.pi**2 * u1 - 4 * q * np.pi**2 * u1
+                       + 2 * np.pi**2 * np.cos(2 * np.pi * x) * np.cos(np.pi * y)),
+                 -c * (2 * np.pi**2 * np.cos(np.pi * x) * np.cos(2 * np.pi * y)
+                       - 4 * q * np.pi**2 * u2 - (1 + q) * np.pi**2 * u2))
+        op = assemble_hibler(FieldSet.constant(g, 1.0, 0.8), g, params)
+        eu, ef = (np.array(miss)[:, g.interior_mask().ravel()] for miss in (
+            (op.matrix @ np.concatenate([u1, u2])).reshape(2, -1) - exact,
+            [assemble_neumann_laplacian(g, d).matrix @ f - d * 5 * np.pi**2 * f
+             for d in (params.d_h, params.d_a)]))
+        sq_u, sq_f = ([np.sum(m**2) for m in miss] for miss in (eu, ef))
+        errors.append([[np.sqrt(g.cell_area * sum(sq_u)), np.abs(eu).max()],
+                       [np.sqrt(g.cell_area * max(sq_f)), np.abs(ef).max()]])
+    e, h = np.array(errors), np.array([Grid(n, n).dx for n in sizes])
+    orders = np.log(e[:-1] / e[1:]) / np.log(h[:-1] / h[1:])[:, None, None]
+    return bool(np.all(np.abs(orders - 2) <= CONVERGENCE_ORDER_TOL)), e, orders
+
+
 def operator_suite():
     params = scaled_params(delta=1e-4)
     grid = Grid(17, 17)
@@ -161,9 +193,12 @@ def operator_suite():
     sym = abs(lap.matrix - lap.matrix.T).max()
     const = np.abs(lap.matrix @ np.ones(grid.n_nodes)).max()
     scale = params.d_h / grid.dx**2
+    consistent, _, orders = convergence_check((17, 33), params)
     coercive, margin = coercivity_check(grid, params, seed=5, n=1)
-    ok = sym == 0.0 and const <= 1e-12 * scale and coercive
+    ok = sym == 0.0 and const <= 1e-12 * scale and consistent and coercive
     return ok, (f"laplacian asym {sym:.1e}, kernel residual {const:.2e}, "
+                f"orders 17->33 (L2, max): velocity {np.round(orders[0, 0], 3)}, "
+                f"diffusion {np.round(orders[0, 1], 3)}, "
                 f"coercivity margin {margin:.3e}")
 
 

@@ -11,15 +11,12 @@ import numpy as np
 
 from vpice.cli import dispatch
 from vpice.dynamics import ForcingInputs, StepperConfig, step
-from vpice.grid import FieldSet, Grid
-from vpice.operators import (
-    assemble_hibler,
-    assemble_neumann_laplacian,
-)
+from vpice.grid import Grid
 from vpice.params import scaled_params
-from vpice.rheology import pressure, sample_state
+from vpice.rheology import sample_state
 from vpice.selftest import (
     coercivity_check,
+    convergence_check,
     jacobian_suite,
     ls_suite,
     rheology_suite,
@@ -105,56 +102,13 @@ def test_criterion_5_boundary_form():
 
 def test_criterion_6_operator_convergence():
     t0 = time.time()
-    params = scaled_params(delta=1e-2)
-    h_star, a_star = 1.0, 0.8
-    p_const = float(pressure(h_star, a_star, params))
-    c = p_const / (2.0 * np.sqrt(params.delta))
-    q = 1.0 / params.e**2
-
-    hib_err, lap_err = [], []
-    spacings = []
-    for n in (17, 33, 65):
-        g = Grid(n, n)
-        x, y = g.coords()
-        interior = g.interior_mask()
-        spacings.append(g.dx)
-
-        u1 = np.sin(np.pi * x) * np.sin(2 * np.pi * y)
-        u2 = np.sin(2 * np.pi * x) * np.sin(np.pi * y)
-        exact1 = -c * (-(1 + q) * np.pi**2 * u1 - 4 * q * np.pi**2 * u1
-                       + 2 * np.pi**2 * np.cos(2 * np.pi * x) * np.cos(np.pi * y))
-        exact2 = -c * (2 * np.pi**2 * np.cos(np.pi * x) * np.cos(2 * np.pi * y)
-                       - 4 * q * np.pi**2 * u2 - (1 + q) * np.pi**2 * u2)
-        op = assemble_hibler(FieldSet.constant(g, h_star, a_star), g, params)
-        got = op.matrix @ np.concatenate([u1.ravel(), u2.ravel()])
-        got1 = got[:g.n_nodes].reshape(g.ny, g.nx)
-        got2 = got[g.n_nodes:].reshape(g.ny, g.nx)
-        hib_err.append(np.sqrt(g.cell_area * (
-            np.sum((got1 - exact1)[interior] ** 2)
-            + np.sum((got2 - exact2)[interior] ** 2))))
-
-        f = np.cos(np.pi * x) * np.cos(2 * np.pi * y)
-        errs = []
-        for d in (params.d_h, params.d_a):
-            lap = assemble_neumann_laplacian(g, d)
-            exact = d * 5 * np.pi**2 * f
-            gotf = (lap.matrix @ f.ravel()).reshape(g.ny, g.nx)
-            errs.append(np.sqrt(g.cell_area * np.sum((gotf - exact)[interior]**2)))
-        lap_err.append(max(errs))
-
-    def orders(errors):
-        e = np.asarray(errors)
-        h = np.asarray(spacings)
-        return np.log(e[:-1] / e[1:]) / np.log(h[:-1] / h[1:])
-
-    hib_orders = orders(hib_err)
-    lap_orders = orders(lap_err)
-    ok = (np.all(np.abs(hib_orders - 2.0) <= 0.2)
-          and np.all(np.abs(lap_orders - 2.0) <= 0.2))
+    ok, _, orders = convergence_check((17, 33, 65), scaled_params(delta=1e-2))
     report("criterion 6 (operator convergence on 17/33/65 grids)", ok,
            time.time() - t0,
-           f"velocity-block orders {np.round(hib_orders, 3)}, "
-           f"laplacian orders {np.round(lap_orders, 3)}")
+           f"velocity-block orders {np.round(orders[:, 0, 0], 3)}, "
+           f"laplacian orders {np.round(orders[:, 1, 0], 3)}; in the max "
+           f"norm {np.round(orders[:, 0, 1], 3)} and "
+           f"{np.round(orders[:, 1, 1], 3)}")
 
 
 def test_criterion_7_discrete_coercivity():

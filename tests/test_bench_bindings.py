@@ -1,9 +1,10 @@
 """The benchmark reaches into the package by module attribute: the traced
 run patches every binding ``perfbench/spans.py`` lists, or
 ``perfbench/run.py --trace 1`` fails, and the spectrum-21 workload captures
-three ``vpice.cli`` calls and gates on their reports.  One job of each
-workload runs here with its correctness gates, so a broken call into the
-package or an answer off the recorded reference fails in the test suite."""
+three ``vpice.cli`` calls and gates on their reports.  Every recorded
+``step-17`` case and one job of each other workload run here with their
+correctness gates, so a broken call into the package or an answer off the
+recorded reference fails in the test suite."""
 
 import importlib
 from pathlib import Path
@@ -135,13 +136,20 @@ def test_stability_operator_bindings_stay_uncalled(tmp_path, monkeypatch,
     assert counts == {}
 
 
-@pytest.mark.parametrize("name", ["step-17", "step-73", "spectrum-21", "probes"])
-def test_benchmark_job_passes_its_gates(name, tmp_path, monkeypatch):
+# every recorded step-17 case: a rounding-level change to the step path
+# shows first on case 15, where a velocity-block solve misses the 1e-9 u
+# gate with 1.17e-9 (ROADMAP item 1a); one case of each other workload
+@pytest.mark.parametrize("name, seed", [
+    *(pytest.param("step-17", case, id=f"step-17-case{case}")
+      for case in range(16)),
+    *(pytest.param(name, 3, id=name)
+      for name in ("step-73", "spectrum-21", "probes"))])
+def test_benchmark_job_passes_its_gates(name, seed, tmp_path, monkeypatch):
     # as perfbench/run.py sets up and runs a job: the recorded reference,
     # a fixed seed, the job's own wrappers installed
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    job = workloads.WORKLOADS[name].setup(3, tmp_path,
+    job = workloads.WORKLOADS[name].setup(seed, tmp_path,
                                           workloads.load_reference())
     tally = workloads.Tally()
     with job.active():

@@ -894,20 +894,29 @@ def test_asymmetric_symbol_fails_symbol_and_selftest(tmp_path, capsys,
     assert not passed and float(defect) > 1e-8
 
 
-def test_operator_suite_fails_below_the_coercivity_bound(monkeypatch):
+@pytest.mark.parametrize("factor", [1e-3, 1.5])
+def test_operator_suite_fails_a_scaled_velocity_block(monkeypatch, factor):
     # the velocity form stays positive at 1e-3 of the operator, but it
-    # misses the discrete coercivity bound
+    # misses the discrete coercivity bound; 1.5 times the operator meets
+    # the bound, but its error stays half the exact action on every grid,
+    # so it converges at order 0
     from vpice import selftest
     original = selftest.assemble_hibler
 
-    def weak(*args):
+    def scaled(*args):
         op = original(*args)
-        return dataclasses.replace(op, matrix=1e-3 * op.matrix)
+        return dataclasses.replace(op, matrix=factor * op.matrix)
 
-    monkeypatch.setattr(selftest, "assemble_hibler", weak)
+    monkeypatch.setattr(selftest, "assemble_hibler", scaled)
     passed, detail = selftest.operator_suite()
     assert not passed
-    assert float(detail.split("coercivity margin ")[-1]) < -1.0
+    margin = float(detail.split("coercivity margin ")[-1])
+    if factor < 1.0:
+        assert margin < -1.0
+    else:
+        assert margin >= selftest.DISCRETE_COERCIVITY_MIN
+        velocity = detail.split("velocity [")[1].split("]")[0].split()
+        assert all(abs(float(order)) < 0.1 for order in velocity)
 
 
 def test_selftest_takes_no_config(tmp_path, capsys):

@@ -23,7 +23,6 @@ from vpice.operators import (
     solve_linear,
 )
 from vpice.params import InvalidStateError, scaled_params
-from vpice.rheology import pressure
 from vpice.selftest import coercivity_check
 
 
@@ -224,59 +223,12 @@ def test_neumann_eigenvalues_in_closed_form(g):
                     <= 1e-14 * largest * np.linalg.norm(mode))
 
 
-def test_neumann_interior_consistency_order():
-    errors, spacings = [], []
-    for n in (17, 33, 65):
-        g = Grid(n, n)
-        x, y = g.coords()
-        f = np.cos(np.pi * x) * np.cos(2 * np.pi * y)
-        exact = 1.3 * (np.pi**2 + 4 * np.pi**2) * f  # -d * Laplacian f
-        op = assemble_neumann_laplacian(g, 1.3)
-        got = (op.matrix @ f.ravel()).reshape(g.ny, g.nx)
-        interior = g.interior_mask()
-        errors.append(np.max(np.abs(got - exact)[interior]))
-        spacings.append(g.dx)
-    orders = fit_orders(errors, spacings)
-    assert np.all(np.abs(orders - 2.0) <= 0.2)
-
-
 # ---------------------------------------------------------------------------
 # Velocity block
 # ---------------------------------------------------------------------------
 
 def constant_state(grid, h_star=1.0, a_star=0.8):
     return FieldSet.constant(grid, h_star, a_star)
-
-
-def test_hibler_constant_coefficient_action_order():
-    params = scaled_params(delta=1e-2)
-    h_star, a_star = 1.0, 0.8
-    p_const = pressure(h_star, a_star, params)
-    c = p_const / (2.0 * np.sqrt(params.delta))
-    q = 1.0 / params.e**2
-
-    errors, spacings = [], []
-    for n in (17, 33, 65):
-        g = Grid(n, n)
-        x, y = g.coords()
-        u1 = np.sin(np.pi * x) * np.sin(2 * np.pi * y)
-        u2 = np.sin(2 * np.pi * x) * np.sin(np.pi * y)
-        exact1 = -c * (-(1 + q) * np.pi**2 * u1 - 4 * q * np.pi**2 * u1
-                       + 2 * np.pi**2 * np.cos(2 * np.pi * x) * np.cos(np.pi * y))
-        exact2 = -c * (2 * np.pi**2 * np.cos(np.pi * x) * np.cos(2 * np.pi * y)
-                       - 4 * q * np.pi**2 * u2 - (1 + q) * np.pi**2 * u2)
-        op = assemble_hibler(constant_state(g, h_star, a_star), g, params)
-        vec = np.concatenate([u1.ravel(), u2.ravel()])
-        got = op.matrix @ vec
-        got1 = got[:g.n_nodes].reshape(g.ny, g.nx)
-        got2 = got[g.n_nodes:].reshape(g.ny, g.nx)
-        interior = g.interior_mask()
-        err = max(np.max(np.abs(got1 - exact1)[interior]),
-                  np.max(np.abs(got2 - exact2)[interior]))
-        errors.append(err)
-        spacings.append(g.dx)
-    orders = fit_orders(errors, spacings)
-    assert np.all(np.abs(orders - 2.0) <= 0.2)
 
 
 def analytic_frozen_state(g):

@@ -200,20 +200,27 @@ def test_step_constants_are_built_once_per_grid_and_params():
 
 
 def test_step_constants_are_read_only():
-    # a caller that writes into a shared mask or weight raises instead of
-    # corrupting the next step
+    # a caller that writes into a shared mask, weight or stencil raises
+    # instead of corrupting the next step
     grid, params = Grid(7, 9), scaled_params()
     state = states(grid)["moving"]
     cfg = StepperConfig(dt=0.01, t_end=0.01)
     expected = step(state, ForcingInputs(), params, cfg).to_vector()
     op = assemble_coupled(state, grid, params, dt=0.01)
+    stencils = diff_ops(grid)
     shared = [grid.boundary_mask(), grid.interior_mask(), op.dirichlet_mask,
-              *operators._node_weights(grid), rheology.s_tensor(params)]
+              *operators._node_weights(grid), rheology.s_tensor(params),
+              *(array for matrix in stencils.values()
+                for array in (matrix.data, matrix.indices, matrix.indptr))]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = not array.flat[0]
         with pytest.raises(ValueError, match="read-only"):
             array.ravel()[-1] = 0.5  # a view of a constant is read-only too
+    with pytest.raises(TypeError):
+        stencils["div"] = stencils["dx"]  # the mapping is read-only too
+    assert operators.divergence_matrix(grid) is stencils["div"]
+    assert all(matrix.has_canonical_format for matrix in stencils.values())
     assert isinstance(operators._lower_order_terms(params), tuple)
     assert op.dirichlet_mask is assemble_coupled(state, grid, params).dirichlet_mask
     assert same_bits(step(state, ForcingInputs(), params, cfg).to_vector(),
