@@ -13,7 +13,7 @@ from vpice.dynamics import (
     source_terms,
     step,
 )
-from vpice.grid import FieldSet, Grid
+from vpice.grid import FieldSet, Grid, neumann_mode
 from vpice.operators import assemble_coupled
 from vpice.params import InvalidStateError, RheologyParams, scaled_params
 from vpice.selftest import stepper_suite
@@ -27,16 +27,14 @@ def equilibrium(grid, h_star=1.0, a_star=0.8):
     return FieldSet.constant(grid, h_star, a_star)
 
 
-def perturbed(grid, h_star=1.0, a_star=0.8, scale=1e-3, seed=0):
-    """Equilibrium plus mean-free smooth perturbations of h and a."""
+def perturbed(grid, h_star=1.0, a_star=0.8, scale=1e-3):
+    """Equilibrium plus mean-free smooth perturbations of h and a: the first
+    reflected Neumann modes along x and along y."""
     v = FieldSet.constant(grid, h_star, a_star)
-    x, y = grid.coords()
-    # first reflected Neumann modes, mean-free on the node set
-    mode_h = np.cos(np.pi * (np.arange(grid.nx) + 0.5) / grid.nx)
-    mode_a = np.cos(np.pi * (np.arange(grid.ny) + 0.5) / grid.ny)
-    v.h += scale * h_star * np.broadcast_to(mode_h, (grid.ny, grid.nx))
-    v.a += scale * a_star * np.broadcast_to(mode_a[:, None], (grid.ny, grid.nx))
-    del x, y, seed
+    v.h += scale * h_star * np.broadcast_to(neumann_mode(grid.nx),
+                                            (grid.ny, grid.nx))
+    v.a += scale * a_star * np.broadcast_to(neumann_mode(grid.ny)[:, None],
+                                            (grid.ny, grid.nx))
     return v
 
 

@@ -354,6 +354,63 @@ def split_case(group, d_a, a_star):
     return g, broken_kernel(op, g, "right") if group == "trivial" else op
 
 
+def plan_arrays(value, seen=None) -> list:
+    """Every array the split plans of ``symmetry_blocks`` hold, through
+    their fields, dicts and tuples."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif hasattr(value, "__dict__") and not isinstance(value, Grid):
+        value = list(vars(value).values())
+    if isinstance(value, (list, tuple)):
+        return [array for item in value for array in plan_arrays(item, seen)]
+    return []
+
+
+def split_bits(split) -> tuple:
+    """A ``symmetry_blocks`` result as bytes: group, each block's matrix
+    (dtype, pattern, values), copies, conjugate and kernel, q values."""
+    group, blocks, q_values = split
+    return group, q_values.tobytes(), [
+        (b.matrix.dtype, b.matrix.shape, b.matrix.indptr.tobytes(),
+         b.matrix.indices.tobytes(), b.matrix.data.tobytes(), b.copies,
+         b.conjugate, b.kernel.shape, b.kernel.tobytes()) for b in blocks]
+
+
+@pytest.mark.parametrize("group", SPLIT_CASES)
+def test_a_warm_plan_still_checks_every_value(group):
+    # the plan holds where entries go, never whether their values agree:
+    # after A0 warms it, the u1 drag on the same pattern breaks the
+    # diagonal reflection or the quarter turn, and the entry that breaks
+    # the kernel, on a new pattern, every symmetry; each splits as it does
+    # with no plan held, bit for bit
+    g, c_cor, _ = SPLIT_CASES[group]
+    op = assemble_A0(EQ, g, PARAMS.with_(c_cor=c_cor))
+    dragged = drag_on_u1(op, g)
+    assert np.array_equal(dragged.matrix.indices, op.matrix.indices)
+    for changed, expected in ((dragged, "C2" if c_cor else "Klein"),
+                              (broken_kernel(op, g, "right"), "trivial")):
+        symmetry_blocks(op, g)
+        warm = symmetry_blocks(changed, g)
+        arrays = plan_arrays(stability._REDUCTIONS)
+        stability._REDUCTIONS.clear()
+        cold = symmetry_blocks(changed, g)
+        assert warm[0] == cold[0] == expected
+        assert split_bits(warm) == split_bits(cold)
+        # every cached array is read-only, as the step's constants are
+        assert len(arrays) > 10
+        for array in arrays:
+            assert not array.flags.writeable
+            if array.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = array.flat[0]
+
+
 @pytest.mark.parametrize("a_star", [0.8, 0.0])
 @pytest.mark.parametrize("d_a", [PARAMS.d_h, 0.5 * PARAMS.d_h],
                          ids=["d_a=d_h", "d_a=d_h/2"])
