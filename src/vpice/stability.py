@@ -33,12 +33,11 @@ pure diffusion, q' = -d Lap_N q: the h* div u and a* div u terms cancel.
 A0 is then block triangular in (u, p | q), p = (h* h + a* a) / r, and
 ``symmetry_blocks`` splits only the (u, p) operator; the q eigenvalues
 are d times ``grid.neumann_eigenvalues``, in closed form.  What the split
-derives from indices alone (the reduction's gather, the positions the
-turn to (u, p) reads, where each generator sends the entries, and each
-character's block pattern, sources and weights) is planned once per grid,
-kept unknowns and sparsity pattern and kept read-only, as the assembly
-plans its layouts; a call only checks the values entry by entry and sums
-the blocks, O(nnz).  ``spectrum``
+derives from the indices of the split matrix alone (where each generator
+sends the entries, and each character's block entries and weights) is
+planned once per grid, kept unknowns and sparsity pattern and kept
+read-only, as the assembly plans its layouts; a call checks the values
+entry by entry and converts the blocks.  ``spectrum``
 deflates the exact constant-(h, a) kernel from the dense copy of each
 block by Householder reflections and finds the gap by one dense
 ``eigvals`` per block, with the q values appended.
@@ -58,8 +57,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -76,8 +73,6 @@ from .grid import (
 )
 from .operators import (
     SparseOperator,
-    _on_pattern,
-    _pattern,
     assemble_hibler,  # unused here; perfbench/spans.py traces this binding
     assemble_neumann_laplacian,  # unused here; traced as above
     assemble_terms,
@@ -213,7 +208,7 @@ def check_dense_budget(grid: Grid) -> None:
 def _symmetry(grid: Grid, keep: np.ndarray, name: str):
     """Signed permutation of a grid symmetry on the kept unknowns of a
     stack of u1, u2 and len(keep) // N - 2 scalar fields, (u1, u2, h, a)
-    or the (u1, u2, p) of ``_Turn``: the x-mirror "x" (i -> nx-1-i, u1
+    or the (u1, u2, p) of ``_rotated``: the x-mirror "x" (i -> nx-1-i, u1
     -> -u1), the y-mirror "y" (j -> ny-1-j, u2 -> -u2), their product the
     half turn "xy", the diagonal reflection "d" ((i, j) -> (j, i), u1 <->
     u2) or the quarter turn "r" ((i, j) -> (j, nx-1-i), u1 -> -u2, u2 ->
@@ -248,6 +243,58 @@ def _check_shape(op: SparseOperator, grid: Grid) -> None:
         raise ValueError(f"expected the 4N x 4N linearization A0 on a "
                          f"{grid.nx}x{grid.ny} grid, got shape "
                          f"{op.matrix.shape}")
+
+
+def _reduced(op: SparseOperator, grid: Grid) -> tuple:
+    """A0 with its Dirichlet rows and columns dropped, the mask of the kept
+    unknowns and the kept rows of ``kernel_basis``.  Raises ValueError
+    unless op is 4N x 4N on this grid."""
+    _check_shape(op, grid)
+    keep = ~op.dirichlet_mask
+    return op.matrix[keep][:, keep].tocsr(), keep, kernel_basis(grid)[keep]
+
+
+def _rotated(matrix, keep: np.ndarray, grid: Grid):
+    """The (u, p) operator of the reduced M, p = c h + s a, (c, s) = (h*,
+    a*) / r, r = hypot(h*, a*), and the diffusivity d of q, or None.
+
+    When M's (h, h) and (a, a) blocks are equal entry for entry, say D,
+    and its (h, a) and (a, h) blocks hold no entries, turning each node's
+    (h, a) pair to (p, q) = (c h + s a, s h - c a) keeps D in the (p, p)
+    and (q, q) blocks, exactly, and leaves the (p, q) and (q, p) blocks
+    empty.  The h and a rows' div parts are h* div and a* div, so their
+    largest entries give (c, s), and the q rows' div part s h* div - c a*
+    div cancels to rounding.  D must also be d Lap_N, Lap_N =
+    ``diff_ops(grid)["neumann"]`` and d = D[0, 0] / Lap_N[0, 0], so that
+    q' = -d Lap_N q is a pure diffusion with the eigenvalues d
+    ``neumann_eigenvalues``.  Returns None, and nothing is split, unless
+    all of this holds and every entry of the q rows' div part and of D -
+    d Lap_N is at most machine eps x max|M|, which is within the backward
+    error of a dense eigensolve of M; d itself need not round-trip.  The
+    turn is symmetric and orthogonal, so the turned M is similar to M and
+    block triangular in (u, p | q): its spectrum is that of the returned
+    [[M_uu, c M_uh + s M_ua], [c h_div + s a_div, D]] together with d
+    Lap_N's.  Neither the q rows nor the (u, q) columns are built."""
+    n = grid.n_nodes
+    velocity = int(np.sum(keep[:2 * n]))
+    u, h, a = (slice(0, velocity), slice(velocity, velocity + n),
+               slice(velocity + n, None))
+    diffusion = matrix[h, h]
+    if (not keep[2 * n:].all() or (diffusion != matrix[a, a]).nnz
+            or matrix[h, a].count_nonzero() or matrix[a, h].count_nonzero()):
+        return None
+    laplacian = diff_ops(grid)["neumann"]
+    d = float(diffusion[0, 0] / laplacian[0, 0])
+    h_div, a_div = matrix[h, u], matrix[a, u]
+    x, y = abs(h_div).max(), abs(a_div).max()
+    r = math.hypot(x, y)
+    c, s = (x / r, y / r) if r else (1.0, 0.0)  # no div part: any turn
+    bound = np.finfo(float).eps * abs(matrix).max()
+    if (abs(s * h_div - c * a_div).max() > bound
+            or abs(diffusion - d * laplacian).max() > bound):
+        return None
+    return sp.bmat([[matrix[u, u], c * matrix[u, h] + s * matrix[u, a]],
+                    [c * h_div + s * a_div, diffusion]], format="csr"), d
 
 
 def _reflect(dense: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -310,125 +357,23 @@ class SymmetryBlock:
     kernel: np.ndarray
 
 
-# The split plans below hold index work only.  Values travel as ``data``:
-# a split matrix's CSR values with one 0.0 appended, the value of every
-# entry outside its pattern, which a plan's index arrays point at.
-
-
-def _merge(*keys) -> tuple:
-    """The sorted union of sorted integer key arrays, and for each array
-    the position of each of its keys in that union."""
-    if all(np.array_equal(keys[0], other) for other in keys[1:]):
-        return keys[0], [np.arange(len(keys[0]))] * len(keys)
-    every = np.concatenate(keys)
-    order = np.argsort(every, kind="stable")  # merges the sorted runs
-    ranked = every[order]
-    new = np.ones(len(ranked), dtype=bool)
-    new[1:] = ranked[1:] != ranked[:-1]
-    position = np.empty(len(every), dtype=np.intp)
-    position[order] = np.cumsum(new) - 1
-    return ranked[new], np.split(position, np.cumsum([len(k) for k in keys])[:-1])
-
-
-def _entry_rows(indptr: np.ndarray) -> np.ndarray:
-    """The row of each entry of a CSR pattern, as int64: keys row * size +
-    column must not overflow."""
-    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-
-
-def _compressed(rows: np.ndarray, size: int) -> np.ndarray:
-    """The int32 CSR indptr of ``size`` rows for entries in rows ``rows``,
-    which do not decrease."""
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    return indptr
-
-
-class _Block(NamedTuple):
-    """One character's block on a fixed CSR pattern: its entry
-    ``target[e]`` adds data[source[e]] * weight[e], e ascending."""
-
-    source: np.ndarray
-    weight: np.ndarray
-    target: np.ndarray
-    pattern: sp.csr_matrix
-
-    @classmethod
-    def stacked(cls, parts) -> list:
-        """The blocks of parts (source, weight, row, column, size): COO
-        entries (row, column), row not decreasing, of a size x size block
-        whose values are data[source] * weight, summed as the COO -> CSR
-        conversion of ``sp.csr_matrix((values, (row, column)))`` sums them.
-        Its ``sum_duplicates`` sorts each row first, by a sort that need not
-        be stable, so the order is scipy's own, read off entry numbers that
-        one ``sort_indices`` sorts the same way, row by row, in all blocks
-        stacked."""
-        sizes = [size for *_, size in parts]
-        offsets = np.cumsum([0] + sizes)
-        row = np.concatenate([part[2] + offset
-                              for part, offset in zip(parts, offsets)])
-        indptr = _compressed(row, offsets[-1])
-        numbers = sp.csr_matrix(
-            (np.arange(len(row)), np.concatenate([part[3] for part in parts]),
-             indptr), shape=(offsets[-1], max(sizes)))
-        numbers.sort_indices()
-        order, column = numbers.data, numbers.indices
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (column[1:] != column[:-1]) | (row[1:] != row[:-1])
-        runs = np.zeros(len(new) + 1, dtype=np.intp)  # runs before each entry
-        np.cumsum(new, out=runs[1:])
-        blocks = []
-        for (source, weight, _, _, size), offset, start, stop in zip(
-                parts, offsets, indptr[offsets[:-1]], indptr[offsets[1:]]):
-            mine, first = slice(start, stop), new[start:stop]
-            *planned, indices, indptr = _read_only(
-                source[order[mine] - start],
-                weight[order[mine] - start],
-                runs[start + 1:stop + 1] - 1 - runs[start], column[mine][first],
-                _compressed(row[mine][first] - offset, size))
-            blocks.append(cls(*planned, _pattern(sp.csr_matrix, indices,
-                                                 indptr, (size, size))))
-        return blocks
-
-    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        """The block at split values ``data``: one weighted ``bincount``,
-        per part for a complex block (bincount adds reals)."""
-        pattern = self.pattern
-        values, size = data[self.source] * self.weight, pattern.nnz
-        if np.iscomplexobj(values):
-            total = np.empty(size, dtype=complex)
-            total.real = np.bincount(self.target, values.real, size)
-            total.imag = np.bincount(self.target, values.imag, size)
-        else:  # an empty block's bincount would be int
-            total = np.bincount(self.target, values, size).astype(float,
-                                                                  copy=False)
-        return _on_pattern(pattern, total, pattern.indices.copy(),
-                           pattern.indptr.copy())
-
-
 class _Split:
-    """The index work of ``symmetry_blocks`` on one split matrix M, the
-    reduced A0 or its (u, p) operator: M's canonical CSR pattern over the
-    unknowns ``keep`` keeps of ``_symmetry``'s stacks, and the rows of
-    ``kernel_basis`` on them.  Where each generator sends M's entries,
-    and each group's blocks, are planned the first time they are asked
-    for; every array is read-only."""
+    """The index work of ``symmetry_blocks`` on one pattern of the split
+    matrix M, the reduced A0 or its (u, p) operator of ``_rotated``: M's
+    canonical CSR pattern over the unknowns ``keep`` keeps of
+    ``_symmetry``'s stacks, and the rows of ``kernel_basis`` on them.
+    Where each generator sends M's entries, and the blocks of a group, are
+    planned the first time they are asked for; every array is read-only.
+    Values travel as ``data``: M's values with one 0.0 appended, the value
+    of every entry outside the pattern, which a planned image points at."""
 
-    def __init__(self, grid: Grid, keep: np.ndarray, indptr: np.ndarray,
-                 indices: np.ndarray, kernel: np.ndarray):
-        self.grid = grid
+    def __init__(self, grid: Grid, keep: np.ndarray, matrix: sp.csr_matrix,
+                 kernel: np.ndarray):
+        self.grid, self.size = grid, matrix.shape[0]
         self.keep, self.indptr, self.indices, self.kernel = _read_only(
-            keep, indptr.astype(np.int32, copy=False),
-            indices.astype(np.int32, copy=False), kernel)
+            keep.copy(), matrix.indptr.copy(), matrix.indices.copy(),
+            kernel.copy())
         self.maps, self.groups = {}, {}
-
-    @property
-    def size(self) -> int:
-        return len(self.indptr) - 1
-
-    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        return sp.csr_matrix((data[:-1], self.indices.copy(),
-                              self.indptr.copy()), shape=(self.size,) * 2)
 
     def commutes(self, name: str, data: np.ndarray) -> bool:
         """P M P^T - M has no nonzero entry, P the signed permutation
@@ -455,12 +400,12 @@ class _Split:
             return None
         index, sign = found
         size, indptr, column = self.size, self.indptr, self.indices
-        nnz, row = len(column), _entry_rows(indptr)
+        nnz = len(column)
+        row = np.repeat(np.arange(size), np.diff(indptr))
         # each row's entries in the order of their images' columns: the t-th
         # lands on the t-th entry of row index[i] where that row holds them
-        mapped = sp.csr_matrix(
-            (np.arange(nnz), index.astype(np.int32)[column], indptr),
-            shape=(size, size))
+        mapped = sp.csr_matrix((np.arange(nnz), index[column], indptr),
+                               shape=(size, size))
         mapped.sort_indices()
         guess = np.arange(nnz) + (indptr[index] - indptr[:-1])[row]
         hit = ((guess < indptr[index + 1][row])
@@ -485,14 +430,21 @@ class _Split:
                           uncovered)
 
     def blocks(self, group: str, data: np.ndarray) -> list:
+        """The blocks of ``group`` at M's values ``data``: per character the
+        COO entries of the rows read, as in the projection-operator method
+        of ``symmetry_blocks``, converted to CSR."""
         if group not in self.groups:
             self.groups[group] = self._blocks(group)
-        return [SymmetryBlock(block.matrix(data), copies, conjugate, kernel)
-                for block, copies, conjugate, kernel in self.groups[group]]
+        return [SymmetryBlock(sp.csr_matrix((data[source] * weight, (a, b)),
+                                            shape=(size, size)),
+                              copies, conjugate, kernel)
+                for (source, weight, a, b, size), copies, conjugate, kernel
+                in self.groups[group]]
 
     def _blocks(self, group: str) -> tuple:
-        """Per character: the block's plan, copies, conjugate and the
-        coordinates of K (see ``symmetry_blocks`` for the method)."""
+        """Per character: the entries of M read (source), their weights and
+        (row, column) in the block, the block's size, then copies, conjugate
+        and the coordinates of K (see ``symmetry_blocks`` for the method)."""
         names, characters = next(entry[1:] for entry in _GROUPS
                                  if entry[0] == group)
         size = self.size
@@ -508,8 +460,8 @@ class _Split:
                 power = [(index[member], s * sign[member], word + (position,))
                          for member, s, word in power]
                 elements = elements + power
-        subgroups, parts, kernels = {}, [], []
-        for i, (character, _, _) in enumerate(characters):
+        subgroups, planned = {}, []
+        for i, (character, copies, conjugate) in enumerate(characters):
             if len(character) not in subgroups:
                 # the elements of the subgroup H the character is of
                 used = [element for element in elements
@@ -535,8 +487,8 @@ class _Split:
             used, rep, terms, head, entry, k, orbit = subgroups[len(character)]
             # coeff[k]: entry k of v, the projected column of k's orbit, a
             # sum of small integers, exact in any order
-            coeff = np.conj([math.prod(character[p] for p in word)
-                             for _, _, word in used]) @ terms
+            coeff = sum(np.conj(math.prod(character[p] for p in word)) * term
+                        for (_, _, word), term in zip(used, terms))
             # a projected column is either zero or has all its entries equal
             # in size; reps ascend, and the zero columns are left out
             norms = np.sqrt(np.bincount(rep, np.abs(coeff) ** 2, size))
@@ -544,7 +496,8 @@ class _Split:
             place = np.full(size, -1)
             place[reps] = np.arange(len(reps))
             # B[a, b] = |H| (M v_b)[r_a] / (n_a n_b): the entries of the rows
-            # r_a, each weighted by coeff and summed into its orbit's column
+            # r_a, each weighted by coeff and summed into its orbit's column,
+            # in the order of those rows
             a, b = place[head], place[orbit]
             inside = (a >= 0) & (b >= 0)  # -1 in a zero column
             # one factor per entry of M: coeff and the norms applied one by
@@ -552,230 +505,49 @@ class _Split:
             # entry does not
             weight = (coeff[k[inside]] * (len(used) / norms[head[inside]])
                       / norms[orbit[inside]])
-            parts.append((entry[inside], weight, a[inside], b[inside],
-                          len(reps)))
             coords = np.zeros((len(reps), 0))  # K is orthogonal to this basis
             if not i:  # the first character is the trivial one
                 # K in the block's basis: v_b^T K / n_b
                 coords = np.stack(
                     [np.bincount(rep, coeff * constant, size)[reps]
                      for constant in self.kernel.T], axis=1) / norms[reps, None]
-            kernels.append(_read_only(coords)[0])
-        return tuple((block, copies, conjugate, kernel)
-                     for block, (_, copies, conjugate), kernel
-                     in zip(_Block.stacked(parts), characters, kernels))
+            planned.append((
+                _read_only(entry[inside], weight, a[inside], b[inside])
+                + (len(reps),), copies, conjugate, _read_only(coords)[0]))
+        return tuple(planned)
 
 
-class _Turn(NamedTuple):
-    """The turn of the reduced M to its (u, p) operator, planned: p = c h +
-    s a, (c, s) = (h*, a*) / r, r = hypot(h*, a*), and the diffusivity d
-    of q.
-
-    When M's (h, h) and (a, a) blocks are equal entry for entry, say D,
-    and its (h, a) and (a, h) blocks are zero, turning each node's (h, a)
-    pair to (p, q) = (c h + s a, s h - c a) keeps D in the (p, p) and (q,
-    q) blocks, exactly, and leaves the (p, q) and (q, p) blocks empty.  The
-    h and a rows' div parts are h* div and a* div, so their largest
-    entries give (c, s), and the q rows' div part s h* div - c a* div
-    cancels to rounding.  D must also be d Lap_N, Lap_N =
-    ``diff_ops(grid)["neumann"]`` and d = D[0, 0] / Lap_N[0, 0], so that
-    q' = -d Lap_N q is a pure diffusion with the eigenvalues d
-    ``neumann_eigenvalues``.  ``values`` turns nothing unless all of this
-    holds and every entry of the q rows' div part and of D - d Lap_N is at
-    most machine eps x max|M|, which is within the backward error of a
-    dense eigensolve of M; d itself need not round-trip.  The turn is
-    symmetric and orthogonal, so the turned M is similar to M and block
-    triangular in (u, p | q): its spectrum is that of [[M_uu, c M_uh + s
-    M_ua], [c h_div + s a_div, D]] together with d Lap_N's.  Neither the q
-    rows nor the (u, q) columns are built.
-
-    Each pair of blocks compared is aligned on the union of their
-    patterns, the appended 0.0 standing in where one lacks an entry.  The
-    (u, p) operator's entries read one entry of M (``direct``) or, at
-    ``mixed``, add c times an h entry (``first``) and s times an a entry
-    (``second``); the mixed entries from ``below`` on are the p rows' div
-    part."""
-
-    coupled: np.ndarray  # the (h, a) and (a, h) entries
-    pairs: np.ndarray  # (h, h) and (a, a) entries, aligned
-    # (h, h) entries aligned with Lap_N's, whose first is its (0, 0) entry
-    diffusion: np.ndarray
-    laplacian: np.ndarray  # Lap_N's values there, 0.0 where it has none
-    direct: np.ndarray
-    mixed: np.ndarray
-    first: np.ndarray
-    second: np.ndarray
-    below: int
-    split: _Split
-
-    @classmethod
-    def of(cls, reduced: _Split) -> Optional["_Turn"]:
-        """The plan for the reduced M's split, or None when M lacks an h or
-        a unknown."""
-        grid, keep, n = reduced.grid, reduced.keep, reduced.grid.n_nodes
-        if not keep[2 * n:].all():
-            return None
-        velocity = int(np.sum(keep[:2 * n]))
-        size, zero = velocity + n, len(reduced.indices)
-        row, column = _entry_rows(reduced.indptr), reduced.indices
-        # M's entries grouped by the fields (0 u, 1 h, 2 a) of their row
-        # and column, in CSR order within each group
-        field = np.repeat(np.arange(3, dtype=np.int8), [velocity, n, n])
-        group = 3 * field[row] + field[column]
-        order = np.argsort(group, kind="stable")
-        bounds = np.cumsum(np.bincount(group, minlength=9))
-        uu, uh, ua, hu, hh, ha, au, ah, aa = np.split(order, bounds[:-1])
-
-        def key(entry, row_shift, column_shift, width):
-            return ((row[entry] - row_shift) * width + column[entry]
-                    - column_shift)
-
-        def sources(length, at, entry):
-            placed = np.full(length, zero)
-            placed[at] = entry
-            return placed
-
-        # the (u, p) operator keeps the places of u and h, and a's move n
-        # back onto h's.  Its u rows hold their (u, u) entries, then the
-        # mixed entries, the union of (u, h) and (u, a); its p rows the
-        # union of (h, u) and (a, u), then their (h, h) entries
-        first, second = np.concatenate([uh, hu]), np.concatenate([ua, au])
-        keys, (at_first, at_second) = _merge(
-            key(first, 0, 0, size),
-            np.concatenate([key(ua, 0, n, size), key(au, n, 0, size)]))
-        mixed_row, mixed_column = np.divmod(keys, size)
-        direct = np.concatenate([uu, hh])
-        direct_row = row[direct]
-        counts = [np.bincount(rows, minlength=size)
-                  for rows in (direct_row, mixed_row)]
-        indptr = np.zeros(size + 1, dtype=np.int32)
-        np.cumsum(counts[0] + counts[1], out=indptr[1:])
-        # each kind's entries in place, in order: a u row's direct entries
-        # come before its mixed ones, a p row's after them
-        before = [np.cumsum(count) - count for count in counts]
-        u_row = np.arange(size) < velocity
-        at_direct = np.arange(len(direct)) + (
-            indptr[:-1] - before[0] + np.where(u_row, 0, counts[1]))[direct_row]
-        mixed = np.arange(len(keys)) + (
-            indptr[:-1] - before[1] + np.where(u_row, counts[0], 0))[mixed_row]
-        up_column = np.empty(indptr[-1], dtype=np.int32)
-        up_column[at_direct], up_column[mixed] = column[direct], mixed_column
-        # the diffusion blocks and Lap_N on one node numbering
-        local = key(hh, velocity, velocity, n)
-        union, (at_h, at_a) = _merge(local, key(aa, velocity + n,
-                                                velocity + n, n))
-        pairs = np.stack([sources(len(union), at_h, hh),
-                          sources(len(union), at_a, aa)])
-        laplacian = diff_ops(grid)["neumann"]
-        union, (at_h, at_l) = _merge(
-            local, _entry_rows(laplacian.indptr) * n + laplacian.indices)
-        values = np.zeros(len(union))
-        values[at_l] = laplacian.data
-        return cls(*_read_only(
-            np.concatenate([ha, ah]), pairs,
-            sources(len(union), at_h, hh), values,
-            sources(indptr[-1] + 1, at_direct, direct), mixed,
-            sources(len(keys), at_first, first),
-            sources(len(keys), at_second, second)),
-            int(np.searchsorted(mixed_row, velocity)),
-            _Split(grid, keep[:3 * n], indptr, up_column,
-                   reduced.kernel[:size, :1]))
-
-    def values(self, data: np.ndarray):
-        """The (u, p) operator's values and d at the reduced M's values, or
-        None when q does not split off."""
-        if np.any(data[self.coupled]) or np.any(data[self.pairs[0]]
-                                                != data[self.pairs[1]]):
-            return None
-        d = float(data[self.diffusion[0]] / self.laplacian[0])
-        h_div, a_div = (data[part[self.below:]]
-                        for part in (self.first, self.second))
-        x, y = np.abs(h_div).max(initial=0.0), np.abs(a_div).max(initial=0.0)
-        r = math.hypot(x, y)
-        c, s = (x / r, y / r) if r else (1.0, 0.0)  # no div part: any turn
-        bound = np.finfo(float).eps * np.abs(data[:-1]).max(initial=0.0)
-        if (np.abs(s * h_div - c * a_div).max(initial=0.0) > bound
-                or np.abs(data[self.diffusion] - d * self.laplacian).max(
-                    initial=0.0) > bound):
-            return None
-        turned = data[self.direct]
-        turned[self.mixed] = c * data[self.first] + s * data[self.second]
-        return turned, d
+_MAX_SPLITS = 8  # M's pattern moves with c_cor, d_h != d_a and a* = 0
+_SPLITS: dict = {}  # (grid, kept unknowns, pattern) -> _Split, LRU first
 
 
-class _Reduction:
-    """A0 with its Dirichlet rows and columns dropped, planned: the place
-    in A0's values of each kept entry, in the reduced M's CSR order, and
-    M's split plan; the turn's plan is made when first asked for."""
-
-    def __init__(self, gather: np.ndarray, split: _Split):
-        (self.gather,), self.split = _read_only(gather), split
-
-    @cached_property
-    def turn(self) -> Optional[_Turn]:
-        return _Turn.of(self.split)
-
-    def values(self, data: np.ndarray) -> np.ndarray:
-        reduced = np.zeros(len(self.gather) + 1)
-        reduced[:-1] = data[self.gather]
-        return reduced
-
-
-_MAX_REDUCTIONS = 8  # A0's pattern on a grid differs with c_cor and at a* = 0
-_REDUCTIONS: dict = {}  # (grid, kept unknowns, pattern) -> _Reduction, LRU first
-
-
-def _reduction(op: SparseOperator, grid: Grid) -> tuple:
-    """The plan of A0's reduction, made once per grid, kept unknowns and
-    sparsity pattern and held for the _MAX_REDUCTIONS most recently used,
-    and the reduced M's values.  Raises ValueError unless op is 4N x 4N on
-    this grid."""
-    _check_shape(op, grid)
-    matrix, keep = op.matrix, ~op.dirichlet_mask
-    if not matrix.has_canonical_format:
-        matrix = matrix.copy()
-        matrix.sum_duplicates()
+def _split(grid: Grid, keep: np.ndarray, matrix: sp.csr_matrix,
+           kernel: np.ndarray) -> _Split:
+    """The split plan of the canonical ``matrix``'s pattern over the kept
+    unknowns ``keep``, with the kept rows ``kernel`` of ``kernel_basis``:
+    made once per grid, kept unknowns and sparsity pattern and held for
+    the _MAX_SPLITS most recently used."""
     key = (grid, keep.tobytes(), matrix.indptr.tobytes(),
            matrix.indices.tobytes())
     # compared, not hashed, as in operators._lu_solver
-    held = next((known for known in _REDUCTIONS if known == key), None)
+    held = next((known for known in _SPLITS if known == key), None)
     if held is None:
-        gather = np.flatnonzero(np.repeat(keep, np.diff(matrix.indptr))
-                                & keep[matrix.indices])
-        # each kept row starts after the kept entries before it
-        indptr = np.searchsorted(gather, matrix.indptr[np.append(
-            np.flatnonzero(keep), len(keep))])
-        reduction = _REDUCTIONS[key] = _Reduction(
-            gather, _Split(
-                grid, keep, indptr,
-                (np.cumsum(keep, dtype=np.int32) - 1)[matrix.indices[gather]],
-                kernel_basis(grid)[keep]))
-        if len(_REDUCTIONS) > _MAX_REDUCTIONS:
-            del _REDUCTIONS[next(iter(_REDUCTIONS))]
+        split = _SPLITS[key] = _Split(grid, keep, matrix, kernel)
+        if len(_SPLITS) > _MAX_SPLITS:
+            del _SPLITS[next(iter(_SPLITS))]
     else:
-        # re-inserted under the held key, whose hash is cached: now the most
-        # recently used
-        reduction = _REDUCTIONS[held] = _REDUCTIONS.pop(held)
-    return reduction, reduction.values(matrix.data)
-
-
-def _reduced(op: SparseOperator, grid: Grid) -> tuple:
-    """A0 with its Dirichlet rows and columns dropped, the mask of the kept
-    unknowns and the kept rows of ``kernel_basis``, all but the matrix
-    shared and read-only.  Raises ValueError unless op is 4N x 4N on this
-    grid."""
-    reduction, data = _reduction(op, grid)
-    split = reduction.split
-    return split.matrix(data), split.keep, split.kernel
+        # re-inserted under the held key: now the most recently used
+        split = _SPLITS[held] = _SPLITS.pop(held)
+    return split
 
 
 def symmetry_blocks(op: SparseOperator, grid: Grid) -> tuple:
     """The reduced operator split along its exact grid symmetries.
 
     With the Dirichlet rows and columns dropped, M is replaced by its (u,
-    p) operator of ``_Turn`` where its q rows are a pure diffusion.  M is
-    tested against the signed permutations of ``_symmetry``, each entry by
-    entry (P M P^T - M has no nonzero entry), and the first group of
+    p) operator of ``_rotated`` where its q rows are a pure diffusion.  M
+    is tested against the signed permutations of ``_symmetry``, each entry
+    by entry (P M P^T - M has no nonzero entry), and the first group of
     ``_GROUPS`` whose generators all commute with M is kept: D4 (both
     mirrors and the diagonal reflection, c_cor = 0 on a square grid with
     dx == dy), the Klein four group of the two mirrors (c_cor = 0), C4
@@ -799,24 +571,28 @@ def symmetry_blocks(op: SparseOperator, grid: Grid) -> tuple:
     constant q of K; otherwise every block acts on (u, h, a) and no q
     value is returned.  Returns (group name, blocks, q eigenvalues).
 
-    What depends on indices alone is planned once per grid, kept unknowns
-    and sparsity pattern (``_reduction``, for the 8 most recently used):
-    the reduction's gather, the positions the turn reads, where each
-    generator tested sends M's entries, and for the group found the source
-    entries, weights and target positions of each block on a fixed
-    pattern, and K's coordinates.  A call gathers A0's values, evaluates
-    the turn's conditions, compares each tested generator's entries value
-    by value, so a warm plan decides nothing a value could change, and
-    sums each block with one weighted ``bincount`` in the order a COO ->
-    CSR conversion adds, so every block is bit for bit what reading the
-    rows and converting them gives.
+    What depends on M's indices alone is planned once per grid, kept
+    unknowns and sparsity pattern of M (``_split``, for the 8 most recently
+    used): where each generator tested sends M's entries, and for the group
+    found the entries each block reads, their weights and places, and K's
+    coordinates.  A call compares each tested generator's entries value by
+    value, so a plan held from an earlier call decides nothing a value
+    could change, and converts each block's weighted entries from COO to
+    CSR in the order of the rows read.  Only calls after the first on one
+    pattern, in one process, find the plan made.
     """
-    reduction, data = _reduction(op, grid)
-    split, turn, q_values = reduction.split, reduction.turn, np.zeros(0)
-    turned = turn.values(data) if turn else None
-    if turned is not None:
-        (data, d), split = turned, turn.split
+    matrix, keep, kernel = _reduced(op, grid)
+    rotated = _rotated(matrix, keep, grid)
+    q_values = np.zeros(0)
+    if rotated is not None:
+        matrix, d = rotated
+        keep = keep[:3 * grid.n_nodes]
+        # the turned constant h is constant p, the (u, p) operator's kernel
+        kernel = kernel[:matrix.shape[0], :1]
         q_values = d * neumann_eigenvalues(grid)[1:]
+    matrix.sum_duplicates()  # the plan reads a canonical pattern
+    split = _split(grid, keep, matrix, kernel)
+    data = np.append(matrix.data, 0.0)
     commuting = {}
 
     def exact(name):
