@@ -183,10 +183,7 @@ def assemble_A0(eq: Equilibrium, grid: Grid, params: RheologyParams) -> SparseOp
 def kernel_basis(grid: Grid) -> np.ndarray:
     """Unit constant vectors of the h and a fields of the (u1, u2, h, a)
     stack: the conserved totals, the exact kernel of A0."""
-    n = grid.n_nodes
-    basis = np.zeros((4 * n, 2))
-    basis[2 * n:3 * n, 0] = basis[3 * n:, 1] = 1.0 / np.sqrt(n)
-    return basis
+    return np.kron(np.eye(4)[:, 2:], np.ones((grid.n_nodes, 1))) / np.sqrt(grid.n_nodes)
 
 
 def dense_unknowns(grid: Grid) -> int:
