@@ -8,10 +8,10 @@ Writes the trajectory figure when matplotlib is available.
 
 import numpy as np
 
-from vpice.dynamics import StepperConfig
-from vpice.grid import Grid
-from vpice.params import scaled_params
-from vpice.stability import Equilibrium, decay_experiment
+from vpice.grid import Equilibrium, Grid
+from vpice.params import StepperConfig, scaled_params
+from vpice.rheology import pressure
+from vpice.stability import decay_experiment
 
 params = scaled_params(delta=1e-6, c_cor=0.0)
 eq = Equilibrium(h_star=1.0, a_star=0.8)
@@ -19,7 +19,7 @@ grid = Grid(17, 17)
 cfg = StepperConfig(dt=0.004, t_end=0.3)
 
 print(f"equilibrium: h* = {eq.h_star}, a* = {eq.a_star}, "
-      f"P* = {eq.p_star(params):.5f}")
+      f"P* = {pressure(eq.h_star, eq.a_star, params):.5f}")
 print(f"grid {grid.nx}x{grid.ny}, dt = {cfg.dt}, t_end = {cfg.t_end}, "
       f"perturbation 1e-3 h*\n")
 

@@ -1,10 +1,11 @@
 """Desk-scale numerical laboratory for Hibler's viscous-plastic sea-ice model.
 
 Subpackages:
-  params       physical and regularization constants
+  params       physical and regularization constants, time-step settings
   rheology     pointwise constitutive law and coefficient tensor
   symbols      principal symbol, ellipticity and boundary-condition checks
-  grid         structured vertex grid, fields and difference stencils
+  grid         structured vertex grid, fields, constant equilibria and
+               difference stencils
   operators    sparse assembly of the coupled quasilinear operator
   dynamics     forcing, sources and IMEX time integration
   stability    linearized operator, spectra and decay experiments

@@ -18,10 +18,9 @@ import math
 import typing
 from dataclasses import dataclass, field, fields
 
-from .dynamics import StepperConfig
-from .grid import Grid
-from .params import InvalidStateError, RheologyParams, VpiceError
-from .stability import Equilibrium
+from .grid import Equilibrium, Grid
+from .params import (InvalidStateError, RheologyParams, StepperConfig,
+                     VpiceError)
 
 
 class ConfigError(VpiceError, ValueError):

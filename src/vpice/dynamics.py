@@ -32,10 +32,7 @@ from .operators import (
     divergence_matrix,
     solve_linear,
 )
-from .params import (InvalidStateError, RheologyParams, VpiceError,
-                     check_finite, check_thickness)
-
-MAX_STEPS = 10**6  # steps a run may take; t_end / dt beyond it is rejected
+from .params import RheologyParams, StepperConfig, VpiceError, check_thickness
 
 
 class StepError(VpiceError):
@@ -57,35 +54,6 @@ class ForcingInputs:
     """
 
     f_growth: Optional[Callable] = None
-
-
-@dataclass(frozen=True)
-class StepperConfig:
-    """Time stepping: step dt and final time t_end in s, at most MAX_STEPS
-    steps."""
-
-    dt: float
-    t_end: float
-
-    def __post_init__(self):
-        check_finite(self)
-        if not self.dt > 0.0:
-            raise InvalidStateError("dt must be positive")
-        if not self.t_end > 0.0:
-            raise InvalidStateError("t_end must be positive")
-        if not math.isfinite(self.t_end / self.dt):
-            raise InvalidStateError(
-                f"t_end / dt must be finite, got {self.t_end!r} / {self.dt!r}")
-        if self.n_steps > MAX_STEPS:
-            raise InvalidStateError(
-                f"t_end / dt asks for {self.n_steps:.3g} steps, more than "
-                f"MAX_STEPS = {MAX_STEPS}")
-
-    @property
-    def n_steps(self) -> int:
-        """Steps from 0 to t_end, at least one; the last may end past
-        t_end."""
-        return max(1, math.ceil(self.t_end / self.dt - 1e-12))
 
 
 def momentum_advection(v: FieldSet) -> tuple:

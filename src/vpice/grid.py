@@ -1,4 +1,5 @@
-"""Structured vertex-centered grid, discrete fields and difference stencils.
+"""Structured vertex-centered grid, discrete fields, constant equilibria
+and difference stencils.
 
 Nodes sit at the vertices of a uniform rectangular mesh: nx x ny nodes,
 spacings dx = lx / (nx - 1), dy = ly / (ny - 1).  Scalar fields are stored
@@ -11,6 +12,11 @@ assembly routines.  The centered first-difference pair (d_x, d_y) and its
 negative transpose form an exact summation-by-parts pair for velocity
 fields that vanish on the boundary, which the conservation and energy
 identities of the solver rely on.
+
+``Equilibrium`` is a constant state (0, h*, a*), the point the stability
+lab linearizes at; ``Equilibrium.state`` lays it on a grid.  The grid, the
+fields and the equilibria need numpy only: scipy.sparse is imported when
+``diff_ops`` first builds a grid's stencils.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
-import scipy.sparse as sp
 
 from .params import (InvalidStateError, RheologyParams, check_compactness,
                      check_finite, check_thickness)
@@ -100,42 +105,6 @@ def _masks(grid: Grid) -> tuple:
     return _read_only(boundary, ~boundary)
 
 
-def _d1_interior(n: int, h: float) -> sp.csr_matrix:
-    """Centered first difference on a line, rows only at interior points."""
-    rows = np.arange(1, n - 1)
-    data = np.concatenate([np.full(n - 2, -0.5 / h), np.full(n - 2, 0.5 / h)])
-    ij = (np.concatenate([rows, rows]), np.concatenate([rows - 1, rows + 1]))
-    return sp.csr_matrix((data, ij), shape=(n, n))
-
-
-def _d2_interior(n: int, h: float) -> sp.csr_matrix:
-    """Three-point second difference on a line, rows only at interior points.
-
-    Weights derive from a single rounded value so row sums vanish exactly.
-    """
-    w = 1.0 / h**2
-    rows = np.arange(1, n - 1)
-    data = np.concatenate([
-        np.full(n - 2, w), np.full(n - 2, -2.0 * w), np.full(n - 2, w),
-    ])
-    ij = (np.concatenate([rows, rows, rows]),
-          np.concatenate([rows - 1, rows, rows + 1]))
-    return sp.csr_matrix((data, ij), shape=(n, n))
-
-
-def _neumann_1d(n: int, h: float) -> sp.csr_matrix:
-    """Symmetric reflected form of -d^2/dx^2 (graph Laplacian of the path).
-
-    Weights derive from a single rounded value so row and column sums vanish
-    exactly in floating point.
-    """
-    w = 1.0 / h**2
-    main = np.full(n, 2.0 * w)
-    main[0] = main[-1] = w
-    off = np.full(n - 1, -w)
-    return sp.diags([off, main, off], offsets=(-1, 0, 1), format="csr")
-
-
 @lru_cache(maxsize=32)
 def diff_ops(grid: Grid) -> MappingProxyType:
     """Grid-only matrices, cached per grid and read-only: every array of
@@ -146,19 +115,56 @@ def diff_ops(grid: Grid) -> MappingProxyType:
     kron sum of the 1D pieces), div (N x 2N, minus the transpose of the
     (dx, dy) pair) and id (N x N identity).  Each is in canonical form
     (sorted, duplicate-free), so no scipy call sorts one in place.
+    scipy.sparse is imported here, on a cache miss, so that the grid and
+    the settings load with numpy alone.
     """
+    import scipy.sparse as sp
+
+    def d1_interior(n, h):
+        """Centered first difference on a line, rows only at interior
+        points."""
+        rows = np.arange(1, n - 1)
+        data = np.concatenate([np.full(n - 2, -0.5 / h),
+                               np.full(n - 2, 0.5 / h)])
+        ij = (np.concatenate([rows, rows]),
+              np.concatenate([rows - 1, rows + 1]))
+        return sp.csr_matrix((data, ij), shape=(n, n))
+
+    def d2_interior(n, h):
+        """Three-point second difference on a line, rows only at interior
+        points.  Weights derive from a single rounded value so row sums
+        vanish exactly."""
+        w = 1.0 / h**2
+        rows = np.arange(1, n - 1)
+        data = np.concatenate([
+            np.full(n - 2, w), np.full(n - 2, -2.0 * w), np.full(n - 2, w),
+        ])
+        ij = (np.concatenate([rows, rows, rows]),
+              np.concatenate([rows - 1, rows, rows + 1]))
+        return sp.csr_matrix((data, ij), shape=(n, n))
+
+    def neumann_1d(n, h):
+        """Symmetric reflected form of -d^2/dx^2 (graph Laplacian of the
+        path).  Weights derive from a single rounded value so row and
+        column sums vanish exactly in floating point."""
+        w = 1.0 / h**2
+        main = np.full(n, 2.0 * w)
+        main[0] = main[-1] = w
+        off = np.full(n - 1, -w)
+        return sp.diags([off, main, off], offsets=(-1, 0, 1), format="csr")
+
     ix = sp.identity(grid.nx, format="csr")
     iy = sp.identity(grid.ny, format="csr")
-    d_x = sp.kron(iy, _d1_interior(grid.nx, grid.dx), format="csr")
-    d_y = sp.kron(_d1_interior(grid.ny, grid.dy), ix, format="csr")
-    d_xx = sp.kron(iy, _d2_interior(grid.nx, grid.dx), format="csr")
-    d_yy = sp.kron(_d2_interior(grid.ny, grid.dy), ix, format="csr")
+    d_x = sp.kron(iy, d1_interior(grid.nx, grid.dx), format="csr")
+    d_y = sp.kron(d1_interior(grid.ny, grid.dy), ix, format="csr")
+    d_xx = sp.kron(iy, d2_interior(grid.nx, grid.dx), format="csr")
+    d_yy = sp.kron(d2_interior(grid.ny, grid.dy), ix, format="csr")
     d_xy = (d_x @ d_y).tocsr()
     d_xy.sum_duplicates()  # the product's indices come unsorted
     ops = {
         "dx": d_x, "dy": d_y, "dxx": d_xx, "dyy": d_yy, "dxy": d_xy,
-        "neumann": sp.kronsum(_neumann_1d(grid.nx, grid.dx),
-                              _neumann_1d(grid.ny, grid.dy), format="csr"),
+        "neumann": sp.kronsum(neumann_1d(grid.nx, grid.dx),
+                              neumann_1d(grid.ny, grid.dy), format="csr"),
         "div": sp.hstack([-d_x.T, -d_y.T], format="csr"),
         "id": sp.identity(grid.n_nodes, format="csr"),
     }
@@ -251,6 +257,35 @@ class FieldSet:
         if self.a.min() >= 0.0 and self.a.max() <= 1.0:  # a is finite here
             return self
         return replace(self, a=np.clip(self.a, 0.0, 1.0))
+
+
+@dataclass(frozen=True)
+class Equilibrium:
+    """Constant equilibrium state (0, h*, a*): thickness h* in m,
+    compactness a* in [0, 1]."""
+
+    h_star: float
+    a_star: float
+
+    def __post_init__(self):
+        check_finite(self)
+        if not self.h_star > 0.0:
+            raise InvalidStateError(f"h* = {self.h_star!r} must be positive")
+        if not math.isfinite(2.0 * self.h_star):
+            raise InvalidStateError(
+                f"h* = {self.h_star!r}: the sampling range [h*/2, 2 h*] "
+                f"must be finite")
+        if not 0.0 <= self.a_star <= 1.0:
+            raise InvalidStateError(f"a* = {self.a_star!r} outside [0, 1]")
+
+    def validate(self, params: RheologyParams) -> "Equilibrium":
+        if self.h_star < params.kappa:
+            raise InvalidStateError(
+                f"h* = {self.h_star!r} below kappa = {params.kappa!r}")
+        return self
+
+    def state(self, grid: Grid) -> FieldSet:
+        return FieldSet.constant(grid, self.h_star, self.a_star)
 
 
 def gradient(f: np.ndarray, h: float, axis: int) -> np.ndarray:

@@ -1,11 +1,14 @@
-"""Physical and regularization constants of the viscous-plastic sea-ice model.
+"""Physical and regularization constants of the viscous-plastic sea-ice
+model, and the time-stepping settings.
 
 All quantities are SI.  The defaults are literature-standard values for
 Hibler-type models (axis ratio e = 2, ice strength p* = 27.5 kPa, strength
 decay c = 20, ice/air/water densities, quadratic drag coefficients); every
 one of them can be overridden per run.  The regularization constant ``delta``
 carries units of s^-2 so that the regularized deformation measure
-sqrt(delta + Delta^2) keeps units of s^-1.
+sqrt(delta + Delta^2) keeps units of s^-1.  ``StepperConfig`` holds the
+step dt and the final time t_end of a run.  This module, like the rest of
+the settings (``grid.Grid``, ``grid.Equilibrium``), needs numpy only.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 STATE_SLACK = 1e-10  # drift of a outside [0, 1] that is clamped, not rejected
+MAX_STEPS = 10**6  # steps a run may take; t_end / dt beyond it is rejected
 
 
 class VpiceError(Exception):
@@ -121,6 +125,35 @@ class RheologyParams:
     def with_(self, **kwargs) -> "RheologyParams":
         """Copy with selected fields replaced."""
         return replace(self, **kwargs)
+
+
+@dataclass(frozen=True)
+class StepperConfig:
+    """Time stepping: step dt and final time t_end in s, at most MAX_STEPS
+    steps."""
+
+    dt: float
+    t_end: float
+
+    def __post_init__(self):
+        check_finite(self)
+        if not self.dt > 0.0:
+            raise InvalidStateError("dt must be positive")
+        if not self.t_end > 0.0:
+            raise InvalidStateError("t_end must be positive")
+        if not math.isfinite(self.t_end / self.dt):
+            raise InvalidStateError(
+                f"t_end / dt must be finite, got {self.t_end!r} / {self.dt!r}")
+        if self.n_steps > MAX_STEPS:
+            raise InvalidStateError(
+                f"t_end / dt asks for {self.n_steps:.3g} steps, more than "
+                f"MAX_STEPS = {MAX_STEPS}")
+
+    @property
+    def n_steps(self) -> int:
+        """Steps from 0 to t_end, at least one; the last may end past
+        t_end."""
+        return max(1, math.ceil(self.t_end / self.dt - 1e-12))
 
 
 def scaled_params(**overrides) -> RheologyParams:

@@ -14,10 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import stability
-from .dynamics import ForcingInputs, StepperConfig, step
-from .grid import FieldSet, Grid, strain_rate_field
+from .dynamics import ForcingInputs, step
+from .grid import Equilibrium, FieldSet, Grid, strain_rate_field
 from .operators import assemble_hibler, assemble_neumann_laplacian
-from .params import RheologyParams, VpiceError, scaled_params
+from .params import RheologyParams, StepperConfig, VpiceError, scaled_params
 from .rheology import (
     StrainRate,
     coefficient_tensor,
@@ -222,7 +222,7 @@ def spectrum_suite():
     11^2."""
     params = scaled_params(delta=1e-6, c_cor=0.0)
     grid = Grid(11, 11)
-    eq = stability.Equilibrium(1.0, 0.8)
+    eq = Equilibrium(1.0, 0.8)
     op = stability.assemble_A0(eq, grid, params)
     report = stability.spectrum(op, grid)
     proxy = stability.semisimplicity_proxy(op, grid)

@@ -1,7 +1,7 @@
 """Linearization at constant equilibria, spectra and decay experiments.
 
-At an equilibrium (0, h*, a*) with vanishing forcing, the linearized
-evolution v' + A0 v = 0 uses
+At an equilibrium (0, h*, a*) (``grid.Equilibrium``) with vanishing
+forcing, the linearized evolution v' + A0 v = 0 uses
 
     A0 v = [ (1/(rho_ice h*)) A^H u + (dP*/dh / (2 rho_ice h*)) grad h
              + (dP*/da / (2 rho_ice h*)) grad a + c_cor (n x u),
@@ -62,8 +62,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .dynamics import ForcingInputs, RunResult, RunSinks, StepperConfig, run
+from .dynamics import ForcingInputs, RunResult, RunSinks, run
 from .grid import (
+    Equilibrium,
     FieldSet,
     Grid,
     _read_only,
@@ -85,10 +86,13 @@ from .params import (
     STATE_SLACK,
     InvalidStateError,
     RheologyParams,
+    StepperConfig,
     VpiceError,
-    check_finite,
 )
-from .rheology import pressure, pressure_derivatives
+from .rheology import (
+    pressure,  # unused here; perfbench/spans.py traces this binding
+    pressure_derivatives,
+)
 
 DENSE_EIG_BUDGET = 10_000
 MIN_FIT_SAMPLES = 10  # norms decay_experiment needs in its fit window
@@ -112,38 +116,6 @@ class BudgetExceededError(VpiceError):
 class DecayFitError(VpiceError):
     """No decay rate to fit: the perturbation is lost to rounding, or too
     few samples lie in the asymptotic window."""
-
-
-@dataclass(frozen=True)
-class Equilibrium:
-    """Constant equilibrium state (0, h*, a*): thickness h* in m,
-    compactness a* in [0, 1]."""
-
-    h_star: float
-    a_star: float
-
-    def __post_init__(self):
-        check_finite(self)
-        if not self.h_star > 0.0:
-            raise InvalidStateError(f"h* = {self.h_star!r} must be positive")
-        if not math.isfinite(2.0 * self.h_star):
-            raise InvalidStateError(
-                f"h* = {self.h_star!r}: the sampling range [h*/2, 2 h*] "
-                f"must be finite")
-        if not 0.0 <= self.a_star <= 1.0:
-            raise InvalidStateError(f"a* = {self.a_star!r} outside [0, 1]")
-
-    def validate(self, params: RheologyParams) -> "Equilibrium":
-        if self.h_star < params.kappa:
-            raise InvalidStateError(
-                f"h* = {self.h_star!r} below kappa = {params.kappa!r}")
-        return self
-
-    def p_star(self, params: RheologyParams) -> float:
-        return float(pressure(self.h_star, self.a_star, params))
-
-    def state(self, grid: Grid) -> FieldSet:
-        return FieldSet.constant(grid, self.h_star, self.a_star)
 
 
 @dataclass

@@ -100,10 +100,10 @@ def test_traced_cli_bindings_keep_their_call_counts(tmp_path, monkeypatch,
 
 def test_stability_operator_bindings_stay_uncalled(tmp_path, monkeypatch,
                                                    capsys):
-    # vpice.stability imports these operators only for the tracer: the lab
-    # reaches them through assemble_A0, so a call through these bindings
-    # would be a second assembly path.  Tracing by function retires them
-    # (ROADMAP item 1b)
+    # vpice.stability imports these operators and rheology.pressure only
+    # for the tracer: the lab reaches them through assemble_A0, so a call
+    # through these bindings would be a second assembly path.  Tracing by
+    # function retires them (ROADMAP item 1b)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
     from vpice import cli, selftest, stability
@@ -117,9 +117,12 @@ def test_stability_operator_bindings_stay_uncalled(tmp_path, monkeypatch,
         return wrapper
 
     bindings = [attr for owner, attr, name in spans.CALL_SITES
-                if owner == "vpice.stability" and name.startswith("operators.")]
+                if owner == "vpice.stability"
+                and (name.startswith("operators.")
+                     or name == "rheology.pressure")]
     assert sorted(bindings) == ["assemble_hibler", "assemble_neumann_laplacian",
-                                "divergence_matrix", "gradient_coupling"]
+                                "divergence_matrix", "gradient_coupling",
+                                "pressure"]
     for attr in bindings:
         monkeypatch.setattr(stability, attr,
                             counting(attr, getattr(stability, attr)))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 import vpice
 from vpice.cli import SUBCOMMANDS, dispatch
 from vpice.config import KEYS, ConfigError, RunConfig, load_config, parse_config
-from vpice.dynamics import MAX_STEPS, StepperConfig
 from vpice.grid import FieldSet, Grid
 from vpice.io_formats import (
     CsvWriter,
@@ -27,7 +27,8 @@ from vpice.io_formats import (
     write_snapshot,
 )
 from vpice.operators import LinearSolveError, SparseOperator, solve_linear
-from vpice.params import InvalidStateError, RheologyParams, VpiceError
+from vpice.params import (MAX_STEPS, InvalidStateError, RheologyParams,
+                          StepperConfig, VpiceError)
 from vpice.stability import DECAY_GAP_RTOL, Equilibrium
 from vpice.symbols import RootBalanceError
 
@@ -1098,6 +1099,29 @@ def test_python_m_vpice_runs_the_entry_point(argv, code, stream):
     else:
         assert done.stderr.startswith("vpice: unknown subcommand ")
         assert done.stderr.count("\n") == 1 and done.stdout == ""
+
+
+def test_settings_load_with_numpy_alone():
+    # the settings classes live in params and grid, and grid imports
+    # scipy.sparse only when diff_ops first builds a grid's stencils, so
+    # reading a config or writing files loads no solver and no scipy
+    src = os.path.dirname(os.path.dirname(vpice.__file__))
+    probe = ("import json, sys\n"
+             "def loaded(package):\n"
+             "    return sorted(m for m in sys.modules\n"
+             "                  if m.partition('.')[0] == package)\n"
+             "import vpice.config\n"
+             "config = loaded('vpice')\n"
+             "import vpice.io_formats\n"
+             "print(json.dumps([config, loaded('scipy')]))\n")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    config, scipy = json.loads(done.stdout)
+    assert config == ["vpice", "vpice.config", "vpice.grid", "vpice.params",
+                      "vpice.rheology"]
+    assert scipy == []
 
 
 @pytest.mark.parametrize("command, csv_name", [

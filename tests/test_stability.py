@@ -30,6 +30,7 @@ from vpice.operators import (
     gradient_coupling,
 )
 from vpice.params import InvalidStateError, RheologyParams, scaled_params
+from vpice.rheology import pressure
 from vpice.stability import (
     ENERGY_SPLIT_RTOL,
     KERNEL_CERT_RTOL,
@@ -95,7 +96,7 @@ def test_a0_equilibrium_validation():
 
 def test_weight_constants():
     c_h, c_a = weight_constants(EQ, PARAMS)
-    p_star = EQ.p_star(PARAMS)
+    p_star = pressure(EQ.h_star, EQ.a_star, PARAMS)
     assert c_h == pytest.approx(
         PARAMS.p_star * np.exp(-PARAMS.c * 0.2) / 2.0, rel=1e-13)
     assert c_a == pytest.approx(PARAMS.c * p_star / 1.6, rel=1e-13)
