@@ -32,12 +32,14 @@ With d_h == d_a the field q = (a* h - h* a) / r, r = hypot(h*, a*), is a
 pure diffusion, q' = -d Lap_N q: the h* div u and a* div u terms cancel.
 A0 is then block triangular in (u, p | q), p = (h* h + a* a) / r, and
 ``symmetry_blocks`` splits only the (u, p) operator; the q eigenvalues
-are d times ``grid.neumann_eigenvalues``, in closed form.  What the split
-derives from the indices of the split matrix alone (where each generator
-sends the entries, and each character's block entries and weights) is
-planned once per grid, kept unknowns and sparsity pattern and kept
-read-only, as the assembly plans its layouts; a call checks the values
-entry by entry and converts the blocks.  ``spectrum``
+are d times ``grid.neumann_eigenvalues``, in closed form.  The split
+matrix holds no stored zero, so a generator commutes only if it maps the
+pattern onto itself.  What the split derives from the indices alone
+(where each generator sends the entries, found by one search over the
+pattern, and each character's block entries and weights) is planned once
+per grid, kept unknowns and sparsity pattern and kept read-only, as the
+assembly plans its layouts; a call checks the values entry by entry and
+converts the blocks.  ``spectrum``
 deflates the exact constant-(h, a) kernel from the dense copy of each
 block by Householder reflections and finds the gap by one dense
 ``eigvals`` per block, with the q values appended.
@@ -54,6 +56,7 @@ form (v | W A0 v) splits into a velocity term and two diffusion terms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -74,6 +77,7 @@ from .grid import (
 )
 from .operators import (
     SparseOperator,
+    _row_of_entry,
     assemble_hibler,  # unused here; perfbench/spans.py traces this binding
     assemble_neumann_laplacian,  # unused here; traced as above
     assemble_terms,
@@ -159,9 +163,9 @@ def kernel_basis(grid: Grid) -> np.ndarray:
 
 
 def dense_unknowns(grid: Grid) -> int:
-    """Unknowns of A0 once the Dirichlet rows and columns are dropped: 4N
-    minus both velocity components at every boundary node."""
-    return 4 * grid.n_nodes - 2 * int(np.sum(grid.boundary_mask()))
+    """Unknowns of A0 once the Dirichlet rows and columns are dropped: those
+    outside the ``velocity_boundary_mask`` that ``assemble_A0`` gives it."""
+    return int(np.sum(~velocity_boundary_mask(grid, 4)))
 
 
 def check_dense_budget(grid: Grid) -> None:
@@ -329,12 +333,11 @@ class SymmetryBlock:
 class _Split:
     """The index work of ``symmetry_blocks`` on one pattern of the split
     matrix M, the reduced A0 or its (u, p) operator of ``_rotated``: M's
-    canonical CSR pattern over the unknowns ``keep`` keeps of
+    canonical, zero-free CSR pattern over the unknowns ``keep`` keeps of
     ``_symmetry``'s stacks, and the rows of ``kernel_basis`` on them.
     Where each generator sends M's entries, and the blocks of a group, are
     planned the first time they are asked for; every array is read-only.
-    Values travel as ``data``: M's values with one 0.0 appended, the value
-    of every entry outside the pattern, which a planned image points at."""
+    Values travel as ``data``, M's values in the pattern's order."""
 
     def __init__(self, grid: Grid, keep: np.ndarray, matrix: sp.csr_matrix,
                  kernel: np.ndarray):
@@ -346,57 +349,37 @@ class _Split:
 
     def commutes(self, name: str, data: np.ndarray) -> bool:
         """P M P^T - M has no nonzero entry, P the signed permutation
-        ``name`` of ``_symmetry``, if it keeps the kept unknowns: each
-        entry at (i, j) times sign[i] sign[j] equals the entry at (index[i],
-        index[j]), 0.0 outside the pattern, and the entries no entry lands
-        on are zero.  The plan holds where entries go, never whether their
-        values agree."""
+        ``name`` of ``_symmetry``, if it keeps the kept unknowns and maps
+        M's pattern onto itself: each entry at (i, j) times sign[i] sign[j]
+        equals the entry at (index[i], index[j]).  M holds no stored zero,
+        so an image outside the pattern is a nonzero entry of P M P^T - M.
+        The plan holds where entries go, never whether their values
+        agree."""
         if name not in self.maps:
             self.maps[name] = self._map(name)
         if self.maps[name] is None:
             return False
-        _, _, image, sign, uncovered = self.maps[name]
-        return not (np.any(data[image] - sign * data[:-1])
-                    or np.any(data[uncovered]))
+        _, _, image, sign = self.maps[name]
+        return not np.any(data[image] - sign * data)
 
     def _map(self, name: str):
         """``_symmetry``'s (index, sign) for ``name``, and per entry of M
-        the position its image lands on (the appended 0.0 outside the
-        pattern) and sign[i] sign[j], then the entries nothing lands on;
-        None where ``_symmetry`` has no map."""
+        the position its image lands on, found by one search over the
+        pattern's row-major keys, and sign[i] sign[j]; None where
+        ``_symmetry`` has no map or an image falls outside the pattern."""
         found = _symmetry(self.grid, self.keep, name)
         if found is None:
             return None
         index, sign = found
-        size, indptr, column = self.size, self.indptr, self.indices
-        nnz = len(column)
-        row = np.repeat(np.arange(size), np.diff(indptr))
-        # each row's entries in the order of their images' columns: the t-th
-        # lands on the t-th entry of row index[i] where that row holds them
-        mapped = sp.csr_matrix((np.arange(nnz), index[column], indptr),
-                               shape=(size, size))
-        mapped.sort_indices()
-        guess = np.arange(nnz) + (indptr[index] - indptr[:-1])[row]
-        hit = ((guess < indptr[index + 1][row])
-               & (column[np.minimum(guess, nnz - 1)] == mapped.indices))
-        image = np.empty(nnz, dtype=np.intp)
-        image[mapped.data] = np.where(hit, guess, -1)
-        # the rest are searched for, and those outside the pattern read the
-        # 0.0; then as many entries are left uncovered
-        miss = np.flatnonzero(image < 0)
-        uncovered = miss[:0]
-        if len(miss):
-            keys = np.append(row * size + column, size * size)
-            target = index[row[miss]] * size + index[column[miss]]
-            at = np.searchsorted(keys, target)
-            at[keys[at] != target] = nnz
-            image[miss] = at
-            covered = np.zeros(nnz + 1, dtype=bool)
-            covered[image] = True
-            uncovered = np.flatnonzero(~covered[:-1])
+        # intp: every gather would cast an int32 index array again
+        row, column = _row_of_entry(self.indptr).astype(np.intp), self.indices
+        keys = row * self.size + column
+        target = index[row] * self.size + index[column]
+        image = np.minimum(np.searchsorted(keys, target), len(keys) - 1)
+        if not np.array_equal(keys[image], target):
+            return None
         sign = sign.astype(np.int8)
-        return _read_only(index, sign, image, sign[row] * sign[column],
-                          uncovered)
+        return _read_only(index, sign, image, sign[row] * sign[column])
 
     def blocks(self, group: str, data: np.ndarray) -> list:
         """The blocks of ``group`` at M's values ``data``: per character the
@@ -417,7 +400,7 @@ class _Split:
         names, characters = next(entry[1:] for entry in _GROUPS
                                  if entry[0] == group)
         size = self.size
-        columns = np.arange(size)
+        columns, row = np.arange(size), _row_of_entry(self.indptr).astype(np.intp)
         # every group element: index map, signs, the positions of its word's
         # generators
         elements = [(columns, np.ones(size), ())]
@@ -441,10 +424,7 @@ class _Split:
                 rep = np.min([member for member, _, _ in used], axis=0)
                 # the entries of the representatives' rows, which every
                 # block of H reads, with the orbit of each one's column
-                heads = np.flatnonzero(rep == columns)
-                count = np.diff(self.indptr)[heads]
-                entry = np.arange(np.sum(count)) + np.repeat(
-                    self.indptr[heads] - (np.cumsum(count) - count), count)
+                entry = np.flatnonzero(rep[row] == row)
                 k = self.indices[entry]
                 subgroups[len(character)] = (
                     used, rep,
@@ -452,7 +432,7 @@ class _Split:
                     # e_{rep} where it is a unit vector of the unknown itself
                     np.array([np.where(member[rep] == columns, s[rep], 0.0)
                               for member, s, _ in used]),
-                    np.repeat(heads, count), entry, k, rep[k])
+                    row[entry], entry, k, rep[k])
             used, rep, terms, head, entry, k, orbit = subgroups[len(character)]
             # coeff[k]: entry k of v, the projected column of k's orbit, a
             # sum of small integers, exact in any order
@@ -492,21 +472,18 @@ _SPLITS: dict = {}  # (grid, kept unknowns, pattern) -> _Split, LRU first
 
 def _split(grid: Grid, keep: np.ndarray, matrix: sp.csr_matrix,
            kernel: np.ndarray) -> _Split:
-    """The split plan of the canonical ``matrix``'s pattern over the kept
-    unknowns ``keep``, with the kept rows ``kernel`` of ``kernel_basis``:
-    made once per grid, kept unknowns and sparsity pattern and held for
-    the _MAX_SPLITS most recently used."""
+    """The split plan of the canonical, zero-free ``matrix``'s pattern over
+    the kept unknowns ``keep``, with the kept rows ``kernel`` of
+    ``kernel_basis``: made once per grid, kept unknowns and sparsity
+    pattern and held for the _MAX_SPLITS most recently used."""
     key = (grid, keep.tobytes(), matrix.indptr.tobytes(),
            matrix.indices.tobytes())
-    # compared, not hashed, as in operators._lu_solver
-    held = next((known for known in _SPLITS if known == key), None)
-    if held is None:
-        split = _SPLITS[key] = _Split(grid, keep, matrix, kernel)
-        if len(_SPLITS) > _MAX_SPLITS:
-            del _SPLITS[next(iter(_SPLITS))]
-    else:
-        # re-inserted under the held key: now the most recently used
-        split = _SPLITS[held] = _SPLITS.pop(held)
+    split = _SPLITS.pop(key, None)
+    if split is None:
+        split = _Split(grid, keep, matrix, kernel)
+    _SPLITS[key] = split  # (re-)inserted: now the most recently used
+    if len(_SPLITS) > _MAX_SPLITS:
+        del _SPLITS[next(iter(_SPLITS))]
     return split
 
 
@@ -540,15 +517,17 @@ def symmetry_blocks(op: SparseOperator, grid: Grid) -> tuple:
     constant q of K; otherwise every block acts on (u, h, a) and no q
     value is returned.  Returns (group name, blocks, q eigenvalues).
 
-    What depends on M's indices alone is planned once per grid, kept
-    unknowns and sparsity pattern of M (``_split``, for the 8 most recently
-    used): where each generator tested sends M's entries, and for the group
-    found the entries each block reads, their weights and places, and K's
-    coordinates.  A call compares each tested generator's entries value by
-    value, so a plan held from an earlier call decides nothing a value
-    could change, and converts each block's weighted entries from COO to
-    CSR in the order of the rows read.  Only calls after the first on one
-    pattern, in one process, find the plan made.
+    M's stored zeros are dropped first, so a generator that sends an entry
+    outside M's pattern does not commute.  What depends on M's indices
+    alone is planned once per grid, kept unknowns and sparsity pattern of
+    M (``_split``, for the 8 most recently used): where each generator
+    tested sends M's entries, one search over the pattern, and for the
+    group found the entries each block reads, their weights and places,
+    and K's coordinates.  A call compares each tested generator's entries
+    value by value, so a plan held from an earlier call decides nothing a
+    value could change, and converts each block's weighted entries from
+    COO to CSR in the order of the rows read.  Only calls after the first
+    on one pattern, in one process, find the plan made.
     """
     matrix, keep, kernel = _reduced(op, grid)
     rotated = _rotated(matrix, keep, grid)
@@ -559,19 +538,14 @@ def symmetry_blocks(op: SparseOperator, grid: Grid) -> tuple:
         # the turned constant h is constant p, the (u, p) operator's kernel
         kernel = kernel[:matrix.shape[0], :1]
         q_values = d * neumann_eigenvalues(grid)[1:]
-    matrix.sum_duplicates()  # the plan reads a canonical pattern
+    # the plan reads a canonical pattern that holds no stored zero
+    matrix.sum_duplicates()
+    matrix.eliminate_zeros()
     split = _split(grid, keep, matrix, kernel)
-    data = np.append(matrix.data, 0.0)
-    commuting = {}
-
-    def exact(name):
-        if name not in commuting:
-            commuting[name] = split.commutes(name, data)
-        return commuting[name]
-
+    exact = functools.cache(lambda name: split.commutes(name, matrix.data))
     group = next(name for name, generators, _ in _GROUPS
-                 if all(exact(generator) for generator in generators))
-    return group, split.blocks(group, data), q_values
+                 if all(map(exact, generators)))
+    return group, split.blocks(group, matrix.data), q_values
 
 
 def spectrum(op: SparseOperator, grid: Grid) -> SpectrumReport:
@@ -644,7 +618,7 @@ def semisimplicity_proxy(op: SparseOperator, grid: Grid) -> SemisimplicityReport
     _check_shape(op, grid)
     matrix, keep, kernel = op.matrix, ~op.dirichlet_mask, kernel_basis(grid)
     basis, image = kernel[keep], (matrix @ kernel)[keep]
-    inside = np.repeat(keep, np.diff(matrix.indptr)) & keep[matrix.indices]
+    inside = keep[_row_of_entry(matrix.indptr)] & keep[matrix.indices]
     return SemisimplicityReport(
         kernel_dim=basis.shape[1],
         right_residual=float(np.linalg.norm(image, 2)),

@@ -412,6 +412,32 @@ def test_a_warm_plan_still_checks_every_value(group):
                     array.flat[0] = array.flat[0]
 
 
+@pytest.mark.parametrize("c_cor, expected", [(0.0, "D4"), (0.5, "C4")])
+def test_a_stored_zero_breaks_no_symmetry(c_cor, expected):
+    # an explicit 0.0 where no symmetry sends an entry (an interior u1 row
+    # reading h off its stencil) is a zero of P M P^T - M, not an entry:
+    # the split drops it before planning, and the group and the dense
+    # blocks are the intact operator's.  At d_a != d_h no diffusion turn
+    # drops it first
+    g = Grid(9, 9)
+    n = g.n_nodes
+    op = assemble_A0(EQ, g, PARAMS.with_(c_cor=c_cor, d_a=0.5 * PARAMS.d_h))
+    coo = op.matrix.tocoo()
+    stored = sp.csr_matrix((np.append(coo.data, 0.0),
+                            (np.append(coo.row, g.nx + 2),
+                             np.append(coo.col, 2 * n + 3))),
+                           shape=coo.shape)
+    assert stored.nnz == op.matrix.nnz + 1
+    splits = [symmetry_blocks(candidate, g) for candidate in (
+        SparseOperator(stored, op.dirichlet_mask), op)]
+    assert [group for group, _, _ in splits] == [expected] * 2
+    assert [len(q_values) for _, _, q_values in splits] == [0, 0]
+    dense, intact = ([(b.matrix.toarray().tobytes(), b.copies, b.conjugate,
+                       b.kernel.tobytes()) for b in blocks]
+                     for _, blocks, _ in splits)
+    assert dense == intact
+
+
 @pytest.mark.parametrize("a_star", [0.8, 0.0])
 @pytest.mark.parametrize("d_a", [PARAMS.d_h, 0.5 * PARAMS.d_h],
                          ids=["d_a=d_h", "d_a=d_h/2"])
